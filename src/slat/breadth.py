@@ -30,14 +30,10 @@ class BreadthReport:
 
     def to_json(self):
         return {"breadth": self.breadth,
-                "witness": sorted_bits(self.witness),
+                "witness": list(bits(self.witness)),
                 "exhaustive": self.exhaustive,
                 "nodes": self.nodes,
                 "notes": list(self.notes)}
-
-
-def sorted_bits(mask):
-    return list(bits(mask))
 
 
 def _resolve_union(S, mask):

@@ -336,8 +336,6 @@ def _build_parser():
         p.add_argument("--strict", action="store_true")
         p.add_argument("--budget", type=int, default=500_000)
         p.add_argument("--cap", type=int, default=10_000_000)
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("SLAT_JOBS", "1")))
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
@@ -369,7 +367,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, core.NotClosedError) as exc:
+    except (ValueError, core.NotClosedError, weights.KindMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except adversarial.InsufficientBreadth as exc:

@@ -331,6 +331,8 @@ class Semilattice:
 
     @classmethod
     def from_json(cls, obj, close=False):
+        if not isinstance(obj, dict):
+            raise ValueError("instance must be a JSON object")
         kind = obj.get("kind")
         labels = obj.get("labels")
         if kind == "table":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .core import Semilattice
 from .weights import LogWeight, level_set
 
 
+@total_ordering
 class LogMagnitude:
     """Exactly 0, or exp(-m) for an exact rational exponent m.
 
@@ -58,15 +60,6 @@ class LogMagnitude:
         if other.is_zero:
             return False
         return self.m > other.m
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return other < self
-
-    def __ge__(self, other):
-        return other <= self
 
     def to_json(self):
         if self.is_zero:

@@ -3,9 +3,13 @@ stability, reachability costs, and per-level profiles.
 
 For a weight level C, the one-step operator collects every element of the
 level set that divides a binary product of current members.  The least level
-at which a target becomes reachable from a generating set is a step function
-of C with jumps only at attained weight values, so every infimum here is an
-exact finite search.
+at which the closure from a generating set reaches a target is a bottleneck
+cost: the largest weight a derivation uses, minimized over derivations.  One
+closure engine finds these first levels for every target in a single pass,
+in the manner of Knuth's generalization of Dijkstra's algorithm (D. E. Knuth,
+"A generalization of Dijkstra's algorithm", IPL 6(1), 1977); ``v_value`` and
+``propagation_profile`` both call it.  Levels are compared as exact
+rationals.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 
 from ._bitset import bits, mask_of
 from .breadth import breadth, is_compressible
@@ -25,6 +30,7 @@ class BudgetExceeded(RuntimeError):
     """Raised in strict mode when a search outgrows its node budget."""
 
 
+@total_ordering
 class PropagationValue:
     """Either a finite rational reachability level or infinity."""
 
@@ -53,15 +59,6 @@ class PropagationValue:
         if other.is_infinite:
             return True
         return self.c < other.c
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return other < self
-
-    def __ge__(self, other):
-        return other <= self
 
     def to_json(self):
         if self.is_infinite:
@@ -172,94 +169,71 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
 
 # -- reachability cost -------------------------------------------------------
 
-def _closure_universe(S, lam, E_ids, cap=200_000):
-    """Factors of the product of E: the closed world every level-confined
-    closure from E lives in.  Returns (ids, local product cache helpers)."""
-    m = S.product_ids(E_ids)
-    U = list(S.iter_factors(m))
-    if len(U) > cap:
-        raise BudgetExceeded(f"closure universe has {len(U)} elements")
-    return m, U
+def _first_levels(S, lam, E_ids, targets):
+    """First level at which the closure from E reaches each element.
 
-
-class _Sweep:
-    """Incremental level-confined closure over ascending thresholds.
-
-    The closed world is the set of factors of the product of the seed; each
-    threshold re-runs the worklist seeded with everything reached so far
-    plus newly admitted seed members.
+    The closed world is U, the factors of the product of E.  Elements are
+    settled in order of rising first level, and each settled element is
+    paired with every element settled before it and with itself.  Returns
+    ``{id: level}`` for each element settled before every target inside U
+    is.
     """
-
-    def __init__(self, S, lam, E_ids):
-        self.S = S
-        self.lam = lam
-        self.E_ids = list(E_ids)
-        self.bottom, self.U = _closure_universe(S, lam, self.E_ids)
-        self.pos = {g: i for i, g in enumerate(self.U)}
-        self.lam_u = [lam[g] for g in self.U]
-        self._factor_cache = {}
-        self.reached = set()            # local indices
-        self.first_level = {}           # local index -> Fraction
-        self.thresholds = sorted(set(self.lam_u))
-
-    def _local_factors(self, p):
-        got = self._factor_cache.get(p)
-        if got is None:
-            got = [self.pos[z] for z in self.S.iter_factors(p)]
-            self._factor_cache[p] = got
-        return got
-
-    def run_threshold(self, C):
-        """Extend the closure to threshold C (must be called ascending)."""
-        lam, S = self.lam, self.S
-        admitted = [self.pos[x] for x in self.E_ids if lam[x] <= C]
-        new = [i for i in admitted if i not in self.reached]
-        work = list(self.reached) + new
-        for i in new:
-            self.reached.add(i)
-            self.first_level.setdefault(i, C)
-        members = list(self.reached)
-        queue = list(work)
-        while queue:
-            a = queue.pop()
-            ga = self.U[a]
-            for b in list(members):
-                p = S.product(ga, self.U[b])
-                for j in self._local_factors(p):
-                    if j not in self.reached and self.lam_u[j] <= C:
-                        self.reached.add(j)
-                        self.first_level[j] = C
-                        members.append(j)
-                        queue.append(j)
-
-    def value_for(self, z):
-        """First threshold at which element id z is reached, if any so far."""
-        i = self.pos.get(z)
-        if i is None:
-            return None
-        lvl = self.first_level.get(i)
-        return lvl
+    U = list(S.iter_factors(S.product_ids(E_ids)))
+    if len(U) > 200_000:
+        raise BudgetExceeded(f"closure universe has {len(U)} elements")
+    levels = sorted({lam[g] for g in U})
+    index = {c: i for i, c in enumerate(levels)}
+    rank = {g: index[lam[g]] for g in U}
+    buckets = [[] for _ in levels]      # bucket i: reached at levels[i]
+    for e in E_ids:
+        buckets[rank[e]].append(e)
+    pending = {z for z in targets if z in rank}
+    first = {}
+    settled = []
+    formed = set()
+    i = 0
+    while pending and i < len(levels):
+        if not buckets[i]:
+            i += 1
+            continue
+        a = buckets[i].pop()
+        if a in first:
+            continue
+        first[a] = levels[i]
+        pending.discard(a)
+        settled.append(a)
+        for b in settled:
+            p = S.product(a, b)
+            # a product formed again later is formed at a level no lower,
+            # so only its first formation can lower a bucket
+            if p in formed:
+                continue
+            formed.add(p)
+            for z in S.iter_factors(p):
+                if z not in first:
+                    buckets[max(rank[z], i)].append(z)
+    return first
 
 
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
-    """Least level from which z is reachable from E by iterated one-step
-    closure; infinite when z lies outside the filter generated by E."""
+    """Least level C from which the level-C closure of E reaches z; infinite
+    when z lies outside the filter generated by E.
+
+    The first level of z is a bottleneck cost, the largest weight used by a
+    derivation of z, minimized over derivations.  ``max`` is a superior
+    function, so Knuth's generalization of Dijkstra's algorithm (IPL 6(1),
+    1977) finds it in one pass over the factors of the product of E, which
+    stops as soon as z is settled.
+    """
     if E == 0:
         return INFINITE
     E_ids = list(bits(E))
-    m = S.product_ids(E_ids)
-    if not S.leq(m, z):
+    if not S.leq(S.product_ids(E_ids), z):
         return INFINITE
-    sweep = _Sweep(S, lam, E_ids)
-    floor = max(lam[z], min(lam[x] for x in E_ids))
-    for C in sweep.thresholds:
-        if C < floor:
-            continue
-        sweep.run_threshold(C)
-        got = sweep.value_for(z)
-        if got is not None:
-            return PropagationValue.finite(C)
-    raise AssertionError("target inside the generated filter never reached")
+    c = _first_levels(S, lam, E_ids, [z]).get(z)
+    if c is None:
+        raise AssertionError("target inside the generated filter never reached")
+    return PropagationValue.finite(c)
 
 
 # -- per-level profile -------------------------------------------------------
@@ -312,21 +286,16 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     counter = {"nodes": 0, "capped": False}
 
     def consider(E_ids):
-        sweep = _Sweep(S, lam, E_ids)
-        targets = [z for z in sweep.U if lam[z] <= L]
-        remaining = set(targets)
-        for C in sweep.thresholds:
-            if not remaining:
-                break
-            sweep.run_threshold(C)
-            for z in list(remaining):
-                if sweep.value_for(z) is not None:
-                    remaining.discard(z)
-                    v = PropagationValue.finite(C)
-                    if v > prof.value:
-                        prof.value = v
-                        prof.witness_E = mask_of(E_ids)
-                        prof.witness_z = z
+        first = _first_levels(S, lam, E_ids, W_ids)
+        targets = [z for z in W_ids if z in first]
+        top = max(first[z] for z in targets)
+        v = PropagationValue.finite(top)
+        if v > prof.value:
+            prof.value = v
+            prof.witness_E = mask_of(E_ids)
+            # Ties go to the first target in the iteration order of
+            # set(targets); profile output depends on this choice.
+            prof.witness_z = next(z for z in set(targets) if first[z] == top)
 
     for E_ids in _iter_incompressible(S, W_ids, budget, counter):
         consider(E_ids)

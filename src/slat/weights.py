@@ -105,8 +105,9 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
         rep.exhaustive = False
         rep.notes.append("pair check sampled")
         pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
+        neg_rng = random.Random(seed + 1)
         for _ in range(min(n, samples)):
-            x = random.Random(seed + 1).randrange(n)
+            x = neg_rng.randrange(n)
             if lam[x] < 0:
                 rep.violations.append(Violation("Negative", (x,)))
     for x, y in pairs:
@@ -197,18 +198,26 @@ def random_logweight(S: Semilattice, seed: int, max_num: int = 8,
     return LogWeight(S.n, values=vals, name="random")
 
 
+def _fraction_from_json(v) -> Fraction:
+    if v["den"] == 0:
+        raise ValueError(f"weight value {v} has a zero denominator")
+    return Fraction(v["num"], v["den"])
+
+
 def logweight_from_json(S: Semilattice, obj) -> LogWeight:
     """Parse the weight descriptor attached to an instance file."""
+    if not isinstance(obj, dict):
+        raise ValueError("log-weight descriptor must be a JSON object")
     kind = obj.get("kind")
     if kind == "explicit":
-        vals = [Fraction(v["num"], v["den"]) for v in obj["values"]]
+        vals = [_fraction_from_json(v) for v in obj["values"]]
         if len(vals) != S.n:
             raise ValueError("explicit weight length mismatch")
         return LogWeight(S.n, values=vals, name="explicit")
     if kind == "scaled":
         q = obj.get("q", {"num": 1, "den": 1})
         return builtin_logweight(S, "scaled",
-                                 {"q": Fraction(q["num"], q["den"])})
+                                 {"q": _fraction_from_json(q)})
     if kind in ("zero", "cardinality", "prototype"):
         return builtin_logweight(S, kind)
     raise ValueError(f"unknown log-weight kind {kind!r}")

@@ -73,6 +73,40 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["analyze", "/nonexistent/inst.json"]) == 2
 
 
+def test_top_level_json_list_is_usage_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    proc = run(["analyze", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    proc = run(["analyze", "pstar(3)", "--weight", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_denominator_weight_is_usage_error(tmp_path):
+    from slat.core import chain
+    path = tmp_path / "inst.json"
+    obj = chain(2).to_json()
+    obj["logweight"] = {"kind": "explicit",
+                        "values": [{"num": 1, "den": 1},
+                                   {"num": 1, "den": 0}]}
+    path.write_text(json.dumps(obj))
+    proc = run(["analyze", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["cardinality", "prototype", "scaled:1/2"])
+def test_set_system_weight_on_table_is_usage_error(spec):
+    proc = run(["analyze", "chain(3)", "--weight", spec])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
 def test_adversary_subcommand(capsys):
     assert main(["adversary", "fin(12,6)", "--nmax", "3"]) == 0
     out = json.loads(capsys.readouterr().out)

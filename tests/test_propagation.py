@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (naive_closure, naive_fbp_step, naive_profile,
                      naive_stable, naive_v)
 from slat._bitset import bits, mask_of
-from slat.core import chain, fin_truncation, free_nonempty, kary_tree, powerset
+from slat.core import (chain, fin_truncation, free_nonempty, generate_instance,
+                       kary_tree, powerset)
 from slat.metrics import generate_filter
 from slat.propagation import (INFINITE, BudgetExceeded, PropagationValue,
                               check_equivalence_iii, fbp, fbp_closure,
@@ -163,3 +166,34 @@ def test_finite_breadth_bound():
     for L in sorted({lam[x] for x in range(S.n)}):
         rep = finite_breadth_bound_check(S, lam, L)
         assert rep.passed
+
+
+_ENGINE_HOSTS = {spec: generate_instance(spec)
+                 for spec in ("pstar(3)", "tree(2,2)", "fin(4,2)", "chain(4)")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(sorted(_ENGINE_HOSTS)), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_closure_engine_matches_oracles(spec, seed, data):
+    S = _ENGINE_HOSTS[spec]
+    lam = random_logweight(S, seed)
+    E = data.draw(st.integers(1, (1 << S.n) - 1), label="E")
+    z = data.draw(st.integers(0, S.n - 1), label="z")
+    expect = naive_v(S, lam, E, z)
+    assert v_value(S, lam, E, z) == (
+        INFINITE if expect is None else PropagationValue.finite(expect))
+    # naive_profile scans every subset of the level set: keep it small
+    levels = [L for L in sorted(set(lam.values()))
+              if bin(level_set(S, lam, L)).count("1") <= 6]
+    assume(levels)
+    L = data.draw(st.sampled_from(levels), label="L")
+    prof = propagation_profile(S, lam, L)
+    assert prof.exhaustive
+    assert prof.value == PropagationValue.finite(naive_profile(S, lam, L))
+    if prof.witness_z is None:
+        assert prof.value == PropagationValue.finite(0)
+    else:
+        assert v_value(S, lam, prof.witness_E, prof.witness_z) == prof.value
+    sampled = propagation_profile(S, lam, L, budget=5, seed=seed, samples=50)
+    assert sampled.value <= prof.value

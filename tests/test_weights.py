@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slat.core import chain, fin_truncation, free_nonempty, powerset
-from slat.weights import (KindMismatch, LogWeight, PrototypeMissingTop,
-                          builtin_logweight, level_set, logweight_from_json,
-                          random_logweight, validate_logweight)
+from slat.weights import (EXHAUSTIVE_PAIR_CAP, KindMismatch, LogWeight,
+                          PrototypeMissingTop, builtin_logweight, level_set,
+                          logweight_from_json, random_logweight,
+                          validate_logweight)
 
 
 def test_cardinality_weight_values():
@@ -112,6 +113,16 @@ def test_validate_rejects_non_subadditive():
     rep = validate_logweight(S, lam)
     assert not rep.ok
     assert any(v.kind == "NotSubadditive" for v in rep.violations)
+
+
+def test_sampled_negativity_check_draws_many_elements():
+    S = free_nonempty(13)  # above EXHAUSTIVE_PAIR_CAP
+    assert S.n > EXHAUSTIVE_PAIR_CAP
+    lam = LogWeight.from_values([-1] * S.n)
+    rep = validate_logweight(S, lam, samples=8)
+    assert not rep.exhaustive
+    named = {v.witness for v in rep.violations if v.kind == "Negative"}
+    assert len(named) > 1
 
 
 def test_lazy_weight_caches():
