@@ -12,6 +12,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from ._bitset import bits, mask_of, popcount, submasks
@@ -21,6 +22,8 @@ TABLE_HARD_CAP = 10**6
 IMPLICIT_THRESHOLD = 300_000
 #: full O(n^3) associativity checking is restricted to this size
 FULL_VALIDATE_CAP = 320
+#: elements per row block of a vectorized whole-host scan (2 MiB of int64)
+NP_BLOCK_ELEMS = 1 << 18
 
 
 class NotClosedError(ValueError):
@@ -292,7 +295,11 @@ class Semilattice:
     # -- tables for vectorized scans ------------------------------------
 
     def product_table_np(self):
-        """Dense n-by-n product table as a numpy array (small n only)."""
+        """Dense n-by-n product table as a numpy array (small n only).
+
+        Explicit member masks that fit in 62 bits are joined as int64 arrays
+        and looked up by binary search; wider grounds use ``product``.
+        """
         import numpy as np
 
         if self._np_table is None:
@@ -300,6 +307,9 @@ class Semilattice:
                 raise SizeOverflowError("dense product table too large")
             if self.kind == "table":
                 self._np_table = np.array(self.table, dtype=np.int32)
+            elif (self._masks is not None
+                  and max(self._masks, default=0) < 1 << 62):
+                self._np_table = self._mask_product_table()
             else:
                 t = np.empty((self.n, self.n), dtype=np.int32)
                 for x in range(self.n):
@@ -309,6 +319,31 @@ class Semilattice:
                         t[y, x] = p
                 self._np_table = t
         return self._np_table
+
+    def _mask_product_table(self):
+        import numpy as np
+
+        n = self.n
+        masks = np.array(self._masks, dtype=np.int64)
+        order = np.argsort(masks)
+        ordered = masks[order]
+        t = np.empty((n, n), dtype=np.int32)
+        block = max(1, NP_BLOCK_ELEMS // max(n, 1))
+        for r0 in range(0, n, block):
+            unions = masks[r0:r0 + block, None] | masks[None, :]
+            pos = np.minimum(np.searchsorted(ordered, unions), n - 1)
+            miss = ordered[pos] != unions
+            ids = order[pos]
+            if miss.any():
+                if self.top_id is None:
+                    # the first miss in row-major order has x <= y, so the
+                    # message names the pair that ``product`` would
+                    x, y = np.argwhere(miss)[0]
+                    raise NotClosedError(
+                        f"union of elements {r0 + x} and {y} is not a member")
+                ids[miss] = self.top_id
+            t[r0:r0 + block] = ids
+        return t
 
     # -- serialization ---------------------------------------------------
 
@@ -335,20 +370,24 @@ class Semilattice:
             raise ValueError("instance must be a JSON object")
         kind = obj.get("kind")
         labels = obj.get("labels")
+        if kind not in ("table", "set_system"):
+            raise ValueError(f"unknown instance kind: {kind!r}")
+        required = ("product",) if kind == "table" else ("ground", "elements")
+        for key in required:
+            if key not in obj:
+                raise ValueError(f"{kind} instance is missing {key!r}")
         if kind == "table":
             return cls.from_table(obj["product"], labels=labels)
-        if kind == "set_system":
-            if "collapsed_top" in obj:
-                masks = [mask_of(e) for e in obj["elements"]]
-                if len(set(masks)) != len(masks):
-                    raise ValueError("duplicate element set")
-                masks.sort(key=_canonical_key)
-                return cls("set_system", len(masks),
-                           ground=list(obj["ground"]), masks=masks,
-                           labels=labels, top_id=int(obj["collapsed_top"]))
-            return cls.from_sets(obj["ground"], obj["elements"],
-                                 labels=labels, close=close)
-        raise ValueError(f"unknown instance kind: {kind!r}")
+        if "collapsed_top" in obj:
+            masks = [mask_of(e) for e in obj["elements"]]
+            if len(set(masks)) != len(masks):
+                raise ValueError("duplicate element set")
+            masks.sort(key=_canonical_key)
+            return cls("set_system", len(masks),
+                       ground=list(obj["ground"]), masks=masks,
+                       labels=labels, top_id=int(obj["collapsed_top"]))
+        return cls.from_sets(obj["ground"], obj["elements"],
+                             labels=labels, close=close)
 
     def __repr__(self):
         return f"Semilattice(kind={self.kind!r}, n={self.n})"
@@ -381,11 +420,19 @@ def _comb(k, m):
     return math.comb(k, m) if 0 <= m <= k else 0
 
 
+@lru_cache(maxsize=None)
 def _trunc_offsets(k, c):
+    """Id of the first m-subset for m = 0..c, then the count of all of them."""
     offs = [0]
     for m in range(c + 1):
         offs.append(offs[-1] + _comb(k, m))
-    return offs
+    return tuple(offs)
+
+
+@lru_cache(maxsize=None)
+def _binomials(k, c):
+    """``_binomials(k, c)[a][b] == comb(a, b)`` for a <= k and b < c."""
+    return tuple(tuple(_comb(a, b) for b in range(c)) for a in range(k + 1))
 
 
 def _trunc_rank(mask, k, c, top_id):
@@ -394,22 +441,22 @@ def _trunc_rank(mask, k, c, top_id):
         if top_id is not None and mask == (1 << k) - 1:
             return top_id
         return None
-    offs = _trunc_offsets(k, c)
-    pts = list(bits(mask))
+    binom = _binomials(k, c)
     r = 0
     prev = -1
     # lexicographic rank of the sorted point tuple among m-subsets of [k]
-    for i, p in enumerate(pts):
+    for i, p in enumerate(bits(mask)):
         for q in range(prev + 1, p):
-            r += _comb(k - q - 1, m - i - 1)
+            r += binom[k - q - 1][m - i - 1]
         prev = p
-    return offs[m] + r
+    return _trunc_offsets(k, c)[m] + r
 
 
 def _trunc_unrank(x, k, c, top_id):
     if top_id is not None and x == top_id:
         return (1 << k) - 1
     offs = _trunc_offsets(k, c)
+    binom = _binomials(k, c)
     m = 0
     while offs[m + 1] <= x:
         m += 1
@@ -418,7 +465,7 @@ def _trunc_unrank(x, k, c, top_id):
     q = 0
     for i in range(m):
         while True:
-            block = _comb(k - q - 1, m - i - 1)
+            block = binom[k - q - 1][m - i - 1]
             if r < block:
                 break
             r -= block

@@ -22,7 +22,7 @@ from functools import total_ordering
 from ._bitset import bits, mask_of
 from .breadth import breadth, is_compressible
 from .core import Semilattice
-from .metrics import ZERO, LogMagnitude, generate_filter
+from .metrics import generate_filter
 from .weights import LogWeight, level_set
 
 

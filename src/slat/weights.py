@@ -7,12 +7,16 @@ is never stored; all threshold comparisons stay exact.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from ._bitset import mask_of, popcount
-from .core import Semilattice, ValidationReport, Violation
+from .core import NP_BLOCK_ELEMS, Semilattice, ValidationReport, Violation
 
 #: exhaustive pair checking in validate_logweight is limited to this size
 EXHAUSTIVE_PAIR_CAP = 4096
@@ -88,17 +92,28 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
                        seed: int = 0, samples: int = 100_000):
     """Check nonnegativity and subadditivity.
 
-    Exhaustive over all pairs up to ``EXHAUSTIVE_PAIR_CAP`` elements;
-    beyond that, seeded random pairs with the report marked non-exhaustive.
+    Exhaustive over all pairs up to ``EXHAUSTIVE_PAIR_CAP`` elements, on
+    int64 numerators over one common denominator and the dense product
+    table, or pair by pair on the exact values when a numerator would
+    overflow; beyond that, seeded random pairs with the report marked
+    non-exhaustive.
     """
     rep = ValidationReport()
     n = S.n
     if lam.n != n:
         raise ValueError("log-weight length does not match the instance")
     if n <= EXHAUSTIVE_PAIR_CAP:
+        vals = lam.values()
         for x in range(n):
-            if lam[x] < 0:
+            if vals[x] < 0:
                 rep.violations.append(Violation("Negative", (x,)))
+        num = _int64_numerators(vals)
+        if num is not None:
+            P = S.product_table_np()
+            rep.violations += [
+                Violation("NotSubadditive", pair) for pair in
+                _superadditive_pairs(num, lambda rows: P[rows], upper=True)]
+            return rep
         pairs = combinations_with_replacement(range(n), 2)
     else:
         rng = random.Random(seed)
@@ -114,6 +129,38 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
         if lam[S.product(x, y)] > lam[x] + lam[y]:
             rep.violations.append(Violation("NotSubadditive", (x, y)))
     return rep
+
+
+def _int64_numerators(vals):
+    """Numerators of ``vals`` over their least common denominator as an int64
+    array, or None when one reaches 2**62 (so that no sum of two overflows)."""
+    den = math.lcm(*{v.denominator for v in vals})
+    num = [v.numerator * (den // v.denominator) for v in vals]
+    if any(abs(a) >= 1 << 62 for a in num):
+        return None
+    return np.array(num, dtype=np.int64)
+
+
+def _superadditive_pairs(num, products, upper):
+    """Pairs ``(x, y)`` with ``num[xy] > num[x] + num[y]``, in row-major order.
+
+    ``products(rows)`` gives the ids of the products of each id in ``rows``
+    with every id; with ``upper`` only pairs with ``x <= y`` are kept.  Rows
+    are scanned in blocks so the temporaries stay at ``NP_BLOCK_ELEMS``
+    entries.  The pairs are plain ints.
+    """
+    n = len(num)
+    block = max(1, NP_BLOCK_ELEMS // max(n, 1))
+    cols = np.arange(n)
+    out = []
+    for r0 in range(0, n, block):
+        rows = cols[r0:r0 + block]
+        bad = num[products(rows)] > num[rows, None] + num[None, :]
+        if upper:
+            bad &= cols[None, :] >= rows[:, None]
+        xs, ys = np.nonzero(bad)
+        out += zip((xs + r0).tolist(), ys.tolist())
+    return out
 
 
 def _top_element(S: Semilattice):
@@ -137,7 +184,7 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
     """
     params = params or {}
     if name == "zero":
-        return LogWeight.from_values([Fraction(0)] * S.n, name="zero")
+        return LogWeight(S.n, values=[Fraction(0)] * S.n, name="zero")
     if S.kind != "set_system":
         raise KindMismatch(f"{name} weight needs a set-system instance")
     if name in ("cardinality", "scaled"):
@@ -151,12 +198,13 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
             cap = min(popcount(S.member_mask(x) | S.member_mask(y))
                       for x in range(S.n) for y in range(S.n)
                       if S.product(x, y) == S.top_id)
+        by_size = lru_cache(maxsize=None)(q.__mul__)  # one value per size
 
-        def card(x, q=q, cap=cap):
+        def card(x):
             c = popcount(S.member_mask(x))
             if x == S.top_id and cap is not None:
                 c = min(c, cap)
-            return q * c
+            return by_size(c)
 
         if S.n > 100_000:
             return LogWeight.lazy(S.n, card, name=name)
@@ -166,8 +214,9 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
         if top is None:
             raise PrototypeMissingTop(
                 "prototype weight needs the full universe as an element")
-        vals = [Fraction(0) if x == top else Fraction(popcount(S.member_mask(x)))
-                for x in range(S.n)]
+        by_size = lru_cache(maxsize=None)(Fraction)  # one value per size
+        vals = [by_size(popcount(S.member_mask(x))) for x in range(S.n)]
+        vals[top] = by_size(0)
         return LogWeight(S.n, values=vals, name="prototype")
     raise ValueError(f"unknown builtin log-weight {name!r}")
 
@@ -199,6 +248,10 @@ def random_logweight(S: Semilattice, seed: int, max_num: int = 8,
 
 
 def _fraction_from_json(v) -> Fraction:
+    if not (isinstance(v, dict) and type(v.get("num")) is int
+            and type(v.get("den")) is int):
+        raise ValueError(
+            f"weight value {v!r} is not an object with integer num and den")
     if v["den"] == 0:
         raise ValueError(f"weight value {v} has a zero denominator")
     return Fraction(v["num"], v["den"])
@@ -210,6 +263,8 @@ def logweight_from_json(S: Semilattice, obj) -> LogWeight:
         raise ValueError("log-weight descriptor must be a JSON object")
     kind = obj.get("kind")
     if kind == "explicit":
+        if not isinstance(obj.get("values"), list):
+            raise ValueError("explicit log-weight needs a list of values")
         vals = [_fraction_from_json(v) for v in obj["values"]]
         if len(vals) != S.n:
             raise ValueError("explicit weight length mismatch")

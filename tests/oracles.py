@@ -6,7 +6,7 @@ search machinery is reused.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from slat._bitset import bits, mask_of
 
@@ -110,3 +110,15 @@ def naive_breadth(S, max_size):
         if not found:
             break
     return best
+
+
+def naive_subadditive_violations(S, lam):
+    """``(kind, witness)`` of every violation of a log-weight, in the order
+    ``validate_logweight`` reports them: negative elements by id, then every
+    pair x <= y with lambda(xy) > lambda(x) + lambda(y), compared as exact
+    rationals with ``product``."""
+    out = [("Negative", (x,)) for x in range(S.n) if lam[x] < 0]
+    for x, y in combinations_with_replacement(range(S.n), 2):
+        if lam[S.product(x, y)] > lam[x] + lam[y]:
+            out.append(("NotSubadditive", (x, y)))
+    return out

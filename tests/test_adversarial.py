@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from slat._bitset import bits, mask_of, popcount
-from slat.adversarial import (InsufficientBreadth, build_chain,
+from slat.adversarial import (AdversarialChain, InsufficientBreadth,
+                              _eta_of_trace, build_chain,
                               check_eta_subadditive, eta_weight, find_markers,
                               verify_barrier)
 from slat.core import Semilattice, chain, fin_truncation, free_nonempty
@@ -131,3 +133,26 @@ def test_verify_barrier_rejects_bad_level():
         verify_barrier(c, S, 1)
     with pytest.raises(ValueError):
         verify_barrier(c, S, 3)
+
+
+def test_eta_pair_check_matches_pair_loop_in_order():
+    # prefixes that are not nested give a non-subadditive eta; the points
+    # are spread out so the trace indices differ from the point masks
+    pts = [1, 4, 6, 9]
+    cumulative = [0, 1 << 1, 1 << 4, 1 << 6, mask_of(pts)]
+    c = AdversarialChain(depth=4, marker_sets=[], families=[],
+                         cumulative=cumulative)
+    traces = [mask_of(p for j, p in enumerate(pts) if sub >> j & 1)
+              for sub in range(1 << len(pts))]
+    expected = [(list(bits(t1)), list(bits(t2)))
+                for t1 in traces for t2 in traces
+                if _eta_of_trace(t1 | t2, cumulative)
+                > _eta_of_trace(t1, cumulative) + _eta_of_trace(t2, cumulative)]
+    rep = check_eta_subadditive(c, free_nonempty(3))
+    assert expected
+    assert [v.witness for v in rep.violations] == expected
+    assert {v.kind for v in rep.violations} == {"NotSubadditive"}
+    assert all(type(p) is int for v in rep.violations for w in v.witness
+               for p in w)
+    assert rep.checked_triples == len(traces) ** 2
+    assert json.dumps(rep.to_json())

@@ -99,6 +99,34 @@ def test_zero_denominator_weight_is_usage_error(tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("value", [1, {"num": 1, "den": "x"},
+                                   {"num": "1", "den": 1}, {"num": 1}],
+                         ids=["bare-number", "string-den", "string-num",
+                              "missing-den"])
+def test_malformed_weight_value_is_usage_error(tmp_path, value):
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({"kind": "explicit",
+                                "values": [{"num": 1, "den": 1}, value]}))
+    proc = run(["analyze", "chain(2)", "--weight", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": "table"}, "product"),
+    ({"kind": "set_system", "elements": [[0]]}, "ground"),
+    ({"kind": "set_system", "ground": ["a"]}, "elements"),
+], ids=["table-product", "sets-ground", "sets-elements"])
+def test_instance_missing_key_is_usage_error(tmp_path, obj, key):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    proc = run(["analyze", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
+
+
 @pytest.mark.parametrize("spec", ["cardinality", "prototype", "scaled:1/2"])
 def test_set_system_weight_on_table_is_usage_error(spec):
     proc = run(["analyze", "chain(3)", "--weight", spec])

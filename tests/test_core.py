@@ -169,3 +169,25 @@ def test_table_instances_satisfy_axioms(m):
         assert S.product(x, x) == x
         for y in range(S.n):
             assert S.product(x, y) == S.product(y, x)
+
+
+@pytest.mark.parametrize("S", [chain(5), free_nonempty(5), fin_truncation(6, 2),
+                               fin_truncation(7, 5),
+                               sch_embed(chain(70)).semilattice],
+                         ids=["chain5", "pstar5", "fin6_2", "fin7_5", "embed70"])
+@pytest.mark.parametrize("block_elems", [1 << 18, 7])
+def test_product_table_np_matches_product(S, block_elems, monkeypatch):
+    monkeypatch.setattr(core, "NP_BLOCK_ELEMS", block_elems)
+    S._np_table = None
+    loop = [[S.product(x, y) for y in range(S.n)] for x in range(S.n)]
+    assert S.product_table_np().tolist() == loop
+
+
+def test_product_table_np_reports_a_missing_union_like_product():
+    S = Semilattice("set_system", 3, ground=["a", "b", "c"],
+                    masks=[0b001, 0b010, 0b100])
+    with pytest.raises(NotClosedError) as looped:
+        S.product(0, 1)
+    with pytest.raises(NotClosedError) as vectorized:
+        S.product_table_np()
+    assert str(vectorized.value) == str(looped.value)

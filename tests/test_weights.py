@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slat.core import chain, fin_truncation, free_nonempty, powerset
+from oracles import naive_subadditive_violations
+from slat import weights
+from slat._bitset import popcount
+from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
+                       kary_tree, powerset)
 from slat.weights import (EXHAUSTIVE_PAIR_CAP, KindMismatch, LogWeight,
-                          PrototypeMissingTop, builtin_logweight, level_set,
-                          logweight_from_json, random_logweight,
-                          validate_logweight)
+                          PrototypeMissingTop, _int64_numerators,
+                          builtin_logweight, level_set, logweight_from_json,
+                          random_logweight, validate_logweight)
 
 
 def test_cardinality_weight_values():
@@ -135,3 +139,75 @@ def test_lazy_weight_caches():
     lam = LogWeight.lazy(4, fn, name="probe")
     assert lam[2] == 2 and lam[2] == 2
     assert calls == [2]
+
+
+# table, explicit-mask and collapsed-top hosts
+PAIR_HOSTS = [kary_tree(2, 2), free_nonempty(4), fin_truncation(6, 2)]
+# Mersenne primes: a common denominator of 1/p values overflows int64
+BIG_PRIMES = [2**31 - 1, 2**61 - 1, 2**89 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(PAIR_HOSTS))), st.integers(0, 10_000),
+       st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                          st.integers(-3, 12), st.integers(1, 4)),
+                max_size=4),
+       st.booleans(), st.sampled_from([1 << 18, 5]))
+def test_validate_logweight_matches_pair_loop(host, seed, tamper, overflow,
+                                              block_elems):
+    S = PAIR_HOSTS[host]
+    vals = random_logweight(S, seed).values()
+    for where, num, den in tamper:
+        vals[int(where * S.n)] = Fraction(num, den)
+    if overflow:
+        for i, p in enumerate(BIG_PRIMES):
+            vals[(seed + i) % S.n] += Fraction(1, p)
+        assert _int64_numerators(vals) is None
+    else:
+        assert _int64_numerators(vals) is not None
+    lam = LogWeight(S.n, values=vals)
+    orig = weights.NP_BLOCK_ELEMS
+    weights.NP_BLOCK_ELEMS = block_elems
+    try:
+        rep = validate_logweight(S, lam)
+    finally:
+        weights.NP_BLOCK_ELEMS = orig
+    got = [(v.kind, v.witness) for v in rep.violations]
+    assert got == naive_subadditive_violations(S, lam)
+    assert all(type(x) is int for _, w in got for x in w)
+    assert rep.exhaustive and rep.checked_triples == 0 and not rep.notes
+
+
+def test_validate_logweight_finds_tampered_pairs_in_order():
+    S = fin_truncation(6, 2)
+    lam = builtin_logweight(S, "cardinality")
+    vals = lam.values()
+    vals[S.top_id] = Fraction(7)
+    vals[0] = Fraction(-1, 2)
+    bad = LogWeight(S.n, values=vals)
+    rep = validate_logweight(S, bad)
+    expected = naive_subadditive_violations(S, bad)
+    assert len(expected) > 10
+    assert [(v.kind, v.witness) for v in rep.violations] == expected
+
+
+def test_builtin_weights_share_one_value_per_size():
+    S = fin_truncation(6, 2)
+    zero = builtin_logweight(S, "zero").values()
+    assert all(v is zero[0] for v in zero)
+    card = builtin_logweight(S, "cardinality")
+    ones = [card[x] for x in range(S.n) if popcount(S.member_mask(x)) == 1]
+    assert len(ones) == 6 and all(v is ones[0] for v in ones)
+
+
+def test_validate_logweight_on_empty_instances():
+    for S in (Semilattice.from_table([]), Semilattice.from_sets([], [])):
+        assert validate_logweight(S, LogWeight(0, values=[])).ok
+
+
+def test_numerators_whose_sum_overflows_int64_fall_back():
+    S = free_nonempty(2)  # ids: {0}, {1}, {0,1}
+    big = Fraction(3 * 2**61)  # below 2**63, but twice it is not
+    lam = LogWeight(S.n, values=[big, big, Fraction(0)])
+    assert _int64_numerators(lam.values()) is None
+    assert validate_logweight(S, lam).ok
