@@ -7,9 +7,12 @@ incompressible subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ._bitset import bits, mask_of, popcount
+from .core import _join_closure
 
 
 class EmptySetError(ValueError):
@@ -110,6 +113,50 @@ def _distinctness_order(S):
     return sorted(range(n), key=lambda x: (-score[x], x))
 
 
+def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
+    """Depth-first enumeration of the nonempty incompressible subsets of
+    ``order``, each yielded as a list that follows ``order``, parents
+    before children.
+
+    Incompressibility is hereditary, so compressible branches are cut.  A
+    level stops once ``len(cur) + len(order) - i < floor()``; the floor can
+    only change while the generator is suspended, so it is read again after
+    each yield only.  ``counter["nodes"]`` counts the candidates tried and
+    is current whenever the generator is suspended or done; past ``budget``
+    the generator sets ``counter["capped"]`` and stops.
+    """
+    n = len(order)
+    cur = []
+    levels = [iter(range(n))]     # positions left to try at each open level
+    nodes = counter["nodes"]
+    lo = floor()
+    while levels:
+        level = levels[-1]
+        last = len(cur) + n - lo  # later positions cannot reach the floor
+        for i in level:
+            if i > last:
+                break
+            nodes += 1
+            if nodes > budget:
+                counter["nodes"] = nodes
+                counter["capped"] = True
+                return
+            cur.append(order[i])
+            if len(cur) > 1 and is_compressible(S, cur)[0]:
+                cur.pop()
+                continue
+            counter["nodes"] = nodes
+            yield list(cur)
+            lo = floor()
+            levels.append(iter(range(i + 1, n)))
+            break
+        if levels[-1] is level:   # exhausted or cut: close the level
+            levels.pop()
+            if cur:
+                cur.pop()
+    counter["nodes"] = nodes
+
+
 def breadth(S, cap: int = 10_000_000) -> BreadthReport:
     """Exact breadth by branch and bound when the search fits in ``cap``
     nodes; otherwise the best lower bound found, marked non-exhaustive.
@@ -129,32 +176,18 @@ def breadth(S, cap: int = 10_000_000) -> BreadthReport:
                              notes=["greedy lower bound only (large instance)"])
     order = _distinctness_order(S)
     best = [order[0]] if S.n else []
-    state = {"nodes": 0, "capped": False}
-
-    def extend(cur, start):
-        nonlocal best
-        if state["nodes"] >= cap:
-            state["capped"] = True
-            return
-        state["nodes"] += 1
-        if len(cur) > len(best):
-            best = list(cur)
-        for i in range(start, len(order)):
-            if len(cur) + (len(order) - i) <= len(best):
-                break
-            x = order[i]
-            cur.append(x)
-            comp, _ = is_compressible(S, cur)
-            if not comp:
-                extend(cur, i + 1)
-            cur.pop()
-            if state["capped"]:
-                return
-
-    extend([], 0)
-    return BreadthReport(len(best), mask_of(best),
-                         exhaustive=not state["capped"],
-                         nodes=state["nodes"])
+    nodes, capped = 0, False
+    walk = _iter_incompressible(S, order, {"nodes": 0}, math.inf,
+                                lambda: len(best) + 1)
+    for ids in chain([[]], walk):
+        if nodes >= cap:
+            capped = True
+            break
+        nodes += 1
+        if len(ids) > len(best):
+            best = ids
+    return BreadthReport(len(best), mask_of(best), exhaustive=not capped,
+                         nodes=nodes)
 
 
 def _greedy_incompressible(S, target):
@@ -189,29 +222,9 @@ def find_incompressible(S, size, cap: int = 2_000_000):
         return got[:size]
     if S.n > 5000:
         return None
-    order = _distinctness_order(S)
-    nodes = 0
-
-    def extend(cur, start):
-        nonlocal nodes
-        if len(cur) == size:
-            return list(cur)
-        for i in range(start, len(order)):
-            if len(cur) + (len(order) - i) < size:
-                return None
-            nodes += 1
-            if nodes > cap:
-                return None
-            cur.append(order[i])
-            comp, _ = is_compressible(S, cur) if len(cur) > 1 else (False, None)
-            if not comp:
-                found = extend(cur, i + 1)
-                if found is not None:
-                    return found
-            cur.pop()
-        return None
-
-    return extend([], 0)
+    walk = _iter_incompressible(S, _distinctness_order(S), {"nodes": 0},
+                                cap, lambda: size)
+    return next((ids for ids in walk if len(ids) == size), None)
 
 
 def is_free_embedding(S, ids) -> bool:
@@ -222,15 +235,4 @@ def is_free_embedding(S, ids) -> bool:
         raise EmptySetError("need a nonempty generating set")
     if len(ids) > 20:
         raise SizeLimit("generating sets above 20 elements are not supported")
-    closure = set(ids)
-    frontier = list(closure)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(closure):
-                p = S.product(a, b)
-                if p not in closure:
-                    closure.add(p)
-                    new.append(p)
-        frontier = new
-    return len(closure) == 2 ** len(ids) - 1
+    return len(_join_closure(ids, S.product)) == 2 ** len(ids) - 1

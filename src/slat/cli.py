@@ -364,10 +364,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, core.NotClosedError, weights.KindMismatch) as exc:
+    except (UsageError, ValueError, weights.KindMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except adversarial.InsufficientBreadth as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -84,7 +85,6 @@ class Semilattice:
         self.top_id = top_id          # id of the collapsed top, or None
         self._index = None
         self._factors_cache = {}
-        self._np_table = None
         if masks is not None:
             self._index = {m: i for i, m in enumerate(masks)}
 
@@ -100,8 +100,9 @@ class Semilattice:
             if len(row) != n:
                 raise ValueError("product table must be square")
             for v in row:
-                if not (0 <= v < n):
-                    raise ValueError(f"table entry {v} out of range")
+                if type(v) is not int or not 0 <= v < n:
+                    raise ValueError(f"table entry {v!r} is not an element "
+                                     f"id in 0..{n - 1}")
         return cls("table", n, table=tab, labels=labels)
 
     @classmethod
@@ -242,6 +243,8 @@ class Semilattice:
         for x in range(min(n, 100_000)):
             if prod(x, x) != x:
                 rep.violations.append(Violation("NotIdempotent", (x,)))
+        if n > 100_000:
+            rep.notes.append("idempotence checked on the first 100000 elements")
         if self.kind == "table":
             for x in range(n):
                 row = self.table[x]
@@ -295,30 +298,27 @@ class Semilattice:
     # -- tables for vectorized scans ------------------------------------
 
     def product_table_np(self):
-        """Dense n-by-n product table as a numpy array (small n only).
+        """Dense n-by-n product table as a new numpy array (small n only);
+        callers hold it for one scan.
 
         Explicit member masks that fit in 62 bits are joined as int64 arrays
         and looked up by binary search; wider grounds use ``product``.
         """
         import numpy as np
 
-        if self._np_table is None:
-            if self.n > 4096:
-                raise SizeOverflowError("dense product table too large")
-            if self.kind == "table":
-                self._np_table = np.array(self.table, dtype=np.int32)
-            elif (self._masks is not None
-                  and max(self._masks, default=0) < 1 << 62):
-                self._np_table = self._mask_product_table()
-            else:
-                t = np.empty((self.n, self.n), dtype=np.int32)
-                for x in range(self.n):
-                    for y in range(x, self.n):
-                        p = self.product(x, y)
-                        t[x, y] = p
-                        t[y, x] = p
-                self._np_table = t
-        return self._np_table
+        if self.n > 4096:
+            raise SizeOverflowError("dense product table too large")
+        if self.kind == "table":
+            return np.array(self.table, dtype=np.int32)
+        if self._masks is not None and max(self._masks, default=0) < 1 << 62:
+            return self._mask_product_table()
+        t = np.empty((self.n, self.n), dtype=np.int32)
+        for x in range(self.n):
+            for y in range(x, self.n):
+                p = self.product(x, y)
+                t[x, y] = p
+                t[y, x] = p
+        return t
 
     def _mask_product_table(self):
         import numpy as np
@@ -383,9 +383,13 @@ class Semilattice:
             if len(set(masks)) != len(masks):
                 raise ValueError("duplicate element set")
             masks.sort(key=_canonical_key)
+            top = obj["collapsed_top"]
+            if type(top) is not int or not 0 <= top < len(masks):
+                raise ValueError(f"collapsed_top {top!r} is not an element "
+                                 f"id in 0..{len(masks) - 1}")
             return cls("set_system", len(masks),
                        ground=list(obj["ground"]), masks=masks,
-                       labels=labels, top_id=int(obj["collapsed_top"]))
+                       labels=labels, top_id=top)
         return cls.from_sets(obj["ground"], obj["elements"],
                              labels=labels, close=close)
 
@@ -397,21 +401,27 @@ def _canonical_key(mask):
     return (popcount(mask), tuple(bits(mask)))
 
 
-def _union_closure(masks):
-    closed = set(masks)
+def _join_closure(gens, join):
+    """The set generated by ``gens`` under the binary ``join``, grown one
+    frontier round at a time; past 2^22 elements it raises."""
+    closed = set(gens)
     frontier = list(closed)
     while frontier:
         new = []
         for a in frontier:
             for b in list(closed):
-                u = a | b
+                u = join(a, b)
                 if u not in closed:
                     closed.add(u)
                     new.append(u)
         frontier = new
         if len(closed) > 2**22:
             raise SizeOverflowError("union closure blew past the size cap")
-    return sorted(closed, key=_canonical_key)
+    return closed
+
+
+def _union_closure(masks):
+    return sorted(_join_closure(masks, operator.or_), key=_canonical_key)
 
 
 # -- implicit storage for cardinality truncations -----------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from ._bitset import bits, mask_of
-from .breadth import breadth, is_compressible
+from .breadth import _iter_incompressible, breadth, is_compressible
 from .core import Semilattice
 from .metrics import generate_filter
 from .weights import LogWeight, level_set
@@ -238,33 +238,6 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
 
 # -- per-level profile -------------------------------------------------------
 
-def _iter_incompressible(S, W_ids, budget, counter):
-    """Depth-first enumeration of the incompressible subsets of W_ids in
-    canonical order; incompressibility is hereditary, so compressible
-    branches are cut."""
-    cur = []
-
-    def walk(start):
-        for i in range(start, len(W_ids)):
-            counter["nodes"] += 1
-            if counter["nodes"] > budget:
-                counter["capped"] = True
-                return
-            cur.append(W_ids[i])
-            ok = True
-            if len(cur) > 1:
-                comp, _ = is_compressible(S, cur)
-                ok = not comp
-            if ok:
-                yield list(cur)
-                yield from walk(i + 1)
-            cur.pop()
-            if counter["capped"]:
-                return
-
-    yield from walk(0)
-
-
 def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000,
                         strict: bool = False, seed: int = 0,
                         samples: int = 2000) -> PropagationProfile:
@@ -297,10 +270,8 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
             # set(targets); profile output depends on this choice.
             prof.witness_z = next(z for z in set(targets) if first[z] == top)
 
-    for E_ids in _iter_incompressible(S, W_ids, budget, counter):
+    for E_ids in _iter_incompressible(S, W_ids, counter, budget):
         consider(E_ids)
-        if counter["capped"]:
-            break
     prof.nodes = counter["nodes"]
     if counter["capped"]:
         if strict:

@@ -1,12 +1,18 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_breadth, naive_incompressible
 from slat._bitset import bits
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
-                       kary_tree, powerset)
-from slat.breadth import (EmptySetError, SizeLimit, breadth,
-                          find_incompressible, is_compressible,
+                       generate_instance, kary_tree, powerset)
+from slat.breadth import (EmptySetError, SizeLimit, _iter_incompressible,
+                          breadth, find_incompressible, is_compressible,
                           is_free_embedding)
+from slat.propagation import propagation_profile
+from slat.weights import builtin_logweight
 
 
 def test_single_removal_matches_subset_oracle():
@@ -81,3 +87,75 @@ def test_free_embedding():
 def test_breadth_nodes_reported():
     rep = breadth(free_nonempty(3))
     assert rep.nodes > 0
+
+
+# -- the shared incompressible-set enumerator --------------------------------
+
+_ENUM_HOSTS = {spec: generate_instance(spec) for spec in
+               ("chain(5)", "tree(2,2)", "pstar(4)", "fin(4,2)", "fin(5,2)")}
+
+
+def _brute_incompressible(S, order, k):
+    """Incompressible subsets of ``order`` with at least k elements, in
+    lexicographic order of their positions; heredity stops the sizes."""
+    found, r = [], 1
+    while True:
+        level = [c for c in combinations(range(len(order)), r)
+                 if naive_incompressible(S, [order[p] for p in c])]
+        if not level:
+            break
+        if r >= k:
+            found += level
+        r += 1
+    return [[order[p] for p in c] for c in sorted(found)]
+
+
+def _candidates(order, walk, k):
+    """Positions the enumerator must try: after the root and after each
+    yielded set, every later position that still leaves room for k."""
+    pos = {x: i for i, x in enumerate(order)}
+    n, total = len(order), 0
+    for ids in [[]] + walk:
+        start = pos[ids[-1]] + 1 if ids else 0
+        total += max(0, min(n, len(ids) + n - k + 1) - start)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(_ENUM_HOSTS)), data=st.data(),
+       k=st.integers(0, 5))
+def test_enumerator_matches_bruteforce(spec, data, k):
+    S = _ENUM_HOSTS[spec]
+    order = data.draw(st.permutations(range(S.n)), label="order")
+    counter = {"nodes": 0, "capped": False}
+    walk, seen = [], []
+    for ids in _iter_incompressible(S, order, counter, 10**9, lambda: k):
+        walk.append(ids)
+        seen.append(counter["nodes"])
+    assert [ids for ids in walk if len(ids) >= k] == \
+        _brute_incompressible(S, order, k)
+    assert counter == {"nodes": _candidates(order, walk, k), "capped": False}
+    # the count is current at every yield, not only at the end
+    assert seen == sorted(set(seen)) and all(c > 0 for c in seen)
+    budget = data.draw(st.integers(0, counter["nodes"] - 1), label="budget")
+    small = {"nodes": 0, "capped": False}
+    cut = list(_iter_incompressible(S, order, small, budget, lambda: k))
+    assert small == {"nodes": budget + 1, "capped": True}
+    assert cut == walk[:len(cut)]
+
+
+def test_search_node_counts_are_pinned():
+    for spec, nodes in (("pstar(6)", 8844), ("powerset(6)", 9582),
+                        ("tree(2,5)", 1700), ("pstar(5)", 665)):
+        rep = breadth(generate_instance(spec))
+        assert (rep.nodes, rep.exhaustive) == (nodes, True)
+    rep = breadth(generate_instance("pstar(6)"), cap=17)
+    assert rep.to_json() == {"breadth": 2, "witness": [56, 57],
+                             "exhaustive": False, "nodes": 17, "notes": []}
+    S = generate_instance("pstar(4)")
+    lam = builtin_logweight(S, "cardinality")
+    prof = propagation_profile(S, lam, 2)
+    assert (prof.nodes, prof.exhaustive) == (212, True)
+    prof = propagation_profile(S, lam, 2, budget=7)
+    assert (prof.nodes, prof.exhaustive) == (8, False)
+    assert find_incompressible(generate_instance("fin(6,2)"), 4) is None

@@ -127,6 +127,29 @@ def test_instance_missing_key_is_usage_error(tmp_path, obj, key):
     assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
 
 
+_SETS3 = {"kind": "set_system", "ground": ["a", "b"],
+          "elements": [[0], [1], [0, 1]]}
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "table", "product": [[0, 0], [0, 1.5]]},
+    {"kind": "table", "product": [[0, 0], [0, True]]},
+    dict(_SETS3, collapsed_top=7),
+    dict(_SETS3, collapsed_top=-1),
+    dict(_SETS3, collapsed_top=1.5),
+    dict(_SETS3, collapsed_top="2"),
+], ids=["table-float", "table-bool", "top-too-big", "top-negative",
+        "top-float", "top-string"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_malformed_element_id_is_usage_error(tmp_path, obj, command):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    proc = run([command, str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("spec", ["cardinality", "prototype", "scaled:1/2"])
 def test_set_system_weight_on_table_is_usage_error(spec):
     proc = run(["analyze", "chain(3)", "--weight", spec])

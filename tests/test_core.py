@@ -191,3 +191,20 @@ def test_product_table_np_reports_a_missing_union_like_product():
     with pytest.raises(NotClosedError) as vectorized:
         S.product_table_np()
     assert str(vectorized.value) == str(looped.value)
+
+
+def test_product_table_np_is_built_per_call_and_not_kept():
+    import numpy as np
+    S = core.generate_instance("pstar(5)")
+    first = S.product_table_np()
+    assert S.product_table_np() is not first
+    assert not any(isinstance(v, np.ndarray) for v in vars(S).values())
+
+
+def test_validate_says_when_idempotence_is_checked_on_a_prefix():
+    note = "idempotence checked on the first 100000 elements"
+    big = core.generate_instance("fin(24,6)")
+    rep = big.validate()
+    assert big.n > 100_000 and not rep.exhaustive and not rep.violations
+    assert note in rep.notes
+    assert note not in core.generate_instance("fin(10,5)").validate().notes
