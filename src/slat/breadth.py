@@ -2,16 +2,19 @@
 
 A finite set of elements is compressible when some proper subset already has
 the same product; the breadth of a semilattice is the size of its largest
-incompressible subset.
+incompressible subset.  Both the test and the search compare a product with
+its k "rest products", the product without each member, joined through one
+private seam per backend; on a union-closed set system a set is
+incompressible exactly when every member owns a point no other member has.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
-from ._bitset import bits, mask_of, popcount
+from ._bitset import bits, mask_of
 from .core import _join_closure
 
 
@@ -39,50 +42,48 @@ class BreadthReport:
                 "notes": list(self.notes)}
 
 
-def _resolve_union(S, mask):
-    """Element id of an iterated set-system product with member union
-    ``mask``; oversize unions collapse to the top."""
-    x = S.id_of_mask(mask)
-    if x is not None:
-        return x
-    return S.top_id
+def _join_seam(S):
+    """``(key, join, resolve)``: ``join(key(x))`` maps the key of a product
+    to the key of its product with x, and two keys name one element when
+    ``resolve`` (None: the identity) maps them to one value.  Tables join
+    ids by ``table[a][b]``, set systems member masks by ``|``; a union that
+    is not a member collapses to the top."""
+    if S.kind == "table":
+        return (lambda x: x), (lambda a: S.table[a].__getitem__), None
+    resolve = None if S.top_id is None else (
+        lambda m: S.top_id if (x := S.id_of_mask(m)) is None else x)
+    return S.member_mask, (lambda m: m.__or__), resolve
+
+
+def _droppable(total, rests, resolve):
+    """Position of the first rest product naming the element ``total``
+    names, or None."""
+    if resolve is not None:
+        total, rests = resolve(total), [*map(resolve, rests)]
+    return rests.index(total) if total in rests else None
 
 
 def is_compressible(S, ids):
     """Single-removal compressibility test.
 
-    Returns ``(True, dropped_element)`` if removing one element leaves the
-    product unchanged, else ``(False, None)``.  Dropping one element is
-    enough: any compressing proper subset sits inside some single-removal
-    set, squeezing its product to the full one.
+    Returns ``(True, x)`` for the first x, in input order, whose removal
+    leaves the product unchanged, else ``(False, None)``.  Dropping one
+    element is enough: any compressing proper subset sits inside some
+    single-removal set, squeezing its product to the full one.
     """
     ids = list(ids)
     if not ids:
         raise EmptySetError("compressibility is defined for nonempty sets")
     if len(ids) == 1:
         return False, None
-    if S.kind == "set_system":
-        masks = [S.member_mask(x) for x in ids]
-        total = 0
-        for m in masks:
-            total |= m
-        tot = _resolve_union(S, total)
-        k = len(masks)
-        prefix = [0] * (k + 1)
-        suffix = [0] * (k + 1)
-        for i in range(k):
-            prefix[i + 1] = prefix[i] | masks[i]
-            suffix[k - i - 1] = suffix[k - i] | masks[k - i - 1]
-        for i, x in enumerate(ids):
-            if _resolve_union(S, prefix[i] | suffix[i + 1]) == tot:
-                return True, x
-        return False, None
-    total = S.product_ids(ids)
-    for i, x in enumerate(ids):
-        rest = ids[:i] + ids[i + 1:]
-        if S.product_ids(rest) == total:
-            return True, x
-    return False, None
+    key, join, resolve = _join_seam(S)
+    prod = lambda a, b: join(a)(b)
+    keys = [key(x) for x in ids]
+    prefix = list(accumulate(keys, prod))                # keys[:i + 1]
+    suffix = list(accumulate(reversed(keys), prod))[::-1]  # keys[i:]
+    rests = [suffix[1], *map(prod, prefix[:-2], suffix[2:]), prefix[-2]]
+    i = _droppable(prefix[-1], rests, resolve)
+    return (False, None) if i is None else (True, ids[i])
 
 
 def _trunc_breadth_cap(S):
@@ -124,16 +125,24 @@ def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
     each yield only.  ``counter["nodes"]`` counts the candidates tried and
     is current whenever the generator is suspended or done; past ``budget``
     the generator sets ``counter["capped"]`` and stops.
+
+    Each open level keeps the product of ``cur`` and its k rest products; a
+    candidate x joins each once, the old product becomes the rest product
+    of x, and x is compressible exactly when a rest product equals the new
+    one: on a union-closed set system, when some member owns no private point.
     """
+    key, join, resolve = _join_seam(S)
+    keys = [key(x) for x in order]
     n = len(order)
     cur = []
-    levels = [iter(range(n))]     # positions left to try at each open level
+    levels = [(iter(range(n)), None, None)]  # (positions, product, rests)
     nodes = counter["nodes"]
     lo = floor()
     while levels:
         level = levels[-1]
+        positions, total, rests = level
         last = len(cur) + n - lo  # later positions cannot reach the floor
-        for i in level:
+        for i in positions:
             if i > last:
                 break
             nodes += 1
@@ -141,14 +150,19 @@ def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
                 counter["nodes"] = nodes
                 counter["capped"] = True
                 return
+            x = new = keys[i]
+            new_rests = []
+            if cur:
+                add = join(x)
+                new, new_rests = add(total), [*map(add, rests)] or [x]
+                new_rests.append(total)
+                if _droppable(new, new_rests, resolve) is not None:
+                    continue
             cur.append(order[i])
-            if len(cur) > 1 and is_compressible(S, cur)[0]:
-                cur.pop()
-                continue
             counter["nodes"] = nodes
             yield list(cur)
             lo = floor()
-            levels.append(iter(range(i + 1, n)))
+            levels.append((iter(range(i + 1, n)), new, new_rests))
             break
         if levels[-1] is level:   # exhausted or cut: close the level
             levels.pop()
@@ -200,10 +214,8 @@ def _greedy_incompressible(S, target):
         if S.kind == "set_system" and S.member_mask(x) == 0:
             continue  # the empty member set can never hold a private point
         cur.append(x)
-        if len(cur) > 1:
-            comp, _ = is_compressible(S, cur)
-            if comp:
-                cur.pop()
+        if is_compressible(S, cur)[0]:
+            cur.pop()
     return cur
 
 

@@ -92,36 +92,34 @@ class Semilattice:
 
     @classmethod
     def from_table(cls, table, labels=None):
+        if not isinstance(table, (list, tuple)):
+            raise ValueError(f"product table {table!r} is not a list of rows")
         n = len(table)
         if n > TABLE_HARD_CAP:
             raise SizeOverflowError(f"table instance too large: n={n}")
-        tab = [list(row) for row in table]
-        for row in tab:
+        for row in table:
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"product table row {row!r} is not a list")
             if len(row) != n:
                 raise ValueError("product table must be square")
             for v in row:
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"table entry {v!r} is not an element "
                                      f"id in 0..{n - 1}")
-        return cls("table", n, table=tab, labels=labels)
+        return cls("table", n, table=[list(row) for row in table],
+                   labels=labels)
 
     @classmethod
     def from_sets(cls, ground, member_sets, labels=None, close=False):
         """Build a union-closed set system.
 
-        ``member_sets`` are iterables of indices into ``ground``.  By default
+        ``member_sets`` are lists of indices into ``ground``.  By default
         a family that is not union-closed is rejected; with ``close=True``
         the union-closure is computed first (which changes ``n``).
         """
         ground = list(ground)
-        masks = []
-        seen = set()
-        for s in member_sets:
-            m = mask_of(s)
-            if m in seen:
-                raise ValueError("duplicate element set")
-            seen.add(m)
-            masks.append(m)
+        masks = _member_masks(len(ground), member_sets)
+        seen = set(masks)
         if close:
             masks = _union_closure(masks)
         else:
@@ -378,23 +376,41 @@ class Semilattice:
                 raise ValueError(f"{kind} instance is missing {key!r}")
         if kind == "table":
             return cls.from_table(obj["product"], labels=labels)
+        ground, elements = obj["ground"], obj["elements"]
+        if not isinstance(ground, list) or not isinstance(elements, list):
+            raise ValueError("set_system instance needs lists 'ground' and "
+                             "'elements'")
         if "collapsed_top" in obj:
-            masks = [mask_of(e) for e in obj["elements"]]
-            if len(set(masks)) != len(masks):
-                raise ValueError("duplicate element set")
+            masks = _member_masks(len(ground), elements)
             masks.sort(key=_canonical_key)
             top = obj["collapsed_top"]
             if type(top) is not int or not 0 <= top < len(masks):
                 raise ValueError(f"collapsed_top {top!r} is not an element "
                                  f"id in 0..{len(masks) - 1}")
-            return cls("set_system", len(masks),
-                       ground=list(obj["ground"]), masks=masks,
+            return cls("set_system", len(masks), ground=ground, masks=masks,
                        labels=labels, top_id=top)
-        return cls.from_sets(obj["ground"], obj["elements"],
-                             labels=labels, close=close)
+        return cls.from_sets(ground, elements, labels=labels, close=close)
 
     def __repr__(self):
         return f"Semilattice(kind={self.kind!r}, n={self.n})"
+
+
+def _member_masks(k, member_sets):
+    """Masks of member sets given as lists of indices in ``0..k-1``."""
+    masks = []
+    for s in member_sets:
+        if not isinstance(s, (list, tuple)):
+            raise ValueError(f"element {s!r} is not a list of ground indices")
+        m = 0
+        for i in s:
+            if type(i) is not int or not 0 <= i < k:
+                raise ValueError(f"element index {i!r} is not a ground "
+                                 f"index in 0..{k - 1}")
+            m |= 1 << i
+        masks.append(m)
+    if len(set(masks)) != len(masks):
+        raise ValueError("duplicate element set")
+    return masks
 
 
 def _canonical_key(mask):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from ._bitset import bits, mask_of
 from .breadth import _iter_incompressible, breadth, is_compressible
@@ -169,16 +169,16 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
 
 # -- reachability cost -------------------------------------------------------
 
-def _first_levels(S, lam, E_ids, targets):
+def _first_levels(S, lam, E_ids, targets, factors):
     """First level at which the closure from E reaches each element.
 
-    The closed world is U, the factors of the product of E.  Elements are
+    The closed world is U, the ``factors`` of the product of E.  Elements are
     settled in order of rising first level, and each settled element is
     paired with every element settled before it and with itself.  Returns
     ``{id: level}`` for each element settled before every target inside U
     is.
     """
-    U = list(S.iter_factors(S.product_ids(E_ids)))
+    U = list(factors(S.product_ids(E_ids)))
     if len(U) > 200_000:
         raise BudgetExceeded(f"closure universe has {len(U)} elements")
     levels = sorted({lam[g] for g in U})
@@ -209,7 +209,7 @@ def _first_levels(S, lam, E_ids, targets):
             if p in formed:
                 continue
             formed.add(p)
-            for z in S.iter_factors(p):
+            for z in factors(p):
                 if z not in first:
                     buckets[max(rank[z], i)].append(z)
     return first
@@ -230,7 +230,7 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     E_ids = list(bits(E))
     if not S.leq(S.product_ids(E_ids), z):
         return INFINITE
-    c = _first_levels(S, lam, E_ids, [z]).get(z)
+    c = _first_levels(S, lam, E_ids, [z], S.iter_factors).get(z)
     if c is None:
         raise AssertionError("target inside the generated filter never reached")
     return PropagationValue.finite(c)
@@ -247,7 +247,8 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     Only incompressible generating sets matter: a minimal set certifying a
     target is incompressible, and shrinking a generating set never lowers
     the cost.  Exhaustive when the enumeration fits the budget; otherwise a
-    seeded sampled lower bound (or BudgetExceeded in strict mode).
+    seeded sampled lower bound (or BudgetExceeded in strict mode).  The
+    closures share one factor list per element, cached for this call only.
     """
     L = Fraction(L)
     W_mask = level_set(S, lam, L)
@@ -257,9 +258,10 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
         prof.notes.append("empty level set")
         return prof
     counter = {"nodes": 0, "capped": False}
+    factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
 
     def consider(E_ids):
-        first = _first_levels(S, lam, E_ids, W_ids)
+        first = _first_levels(S, lam, E_ids, W_ids, factors)
         targets = [z for z in W_ids if z in first]
         top = max(first[z] for z in targets)
         v = PropagationValue.finite(top)

@@ -159,3 +159,50 @@ def test_search_node_counts_are_pinned():
     prof = propagation_profile(S, lam, 2, budget=7)
     assert (prof.nodes, prof.exhaustive) == (8, False)
     assert find_incompressible(generate_instance("fin(6,2)"), 4) is None
+
+
+# -- backends that the hosts above lack --------------------------------------
+
+_IMPLICIT = fin_truncation(24, 8)     # implicit rank storage, collapsed top
+_SEAM_HOSTS = {
+    "powerset(3)": powerset(3),       # its empty member has mask 0
+    "fin(5,2) from JSON": Semilattice.from_json(fin_truncation(5, 2).to_json()),
+}
+
+
+def _first_droppable(S, ids):
+    """First element, in input order, whose removal keeps the product."""
+    total = S.product_ids(ids)
+    for i, x in enumerate(ids):
+        rest = ids[:i] + ids[i + 1:]
+        if rest and S.product_ids(rest) == total:
+            return x
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["fin(24,8)"] + sorted(_SEAM_HOSTS)),
+       data=st.data(), k=st.integers(0, 4))
+def test_join_seam_matches_bruteforce_on_other_backends(spec, data, k):
+    if spec == "fin(24,8)":
+        S = _IMPLICIT
+        assert S._masks is None and S.top_id is not None
+        # ids 0..300 are the sets of at most two points, so the sample mixes
+        # the empty member, small unions and unions that collapse to the top
+        ident = st.one_of(st.integers(0, 300), st.integers(0, S.n - 1))
+        order = data.draw(st.lists(ident, min_size=6, max_size=9,
+                                   unique=True), label="order")
+    else:
+        S = _SEAM_HOSTS[spec]
+        order = data.draw(st.permutations(range(S.n)), label="order")
+    counter = {"nodes": 0, "capped": False}
+    walk = list(_iter_incompressible(S, order, counter, 10**9, lambda: k))
+    assert [ids for ids in walk if len(ids) >= k] == \
+        _brute_incompressible(S, order, k)
+    assert counter == {"nodes": _candidates(order, walk, k), "capped": False}
+    for r in (1, 2, 3, 4):
+        for ids in combinations(order[:9], r):
+            ids = list(ids)
+            dropped = _first_droppable(S, ids)
+            assert is_compressible(S, ids) == (dropped is not None, dropped)
+            assert (dropped is None) == naive_incompressible(S, ids)

@@ -150,6 +150,24 @@ def test_malformed_element_id_is_usage_error(tmp_path, obj, command):
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("obj, bad", [
+    ({"kind": "table", "product": [1, 2]}, "1"),
+    ({"kind": "table", "product": 5}, "5"),
+    ({"kind": "set_system", "ground": ["a"], "elements": [["x"]]}, "'x'"),
+    (dict(_SETS3, elements=[[0], [5], [0, 5]], collapsed_top=2), "5"),
+    ({"kind": "set_system", "ground": ["a"], "elements": [[-1]]}, "-1"),
+], ids=["table-row-int", "table-int", "index-string", "index-out-of-range",
+        "index-negative"])
+def test_malformed_shape_is_usage_error(tmp_path, obj, bad):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    proc = run(["analyze", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert f" {bad} " in proc.stderr      # the message names the value
+
+
 @pytest.mark.parametrize("spec", ["cardinality", "prototype", "scaled:1/2"])
 def test_set_system_weight_on_table_is_usage_error(spec):
     proc = run(["analyze", "chain(3)", "--weight", spec])

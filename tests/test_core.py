@@ -81,6 +81,18 @@ def test_from_sets_rejects_duplicates():
         Semilattice.from_sets(range(2), [[0], [0]])
 
 
+@pytest.mark.parametrize("top", [None, 2])
+def test_ground_index_must_be_in_range(top):
+    obj = {"kind": "set_system", "ground": ["a", "b"],
+           "elements": [[0], [2], [0, 2]]}
+    if top is not None:
+        obj["collapsed_top"] = top
+    with pytest.raises(ValueError, match="element index 2 "):
+        Semilattice.from_json(obj)
+    obj["elements"] = [[0], [1], [0, 1]]
+    assert Semilattice.from_json(obj).n == 3
+
+
 def test_json_roundtrip_set_system():
     S = free_nonempty(3)
     obj = S.to_json()

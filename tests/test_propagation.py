@@ -16,7 +16,8 @@ from slat.propagation import (INFINITE, BudgetExceeded, PropagationValue,
                               finite_breadth_bound_check, is_fbp_stable,
                               propagation_profile, stability_threshold,
                               v_value)
-from slat.weights import builtin_logweight, level_set, random_logweight
+from slat.weights import (LogWeight, builtin_logweight, level_set,
+                          random_logweight)
 
 
 def test_propagation_value_ordering():
@@ -197,3 +198,17 @@ def test_closure_engine_matches_oracles(spec, seed, data):
         assert v_value(S, lam, prof.witness_E, prof.witness_z) == prof.value
     sampled = propagation_profile(S, lam, L, budget=5, seed=seed, samples=50)
     assert sampled.value <= prof.value
+
+
+def test_profile_leaves_host_and_weight_caches_alone():
+    S = generate_instance("pstar(4)")
+    stored = builtin_logweight(S, "cardinality")
+    lam = LogWeight.lazy(S.n, stored.__getitem__, "lazy")
+    lam.values()                  # every value is read before the profile
+    S.factors_mask(3)
+    host, factors, cache = dict(vars(S)), dict(S._factors_cache), \
+        dict(lam._cache)
+    for budget in (500_000, 7):
+        propagation_profile(S, lam, 2, budget=budget, samples=20)
+    assert vars(S) == host and S._factors_cache == factors
+    assert lam._cache == cache
