@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -124,24 +126,10 @@ def build_chain(S: Semilattice, n_max: int, strict: bool = False) -> Adversarial
                 raise
             chain.notes.append(f"stopped at level {n}: {exc}")
             return chain
-        x_ids = []
-        join_mask = a_mask
-        ok = True
-        for b in b_ids:
-            xm = a_mask | S.member_mask(b)
-            xid = S.id_of_mask(xm)
-            if xid is None or (S.top_id is not None and xid == S.top_id
-                               and S.member_mask(S.top_id) != xm):
-                ok = False
-                break
-            x_ids.append(xid)
-            join_mask |= xm
-        if ok:
-            zid = S.id_of_mask(join_mask)
-            if zid is None or (S.top_id is not None and zid == S.top_id
-                               and S.member_mask(S.top_id) != join_mask):
-                ok = False
-        if not ok:
+        x_masks = [a_mask | S.member_mask(b) for b in b_ids]
+        x_ids = [S.id_of_mask(xm) for xm in x_masks]
+        join_mask = reduce(or_, x_masks, a_mask)
+        if None in x_ids or S.id_of_mask(join_mask) is None:
             msg = f"level {n} does not fit the host; stopping at {n - 1}"
             if strict:
                 raise InsufficientBreadth(msg)

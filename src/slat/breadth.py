@@ -50,8 +50,7 @@ def _join_seam(S):
     is not a member collapses to the top."""
     if S.kind == "table":
         return (lambda x: x), (lambda a: S.table[a].__getitem__), None
-    resolve = None if S.top_id is None else (
-        lambda m: S.top_id if (x := S.id_of_mask(m)) is None else x)
+    resolve = None if S.top_id is None else S.id_of_union
     return S.member_mask, (lambda m: m.__or__), resolve
 
 
@@ -97,11 +96,8 @@ def _trunc_breadth_cap(S):
     t = c + 1 and singleton privates, hence at most c + 1 members — attained
     by any c + 1 singletons.
     """
-    if S._trunc is not None and S.top_id is not None:
-        k, c = S._trunc
-        if k >= c + 1:
-            return c + 1
-    return None
+    c = S.truncation_bound()
+    return None if c is None else c + 1
 
 
 def _distinctness_order(S):

@@ -2,7 +2,10 @@
 
 A semilattice is stored either as an explicit product table or as a
 union-closed set system over a finite universe.  Elements are dense integer
-ids; subsets of elements are plain integer bitmasks over those ids.
+ids; subsets of elements are plain integer bitmasks over those ids.  Set
+systems list their member masks, except that a Boolean-cube family above
+``IMPLICIT_THRESHOLD`` members uses rank storage: ids and member masks are
+computed from each other in the combinatorial number system.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from itertools import combinations
 from ._bitset import bits, mask_of, popcount, submasks
 
 TABLE_HARD_CAP = 10**6
-#: above this size a cardinality truncation keeps no per-element storage
+#: above this many members (a collapsed top not counted) a Boolean-cube
+#: family uses rank storage instead of per-element masks
 IMPLICIT_THRESHOLD = 300_000
 #: full O(n^3) associativity checking is restricted to this size
 FULL_VALIDATE_CAP = 320
@@ -81,7 +85,7 @@ class Semilattice:
         self.ground = ground          # universe labels, set_system only
         self._masks = masks           # member masks in canonical order
         self.labels = labels
-        self._trunc = trunc           # (k, c) for implicit storage
+        self._trunc = trunc           # (k, lo, c) of a Boolean-cube family
         self.top_id = top_id          # id of the collapsed top, or None
         self._index = None
         self._factors_cache = {}
@@ -107,30 +111,28 @@ class Semilattice:
                     raise ValueError(f"table entry {v!r} is not an element "
                                      f"id in 0..{n - 1}")
         return cls("table", n, table=[list(row) for row in table],
-                   labels=labels)
+                   labels=_checked_labels(labels, n))
 
     @classmethod
     def from_sets(cls, ground, member_sets, labels=None, close=False):
         """Build a union-closed set system.
 
-        ``member_sets`` are lists of indices into ``ground``.  By default
-        a family that is not union-closed is rejected; with ``close=True``
-        the union-closure is computed first (which changes ``n``).
+        ``member_sets`` are lists of indices into ``ground``, and ``labels``
+        one string per member set.  By default a family that is not
+        union-closed is rejected; with ``close=True`` the union-closure is
+        computed first (which changes ``n`` and drops the labels).
         """
         ground = list(ground)
-        masks = _member_masks(len(ground), member_sets)
-        seen = set(masks)
+        masks, labels = _canonical_members(len(ground), member_sets, labels)
         if close:
-            masks = _union_closure(masks)
+            masks, labels = _union_closure(masks), None
         else:
+            seen = set(masks)
             for a, b in combinations(masks, 2):
                 if (a | b) not in seen:
                     raise NotClosedError(
                         f"union of element sets {sorted(bits(a))} and "
                         f"{sorted(bits(b))} is not a member (use close=True)")
-        masks.sort(key=_canonical_key)
-        if close:
-            labels = None  # original labels no longer line up
         return cls("set_system", len(masks), ground=ground, masks=masks,
                    labels=labels)
 
@@ -149,6 +151,19 @@ class Semilattice:
         if self._masks is not None:
             return self._index.get(mask)
         return _trunc_rank(mask, *self._trunc, self.top_id)
+
+    def id_of_union(self, mask: int):
+        """Element id a union of member sets names: the member equal to
+        ``mask``, else the collapsed top (None when there is none)."""
+        x = self.id_of_mask(mask)
+        return self.top_id if x is None else x
+
+    def truncation_bound(self):
+        """The cardinality bound c of a cube truncation whose larger unions
+        collapse to the top, or None for any other instance."""
+        if self._trunc and self.top_id is not None:
+            return self._trunc[2]
+        return None
 
     def element_label(self, x: int) -> str:
         if self.labels:
@@ -381,8 +396,7 @@ class Semilattice:
             raise ValueError("set_system instance needs lists 'ground' and "
                              "'elements'")
         if "collapsed_top" in obj:
-            masks = _member_masks(len(ground), elements)
-            masks.sort(key=_canonical_key)
+            masks, labels = _canonical_members(len(ground), elements, labels)
             top = obj["collapsed_top"]
             if type(top) is not int or not 0 <= top < len(masks):
                 raise ValueError(f"collapsed_top {top!r} is not an element "
@@ -395,8 +409,17 @@ class Semilattice:
         return f"Semilattice(kind={self.kind!r}, n={self.n})"
 
 
-def _member_masks(k, member_sets):
-    """Masks of member sets given as lists of indices in ``0..k-1``."""
+def _checked_labels(labels, n):
+    """``labels`` if it is None or a list of ``n`` strings, else ValueError."""
+    if labels is None or (isinstance(labels, list) and len(labels) == n
+                          and all(isinstance(s, str) for s in labels)):
+        return labels
+    raise ValueError(f"labels must be a list of {n} strings, one per element")
+
+
+def _canonical_members(k, member_sets, labels):
+    """Masks of member sets given as lists of indices in ``0..k-1``, sorted
+    into canonical order, with each label kept beside its member set."""
     masks = []
     for s in member_sets:
         if not isinstance(s, (list, tuple)):
@@ -410,7 +433,9 @@ def _member_masks(k, member_sets):
         masks.append(m)
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate element set")
-    return masks
+    labels = _checked_labels(labels, len(masks))
+    order = sorted(range(len(masks)), key=lambda i: _canonical_key(masks[i]))
+    return [masks[i] for i in order], labels and [labels[i] for i in order]
 
 
 def _canonical_key(mask):
@@ -440,33 +465,28 @@ def _union_closure(masks):
     return sorted(_join_closure(masks, operator.or_), key=_canonical_key)
 
 
-# -- implicit storage for cardinality truncations -----------------------
-
-def _comb(k, m):
-    return math.comb(k, m) if 0 <= m <= k else 0
-
+# -- rank storage for Boolean-cube families -----------------------------
 
 @lru_cache(maxsize=None)
-def _trunc_offsets(k, c):
-    """Id of the first m-subset for m = 0..c, then the count of all of them."""
+def _trunc_offsets(k, lo, c):
+    """Id of the first m-subset for m = lo..c, then the count of them all."""
     offs = [0]
-    for m in range(c + 1):
-        offs.append(offs[-1] + _comb(k, m))
+    for m in range(lo, c + 1):
+        offs.append(offs[-1] + math.comb(k, m))
     return tuple(offs)
 
 
 @lru_cache(maxsize=None)
 def _binomials(k, c):
     """``_binomials(k, c)[a][b] == comb(a, b)`` for a <= k and b < c."""
-    return tuple(tuple(_comb(a, b) for b in range(c)) for a in range(k + 1))
+    return tuple(tuple(math.comb(a, b) for b in range(c))
+                 for a in range(k + 1))
 
 
-def _trunc_rank(mask, k, c, top_id):
+def _trunc_rank(mask, k, lo, c, top_id):
     m = popcount(mask)
-    if m > c:
-        if top_id is not None and mask == (1 << k) - 1:
-            return top_id
-        return None
+    if mask >> k or not lo <= m <= c:
+        return top_id if mask == (1 << k) - 1 else None
     binom = _binomials(k, c)
     r = 0
     prev = -1
@@ -475,18 +495,18 @@ def _trunc_rank(mask, k, c, top_id):
         for q in range(prev + 1, p):
             r += binom[k - q - 1][m - i - 1]
         prev = p
-    return _trunc_offsets(k, c)[m] + r
+    return _trunc_offsets(k, lo, c)[m - lo] + r
 
 
-def _trunc_unrank(x, k, c, top_id):
-    if top_id is not None and x == top_id:
+def _trunc_unrank(x, k, lo, c, top_id):
+    if x == top_id:
         return (1 << k) - 1
-    offs = _trunc_offsets(k, c)
+    offs = _trunc_offsets(k, lo, c)
     binom = _binomials(k, c)
-    m = 0
-    while offs[m + 1] <= x:
+    m = lo
+    while offs[m - lo + 1] <= x:
         m += 1
-    r = x - offs[m]
+    r = x - offs[m - lo]
     mask = 0
     q = 0
     for i in range(m):
@@ -511,27 +531,36 @@ def chain(m: int) -> Semilattice:
     return Semilattice.from_table(table)
 
 
-def _from_masks_unchecked(ground, masks, top_id=None):
-    # construction-time closure scan skipped: callers build closed families
-    masks = sorted(masks, key=_canonical_key)
-    return Semilattice("set_system", len(masks), ground=list(ground),
-                       masks=masks, top_id=top_id)
+def _cube(k, lo, c, top=False):
+    """The subsets of a k-point universe with lo to c points in canonical
+    order, then the full universe as a collapsed top when ``top``.  Up to
+    ``IMPLICIT_THRESHOLD`` members (the top not counted) are listed as
+    masks, with no closure scan; a larger cube uses rank storage."""
+    n = _trunc_offsets(k, lo, c)[-1]
+    masks = None
+    if n <= IMPLICIT_THRESHOLD:
+        points = [1 << i for i in range(k)]
+        masks = [sum(s) for m in range(lo, c + 1)
+                 for s in combinations(points, m)]
+        if top:
+            masks.append((1 << k) - 1)
+    return Semilattice("set_system", n + 1 if top else n,
+                       ground=[f"p{i}" for i in range(k)], masks=masks,
+                       trunc=(k, lo, c), top_id=n if top else None)
 
 
 def powerset(k: int) -> Semilattice:
     """All subsets of a k-point universe under union."""
     if k < 0 or k > 20:
         raise SizeOverflowError("powerset universe out of supported range")
-    ground = [f"p{i}" for i in range(k)]
-    return _from_masks_unchecked(ground, range(1 << k))
+    return _cube(k, 0, k)
 
 
 def free_nonempty(k: int) -> Semilattice:
     """All nonempty subsets of a k-point universe under union (free on k)."""
     if k < 1 or k > 20:
         raise SizeOverflowError("free semilattice rank out of range")
-    ground = [f"p{i}" for i in range(k)]
-    return _from_masks_unchecked(ground, range(1, 1 << k))
+    return _cube(k, 1, k)
 
 
 def fin_truncation(k: int, c: int, exact: bool = False) -> Semilattice:
@@ -543,26 +572,12 @@ def fin_truncation(k: int, c: int, exact: bool = False) -> Semilattice:
     """
     if k < 1 or c < 0:
         raise ValueError("bad truncation parameters")
-    c = min(c, k)
-    ground = [f"p{i}" for i in range(k)]
     if c >= k - 1:
-        # the family plus the full set is literally union-closed
-        if c == k:
-            return powerset(k)
-        return _from_masks_unchecked(
-            ground, (m for m in range(1 << k)
-                     if popcount(m) <= c or m == (1 << k) - 1))
+        return _cube(k, 0, k)  # with the full set added, the whole k-cube
     if exact:
         raise NotClosedError(
             f"cardinality-{c} truncation of a {k}-set is not union-closed")
-    n = _trunc_offsets(k, c)[-1] + 1
-    top_id = n - 1
-    if n - 1 > IMPLICIT_THRESHOLD:
-        return Semilattice("set_system", n, ground=ground,
-                           trunc=(k, c), top_id=top_id)
-    masks = [_trunc_unrank(x, k, c, top_id) for x in range(n)]
-    return Semilattice("set_system", n, ground=ground, masks=masks,
-                       trunc=(k, c), top_id=top_id)
+    return _cube(k, 0, c, top=True)
 
 
 def kary_tree(k: int, depth: int) -> Semilattice:

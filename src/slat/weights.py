@@ -191,9 +191,9 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
         q = Fraction(params.get("q", 1)) if name == "scaled" else Fraction(1)
         if q < 0:
             raise ValueError("scale factor must be nonnegative")
-        cap = None
-        if S.top_id is not None and S._trunc is not None:
-            cap = S._trunc[1] + 1
+        cap = S.truncation_bound()
+        if cap is not None:
+            cap += 1
         elif S.top_id is not None:
             cap = min(popcount(S.member_mask(x) | S.member_mask(y))
                       for x in range(S.n) for y in range(S.n)

@@ -168,6 +168,24 @@ def test_malformed_shape_is_usage_error(tmp_path, obj, bad):
     assert f" {bad} " in proc.stderr      # the message names the value
 
 
+@pytest.mark.parametrize("obj", [
+    dict(_SETS3, labels=5),
+    dict(_SETS3, labels=["x", "y"]),
+    dict(_SETS3, labels=["x", "y", 3]),
+    dict(_SETS3, labels=["x", "y"], collapsed_top=2),
+    {"kind": "table", "product": [[0, 0], [0, 1]], "labels": "xy"},
+], ids=["number", "short-list", "non-string", "collapsed-top-short",
+        "table-string"])
+def test_malformed_labels_are_usage_error(tmp_path, obj):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    proc = run(["verify", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "labels" in proc.stderr
+
+
 @pytest.mark.parametrize("spec", ["cardinality", "prototype", "scaled:1/2"])
 def test_set_system_weight_on_table_is_usage_error(spec):
     proc = run(["analyze", "chain(3)", "--weight", spec])

@@ -115,6 +115,18 @@ def test_json_roundtrip_collapsed_top():
             assert S.product(x, y) == T.product(x, y)
 
 
+def test_labels_follow_their_member_sets_into_canonical_order():
+    ground, elements = ["a", "b"], [[0, 1], [0], [1]]
+    labels = ["ab", "a", "b"]
+    for S in (Semilattice.from_sets(ground, elements, labels=labels),
+              Semilattice.from_json({"kind": "set_system", "ground": ground,
+                                     "elements": elements, "labels": labels,
+                                     "collapsed_top": 2})):
+        assert [S.element_label(x) for x in range(S.n)] == ["a", "b", "ab"]
+        assert [sorted(bits(S.member_mask(x))) for x in range(S.n)] == \
+            [[0], [1], [0, 1]]
+
+
 def test_fin_truncation_quotient_collapses():
     S = fin_truncation(4, 2)
     assert S.n == 1 + 4 + 6 + 1
@@ -190,7 +202,6 @@ def test_table_instances_satisfy_axioms(m):
 @pytest.mark.parametrize("block_elems", [1 << 18, 7])
 def test_product_table_np_matches_product(S, block_elems, monkeypatch):
     monkeypatch.setattr(core, "NP_BLOCK_ELEMS", block_elems)
-    S._np_table = None
     loop = [[S.product(x, y) for y in range(S.n)] for x in range(S.n)]
     assert S.product_table_np().tolist() == loop
 
@@ -220,3 +231,41 @@ def test_validate_says_when_idempotence_is_checked_on_a_prefix():
     assert big.n > 100_000 and not rep.exhaustive and not rep.violations
     assert note in rep.notes
     assert note not in core.generate_instance("fin(10,5)").validate().notes
+
+
+CUBES = ([f"powerset({k})" for k in range(9)]
+         + [f"pstar({k})" for k in range(1, 9)]
+         + [f"fin({k},{c})" for k in range(2, 9) for c in range(k - 1)])
+
+
+def _storage_view(S, k):
+    """Everything a caller can see of a cube host, as plain data."""
+    ids = range(S.n)
+    return {
+        "n": S.n, "top_id": S.top_id,
+        "member_mask": [S.member_mask(x) for x in ids],
+        "id_of_mask": [S.id_of_mask(m) for m in range(1 << (k + 1))],
+        "product": [[S.product(x, y) for y in ids] for x in ids],
+        "iter_factors": [list(S.iter_factors(x)) for x in ids],
+        "element_label": [S.element_label(x) for x in ids],
+        "to_json": S.to_json(),
+    }
+
+
+@pytest.mark.parametrize("spec", CUBES)
+def test_explicit_and_rank_storage_agree(spec, monkeypatch):
+    explicit = generate_instance(spec)
+    k = len(explicit.ground)
+    members = explicit.n - (explicit.top_id is not None)
+    monkeypatch.setattr(core, "IMPLICIT_THRESHOLD", members)
+    assert generate_instance(spec)._masks is not None
+    monkeypatch.setattr(core, "IMPLICIT_THRESHOLD", members - 1)
+    ranked = generate_instance(spec)
+    assert explicit._masks is not None and ranked._masks is None
+    assert _storage_view(ranked, k) == _storage_view(explicit, k)
+
+
+def test_large_cubes_use_rank_storage():
+    for S in (free_nonempty(20), fin_truncation(22, 21)):
+        assert S._masks is None and S.top_id is None
+        assert S.id_of_mask(S.member_mask(S.n - 1)) == S.n - 1
