@@ -51,7 +51,7 @@ class AdversarialChain:
     def d_final(self) -> int:
         return self.cumulative[self.depth]
 
-    def to_json(self, S=None):
+    def to_json(self):
         return {"depth": self.depth,
                 "marker_sets": [list(bits(E)) for E in self.marker_sets],
                 "families": [list(F) for F in self.families],

@@ -3,8 +3,8 @@
 A finite set of elements is compressible when some proper subset already has
 the same product; the breadth of a semilattice is the size of its largest
 incompressible subset.  Both the test and the search compare a product with
-its k "rest products", the product without each member, joined through one
-private seam per backend; on a union-closed set system a set is
+its k "rest products", the product without each member, joined through the
+host's ``join_seam``; on a union-closed set system a set is
 incompressible exactly when every member owns a point no other member has.
 """
 
@@ -42,18 +42,6 @@ class BreadthReport:
                 "notes": list(self.notes)}
 
 
-def _join_seam(S):
-    """``(key, join, resolve)``: ``join(key(x))`` maps the key of a product
-    to the key of its product with x, and two keys name one element when
-    ``resolve`` (None: the identity) maps them to one value.  Tables join
-    ids by ``table[a][b]``, set systems member masks by ``|``; a union that
-    is not a member collapses to the top."""
-    if S.kind == "table":
-        return (lambda x: x), (lambda a: S.table[a].__getitem__), None
-    resolve = None if S.top_id is None else S.id_of_union
-    return S.member_mask, (lambda m: m.__or__), resolve
-
-
 def _droppable(total, rests, resolve):
     """Position of the first rest product naming the element ``total``
     names, or None."""
@@ -75,7 +63,7 @@ def is_compressible(S, ids):
         raise EmptySetError("compressibility is defined for nonempty sets")
     if len(ids) == 1:
         return False, None
-    key, join, resolve = _join_seam(S)
+    key, join, resolve = S.join_seam()
     prod = lambda a, b: join(a)(b)
     keys = [key(x) for x in ids]
     prefix = list(accumulate(keys, prod))                # keys[:i + 1]
@@ -127,7 +115,7 @@ def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
     of x, and x is compressible exactly when a rest product equals the new
     one: on a union-closed set system, when some member owns no private point.
     """
-    key, join, resolve = _join_seam(S)
+    key, join, resolve = S.join_seam()
     keys = [key(x) for x in order]
     n = len(order)
     cur = []

@@ -3,8 +3,8 @@
 Instances are JSON files or generator specs such as ``chain(5)`` or
 ``fin(24,8)``.  Reports carry exact rational fields next to double
 approximations; for a fixed seed the JSON output is byte-identical across
-runs.  Exit codes: 0 success, 1 validation violations, 2 usage errors,
-3 budget exhaustion in strict mode.
+runs.  Exit codes: 0 success, 1 validation violations (a negative
+log-weight among them), 2 usage errors, 3 budget exhaustion in strict mode.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from .breadth import breadth as run_breadth
 
 class UsageError(Exception):
     pass
+
+
+class NegativeWeight(Exception):
+    """A log-weight value below zero: a violation, reported before any work."""
 
 
 def _parse_fraction(text):
@@ -58,7 +62,7 @@ def _load(args):
         raise UsageError(
             f"{ref}: malformed JSON at line {exc.lineno} column {exc.colno}"
         ) from exc
-    return core.Semilattice.from_json(obj, close=getattr(args, "close", False)), obj
+    return core.Semilattice.from_json(obj, close=args.close), obj
 
 
 def _resolve_weight(S, args, obj):
@@ -68,7 +72,7 @@ def _resolve_weight(S, args, obj):
     spec ``scaled:NUM/DEN``, ``random:SEED``, or a path to a descriptor
     JSON file.
     """
-    spec = getattr(args, "weight", None)
+    spec = args.weight
     if spec is None:
         if "logweight" in obj:
             return weights.logweight_from_json(S, obj["logweight"])
@@ -86,6 +90,19 @@ def _resolve_weight(S, args, obj):
     raise UsageError(f"unknown weight spec {spec!r}")
 
 
+def _load_weighted(args):
+    """Instance and log-weight for a command that uses the weight; a
+    negative value stops the command with exit 1 (``verify`` reports it
+    instead)."""
+    S, obj = _load(args)
+    lam = _resolve_weight(S, args, obj)
+    if lam.name == "explicit":  # the only weights that can go below zero
+        for x, v in enumerate(lam.values()):
+            if v < 0:
+                raise NegativeWeight(f"element {x} has negative log-weight {v}")
+    return S, lam
+
+
 def _frac_json(q):
     return {"num": q.numerator, "den": q.denominator, "approx": float(q)}
 
@@ -101,8 +118,7 @@ def _emit(args, report):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_analyze(args):
-    S, obj = _load(args)
-    lam = _resolve_weight(S, args, obj)
+    S, lam = _load_weighted(args)
     br = run_breadth(S, cap=args.cap)
     vals = None
     if S.n <= 100_000:
@@ -119,8 +135,7 @@ def cmd_analyze(args):
 
 
 def cmd_defect(args):
-    S, obj = _load(args)
-    lam = _resolve_weight(S, args, obj)
+    S, lam = _load_weighted(args)
     X = mask_of(_parse_ids(args.set, S.n))
     d = metrics.defect_set(S, lam, X)
     _emit(args, {"set": list(bits(X)), "defect": d.to_json()})
@@ -128,8 +143,7 @@ def cmd_defect(args):
 
 
 def cmd_dist(args):
-    S, obj = _load(args)
-    lam = _resolve_weight(S, args, obj)
+    S, lam = _load_weighted(args)
     X = mask_of(_parse_ids(args.set, S.n))
     d, witness = metrics.dist_set(S, lam, X)
     _emit(args, {"set": list(bits(X)), "dist": d.to_json(),
@@ -138,8 +152,7 @@ def cmd_dist(args):
 
 
 def cmd_fbp(args):
-    S, obj = _load(args)
-    lam = _resolve_weight(S, args, obj)
+    S, lam = _load_weighted(args)
     C = _parse_fraction(args.C)
     X = mask_of(_parse_ids(args.set, S.n))
     step = propagation.fbp(S, lam, C, X)
@@ -152,8 +165,7 @@ def cmd_fbp(args):
 
 
 def cmd_vmap(args):
-    S, obj = _load(args)
-    lam = _resolve_weight(S, args, obj)
+    S, lam = _load_weighted(args)
     E = mask_of(_parse_ids(args.E, S.n))
     z = int(args.z)
     if not 0 <= z < S.n:
@@ -164,8 +176,7 @@ def cmd_vmap(args):
 
 
 def cmd_profile(args):
-    S, obj = _load(args)
-    lam = _resolve_weight(S, args, obj)
+    S, lam = _load_weighted(args)
     L = _parse_fraction(args.L)
     prof = propagation.propagation_profile(S, lam, L, budget=args.budget,
                                            strict=args.strict, seed=args.seed)
@@ -284,8 +295,7 @@ def cmd_verify(args):
     suites = []
     ok = True
     for ref in refs:
-        ns = argparse.Namespace(instance=ref, close=getattr(args, "close", False),
-                                weight=getattr(args, "weight", None))
+        ns = argparse.Namespace(instance=ref, close=args.close, weight=args.weight)
         S, obj = _load(ns)
         lam = _resolve_weight(S, ns, obj)
         entry = {"instance": ref, "n": S.n}
@@ -319,44 +329,48 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="slat",
                                   description="finite weighted semilattice toolkit")
     sub = top.add_subparsers(dest="command", required=True)
+    shared = {  # each subcommand takes the ones its handler reads
+        "weight": dict(help="zero|cardinality|prototype|scaled:Q|random:SEED|path"),
+        "seed": dict(type=int, default=0),
+        "close": dict(action="store_true", help="complete a set system under unions"),
+        "strict": dict(action="store_true"),
+        "budget": dict(type=int, default=500_000),
+        "cap": dict(type=int, default=10_000_000),
+    }
 
-    def add(name, fn, instance="required", **extra):
+    def add(name, fn, flags, instance="required", **extra):
         p = sub.add_parser(name)
         if instance == "required":
             p.add_argument("instance",
                            help="JSON instance path or generator spec like chain(5)")
         elif instance == "optional":
             p.add_argument("instance", nargs="?", default=None)
-        p.add_argument("--weight", default=None,
-                       help="zero|cardinality|prototype|scaled:Q|random:SEED|path")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--close", action="store_true",
-                       help="complete a set-system instance under unions")
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--budget", type=int, default=500_000)
-        p.add_argument("--cap", type=int, default=10_000_000)
+        for flag in flags.split():
+            p.add_argument("--" + flag, **shared[flag])
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
         return p
 
-    add("analyze", cmd_analyze)
-    add("defect", cmd_defect, **{"--set": dict(required=True)})
-    add("dist", cmd_dist, **{"--set": dict(required=True)})
-    add("fbp", cmd_fbp, **{"--C": dict(required=True),
-                           "--set": dict(required=True)})
-    add("vmap", cmd_vmap, **{"--E": dict(required=True),
-                             "--z": dict(required=True)})
-    add("profile", cmd_profile, **{"--L": dict(required=True)})
-    add("breadth", cmd_breadth)
-    add("adversary", cmd_adversary, **{"--nmax": dict(type=int, required=True)})
-    add("sweep", cmd_sweep, instance=None,
+    add("analyze", cmd_analyze, "weight close cap")
+    add("defect", cmd_defect, "weight close", **{"--set": dict(required=True)})
+    add("dist", cmd_dist, "weight close", **{"--set": dict(required=True)})
+    add("fbp", cmd_fbp, "weight close", **{"--C": dict(required=True),
+                                           "--set": dict(required=True)})
+    add("vmap", cmd_vmap, "weight close", **{"--E": dict(required=True),
+                                             "--z": dict(required=True)})
+    add("profile", cmd_profile, "weight seed close strict budget",
+        **{"--L": dict(required=True)})
+    add("breadth", cmd_breadth, "close cap")
+    add("adversary", cmd_adversary, "close strict",
+        **{"--nmax": dict(type=int, required=True)})
+    add("sweep", cmd_sweep, "seed strict budget cap", instance=None,
         **{"--family": dict(required=True),
            "--range": dict(required=True, help="inclusive LO:HI"),
            "--op": dict(default="vmap", choices=("vmap", "breadth", "profile")),
            "--L": dict(default="1")})
-    add("verify", cmd_verify, instance="optional")
+    add("verify", cmd_verify, "weight seed close", instance="optional")
     return top
 
 
@@ -364,6 +378,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except NegativeWeight as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, ValueError, weights.KindMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,9 @@ union-closed set system over a finite universe.  Elements are dense integer
 ids; subsets of elements are plain integer bitmasks over those ids.  Set
 systems list their member masks, except that a Boolean-cube family above
 ``IMPLICIT_THRESHOLD`` members uses rank storage: ids and member masks are
-computed from each other in the combinatorial number system.
+computed from each other in the combinatorial number system.  Only this
+module knows the storage: the constructor binds each host's two lookups (id
+to member mask, member mask to id or None) once, and the methods use them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import operator
 import random
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
+
+import numpy as np
 
 from ._bitset import bits, mask_of, popcount, submasks
 
@@ -72,9 +76,10 @@ class ValidationReport:
 class Semilattice:
     """A finite commutative idempotent semigroup.
 
-    Instances are immutable after construction and safe to share between
-    workers.  Use the module-level generators or ``from_table`` /
-    ``from_sets`` / ``from_json`` instead of calling the constructor.
+    Instances are immutable after construction, apart from the factor
+    cache that fills as it is used.  Use the module-level generators or
+    ``from_table`` / ``from_sets`` / ``from_json`` instead of calling the
+    constructor.
     """
 
     def __init__(self, kind, n, *, table=None, ground=None, masks=None,
@@ -87,10 +92,15 @@ class Semilattice:
         self.labels = labels
         self._trunc = trunc           # (k, lo, c) of a Boolean-cube family
         self.top_id = top_id          # id of the collapsed top, or None
-        self._index = None
         self._factors_cache = {}
         if masks is not None:
-            self._index = {m: i for i, m in enumerate(masks)}
+            self._mask = masks.__getitem__
+            self._id = {m: i for i, m in enumerate(masks)}.get
+        elif trunc is not None:
+            self._mask = partial(_trunc_unrank, *trunc, top_id)
+            self._id = partial(_trunc_rank, *trunc, top_id)
+        else:
+            self._mask = self._id = _no_member_masks
 
     # -- constructors -------------------------------------------------
 
@@ -140,23 +150,11 @@ class Semilattice:
 
     def member_mask(self, x: int) -> int:
         """Member set of element ``x`` as a bitmask over universe indices."""
-        if self.kind != "set_system":
-            raise TypeError("member_mask requires a set system")
-        if self._masks is not None:
-            return self._masks[x]
-        return _trunc_unrank(x, *self._trunc, self.top_id)
+        return self._mask(x)
 
     def id_of_mask(self, mask: int):
         """Element id whose member set equals ``mask``, or None."""
-        if self._masks is not None:
-            return self._index.get(mask)
-        return _trunc_rank(mask, *self._trunc, self.top_id)
-
-    def id_of_union(self, mask: int):
-        """Element id a union of member sets names: the member equal to
-        ``mask``, else the collapsed top (None when there is none)."""
-        x = self.id_of_mask(mask)
-        return self.top_id if x is None else x
+        return self._id(mask)
 
     def truncation_bound(self):
         """The cardinality bound c of a cube truncation whose larger unions
@@ -180,8 +178,8 @@ class Semilattice:
     def product(self, x: int, y: int) -> int:
         if self.kind == "table":
             return self.table[x][y]
-        u = self.member_mask(x) | self.member_mask(y)
-        z = self.id_of_mask(u)
+        mask = self._mask
+        z = self._id(mask(x) | mask(y))
         if z is None:
             if self.top_id is not None:
                 return self.top_id
@@ -214,11 +212,11 @@ class Semilattice:
             if p == self.top_id:
                 yield from range(self.n)
                 return
-            pm = self.member_mask(p)
-            if (1 << popcount(pm)) <= 4 * self.n or self._masks is None:
+            pm = self._mask(p)
+            if (1 << popcount(pm)) <= 4 * self.n:
                 out = []
                 for sub in submasks(pm):
-                    z = self.id_of_mask(sub)
+                    z = self._id(sub)
                     if z is not None and z != self.top_id:
                         out.append(z)
                 yield from sorted(out)
@@ -226,6 +224,17 @@ class Semilattice:
         for z in range(self.n):
             if self.leq(p, z):
                 yield z
+
+    def join_seam(self):
+        """``(key, join, resolve)``: ``join(key(x))`` maps a product's key to
+        that of its product with x; two keys name one element when ``resolve``
+        (None: the identity) maps them to one value, a non-member to the top."""
+        if self.kind == "table":
+            return (lambda x: x), (lambda a: self.table[a].__getitem__), None
+        ident, top = self._id, self.top_id
+        resolve = None if top is None else (
+            lambda m: top if (x := ident(m)) is None else x)
+        return self._mask, (lambda m: m.__or__), resolve
 
     def factors_mask(self, p: int) -> int:
         """Bitmask over ids of ``{z : z >= p}``; cached per element."""
@@ -317,8 +326,6 @@ class Semilattice:
         Explicit member masks that fit in 62 bits are joined as int64 arrays
         and looked up by binary search; wider grounds use ``product``.
         """
-        import numpy as np
-
         if self.n > 4096:
             raise SizeOverflowError("dense product table too large")
         if self.kind == "table":
@@ -334,8 +341,6 @@ class Semilattice:
         return t
 
     def _mask_product_table(self):
-        import numpy as np
-
         n = self.n
         masks = np.array(self._masks, dtype=np.int64)
         order = np.argsort(masks)
@@ -402,11 +407,16 @@ class Semilattice:
                 raise ValueError(f"collapsed_top {top!r} is not an element "
                                  f"id in 0..{len(masks) - 1}")
             return cls("set_system", len(masks), ground=ground, masks=masks,
-                       labels=labels, top_id=top)
+                       labels=labels, top_id=top,
+                       trunc=_truncation_shape(len(ground), masks, top))
         return cls.from_sets(ground, elements, labels=labels, close=close)
 
     def __repr__(self):
         return f"Semilattice(kind={self.kind!r}, n={self.n})"
+
+
+def _no_member_masks(_):
+    raise TypeError("member masks require a set system")
 
 
 def _checked_labels(labels, n):
@@ -467,6 +477,17 @@ def _union_closure(masks):
 
 # -- rank storage for Boolean-cube families -----------------------------
 
+def _truncation_shape(k, masks, top):
+    """``(k, lo, c)`` when canonical ``masks`` are every subset of a k-point
+    universe with lo to c points and then the full universe as the top;
+    else None."""
+    rest = masks[:top] + masks[top + 1:]
+    if masks[top] != (1 << k) - 1 or not rest:
+        return None
+    lo, c = popcount(rest[0]), popcount(rest[-1])
+    return (k, lo, c) if len(rest) == _trunc_offsets(k, lo, c)[-1] else None
+
+
 @lru_cache(maxsize=None)
 def _trunc_offsets(k, lo, c):
     """Id of the first m-subset for m = lo..c, then the count of them all."""
@@ -483,7 +504,7 @@ def _binomials(k, c):
                  for a in range(k + 1))
 
 
-def _trunc_rank(mask, k, lo, c, top_id):
+def _trunc_rank(k, lo, c, top_id, mask):
     m = popcount(mask)
     if mask >> k or not lo <= m <= c:
         return top_id if mask == (1 << k) - 1 else None
@@ -498,7 +519,7 @@ def _trunc_rank(mask, k, lo, c, top_id):
     return _trunc_offsets(k, lo, c)[m - lo] + r
 
 
-def _trunc_unrank(x, k, lo, c, top_id):
+def _trunc_unrank(k, lo, c, top_id, x):
     if x == top_id:
         return (1 << k) - 1
     offs = _trunc_offsets(k, lo, c)
@@ -668,8 +689,7 @@ def sch_embed(S: Semilattice) -> EmbeddingResult:
         down = mask_of(t for t in range(n) if S.leq(t, x))
         comp.append(full ^ down)
     ground = [S.element_label(t) for t in range(n)]
-    T = Semilattice.from_sets(range(n), [list(bits(m)) for m in comp])
-    T.ground = ground
+    T = Semilattice.from_sets(ground, [list(bits(m)) for m in comp])
     mapping = [T.id_of_mask(m) for m in comp]
     for x in range(n):
         for y in range(x, n):

@@ -7,6 +7,7 @@ valued functionals use double precision with a fixed reduction order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -44,8 +45,6 @@ class LogMagnitude:
         return self.m is None
 
     def approx(self) -> float:
-        import math
-
         return 0.0 if self.is_zero else math.exp(-float(self.m))
 
     def __eq__(self, other):

@@ -67,8 +67,6 @@ class LogWeight:
         return [self[x] for x in range(self.n)]
 
     def as_floats(self):
-        import numpy as np
-
         return np.array([float(self[x]) for x in range(self.n)])
 
     def max_value(self) -> Fraction:

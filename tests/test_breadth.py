@@ -164,9 +164,13 @@ def test_search_node_counts_are_pinned():
 # -- backends that the hosts above lack --------------------------------------
 
 _IMPLICIT = fin_truncation(24, 8)     # implicit rank storage, collapsed top
+_NOT_A_TRUNCATION = fin_truncation(5, 2).to_json()
+_NOT_A_TRUNCATION["elements"].remove([4])
+_NOT_A_TRUNCATION["collapsed_top"] = 15
 _SEAM_HOSTS = {
     "powerset(3)": powerset(3),       # its empty member has mask 0
-    "fin(5,2) from JSON": Semilattice.from_json(fin_truncation(5, 2).to_json()),
+    # listed masks with a collapsed top but no cube shape
+    "fin(5,2) without {4}": Semilattice.from_json(_NOT_A_TRUNCATION),
 }
 
 
@@ -194,6 +198,7 @@ def test_join_seam_matches_bruteforce_on_other_backends(spec, data, k):
                                    unique=True), label="order")
     else:
         S = _SEAM_HOSTS[spec]
+        assert S.top_id is None or S.truncation_bound() is None
         order = data.draw(st.permutations(range(S.n)), label="order")
     counter = {"nodes": 0, "capped": False}
     walk = list(_iter_incompressible(S, order, counter, 10**9, lambda: k))

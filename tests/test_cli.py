@@ -99,6 +99,38 @@ def test_zero_denominator_weight_is_usage_error(tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+_NEGATIVE_ARGS = {"analyze": [], "vmap": ["--E", "0", "--z", "0"],
+                  "defect": ["--set", "0"], "dist": ["--set", "0"],
+                  "fbp": ["--C", "0", "--set", "0"], "profile": ["--L", "0"],
+                  "verify": []}
+
+
+@pytest.mark.parametrize("command", sorted(_NEGATIVE_ARGS))
+def test_negative_explicit_weight_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({"kind": "explicit",
+                                "values": [{"num": 0, "den": 1},
+                                           {"num": -1, "den": 2},
+                                           {"num": -1, "den": 1}]}))
+    rc = main([command, "chain(3)", "--weight", str(path),
+               *_NEGATIVE_ARGS[command]])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    if command == "verify":
+        rep = json.loads(out)["suites"][0]["logweight_valid"]
+        assert {"kind": "Negative", "witness": [1]} in rep["violations"]
+    else:
+        assert out == ""
+        assert err == "error: element 1 has negative log-weight -1/2\n"
+
+
+def test_flag_a_command_does_not_read_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["breadth", "tree(2,3)", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [1, {"num": 1, "den": "x"},
                                    {"num": "1", "den": 1}, {"num": 1}],
                          ids=["bare-number", "string-den", "string-num",

@@ -243,6 +243,7 @@ def _storage_view(S, k):
     ids = range(S.n)
     return {
         "n": S.n, "top_id": S.top_id,
+        "truncation_bound": S.truncation_bound(),
         "member_mask": [S.member_mask(x) for x in ids],
         "id_of_mask": [S.id_of_mask(m) for m in range(1 << (k + 1))],
         "product": [[S.product(x, y) for y in ids] for x in ids],
@@ -262,7 +263,9 @@ def test_explicit_and_rank_storage_agree(spec, monkeypatch):
     monkeypatch.setattr(core, "IMPLICIT_THRESHOLD", members - 1)
     ranked = generate_instance(spec)
     assert explicit._masks is not None and ranked._masks is None
-    assert _storage_view(ranked, k) == _storage_view(explicit, k)
+    want = _storage_view(explicit, k)
+    assert _storage_view(ranked, k) == want
+    assert _storage_view(Semilattice.from_json(explicit.to_json()), k) == want
 
 
 def test_large_cubes_use_rank_storage():
