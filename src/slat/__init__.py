@@ -8,7 +8,7 @@ from .breadth import (BreadthReport, breadth, find_incompressible,
                       is_compressible, is_free_embedding)
 from .core import (NotClosedError, Semilattice, SizeOverflowError, chain,
                    fin_truncation, free_nonempty, generate_instance,
-                   kary_tree, load_instance, powerset, sch_embed)
+                   kary_tree, powerset, sch_embed)
 from .metrics import (LogMagnitude, best_guess_check, d_set, defect_complex,
                       defect_set, discretize, dist_complex, dist_set,
                       enumerate_filters, generate_filter, is_filter,
@@ -36,7 +36,7 @@ __all__ = [
     "finite_breadth_bound_check", "free_nonempty", "generate_filter",
     "generate_instance", "is_compressible", "is_fbp_stable", "is_filter",
     "is_free_embedding", "kary_tree", "level_agreement", "level_set",
-    "load_instance", "logweight_from_json", "omega_bound", "powerset",
+    "logweight_from_json", "omega_bound", "powerset",
     "propagation_profile", "random_logweight", "sch_embed",
     "stability_threshold", "v_value", "validate_logweight", "verify_barrier",
 ]

@@ -4,7 +4,8 @@ Instances are JSON files or generator specs such as ``chain(5)`` or
 ``fin(24,8)``.  Reports carry exact rational fields next to double
 approximations; for a fixed seed the JSON output is byte-identical across
 runs.  Exit codes: 0 success, 1 validation violations (a negative
-log-weight among them), 2 usage errors, 3 budget exhaustion in strict mode.
+log-weight among them), 2 usage errors (malformed outside input), 3 budget
+exhaustion in strict mode; a traceback is an internal error.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import adversarial, core, metrics, propagation, weights
@@ -23,84 +24,103 @@ from .breadth import breadth as run_breadth
 
 
 class UsageError(Exception):
-    pass
+    """Malformed outside input: exit 2 with one ``error:`` line."""
 
 
 class NegativeWeight(Exception):
     """A log-weight value below zero: a violation, reported before any work."""
 
 
-def _parse_fraction(text):
+# -- the input boundary ------------------------------------------------------
+#
+# Every outside value is parsed here before any algorithm runs, and a
+# malformed one raises UsageError; an error raised later is an internal one.
+
+@contextmanager
+def _parsing(source):
+    """Turn an error met while reading or parsing ``source`` into a
+    UsageError that names it; Unicode decode errors are ValueErrors."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}") from exc
-
-
-def _parse_ids(text, n):
-    try:
-        ids = sorted({int(t) for t in text.split(",") if t.strip() != ""})
-    except ValueError as exc:
-        raise UsageError(f"bad id list {text!r}") from exc
-    for x in ids:
-        if not 0 <= x < n:
-            raise UsageError(f"element id {x} out of range (n={n})")
-    return ids
-
-
-def _load(args):
-    """Instance from a generator spec or a JSON file; returns (S, raw_obj)."""
-    ref = args.instance
-    if core._SPEC_RE.match(ref):
-        return core.generate_instance(ref), {}
-    try:
-        with open(ref, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
+        yield
     except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"{ref}: malformed JSON at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    return core.Semilattice.from_json(obj, close=args.close), obj
+        raise UsageError(f"{source}: malformed JSON at line {exc.lineno} "
+                         f"column {exc.colno}") from exc
+    except OSError as exc:
+        raise UsageError(f"{source}: {exc.strerror}") from exc
+    except (ValueError, ZeroDivisionError, RecursionError,
+            weights.KindMismatch) as exc:
+        raise UsageError(f"{source}: {exc}") from exc
 
 
-def _resolve_weight(S, args, obj):
-    """Weight from --weight, else the instance file, else zero.
+def _host(ref, close=False, check=True):
+    """The host named by ``ref`` (a generator spec or a JSON instance file)
+    and the file's JSON object, {} for a spec.  The algorithms assume a
+    semilattice, so with ``check`` a table or collapsed-top family read from
+    a file must pass ``validate``; other hosts are one by construction."""
+    with _parsing(ref):
+        if core._SPEC_RE.match(ref):
+            S, obj = core.generate_instance(ref), {}
+        else:
+            with open(ref, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            S = core.Semilattice.from_json(obj, close=close)
+    if S.n == 0:
+        raise UsageError(f"{ref}: an instance needs at least one element")
+    if check and obj and (S.kind == "table" or S.top_id is not None):
+        bad = S.validate().violations
+        if bad:
+            raise UsageError(f"{ref}: not a semilattice: {bad[0].kind} at "
+                             f"{list(bad[0].witness)}")
+    return S, obj
 
-    --weight accepts a builtin name (zero, cardinality, prototype), a scale
-    spec ``scaled:NUM/DEN``, ``random:SEED``, or a path to a descriptor
-    JSON file.
-    """
-    spec = args.weight
-    if spec is None:
-        if "logweight" in obj:
-            return weights.logweight_from_json(S, obj["logweight"])
-        return weights.builtin_logweight(S, "zero")
-    if os.path.exists(spec):
+
+def _weight(S, spec, obj):
+    """The log-weight named by ``spec``: a builtin name (zero, cardinality,
+    prototype), ``scaled:NUM/DEN``, ``random:SEED`` or a descriptor JSON
+    file, tried in that order; with no spec, the instance file's
+    ``logweight``, else zero."""
+    with _parsing("the instance's logweight" if spec is None
+                  else f"--weight {spec}"):
+        if spec is None:
+            return weights.logweight_from_json(
+                S, obj.get("logweight", {"kind": "zero"}))
+        if spec in ("zero", "cardinality", "prototype"):
+            return weights.builtin_logweight(S, spec)
+        if spec.startswith("scaled:"):
+            return weights.builtin_logweight(
+                S, "scaled", {"q": Fraction(spec.split(":", 1)[1])})
+        if spec.startswith("random:"):
+            return weights.random_logweight(S, int(spec.split(":", 1)[1]))
         with open(spec, "r", encoding="utf-8") as fh:
             return weights.logweight_from_json(S, json.load(fh))
-    if spec.startswith("scaled:"):
-        return weights.builtin_logweight(
-            S, "scaled", {"q": _parse_fraction(spec.split(":", 1)[1])})
-    if spec.startswith("random:"):
-        return weights.random_logweight(S, int(spec.split(":", 1)[1]))
-    if spec in ("zero", "cardinality", "prototype"):
-        return weights.builtin_logweight(S, spec)
-    raise UsageError(f"unknown weight spec {spec!r}")
 
 
 def _load_weighted(args):
     """Instance and log-weight for a command that uses the weight; a
     negative value stops the command with exit 1 (``verify`` reports it
     instead)."""
-    S, obj = _load(args)
-    lam = _resolve_weight(S, args, obj)
+    S, obj = _host(args.instance, args.close)
+    lam = _weight(S, args.weight, obj)
     if lam.name == "explicit":  # the only weights that can go below zero
         for x, v in enumerate(lam.values()):
             if v < 0:
                 raise NegativeWeight(f"element {x} has negative log-weight {v}")
     return S, lam
+
+
+def _fraction(text):
+    with _parsing(f"bad rational {text!r}"):
+        return Fraction(text)
+
+
+def _ids(text, n):
+    """Distinct element ids in ``0..n-1`` from a comma list, sorted."""
+    with _parsing(f"bad id list {text!r}"):
+        ids = sorted({int(t) for t in text.split(",") if t.strip() != ""})
+    for x in ids:
+        if not 0 <= x < n:
+            raise UsageError(f"element id {x} out of range (n={n})")
+    return ids
 
 
 def _frac_json(q):
@@ -136,7 +156,7 @@ def cmd_analyze(args):
 
 def cmd_defect(args):
     S, lam = _load_weighted(args)
-    X = mask_of(_parse_ids(args.set, S.n))
+    X = mask_of(_ids(args.set, S.n))
     d = metrics.defect_set(S, lam, X)
     _emit(args, {"set": list(bits(X)), "defect": d.to_json()})
     return 0
@@ -144,7 +164,7 @@ def cmd_defect(args):
 
 def cmd_dist(args):
     S, lam = _load_weighted(args)
-    X = mask_of(_parse_ids(args.set, S.n))
+    X = mask_of(_ids(args.set, S.n))
     d, witness = metrics.dist_set(S, lam, X)
     _emit(args, {"set": list(bits(X)), "dist": d.to_json(),
                  "witness": list(bits(witness))})
@@ -153,8 +173,8 @@ def cmd_dist(args):
 
 def cmd_fbp(args):
     S, lam = _load_weighted(args)
-    C = _parse_fraction(args.C)
-    X = mask_of(_parse_ids(args.set, S.n))
+    C = _fraction(args.C)
+    X = mask_of(_ids(args.set, S.n))
     step = propagation.fbp(S, lam, C, X)
     closure, rounds = propagation.fbp_closure(S, lam, C, X)
     _emit(args, {"C": _frac_json(C), "set": list(bits(X)),
@@ -166,10 +186,11 @@ def cmd_fbp(args):
 
 def cmd_vmap(args):
     S, lam = _load_weighted(args)
-    E = mask_of(_parse_ids(args.E, S.n))
-    z = int(args.z)
-    if not 0 <= z < S.n:
-        raise UsageError(f"element id {z} out of range")
+    E = mask_of(_ids(args.E, S.n))
+    z = _ids(args.z, S.n)
+    if len(z) != 1:
+        raise UsageError(f"--z {args.z!r} is not one element id")
+    z = z[0]
     v = propagation.v_value(S, lam, E, z)
     _emit(args, {"E": list(bits(E)), "z": z, "value": v.to_json()})
     return 0
@@ -177,7 +198,7 @@ def cmd_vmap(args):
 
 def cmd_profile(args):
     S, lam = _load_weighted(args)
-    L = _parse_fraction(args.L)
+    L = _fraction(args.L)
     prof = propagation.propagation_profile(S, lam, L, budget=args.budget,
                                            strict=args.strict, seed=args.seed)
     _emit(args, prof.to_json())
@@ -185,14 +206,18 @@ def cmd_profile(args):
 
 
 def cmd_breadth(args):
-    S, _ = _load(args)
+    S, _ = _host(args.instance, args.close)
     rep = run_breadth(S, cap=args.cap)
     _emit(args, rep.to_json())
     return 0
 
 
 def cmd_adversary(args):
-    S, _ = _load(args)
+    if args.nmax < 1:
+        raise UsageError(f"--nmax {args.nmax} is below 1")
+    S, _ = _host(args.instance, args.close)
+    if S.kind != "set_system":
+        raise UsageError(f"{args.instance}: adversary needs a set system")
     chain = adversarial.build_chain(S, args.nmax, strict=args.strict)
     eta = adversarial.eta_weight(chain, S)
     sub = adversarial.check_eta_subadditive(chain, S)
@@ -216,34 +241,31 @@ SWEEP_COLUMNS = ["family", "param", "n_elements", "op", "value", "approx",
 
 def cmd_sweep(args):
     """One CSV row per family member; see docs/formats.md for columns."""
-    lo, _, hi = args.range.partition(":")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError as exc:
-        raise UsageError(f"bad sweep range {args.range!r}") from exc
+    with _parsing(f"bad sweep range {args.range!r}"):
+        lo, hi = map(int, args.range.split(":"))
+    L = _fraction(args.L) if args.op == "profile" else None
     writer = csv.writer(sys.stdout)
     writer.writerow(SWEEP_COLUMNS)
     for p in range(lo, hi + 1):
-        row = _sweep_row(args, p)
-        writer.writerow(row)
+        writer.writerow(_sweep_row(args, p, L))
     return 0
 
 
 def _sweep_instance(family, p):
+    """Host and weight of one row: ``prototype`` is pstar(p) under the
+    prototype weight; another family is a generator spec with p in place of
+    ``{}`` (or as its one argument), under cardinality on a set system and
+    zero on a table."""
     if family == "prototype":
-        S = core.free_nonempty(p)
-        lam = weights.builtin_logweight(S, "prototype")
-        return S, lam
-    spec = family.replace("{}", str(p)) if "{}" in family else f"{family}({p})"
-    S = core.generate_instance(spec)
-    if S.kind == "set_system":
-        lam = weights.builtin_logweight(S, "cardinality")
-    else:
-        lam = weights.builtin_logweight(S, "zero")
-    return S, lam
+        S, _ = _host(f"pstar({p})")
+        return S, weights.builtin_logweight(S, "prototype")
+    S, _ = _host(family.replace("{}", str(p)) if "{}" in family
+                 else f"{family}({p})")
+    return S, weights.builtin_logweight(
+        S, "cardinality" if S.kind == "set_system" else "zero")
 
 
-def _sweep_row(args, p):
+def _sweep_row(args, p, L):
     t0 = time.monotonic()
     note = ""
     value = approx = bound = within = exhaustive = ""
@@ -264,8 +286,7 @@ def _sweep_row(args, p):
         elif args.op == "breadth":
             rep = run_breadth(S, cap=args.cap)
             value, exhaustive = rep.breadth, rep.exhaustive
-        elif args.op == "profile":
-            L = _parse_fraction(args.L)
+        else:
             prof = propagation.propagation_profile(
                 S, lam, L, budget=args.budget, strict=args.strict,
                 seed=args.seed)
@@ -275,8 +296,6 @@ def _sweep_row(args, p):
             bound = str(L * L)
             within = (not v.is_infinite) and v.c <= L * L
             exhaustive = prof.exhaustive
-        else:
-            raise UsageError(f"unknown sweep op {args.op!r}")
         n_elements = S.n
     except propagation.BudgetExceeded as exc:
         note, n_elements = f"budget: {exc}", ""
@@ -295,9 +314,8 @@ def cmd_verify(args):
     suites = []
     ok = True
     for ref in refs:
-        ns = argparse.Namespace(instance=ref, close=args.close, weight=args.weight)
-        S, obj = _load(ns)
-        lam = _resolve_weight(S, ns, obj)
+        S, obj = _host(ref, args.close, check=False)
+        lam = _weight(S, args.weight, obj)
         entry = {"instance": ref, "n": S.n}
         v = S.validate(seed=args.seed)
         entry["instance_valid"] = v.to_json()
@@ -336,6 +354,7 @@ def _build_parser():
         "strict": dict(action="store_true"),
         "budget": dict(type=int, default=500_000),
         "cap": dict(type=int, default=10_000_000),
+        "format": dict(choices=("json", "text"), default="json"),
     }
 
     def add(name, fn, flags, instance="required", **extra):
@@ -345,32 +364,32 @@ def _build_parser():
                            help="JSON instance path or generator spec like chain(5)")
         elif instance == "optional":
             p.add_argument("instance", nargs="?", default=None)
-        p.add_argument("--format", choices=("json", "text"), default="json")
         for flag in flags.split():
             p.add_argument("--" + flag, **shared[flag])
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
-        return p
 
-    add("analyze", cmd_analyze, "weight close cap")
-    add("defect", cmd_defect, "weight close", **{"--set": dict(required=True)})
-    add("dist", cmd_dist, "weight close", **{"--set": dict(required=True)})
-    add("fbp", cmd_fbp, "weight close", **{"--C": dict(required=True),
-                                           "--set": dict(required=True)})
-    add("vmap", cmd_vmap, "weight close", **{"--E": dict(required=True),
-                                             "--z": dict(required=True)})
-    add("profile", cmd_profile, "weight seed close strict budget",
+    add("analyze", cmd_analyze, "format weight close cap")
+    add("defect", cmd_defect, "format weight close",
+        **{"--set": dict(required=True)})
+    add("dist", cmd_dist, "format weight close",
+        **{"--set": dict(required=True)})
+    add("fbp", cmd_fbp, "format weight close",
+        **{"--C": dict(required=True), "--set": dict(required=True)})
+    add("vmap", cmd_vmap, "format weight close",
+        **{"--E": dict(required=True), "--z": dict(required=True)})
+    add("profile", cmd_profile, "format weight seed close strict budget",
         **{"--L": dict(required=True)})
-    add("breadth", cmd_breadth, "close cap")
-    add("adversary", cmd_adversary, "close strict",
+    add("breadth", cmd_breadth, "format close cap")
+    add("adversary", cmd_adversary, "format close strict",
         **{"--nmax": dict(type=int, required=True)})
     add("sweep", cmd_sweep, "seed strict budget cap", instance=None,
         **{"--family": dict(required=True),
            "--range": dict(required=True, help="inclusive LO:HI"),
            "--op": dict(default="vmap", choices=("vmap", "breadth", "profile")),
            "--L": dict(default="1")})
-    add("verify", cmd_verify, "weight seed close", instance="optional")
+    add("verify", cmd_verify, "format weight seed close", instance="optional")
     return top
 
 
@@ -378,12 +397,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except NegativeWeight as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError, weights.KindMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except adversarial.InsufficientBreadth as exc:
         # a finding about the instance, not a failure
         print(json.dumps({"insufficient_breadth": str(exc)}, sort_keys=True))

@@ -1,9 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slat.cli import main
 
@@ -272,3 +277,209 @@ def test_console_script_installed():
     proc = run(["--help"])
     assert proc.returncode == 0
     assert "analyze" in proc.stdout
+
+
+# -- the input boundary ------------------------------------------------------
+
+def _main(argv):
+    """``main(argv)`` with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _one_error_line(err):
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+def test_adversary_on_a_table_is_usage_error():
+    rc, out, err = _main(["adversary", "chain(3)", "--nmax", "2"])
+    assert rc == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("command", ["breadth", "analyze"])
+def test_directory_as_instance_is_usage_error(tmp_path, command):
+    rc, _, err = _main([command, str(tmp_path)])
+    assert rc == 2 and _one_error_line(err)
+
+
+def test_directory_as_weight_is_usage_error(tmp_path):
+    rc, _, err = _main(["analyze", "pstar(2)", "--weight", str(tmp_path)])
+    assert rc == 2 and _one_error_line(err)
+
+
+def test_builtin_weight_name_is_not_shadowed_by_a_file(tmp_path, monkeypatch):
+    (tmp_path / "cardinality").write_text(json.dumps({"kind": "zero"}))
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = _main(["analyze", "pstar(2)", "--weight", "cardinality"])
+    assert rc == 0 and json.loads(out)["logweight"]["name"] == "cardinality"
+
+
+def test_value_error_inside_an_algorithm_is_not_a_usage_error(monkeypatch):
+    import slat.cli
+
+    def broken(S, cap):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(slat.cli, "run_breadth", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["breadth", "chain(3)"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["adversary", "fin(5,2)", "--nmax", "0"],
+    ["vmap", "pstar(3)", "--E", "0", "--z", "0,1"],
+    ["vmap", "pstar(3)", "--E", "0", "--z", "x"],
+    ["analyze", "pstar(3)", "--weight", "scaled:1/0"],
+    ["analyze", "pstar(3)", "--weight", "no-such-weight"],
+    ["sweep", "--family", "prototype", "--range", "1:2", "--op", "profile",
+     "--L", "x"],
+], ids=["nmax-zero", "z-two-ids", "z-not-int", "scale-zero-den",
+        "unknown-weight", "sweep-rational"])
+def test_malformed_flag_value_is_usage_error(argv):
+    rc, out, err = _main(argv)
+    assert rc == 2 and out == "" and _one_error_line(err)
+
+
+def test_sweep_has_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "prototype", "--range", "2:3",
+              "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_table_cap_is_checked_before_a_table_is_built(monkeypatch):
+    from slat import core
+    monkeypatch.setattr(core, "TABLE_HARD_CAP", 8)
+    assert core.chain(8).n == 8 and core.kary_tree(1, 7).n == 8
+    for build in (lambda: core.chain(9), lambda: core.kary_tree(2, 3),
+                  lambda: core.kary_tree(1, 10**12),
+                  lambda: core.Semilattice.from_table([[0] * 9] * 9),
+                  lambda: core.free_nonempty(4).product_table_np()):
+        with pytest.raises(core.SizeOverflowError):
+            build()
+    rc, _, err = _main(["analyze", "chain(9)"])
+    assert rc == 2 and _one_error_line(err)
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "table", "product": []},
+    {"kind": "set_system", "ground": ["a"], "elements": []},
+], ids=["table", "set-system"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_empty_instance_is_usage_error(tmp_path, obj, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(obj))
+    rc, _, err = _main([command, str(path)])
+    assert rc == 2 and _one_error_line(err)
+
+
+_NOT_SEMILATTICES = {
+    "NotCommutative": [[0, 0], [1, 1]],          # x * y = x
+    "NotIdempotent": [[1, 1], [1, 1]],           # constant
+    "NotAssociative": [[0, 2, 1], [2, 1, 0], [1, 0, 2]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_SEMILATTICES))
+def test_verify_reports_a_table_that_is_not_a_semilattice(tmp_path, kind):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"kind": "table",
+                                "product": _NOT_SEMILATTICES[kind]}))
+    rc, out, _ = _main(["verify", str(path)])
+    rep = json.loads(out)["suites"][0]["instance_valid"]
+    assert rc == 1 and not rep["ok"]
+    assert {v["kind"] for v in rep["violations"]} == {kind}
+    # every other command refuses it at the boundary
+    rc, out, err = _main(["breadth", str(path)])
+    assert rc == 2 and out == "" and _one_error_line(err) and kind in err
+
+
+# Small valid inputs that the fuzz test below mutates.  The first set system
+# has a collapsed top that is not a cube truncation.
+_FUZZ_HOSTS = [
+    {"kind": "set_system", "ground": ["a", "b", "c"],
+     "elements": [[0], [1], [2], [0, 1, 2]], "collapsed_top": 3},
+    {"kind": "table", "product": [[0, 0, 0], [0, 1, 0], [0, 0, 2]]},
+    "chain(3)", "pstar(2)", "fin(3,1)",
+]
+_FUZZ_WEIGHTS = [
+    lambda n: {"kind": "explicit",
+               "values": [{"num": x % 3, "den": 1 + x % 2} for x in range(n)]},
+    lambda n: {"kind": "cardinality"},
+    lambda n: {"kind": "scaled", "q": {"num": 1, "den": 2}},
+]
+_FUZZ_RUNS = [["analyze"], ["verify"], ["vmap", "--E", "0,1", "--z", "1"],
+              ["breadth"], ["adversary", "--nmax", "2"]]
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "num", "den", "values", "elements"]), inner,
+        max_size=2),
+    max_leaves=5)
+
+
+def _json_paths(obj, path=()):
+    if isinstance(obj, (dict, list)):
+        for key in obj if isinstance(obj, dict) else range(len(obj)):
+            yield path + (key,)
+            yield from _json_paths(obj[key], path + (key,))
+
+
+def _mutate(obj, data):
+    """One mutation of the JSON value ``obj`` in place: a key or item
+    dropped, replaced by junk, by an id (in range or not), by a zero or
+    negative number, or doubled (which can break union-closure)."""
+    paths = list(_json_paths(obj))
+    if not paths:
+        return
+    *head, key = data.draw(st.sampled_from(paths))
+    parent = obj
+    for k in head:
+        parent = parent[k]
+    op = data.draw(st.sampled_from(["drop", "junk", "number", "double"]))
+    if op == "drop":
+        del parent[key]
+    elif op == "junk":
+        parent[key] = data.draw(_JUNK)
+    elif op == "number":
+        parent[key] = data.draw(st.sampled_from([-1, 0, 1, 2, 3, 5, 2**70]))
+    elif isinstance(parent, list):
+        parent.append(json.loads(json.dumps(parent[key])))
+    else:
+        parent[key] = [parent[key], parent[key]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(host=st.sampled_from(range(len(_FUZZ_HOSTS))),
+       weight=st.sampled_from(range(len(_FUZZ_WEIGHTS))),
+       embed=st.booleans(), target=st.sampled_from(["instance", "weight"]),
+       mutations=st.integers(1, 3), data=st.data())
+def test_fuzzed_input_gets_an_exit_code_and_never_a_traceback(
+        host, weight, embed, target, mutations, data):
+    from slat.core import generate_instance
+    inst = _FUZZ_HOSTS[host]
+    inst = (generate_instance(inst).to_json() if isinstance(inst, str)
+            else json.loads(json.dumps(inst)))
+    lam = _FUZZ_WEIGHTS[weight](len(inst.get("product", inst.get("elements"))))
+    if embed:
+        inst["logweight"] = lam
+    for _ in range(mutations):
+        _mutate(inst if target == "instance" else lam, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        ipath, wpath = os.path.join(tmp, "inst.json"), os.path.join(tmp, "w.json")
+        with open(ipath, "w") as fh:
+            json.dump(inst, fh)
+        with open(wpath, "w") as fh:
+            json.dump(lam, fh)
+        for command, *flags in _FUZZ_RUNS:
+            argv = [command, ipath, *flags]
+            if not embed and command not in ("breadth", "adversary"):
+                argv += ["--weight", wpath]
+            rc, _, err = _main(argv)   # an escaping exception fails the test
+            assert rc in (0, 1, 2, 3) and "Traceback" not in err
+            if rc == 2:
+                assert _one_error_line(err), (argv, inst, lam, err)
