@@ -203,11 +203,11 @@ def _greedy_incompressible(S, target):
     return cur
 
 
-def find_incompressible(S, size, cap: int = 2_000_000):
+def find_incompressible(S, size):
     """Some incompressible subset of exactly ``size`` elements, or None.
 
     Tries the greedy pass first; for moderate instances falls back to an
-    exhaustive depth-first search (node-capped).
+    exhaustive depth-first search (capped at 2 000 000 nodes).
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -219,7 +219,7 @@ def find_incompressible(S, size, cap: int = 2_000_000):
     if S.n > 5000:
         return None
     walk = _iter_incompressible(S, _distinctness_order(S), {"nodes": 0},
-                                cap, lambda: size)
+                                2_000_000, lambda: size)
     return next((ids for ids in walk if len(ids) == size), None)
 
 

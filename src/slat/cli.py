@@ -244,10 +244,10 @@ def cmd_sweep(args):
     with _parsing(f"bad sweep range {args.range!r}"):
         lo, hi = map(int, args.range.split(":"))
     L = _fraction(args.L) if args.op == "profile" else None
-    writer = csv.writer(sys.stdout)
+    rows = [_sweep_row(args, p, L) for p in range(lo, hi + 1)]
+    writer = csv.writer(sys.stdout)  # nothing is written before the last row
     writer.writerow(SWEEP_COLUMNS)
-    for p in range(lo, hi + 1):
-        writer.writerow(_sweep_row(args, p, L))
+    writer.writerows(rows)
     return 0
 
 

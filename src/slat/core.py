@@ -18,7 +18,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -30,6 +30,8 @@ TABLE_HARD_CAP = 4096
 #: above this many members (a collapsed top not counted) a Boolean-cube
 #: family uses rank storage instead of per-element masks
 IMPLICIT_THRESHOLD = 300_000
+#: most members (a collapsed top not counted) of a Boolean-cube family
+CUBE_HARD_CAP = 1 << 24
 #: full O(n^3) associativity checking is restricted to this size
 FULL_VALIDATE_CAP = 251
 #: elements per row block of a vectorized whole-host scan (2 MiB of int64)
@@ -249,7 +251,8 @@ class Semilattice:
         """Check commutativity, associativity and idempotence.  Violations
         are data, not exceptions.
 
-        Beyond ``FULL_VALIDATE_CAP`` elements associativity is checked on
+        Up to ``FULL_VALIDATE_CAP`` elements every triple x <= y <= z is
+        checked on the dense table; beyond it associativity is checked on
         50 000 triples drawn under ``seed`` and the report is marked
         non-exhaustive.  Set systems are union-closed by construction: their
         builders reject a family that is not, unless it has a collapsed top.
@@ -264,23 +267,26 @@ class Semilattice:
                 rep.violations.append(Violation("NotIdempotent", (x,)))
         if n > 100_000:
             rep.notes.append("idempotence checked on the first 100000 elements")
-        if self.kind == "table":
-            for x in range(n):
-                row = self.table[x]
-                for y in range(x + 1, n):
-                    if row[y] != self.table[y][x]:
-                        rep.violations.append(
-                            Violation("NotCommutative", (x, y)))
-        # set-system products are symmetric by construction
+        if full or self.kind == "table":
+            T = self.product_table_np()
+            ids = np.arange(n)
+        if self.kind == "table":  # set-system products are symmetric
+            rep.violations += [
+                Violation("NotCommutative", pair) for pair in pairs_where(
+                    n, n, lambda r0, r1: (T[r0:r1] != T[:, r0:r1].T)
+                    & (ids[r0:r1, None] < ids))]
         if full:
-            for x in range(n):
-                for y in range(x, n):
-                    xy = prod(x, y)
-                    for z in range(y, n):
-                        if prod(xy, z) != prod(x, prod(y, z)):
-                            rep.violations.append(
-                                Violation("NotAssociative", (x, y, z)))
-                        rep.checked_triples += 1
+            y_le_z = ids[:, None] <= ids
+
+            def nonassociative(r0, r1):  # row x, column y*n + z
+                x = ids[r0:r1, None, None]
+                bad = (T[T[r0:r1]] != T[x, T]) & (x <= ids[:, None]) & y_le_z
+                return bad.reshape(r1 - r0, n * n)
+
+            rep.violations += [
+                Violation("NotAssociative", (x, *divmod(yz, n)))
+                for x, yz in pairs_where(n, n * n, nonassociative)]
+            rep.checked_triples = math.comb(n + 2, 3)
         else:
             rng = random.Random(seed)
             for _ in range(50_000):
@@ -299,43 +305,33 @@ class Semilattice:
         """Dense n-by-n product table as a new numpy array (small n only);
         callers hold it for one scan.
 
-        Explicit member masks that fit in 62 bits are joined as int64 arrays
-        and looked up by binary search; wider grounds use ``product``.
+        A set system's member masks are joined as an int64 array, or as
+        Python ints when one reaches 2**63, and each union is looked up by
+        binary search among the sorted masks.
         """
-        _table_size(self.n)
+        n = _table_size(self.n)
         if self.kind == "table":
             return np.array(self.table, dtype=np.int32)
-        if self._masks is not None and max(self._masks, default=0) < 1 << 62:
-            return self._mask_product_table()
-        t = np.empty((self.n, self.n), dtype=np.int32)
-        for x in range(self.n):
-            for y in range(x, self.n):
-                p = self.product(x, y)
-                t[x, y] = p
-                t[y, x] = p
-        return t
-
-    def _mask_product_table(self):
-        n = self.n
-        masks = np.array(self._masks, dtype=np.int64)
+        masks = [self._mask(x) for x in range(n)]
+        masks = np.array(masks, dtype=object if max(masks, default=0) >> 63
+                         else np.int64)
         order = np.argsort(masks)
         ordered = masks[order]
         t = np.empty((n, n), dtype=np.int32)
-        block = max(1, NP_BLOCK_ELEMS // max(n, 1))
-        for r0 in range(0, n, block):
-            unions = masks[r0:r0 + block, None] | masks[None, :]
+
+        def fill(r0, r1):  # the misses, when no top takes them
+            unions = masks[r0:r1, None] | masks
             pos = np.minimum(np.searchsorted(ordered, unions), n - 1)
             miss = ordered[pos] != unions
-            ids = order[pos]
-            if miss.any():
-                if self.top_id is None:
-                    # the first miss in row-major order has x <= y, so the
-                    # message names the pair that ``product`` would
-                    x, y = np.argwhere(miss)[0]
-                    raise NotClosedError(
-                        f"union of elements {r0 + x} and {y} is not a member")
-                ids[miss] = self.top_id
-            t[r0:r0 + block] = ids
+            t[r0:r1] = np.where(miss, self.top_id or 0, order[pos])
+            return miss & (self.top_id is None)
+
+        missing = pairs_where(n, n, fill)
+        if missing:
+            # the first miss in row-major order has x <= y, so the message
+            # names the pair that ``product`` would
+            raise NotClosedError("union of elements {} and {} is not a "
+                                 "member".format(*missing[0]))
         return t
 
     # -- serialization ---------------------------------------------------
@@ -396,6 +392,19 @@ def _table_size(n):
         raise SizeOverflowError(f"a product table on {n} elements is above "
                                 f"the cap of {TABLE_HARD_CAP}")
     return n
+
+
+def pairs_where(rows, cols, bad):
+    """The one loop over all pairs of a host: the pairs ``(x, y)``, x < rows
+    and y < cols, where ``bad(r0, r1)`` (a boolean array over rows r0..r1-1
+    and every column) is true, as plain ints in row-major order.  Rows go in
+    blocks of about ``NP_BLOCK_ELEMS`` entries to keep temporaries small."""
+    block = max(1, NP_BLOCK_ELEMS // max(cols, 1))
+    out = []
+    for r0 in range(0, rows, block):
+        xs, ys = np.nonzero(bad(r0, min(r0 + block, rows)))
+        out += zip((xs + r0).tolist(), ys.tolist())
+    return out
 
 
 def _no_member_masks(_):
@@ -540,7 +549,12 @@ def _cube(k, lo, c, top=False):
     """The subsets of a k-point universe with lo to c points in canonical
     order, then the full universe as a collapsed top when ``top``.  Up to
     ``IMPLICIT_THRESHOLD`` members (the top not counted) are listed as
-    masks, with no closure scan; a larger cube uses rank storage."""
+    masks, with no closure scan; a larger cube uses rank storage.  Above
+    ``CUBE_HARD_CAP`` members it raises before anything is built."""
+    if any(s > CUBE_HARD_CAP for s in accumulate(  # stops early for any k
+            math.comb(k, m) for m in range(lo, c + 1))):
+        raise SizeOverflowError(f"a {k}-point cube with {lo} to {c} points "
+                                f"is above the cap of {CUBE_HARD_CAP} members")
     n = _trunc_offsets(k, lo, c)[-1]
     masks = None
     if n <= IMPLICIT_THRESHOLD:

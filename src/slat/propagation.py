@@ -317,13 +317,13 @@ class EquivalenceReport:
                 "exhaustive": self.exhaustive}
 
 
-def check_equivalence_iii(S: Semilattice, lam: LogWeight, L, C,
-                          seed: int = 0, samples: int = 4000) -> EquivalenceReport:
+def check_equivalence_iii(S: Semilattice, lam: LogWeight, L,
+                          C) -> EquivalenceReport:
     """Scan C-stable sets G for failures of the level-L agreement identity
     (G at level L versus the filter it generates at level L).
 
-    Exhaustive over all subsets for n <= 20; sampled above (closures of
-    random seeds reach representative stable sets).
+    Exhaustive over all subsets for n <= 20; above, the closures of 4000
+    random seeds drawn under seed 0 (they reach representative stable sets).
     """
     L = Fraction(L)
     C = Fraction(C)
@@ -346,8 +346,8 @@ def check_equivalence_iii(S: Semilattice, lam: LogWeight, L, C,
                 stable_count += 1
                 check(G)
         return EquivalenceReport(L, C, checked, stable_count, violations, True)
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(0)
+    for _ in range(4000):
         seed_mask = mask_of(rng.sample(range(S.n), rng.randrange(0, 8)))
         G, _ = fbp_closure(S, lam, C, seed_mask)
         checked += 1
@@ -373,12 +373,12 @@ class BreadthBoundReport:
                 "passed": self.passed}
 
 
-def finite_breadth_bound_check(S: Semilattice, lam: LogWeight, L,
-                               budget: int = 500_000) -> BreadthBoundReport:
-    """Verify the profile at level L against breadth * L."""
+def finite_breadth_bound_check(S: Semilattice, lam: LogWeight,
+                               L) -> BreadthBoundReport:
+    """Verify the profile at level L (default budget) against breadth * L."""
     L = Fraction(L)
     br = breadth(S).breadth
-    prof = propagation_profile(S, lam, L, budget=budget)
+    prof = propagation_profile(S, lam, L)
     bound = Fraction(br) * L
     if prof.value.is_infinite:
         return BreadthBoundReport(L, br, prof, bound, None, False)

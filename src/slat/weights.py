@@ -11,15 +11,12 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from ._bitset import mask_of, popcount
-from .core import NP_BLOCK_ELEMS, Semilattice, ValidationReport, Violation
-
-#: exhaustive pair checking in validate_logweight is limited to this size
-EXHAUSTIVE_PAIR_CAP = 4096
+from .core import (TABLE_HARD_CAP, Semilattice, ValidationReport, Violation,
+                   pairs_where)
 
 
 class KindMismatch(TypeError):
@@ -90,75 +87,64 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
                        seed: int = 0, samples: int = 100_000):
     """Check nonnegativity and subadditivity.
 
-    Exhaustive over all pairs up to ``EXHAUSTIVE_PAIR_CAP`` elements, on
-    int64 numerators over one common denominator and the dense product
-    table, or pair by pair on the exact values when a numerator would
-    overflow; beyond that, seeded random pairs with the report marked
+    Exhaustive over all pairs of a host with a dense product table (up to
+    ``TABLE_HARD_CAP`` elements), on the numerators over one common
+    denominator; beyond that, seeded random pairs with the report marked
     non-exhaustive.
     """
     rep = ValidationReport()
     n = S.n
     if lam.n != n:
         raise ValueError("log-weight length does not match the instance")
-    if n <= EXHAUSTIVE_PAIR_CAP:
+    if n <= TABLE_HARD_CAP:
         vals = lam.values()
         for x in range(n):
             if vals[x] < 0:
                 rep.violations.append(Violation("Negative", (x,)))
-        num = _int64_numerators(vals)
-        if num is not None:
-            P = S.product_table_np()
-            rep.violations += [
-                Violation("NotSubadditive", pair) for pair in
-                _superadditive_pairs(num, lambda rows: P[rows], upper=True)]
-            return rep
-        pairs = combinations_with_replacement(range(n), 2)
-    else:
-        rng = random.Random(seed)
-        rep.exhaustive = False
-        rep.notes.append("pair check sampled")
-        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-        neg_rng = random.Random(seed + 1)
-        for _ in range(min(n, samples)):
-            x = neg_rng.randrange(n)
-            if lam[x] < 0:
-                rep.violations.append(Violation("Negative", (x,)))
-    for x, y in pairs:
+        P = S.product_table_np()
+        rep.violations += [
+            Violation("NotSubadditive", pair) for pair in _superadditive_pairs(
+                _numerators(vals), lambda rows: P[rows], upper=True)]
+        return rep
+    rng = random.Random(seed)
+    rep.exhaustive = False
+    rep.notes.append("pair check sampled")
+    neg_rng = random.Random(seed + 1)
+    for _ in range(min(n, samples)):
+        x = neg_rng.randrange(n)
+        if lam[x] < 0:
+            rep.violations.append(Violation("Negative", (x,)))
+    for _ in range(samples):
+        x, y = rng.randrange(n), rng.randrange(n)
         if lam[S.product(x, y)] > lam[x] + lam[y]:
             rep.violations.append(Violation("NotSubadditive", (x, y)))
     return rep
 
 
-def _int64_numerators(vals):
-    """Numerators of ``vals`` over their least common denominator as an int64
-    array, or None when one reaches 2**62 (so that no sum of two overflows)."""
+def _numerators(vals):
+    """Numerators of ``vals`` over their least common denominator: an int64
+    array when each is below 2**62 (so that no sum of two overflows), else
+    an object array of Python ints."""
     den = math.lcm(*{v.denominator for v in vals})
     num = [v.numerator * (den // v.denominator) for v in vals]
-    if any(abs(a) >= 1 << 62 for a in num):
-        return None
-    return np.array(num, dtype=np.int64)
+    wide = any(abs(a) >= 1 << 62 for a in num)
+    return np.array(num, dtype=object if wide else np.int64)
 
 
 def _superadditive_pairs(num, products, upper):
     """Pairs ``(x, y)`` with ``num[xy] > num[x] + num[y]``, in row-major order.
 
     ``products(rows)`` gives the ids of the products of each id in ``rows``
-    with every id; with ``upper`` only pairs with ``x <= y`` are kept.  Rows
-    are scanned in blocks so the temporaries stay at ``NP_BLOCK_ELEMS``
-    entries.  The pairs are plain ints.
+    with every id; with ``upper`` only pairs with ``x <= y`` are kept.
     """
-    n = len(num)
-    block = max(1, NP_BLOCK_ELEMS // max(n, 1))
-    cols = np.arange(n)
-    out = []
-    for r0 in range(0, n, block):
-        rows = cols[r0:r0 + block]
-        bad = num[products(rows)] > num[rows, None] + num[None, :]
-        if upper:
-            bad &= cols[None, :] >= rows[:, None]
-        xs, ys = np.nonzero(bad)
-        out += zip((xs + r0).tolist(), ys.tolist())
-    return out
+    ids = np.arange(len(num))
+
+    def bad(r0, r1):
+        rows = ids[r0:r1]
+        out = num[products(rows)] > num[rows, None] + num
+        return out & (rows[:, None] <= ids) if upper else out
+
+    return pairs_where(len(num), len(num), bad)
 
 
 def _top_element(S: Semilattice):
@@ -225,13 +211,12 @@ def level_set(S: Semilattice, lam: LogWeight, L) -> int:
     return mask_of(x for x in range(S.n) if lam[x] <= L)
 
 
-def random_logweight(S: Semilattice, seed: int, max_num: int = 8,
-                     max_den: int = 3) -> LogWeight:
-    """Seeded random log-weight: random rationals repaired to subadditivity
-    by repeatedly lowering lambda(xy) to lambda(x)+lambda(y) where needed."""
+def random_logweight(S: Semilattice, seed: int) -> LogWeight:
+    """Seeded random log-weight: rationals 0..8 over 1..3, repaired to
+    subadditivity by lowering lambda(xy) to lambda(x)+lambda(y) as needed."""
     rng = random.Random(seed)
-    vals = [Fraction(rng.randrange(0, max_num + 1),
-                     rng.randrange(1, max_den + 1)) for _ in range(S.n)]
+    vals = [Fraction(rng.randrange(0, 9), rng.randrange(1, 4))
+            for _ in range(S.n)]
     changed = True
     while changed:
         changed = False

@@ -122,3 +122,18 @@ def naive_subadditive_violations(S, lam):
         if lam[S.product(x, y)] > lam[x] + lam[y]:
             out.append(("NotSubadditive", (x, y)))
     return out
+
+
+def naive_semilattice_violations(S):
+    """``(kind, witness)`` of every axiom failure of ``product`` in the order
+    ``Semilattice.validate`` reports them (idempotence by id, commutativity
+    for x < y, associativity for x <= y <= z, each in lexicographic order),
+    and the number of triples checked."""
+    p = S.product
+    out = [("NotIdempotent", (x,)) for x in range(S.n) if p(x, x) != x]
+    out += [("NotCommutative", (x, y)) for x, y in combinations(range(S.n), 2)
+            if p(x, y) != p(y, x)]
+    triples = list(combinations_with_replacement(range(S.n), 3))
+    out += [("NotAssociative", (x, y, z)) for x, y, z in triples
+            if p(p(x, y), z) != p(x, p(y, z))]
+    return out, len(triples)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_filters
+from test_cli import SLAT_ENV
 from slat._bitset import bits, mask_of, popcount
 from slat.adversarial import (build_chain, check_eta_subadditive, eta_weight,
                               verify_barrier)
@@ -300,8 +301,8 @@ def test_criterion_10_breadth_correctness():
 
 def test_criterion_11_cli_determinism():
     cmd = [sys.executable, "-m", "slat.cli", "verify", "--seed", "7"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    a = subprocess.run(cmd, capture_output=True, env=SLAT_ENV)
+    b = subprocess.run(cmd, capture_output=True, env=SLAT_ENV)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
     print(PASS.format(11, "byte-identical verify reports for a fixed seed"))

@@ -13,10 +13,16 @@ from hypothesis import strategies as st
 from slat.cli import main
 
 SLAT = [sys.executable, "-m", "slat.cli"]
+# the package source, so that a subprocess runs it without an install
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+SLAT_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run(args, **kw):
-    return subprocess.run(SLAT + args, capture_output=True, text=True, **kw)
+    return subprocess.run(SLAT + args, capture_output=True, text=True,
+                          env=SLAT_ENV, **kw)
 
 
 def test_breadth_subcommand(capsys):
@@ -362,6 +368,20 @@ def test_table_cap_is_checked_before_a_table_is_built(monkeypatch):
             build()
     rc, _, err = _main(["analyze", "chain(9)"])
     assert rc == 2 and _one_error_line(err)
+
+
+def test_cube_cap_is_checked_before_a_cube_is_built():
+    from slat import core
+    assert core.generate_instance("fin(24,21)").n == 16_776_916
+    for spec in ("fin(3000,2999)", "fin(25,24)", "fin(1000000000,999999999)"):
+        rc, out, err = _main(["analyze", spec])
+        assert rc == 2 and out == "" and _one_error_line(err)
+
+
+def test_sweep_writes_nothing_when_a_row_is_a_usage_error():
+    rc, out, err = _main(["sweep", "--family", "prototype", "--range", "0:2"])
+    assert rc == 2 and out == "" and _one_error_line(err)
+    assert "pstar(0)" in err
 
 
 @pytest.mark.parametrize("obj", [

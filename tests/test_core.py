@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_semilattice_violations
 from slat import core
 from slat._bitset import bits, mask_of, popcount, submasks
 from slat.core import (NotClosedError, Semilattice, chain, fin_truncation,
@@ -224,6 +225,38 @@ def test_product_table_np_is_built_per_call_and_not_kept():
     assert not any(isinstance(v, np.ndarray) for v in vars(S).values())
 
 
+def _validate_view(S):
+    rep = S.validate()
+    assert rep.exhaustive and not rep.notes
+    return [(v.kind, v.witness) for v in rep.violations], rep.checked_triples
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.data(), st.sampled_from([1, 5, 37, 1 << 18]))
+def test_validate_matches_the_triple_loop_on_tampered_tables(n, data,
+                                                             block_elems):
+    table = [[min(x, y) for y in range(n)] for x in range(n)]
+    if n:
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                          st.integers(0, n - 1))
+        for x, y, v in data.draw(st.lists(cells, max_size=2 * n),
+                                 label="tamper"):
+            table[x][y] = v
+    S = Semilattice.from_table(table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", block_elems)
+        got = _validate_view(S)
+    assert got == naive_semilattice_violations(S)
+    assert all(type(i) is int for _, w in got[0] for i in w)
+
+
+@pytest.mark.parametrize("S", [free_nonempty(4), fin_truncation(6, 2),
+                               kary_tree(2, 3), sch_embed(chain(70)).semilattice],
+                         ids=["pstar4", "fin6_2", "tree2_3", "embed70"])
+def test_validate_matches_the_triple_loop_on_generated_hosts(S):
+    assert _validate_view(S) == naive_semilattice_violations(S)
+
+
 def test_validate_says_when_idempotence_is_checked_on_a_prefix():
     note = "idempotence checked on the first 100000 elements"
     big = core.generate_instance("fin(24,6)")
@@ -247,6 +280,7 @@ def _storage_view(S, k):
         "member_mask": [S.member_mask(x) for x in ids],
         "id_of_mask": [S.id_of_mask(m) for m in range(1 << (k + 1))],
         "product": [[S.product(x, y) for y in ids] for x in ids],
+        "product_table_np": S.product_table_np().tolist(),
         "iter_factors": [list(S.iter_factors(x)) for x in ids],
         "element_label": [S.element_label(x) for x in ids],
         "to_json": S.to_json(),
