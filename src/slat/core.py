@@ -34,8 +34,10 @@ IMPLICIT_THRESHOLD = 300_000
 CUBE_HARD_CAP = 1 << 24
 #: full O(n^3) associativity checking is restricted to this size
 FULL_VALIDATE_CAP = 251
-#: elements per row block of a vectorized whole-host scan (2 MiB of int64)
-NP_BLOCK_ELEMS = 1 << 18
+#: elements per row block of a vectorized whole-host scan (128 KiB of int64,
+#: so that a block's few temporaries stay in cache and add little to the
+#: peak memory of a small host)
+NP_BLOCK_ELEMS = 1 << 14
 
 
 class NotClosedError(ValueError):
@@ -301,29 +303,37 @@ class Semilattice:
 
     # -- tables for vectorized scans ------------------------------------
 
+    def member_masks_np(self):
+        """Member masks of all elements by id: an int64 array, or an object
+        array of Python ints when one reaches 2**63."""
+        masks = [self._mask(x) for x in range(self.n)]
+        return np.array(masks, dtype=object if max(masks, default=0) >> 63
+                        else np.int64)
+
     def product_table_np(self):
         """Dense n-by-n product table as a new numpy array (small n only);
         callers hold it for one scan.
 
-        A set system's member masks are joined as an int64 array, or as
-        Python ints when one reaches 2**63, and each union is looked up by
-        binary search among the sorted masks.
+        A set system's member masks (``member_masks_np``) are joined, and
+        each union is looked up by binary search among the sorted masks.
         """
         n = _table_size(self.n)
         if self.kind == "table":
             return np.array(self.table, dtype=np.int32)
-        masks = [self._mask(x) for x in range(n)]
-        masks = np.array(masks, dtype=object if max(masks, default=0) >> 63
-                         else np.int64)
-        order = np.argsort(masks)
+        masks = self.member_masks_np()
+        order = np.argsort(masks).astype(np.int32)
         ordered = masks[order]
         t = np.empty((n, n), dtype=np.int32)
 
         def fill(r0, r1):  # the misses, when no top takes them
             unions = masks[r0:r1, None] | masks
-            pos = np.minimum(np.searchsorted(ordered, unions), n - 1)
+            pos = np.searchsorted(ordered, unions)
+            np.minimum(pos, n - 1, out=pos)
             miss = ordered[pos] != unions
-            t[r0:r1] = np.where(miss, self.top_id or 0, order[pos])
+            del unions  # at most three temporaries per entry
+            rows = t[r0:r1]
+            np.take(order, pos, out=rows)
+            rows[miss] = self.top_id or 0
             return miss & (self.top_id is None)
 
         missing = pairs_where(n, n, fill)

@@ -4,12 +4,27 @@ stability, reachability costs, and per-level profiles.
 For a weight level C, the one-step operator collects every element of the
 level set that divides a binary product of current members.  The least level
 at which the closure from a generating set reaches a target is a bottleneck
-cost: the largest weight a derivation uses, minimized over derivations.  One
-closure engine finds these first levels for every target in a single pass,
-in the manner of Knuth's generalization of Dijkstra's algorithm (D. E. Knuth,
-"A generalization of Dijkstra's algorithm", IPL 6(1), 1977); ``v_value`` and
-``propagation_profile`` both call it.  Levels are compared as exact
-rationals.
+cost: the largest weight a derivation uses, minimized over derivations.
+``_first_levels`` finds these first levels for every target in a single
+pass, and ``v_value`` and ``propagation_profile`` both call it.  It routes
+each closure by the product J of its generators:
+
+- a set system whose J is a member (not a collapsed top) with at least
+  ``SUBSET_MIN_BITS`` points goes through the subset lattice of J, unless
+  its 2^|J| subsets outnumber four times the host's elements (the rule
+  ``Semilattice.iter_factors`` uses).  Each round is a subset-sum and a
+  Moebius transform over those subsets (F. Yates, 1937; Bjoerklund,
+  Husfeldt, Kaski and Koivisto, "Fourier meets Moebius: fast subset
+  convolution", STOC 2007), repeated to a fixed point at each weight level;
+  past ``SUBSET_MAX_BITS`` points it raises ``BudgetExceeded``;
+- every other closure (tables, collapsed-top joins, small joins and sparse
+  families) goes through a pair-by-pair pass in the manner of Knuth's
+  generalization of Dijkstra's algorithm (D. E. Knuth, "A generalization of
+  Dijkstra's algorithm", IPL 6(1), 1977).
+
+Both passes rank the attained weights once per call, so levels are exact
+rationals.  ``fbp`` and ``fbp_closure`` apply the definition one step at a
+time; the ``fbp`` command and the cross-checks use them.
 """
 
 from __future__ import annotations
@@ -19,11 +34,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from ._bitset import bits, mask_of
+import numpy as np
+
+from ._bitset import bits, mask_of, popcount
 from .breadth import _iter_incompressible, breadth, is_compressible
 from .core import Semilattice
 from .metrics import generate_filter
 from .weights import LogWeight, level_set
+
+
+#: joins with fewer points go through the pair-by-pair pass, which is faster
+#: there: at 5 points the two passes tie, at 6 the subset pass is 2-3x faster
+SUBSET_MIN_BITS = 6
+#: most points of a join on the subset pass, whose arrays have 2**|J| entries
+SUBSET_MAX_BITS = 22
 
 
 class BudgetExceeded(RuntimeError):
@@ -170,15 +194,27 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
 # -- reachability cost -------------------------------------------------------
 
 def _first_levels(S, lam, E_ids, targets, factors):
-    """First level at which the closure from E reaches each element.
+    """First level at which the closure from E reaches each target: a dict
+    ``{id: level}`` holding every target that is a factor of the product J
+    of E.  The pass is chosen by J, as the module docstring says."""
+    J = S.product_ids(E_ids)
+    if S.kind == "set_system" and J != S.top_id:
+        J_mask = S.member_mask(J)
+        width = popcount(J_mask)
+        if width >= SUBSET_MIN_BITS and 1 << width <= 4 * S.n:
+            return _subset_first_levels(S, lam, E_ids, targets, J_mask)
+    return _knuth_first_levels(S, lam, E_ids, targets, factors, J)
 
-    The closed world is U, the ``factors`` of the product of E.  Elements are
-    settled in order of rising first level, and each settled element is
-    paired with every element settled before it and with itself.  Returns
-    ``{id: level}`` for each element settled before every target inside U
-    is.
+
+def _knuth_first_levels(S, lam, E_ids, targets, factors, J):
+    """The pair-by-pair pass behind ``_first_levels``.
+
+    The closed world is U, the ``factors`` of J.  Elements are settled in
+    order of rising first level, and each settled element is paired with
+    every element settled before it and with itself.  Returns ``{id: level}``
+    for each element settled before every target inside U is.
     """
-    U = list(factors(S.product_ids(E_ids)))
+    U = list(factors(J))
     if len(U) > 200_000:
         raise BudgetExceeded(f"closure universe has {len(U)} elements")
     levels = sorted({lam[g] for g in U})
@@ -215,15 +251,81 @@ def _first_levels(S, lam, E_ids, targets, factors):
     return first
 
 
+def _subset_first_levels(S, lam, E_ids, targets, J_mask):
+    """The subset-lattice pass behind ``_first_levels`` on a set system.
+
+    Every factor of J is a member whose set lies inside J, so the closed
+    world is indexed by the subsets of J: bit j of a local index stands for
+    the j-th point of J.  At level i one round maps the reached set R to the
+    members of rank at most i inside the union of two members of R.  Rounds
+    repeat to a fixed point, and the last unions carry over to the next
+    level, so a level that admits nothing new costs one comparison.
+    """
+    k = popcount(J_mask)
+    if k > SUBSET_MAX_BITS:
+        raise BudgetExceeded(f"closure join has {k} points; the subset "
+                             f"closure takes at most {SUBSET_MAX_BITS}")
+    subs = [0]
+    for p in bits(J_mask):
+        subs += [m | 1 << p for m in subs]
+    local = {x: s for s, x in enumerate(map(S.id_of_mask, subs))
+             if x is not None and x != S.top_id}    # member id -> index
+    weight = [lam[x] for x in local]
+    levels = sorted(set(weight))
+    index = {c: i for i, c in enumerate(levels)}
+    rank = np.full(1 << k, len(levels))     # non-members are never admitted
+    rank[list(local.values())] = [index[c] for c in weight]
+    seed = np.zeros(1 << k, dtype=bool)
+    seed[[local[e] for e in E_ids]] = True
+    pending = {z: local[z] for z in targets if z in local}
+    first = {}
+    reached = unions = np.zeros(1 << k, dtype=bool)
+    for i, c in enumerate(levels):
+        if not pending:
+            break
+        allowed = rank <= i
+        nxt = (unions | seed) & allowed
+        if np.array_equal(nxt, reached):
+            continue                        # the level admits nothing new
+        while True:
+            reached = nxt
+            unions = _pair_unions(reached, k)
+            nxt = unions & allowed
+            if np.array_equal(nxt, reached):
+                break
+        for z in [z for z, s in pending.items() if reached[s]]:
+            first[z] = c
+            del pending[z]
+    return first
+
+
+def _pair_unions(R, k):
+    """Indicator, over the 2**k subsets of a k-point set, of the subsets of
+    x | y for x and y in R: the support of the Moebius transform of the
+    squared subset sums of R's down-closure.  The squares count pairs, so
+    they stay below 2**(2k) and int64 is exact for k <= 22."""
+    down = R.copy()
+    for j in range(k):                      # down-closure, one bit a pass
+        half = down.reshape(-1, 2, 1 << j)
+        half[:, 0] |= half[:, 1]
+    f = down.astype(np.int64)
+    for j in range(k):                      # subset sums
+        half = f.reshape(-1, 2, 1 << j)
+        half[:, 1] += half[:, 0]
+    f *= f
+    for j in range(k):                      # Moebius inversion
+        half = f.reshape(-1, 2, 1 << j)
+        half[:, 1] -= half[:, 0]
+    return f > 0
+
+
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     """Least level C from which the level-C closure of E reaches z; infinite
     when z lies outside the filter generated by E.
 
     The first level of z is a bottleneck cost, the largest weight used by a
-    derivation of z, minimized over derivations.  ``max`` is a superior
-    function, so Knuth's generalization of Dijkstra's algorithm (IPL 6(1),
-    1977) finds it in one pass over the factors of the product of E, which
-    stops as soon as z is settled.
+    derivation of z, minimized over derivations; ``_first_levels`` finds it
+    in one pass that stops as soon as z is reached.
     """
     if E == 0:
         return INFINITE

@@ -179,9 +179,7 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
         if cap is not None:
             cap += 1
         elif S.top_id is not None:
-            cap = min(popcount(S.member_mask(x) | S.member_mask(y))
-                      for x in range(S.n) for y in range(S.n)
-                      if S.product(x, y) == S.top_id)
+            cap = _collapse_cap(S)
         by_size = lru_cache(maxsize=None)(q.__mul__)  # one value per size
 
         def card(x):
@@ -205,6 +203,25 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
     raise ValueError(f"unknown builtin log-weight {name!r}")
 
 
+def _collapse_cap(S: Semilattice) -> int:
+    """Fewest points in the union of two members whose product is the
+    collapsed top, by a row-block scan of the dense product table.  Each row
+    has such a pair: x with the top."""
+    T = S.product_table_np()
+    masks = S.member_masks_np()
+    size = np.frompyfunc(int.bit_count, 1, 1) if masks.dtype == object \
+        else np.bitwise_count
+    caps = []
+
+    def collapsed(r0, r1):  # records the block's least size, flags no pair
+        unions = masks[r0:r1, None] | masks
+        caps.append(int(size(unions[T[r0:r1] == S.top_id]).min()))
+        return np.zeros((r1 - r0, 0), dtype=bool)
+
+    pairs_where(S.n, S.n, collapsed)
+    return min(caps)
+
+
 def level_set(S: Semilattice, lam: LogWeight, L) -> int:
     """Bitmask of the level set {x : lambda(x) <= L}; comparison is exact."""
     L = Fraction(L)
@@ -212,22 +229,29 @@ def level_set(S: Semilattice, lam: LogWeight, L) -> int:
 
 
 def random_logweight(S: Semilattice, seed: int) -> LogWeight:
-    """Seeded random log-weight: rationals 0..8 over 1..3, repaired to
-    subadditivity by lowering lambda(xy) to lambda(x)+lambda(y) as needed."""
+    """Seeded random log-weight: rationals 0..8 over 1..3, repaired to the
+    greatest subadditive function below them.
+
+    Each repair round lowers every lambda(xy) to lambda(x) + lambda(y) at
+    once, on integer numerators over 6, until nothing changes.  The maximum
+    of two subadditive functions below the draws is another, so the greatest
+    one is unique and every order of repairs reaches it.  Needs a dense
+    product table: above ``TABLE_HARD_CAP`` elements it raises
+    ``SizeOverflowError``.
+    """
     rng = random.Random(seed)
-    vals = [Fraction(rng.randrange(0, 9), rng.randrange(1, 4))
-            for _ in range(S.n)]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(S.n):
-            for y in range(x, S.n):
-                p = S.product(x, y)
-                bound = vals[x] + vals[y]
-                if vals[p] > bound:
-                    vals[p] = bound
-                    changed = True
-    return LogWeight(S.n, values=vals, name="random")
+    # numerators are at most 48, so int16 holds every sum of two
+    num = np.array([rng.randrange(0, 9) * (6 // rng.randrange(1, 4))
+                    for _ in range(S.n)], dtype=np.int16)
+    P = S.product_table_np().ravel()
+    while True:
+        new = num.copy()
+        np.minimum.at(new, P, (num[:, None] + num).ravel())
+        if np.array_equal(new, num):
+            break
+        num = new
+    return LogWeight(S.n, values=[Fraction(a, 6) for a in num.tolist()],
+                     name="random")
 
 
 def _fraction_from_json(v) -> Fraction:

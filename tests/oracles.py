@@ -5,6 +5,7 @@ primitives (product, factor enumeration, weights); none of the library's
 search machinery is reused.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -137,3 +138,31 @@ def naive_semilattice_violations(S):
     out += [("NotAssociative", (x, y, z)) for x, y, z in triples
             if p(p(x, y), z) != p(x, p(y, z))]
     return out, len(triples)
+
+
+def naive_random_logweight(S, seed):
+    """Values of ``random_logweight(S, seed)`` by the plain repair loop: the
+    same seeded draws, then lambda(xy) lowered to lambda(x) + lambda(y) one
+    pair at a time (Gauss-Seidel) until no pair changes anything."""
+    rng = random.Random(seed)
+    vals = [Fraction(rng.randrange(0, 9), rng.randrange(1, 4))
+            for _ in range(S.n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(S.n):
+            for y in range(x, S.n):
+                p = S.product(x, y)
+                bound = vals[x] + vals[y]
+                if vals[p] > bound:
+                    vals[p] = bound
+                    changed = True
+    return vals
+
+
+def naive_collapse_cap(S):
+    """Fewest points in the union of two members whose product is the
+    collapsed top, over every ordered pair."""
+    return min((S.member_mask(x) | S.member_mask(y)).bit_count()
+               for x in range(S.n) for y in range(S.n)
+               if S.product(x, y) == S.top_id)

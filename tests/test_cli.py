@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -299,6 +300,20 @@ def _one_error_line(err):
     return err.startswith("error:") and err.count("\n") == 1
 
 
+# sha256 of the depth-5 report as the pair-by-pair closure pass printed it
+ADVERSARY_FIN_20_15_DEPTH_5 = ("e3ca4f932c067dffa1d5ac43b55c5527"
+                               "a9c9507b545252da32dbd35fae33f714")
+
+
+def test_depth_five_adversary_report_is_unchanged():
+    rc, out, err = _main(["adversary", "fin(20,15)", "--nmax", "5"])
+    assert rc == 0 and err == ""
+    assert [b["value"]["c"]["num"] for b in json.loads(out)["barriers"]] \
+        == [1, 2, 2, 3]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ADVERSARY_FIN_20_15_DEPTH_5
+
+
 def test_adversary_on_a_table_is_usage_error():
     rc, out, err = _main(["adversary", "chain(3)", "--nmax", "2"])
     assert rc == 2 and out == "" and _one_error_line(err)
@@ -376,6 +391,13 @@ def test_cube_cap_is_checked_before_a_cube_is_built():
     for spec in ("fin(3000,2999)", "fin(25,24)", "fin(1000000000,999999999)"):
         rc, out, err = _main(["analyze", spec])
         assert rc == 2 and out == "" and _one_error_line(err)
+
+
+def test_random_weight_above_the_table_cap_is_a_usage_error():
+    rc, out, err = _main(["vmap", "pstar(13)", "--weight", "random:1",
+                          "--E", "0", "--z", "0"])
+    assert rc == 2 and out == "" and _one_error_line(err)
+    assert "random:1" in err and "4096" in err
 
 
 def test_sweep_writes_nothing_when_a_row_is_a_usage_error():

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,15 +9,18 @@ from hypothesis import strategies as st
 
 from oracles import (naive_closure, naive_fbp_step, naive_profile,
                      naive_stable, naive_v)
+from test_acceptance import _dense_v_oracle
+from slat import propagation
 from slat._bitset import bits, mask_of
+from slat.adversarial import build_chain, verify_barrier
 from slat.core import (chain, fin_truncation, free_nonempty, generate_instance,
-                       kary_tree, powerset)
+                       kary_tree, powerset, sch_embed)
 from slat.metrics import generate_filter
-from slat.propagation import (INFINITE, BudgetExceeded, PropagationValue,
-                              check_equivalence_iii, fbp, fbp_closure,
-                              finite_breadth_bound_check, is_fbp_stable,
-                              propagation_profile, stability_threshold,
-                              v_value)
+from slat.propagation import (INFINITE, SUBSET_MIN_BITS, BudgetExceeded,
+                              PropagationValue, check_equivalence_iii, fbp,
+                              fbp_closure, finite_breadth_bound_check,
+                              is_fbp_stable, propagation_profile,
+                              stability_threshold, v_value)
 from slat.weights import (LogWeight, builtin_logweight, level_set,
                           random_logweight)
 
@@ -85,11 +90,11 @@ def test_v_value_infinite_outside_generated_filter():
     assert v_value(S, lam, 0, 0).is_infinite
 
 
-def chain_system():
+def chain_system(k=4):
     # nested sets: a union-closed chain
     from slat.core import Semilattice
-    return Semilattice.from_sets(range(4), [[0], [0, 1], [0, 1, 2],
-                                            [0, 1, 2, 3]])
+    return Semilattice.from_sets(range(k), [list(range(i + 1))
+                                            for i in range(k)])
 
 
 @pytest.mark.parametrize("build,wname", [
@@ -212,3 +217,122 @@ def test_profile_leaves_host_and_weight_caches_alone():
         propagation_profile(S, lam, 2, budget=budget, samples=20)
     assert vars(S) == host and S._factors_cache == factors
     assert lam._cache == cache
+
+
+# -- the two closure passes --------------------------------------------------
+
+# joins of up to 7 points, with and without a collapsed top, and sparse
+# families whose subsets of a join are mostly not members
+_PASS_HOSTS = {spec: generate_instance(spec) for spec in (
+    "pstar(6)", "pstar(7)", "powerset(6)", "fin(6,5)", "fin(8,6)", "fin(7,3)")}
+_PASS_HOSTS.update({f"sch_embed({spec})": sch_embed(generate_instance(spec))
+                    .semilattice for spec in ("tree(2,3)", "pstar(3)")})
+
+
+def _both_passes(S, lam, E_ids):
+    """First levels of every factor of the product of E by each pass."""
+    J = S.product_ids(E_ids)
+    targets = range(S.n)
+    return (propagation._knuth_first_levels(S, lam, E_ids, targets,
+                                            S.iter_factors, J),
+            propagation._subset_first_levels(S, lam, E_ids, targets,
+                                             S.member_mask(J)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(_PASS_HOSTS)), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_closure_passes_agree_with_oracles(spec, seed, data):
+    S = _PASS_HOSTS[spec]
+    lam = random_logweight(S, seed)
+    E_ids = sorted(data.draw(st.sets(st.integers(0, S.n - 1), min_size=1,
+                                     max_size=4), label="E"))
+    assume(S.product_ids(E_ids) != S.top_id)
+    knuth, subset = _both_passes(S, lam, E_ids)
+    assert knuth == subset
+    z = data.draw(st.sampled_from(sorted(knuth)), label="z")
+    assert _dense_v_oracle(S, lam, E_ids, z) == knuth[z]
+    if S.n <= 16:
+        assert naive_v(S, lam, mask_of(E_ids), z) == knuth[z]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_subset_pass_matches_naive_v_on_a_cube(seed):
+    S = _PASS_HOSTS["pstar(6)"]     # naive_v takes seconds on larger hosts
+    lam = random_logweight(S, seed)
+    rng = random.Random(seed)
+    full = (1 << 6) - 1
+    while True:                 # generators whose union is all six points
+        E_ids = rng.sample(range(S.n), 3)
+        if S.member_mask(S.product_ids(E_ids)) == full:
+            break
+    for z in (S.id_of_mask(full), rng.randrange(S.n)):
+        expect = naive_v(S, lam, mask_of(E_ids), z)
+        assert v_value(S, lam, mask_of(E_ids), z) == \
+            PropagationValue.finite(expect)
+
+
+@pytest.mark.parametrize("spec", ["pstar(7)", "fin(9,7)"])
+@pytest.mark.parametrize("points", [SUBSET_MIN_BITS - 1, SUBSET_MIN_BITS,
+                                    SUBSET_MIN_BITS + 1])
+@pytest.mark.parametrize("wname", ["prototype", "cardinality", "random:4"])
+def test_joins_around_the_crossover(spec, points, wname, monkeypatch):
+    S = generate_instance(spec)
+    lam = random_logweight(S, 4) if wname == "random:4" else \
+        builtin_logweight(S, wname)
+    E_ids = [S.id_of_mask(1 << i) for i in range(points)]
+    z = S.id_of_mask((1 << points) - 2)
+    routed = []
+    subset_pass = propagation._subset_first_levels
+    monkeypatch.setattr(propagation, "_subset_first_levels",
+                        lambda *a: routed.append(1) or subset_pass(*a))
+    v = v_value(S, lam, mask_of(E_ids), z)
+    assert bool(routed) == (points >= SUBSET_MIN_BITS)
+    knuth, subset = _both_passes(S, lam, E_ids)
+    assert knuth == subset
+    assert v == PropagationValue.finite(knuth[z])
+    assert _dense_v_oracle(S, lam, E_ids, z) == v.c
+
+
+def test_sparse_families_stay_on_the_pair_pass(monkeypatch):
+    # 30 nested sets: the join has 30 points but only 30 members below it
+    S = chain_system(30)
+    lam = builtin_logweight(S, "cardinality")
+    monkeypatch.setattr(propagation, "_subset_first_levels", None)
+    assert v_value(S, lam, mask_of(range(S.n)), 0) == \
+        PropagationValue.finite(1)
+
+
+
+def test_subset_pass_refuses_a_wide_join_before_allocating():
+    S = generate_instance("fin(23,22)")     # the 23-cube, rank storage
+    lam = LogWeight.lazy(S.n, lambda x: Fraction(0), "zero")
+    singles = mask_of(S.id_of_mask(1 << i) for i in range(23))
+    top = S.id_of_mask((1 << 23) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="23 points"):
+            v_value(S, lam, singles, top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_prototype_barrier_on_pstar16_is_fast():
+    t = time.perf_counter()
+    S = free_nonempty(16)
+    lam = builtin_logweight(S, "prototype")
+    singles = mask_of(S.id_of_mask(1 << i) for i in range(16))
+    v = v_value(S, lam, singles, S.id_of_mask((1 << 16) - 1))
+    assert time.perf_counter() - t < 2
+    assert v == PropagationValue.finite(8)
+
+
+def test_level_five_barrier_on_fin_20_15_is_fast():
+    S = generate_instance("fin(20,15)")
+    chain = build_chain(S, 5)
+    t = time.perf_counter()
+    res = verify_barrier(chain, S, 5)
+    assert time.perf_counter() - t < 1
+    assert res.passed and res.value == PropagationValue.finite(3)

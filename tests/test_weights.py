@@ -1,14 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_subadditive_violations
+from oracles import (naive_collapse_cap, naive_random_logweight,
+                     naive_subadditive_violations)
 from slat import core
 from slat._bitset import popcount
-from slat.core import (TABLE_HARD_CAP, Semilattice, chain, fin_truncation,
-                       free_nonempty, kary_tree, powerset)
+from slat.core import (TABLE_HARD_CAP, Semilattice, SizeOverflowError, chain,
+                       fin_truncation, free_nonempty, generate_instance,
+                       kary_tree, powerset, sch_embed)
 from slat.weights import (KindMismatch, LogWeight, PrototypeMissingTop,
                           _numerators, builtin_logweight, level_set,
                           logweight_from_json, random_logweight,
@@ -92,6 +95,64 @@ def test_random_logweight_is_subadditive(seed):
 def test_random_logweight_deterministic():
     S = free_nonempty(3)
     assert random_logweight(S, 5).values() == random_logweight(S, 5).values()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_instance("pstar(5)"), lambda: powerset(4),
+    lambda: fin_truncation(6, 2), lambda: fin_truncation(5, 3),
+    lambda: kary_tree(2, 3), lambda: chain(7),
+    lambda: sch_embed(kary_tree(2, 2)).semilattice])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_logweight_matches_gauss_seidel_loop(build, seed):
+    S = build()
+    assert random_logweight(S, seed).values() == \
+        naive_random_logweight(S, seed)
+
+
+def test_random_logweight_needs_a_dense_table():
+    S = free_nonempty(13)
+    assert S.n > TABLE_HARD_CAP
+    with pytest.raises(SizeOverflowError):
+        random_logweight(S, 0)
+
+
+def without_member(S, points):
+    """The collapsed-top family of ``S`` less the member with ``points``:
+    no longer a cube truncation."""
+    obj = S.to_json()
+    i = obj["elements"].index(points)
+    del obj["elements"][i]
+    obj["collapsed_top"] -= obj["collapsed_top"] > i
+    return Semilattice.from_json(obj)
+
+
+# flat: 69 of 70 singletons, whose pairwise unions collapse to the top
+# (masks beyond int64)
+FLAT_70 = {"kind": "set_system", "ground": [str(i) for i in range(70)],
+           "elements": [[i] for i in range(69)] + [list(range(70))],
+           "collapsed_top": 69}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: without_member(fin_truncation(6, 2), [1, 2]),
+    lambda: without_member(fin_truncation(5, 3), [0]),
+    lambda: without_member(fin_truncation(7, 2), [3, 6]),
+    lambda: Semilattice.from_json(FLAT_70)])
+def test_collapse_cap_matches_pair_loop(build):
+    S = build()
+    assert S.truncation_bound() is None and S.top_id is not None
+    lam = builtin_logweight(S, "cardinality")
+    assert lam[S.top_id] == naive_collapse_cap(S)
+    assert validate_logweight(S, lam).ok
+
+
+def test_collapse_cap_on_a_large_family_is_vectorized():
+    S = without_member(fin_truncation(20, 3), [4])
+    assert S.n == 1351
+    t = time.perf_counter()
+    lam = builtin_logweight(S, "cardinality")
+    assert time.perf_counter() - t < 0.2
+    assert lam[S.top_id] == 4
 
 
 def test_json_roundtrip_explicit():
