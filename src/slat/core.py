@@ -324,8 +324,7 @@ class Semilattice:
         order = np.argsort(masks).astype(np.int32)
         ordered = masks[order]
         t = np.empty((n, n), dtype=np.int32)
-
-        def fill(r0, r1):  # the misses, when no top takes them
+        for r0, r1 in row_blocks(n, n):
             unions = masks[r0:r1, None] | masks
             pos = np.searchsorted(ordered, unions)
             np.minimum(pos, n - 1, out=pos)
@@ -333,15 +332,14 @@ class Semilattice:
             del unions  # at most three temporaries per entry
             rows = t[r0:r1]
             np.take(order, pos, out=rows)
-            rows[miss] = self.top_id or 0
-            return miss & (self.top_id is None)
-
-        missing = pairs_where(n, n, fill)
-        if missing:
-            # the first miss in row-major order has x <= y, so the message
-            # names the pair that ``product`` would
-            raise NotClosedError("union of elements {} and {} is not a "
-                                 "member".format(*missing[0]))
+            if self.top_id is not None:
+                rows[miss] = self.top_id
+            elif miss.any():
+                # the first miss in row-major order has x <= y, so the
+                # message names the pair that ``product`` would
+                x, y = np.argwhere(miss)[0].tolist()
+                raise NotClosedError(f"union of elements {r0 + x} and {y} "
+                                     f"is not a member")
         return t
 
     # -- serialization ---------------------------------------------------
@@ -404,15 +402,23 @@ def _table_size(n):
     return n
 
 
-def pairs_where(rows, cols, bad):
-    """The one loop over all pairs of a host: the pairs ``(x, y)``, x < rows
-    and y < cols, where ``bad(r0, r1)`` (a boolean array over rows r0..r1-1
-    and every column) is true, as plain ints in row-major order.  Rows go in
-    blocks of about ``NP_BLOCK_ELEMS`` entries to keep temporaries small."""
+def row_blocks(rows, cols):
+    """The one row-block loop of a whole-host scan: ``(r0, r1)`` for each
+    block of rows r0..r1-1 out of ``rows``, each block about
+    ``NP_BLOCK_ELEMS`` entries of ``cols`` columns, to keep temporaries
+    small."""
     block = max(1, NP_BLOCK_ELEMS // max(cols, 1))
-    out = []
     for r0 in range(0, rows, block):
-        xs, ys = np.nonzero(bad(r0, min(r0 + block, rows)))
+        yield r0, min(r0 + block, rows)
+
+
+def pairs_where(rows, cols, bad):
+    """The pairs ``(x, y)``, x < rows and y < cols, where ``bad(r0, r1)`` (a
+    boolean array over rows r0..r1-1 and every column, one ``row_blocks``
+    block) is true, as plain ints in row-major order."""
+    out = []
+    for r0, r1 in row_blocks(rows, cols):
+        xs, ys = np.nonzero(bad(r0, r1))
         out += zip((xs + r0).tolist(), ys.tolist())
     return out
 
@@ -455,19 +461,13 @@ def _canonical_key(mask):
 
 
 def _join_closure(gens, join):
-    """The set generated by ``gens`` under the binary ``join``, grown one
-    frontier round at a time; past 2^22 elements it raises."""
-    closed = set(gens)
-    frontier = list(closed)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(closed):
-                u = join(a, b)
-                if u not in closed:
-                    closed.add(u)
-                    new.append(u)
-        frontier = new
+    """The set generated by ``gens`` under the associative, commutative and
+    idempotent ``join``.  A generator adds itself and its join with each
+    element generated so far, and nothing else; past 2^22 elements it
+    raises."""
+    closed = set()
+    for g in gens:
+        closed |= {g, *(join(g, c) for c in closed)}
         if len(closed) > 2**22:
             raise SizeOverflowError("union closure blew past the size cap")
     return closed
@@ -592,20 +592,17 @@ def free_nonempty(k: int) -> Semilattice:
     return _cube(k, 1, k)
 
 
-def fin_truncation(k: int, c: int, exact: bool = False) -> Semilattice:
+def fin_truncation(k: int, c: int) -> Semilattice:
     """Subsets of a k-point universe of cardinality at most c.
 
-    Unless the family is already union-closed (c >= k-1), the default mode
-    adds the full universe as a top element and any union that escapes the
-    cardinality bound collapses to it; ``exact=True`` refuses instead.
+    Unless the family is already union-closed (c >= k-1), the full universe
+    is added as a top element and any union that escapes the cardinality
+    bound collapses to it.
     """
     if k < 1 or c < 0:
         raise ValueError("bad truncation parameters")
     if c >= k - 1:
         return _cube(k, 0, k)  # with the full set added, the whole k-cube
-    if exact:
-        raise NotClosedError(
-            f"cardinality-{c} truncation of a {k}-set is not union-closed")
     return _cube(k, 0, c, top=True)
 
 
@@ -678,10 +675,6 @@ class EmbeddingResult:
     semilattice: Semilattice
     mapping: list
     note: str
-
-    def to_json(self):
-        return {"instance": self.semilattice.to_json(),
-                "mapping": list(self.mapping), "note": self.note}
 
 
 def sch_embed(S: Semilattice) -> EmbeddingResult:

@@ -8,13 +8,14 @@ valued functionals use double precision with a fixed reduction order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from functools import total_ordering
+from functools import partial, total_ordering
+from itertools import chain
 
 import numpy as np
 
-from ._bitset import bits, mask_of, popcount
+from ._bitset import bits, mask_of
 from .core import Semilattice
 from .weights import LogWeight, level_set
 
@@ -77,17 +78,19 @@ ZERO = LogMagnitude.zero()
 
 # -- filters ----------------------------------------------------------------
 
+def _broken_pairs(S: Semilattice, X: int):
+    """Yield the pairs x <= y of ids, in row-major order, at which
+    ``xy in X <=> x in X and y in X`` fails."""
+    inside = [X >> x & 1 for x in range(S.n)]
+    for x, in_x in enumerate(inside):
+        for y in range(x, S.n):
+            if inside[S.product(x, y)] != (in_x and inside[y]):
+                yield x, y
+
+
 def is_filter(S: Semilattice, F: int) -> bool:
     """True iff the id-mask F is nonempty and xy in F <=> x in F and y in F."""
-    if F == 0:
-        return False
-    for x in range(S.n):
-        in_x = bool(F >> x & 1)
-        for y in range(x, S.n):
-            in_p = bool(F >> S.product(x, y) & 1)
-            if in_p != (in_x and bool(F >> y & 1)):
-                return False
-    return True
+    return F != 0 and next(_broken_pairs(S, F), None) is None
 
 
 def enumerate_filters(S: Semilattice):
@@ -117,25 +120,32 @@ def generate_filter(S: Semilattice, E: int) -> int:
 
 def defect_set(S: Semilattice, lam: LogWeight, X: int) -> LogMagnitude:
     """Weighted multiplicativity defect of the indicator of X (exact)."""
-    best = None
-    for x in range(S.n):
-        in_x = bool(X >> x & 1)
-        lx = lam[x]
-        for y in range(x, S.n):
-            in_p = bool(X >> S.product(x, y) & 1)
-            if in_p != (in_x and bool(X >> y & 1)):
-                m = lx + lam[y]
-                if best is None or m < best:
-                    best = m
+    best = min((lam[x] + lam[y] for x, y in _broken_pairs(S, X)), default=None)
     return ZERO if best is None else LogMagnitude.exp(best)
 
 
 def d_set(S: Semilattice, lam: LogWeight, X: int, Y: int) -> LogMagnitude:
     """Weighted sup distance between two indicator functions (exact)."""
-    diff = X ^ Y
-    if diff == 0:
-        return ZERO
-    return LogMagnitude.exp(min(lam[x] for x in bits(diff)))
+    t, _ = level_agreement(S, lam, X, Y)
+    return ZERO if t is None else LogMagnitude.exp(t)
+
+
+def _nearest(S: Semilattice, dist, better, floor):
+    """``(distance, witness)`` of the first nearest filter-or-empty-set.
+
+    Candidates are the principal filters in canonical generator order, then
+    the empty set.  A candidate replaces the best so far when
+    ``better(d, best)``; the scan stops once not even ``floor``, the least
+    possible distance, would.
+    """
+    best = witness = None
+    for F in chain(map(S.factors_mask, range(S.n)), [0]):
+        d = dist(F)
+        if best is None or better(d, best):
+            best, witness = d, F
+            if not better(floor, best):
+                break
+    return best, witness
 
 
 def dist_set(S: Semilattice, lam: LogWeight, X: int):
@@ -144,19 +154,7 @@ def dist_set(S: Semilattice, lam: LogWeight, X: int):
     Returns ``(LogMagnitude, witness_mask)``; candidates are scanned in
     canonical generator order with the empty set last, first winner kept.
     """
-    best = None
-    witness = None
-    for g in range(S.n):
-        F = S.factors_mask(g)
-        d = d_set(S, lam, X, F)
-        if best is None or d < best:
-            best, witness = d, F
-            if best.is_zero:
-                return best, witness
-    d = d_set(S, lam, X, 0)
-    if d < best:
-        best, witness = d, 0
-    return best, witness
+    return _nearest(S, partial(d_set, S, lam, X), operator.lt, ZERO)
 
 
 def level_agreement(S: Semilattice, lam: LogWeight, X: int, Y: int):
@@ -203,22 +201,17 @@ def dist_complex(S: Semilattice, lam: LogWeight, psi):
     """Least weighted distance from psi to a character-or-zero indicator.
 
     Returns ``(value, witness_mask)`` over the n principal-filter indicators
-    plus the zero function, canonical order, first winner kept.
+    plus the zero function, canonical order, first winner kept; a later
+    candidate wins only by more than 1e-12.
     """
     a = _as_psi(S, psi)
     wf = np.exp(-lam.as_floats())
-    best = None
-    witness = None
-    for g in range(S.n):
-        F = S.factors_mask(g)
+
+    def dist(F):
         ind = np.array([(F >> x) & 1 for x in range(S.n)], dtype=np.float64)
-        d = float(np.max(np.abs(a - ind) * wf))
-        if best is None or d < best - 1e-12:
-            best, witness = d, F
-    d = float(np.max(np.abs(a) * wf))
-    if d < best - 1e-12:
-        best, witness = d, 0
-    return best, witness
+        return float(np.max(np.abs(a - ind) * wf))
+
+    return _nearest(S, dist, lambda d, best: d < best - 1e-12, 0.0)
 
 
 def omega_bound(S: Semilattice, lam: LogWeight, psi):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._bitset import mask_of, popcount
 from .core import (TABLE_HARD_CAP, Semilattice, ValidationReport, Violation,
-                   pairs_where)
+                   pairs_where, row_blocks)
 
 
 class KindMismatch(TypeError):
@@ -212,13 +212,9 @@ def _collapse_cap(S: Semilattice) -> int:
     size = np.frompyfunc(int.bit_count, 1, 1) if masks.dtype == object \
         else np.bitwise_count
     caps = []
-
-    def collapsed(r0, r1):  # records the block's least size, flags no pair
+    for r0, r1 in row_blocks(S.n, S.n):
         unions = masks[r0:r1, None] | masks
         caps.append(int(size(unions[T[r0:r1] == S.top_id]).min()))
-        return np.zeros((r1 - r0, 0), dtype=bool)
-
-    pairs_where(S.n, S.n, collapsed)
     return min(caps)
 
 

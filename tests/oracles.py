@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
+
 from slat._bitset import bits, mask_of
 
 
@@ -166,3 +168,133 @@ def naive_collapse_cap(S):
     return min((S.member_mask(x) | S.member_mask(y)).bit_count()
                for x in range(S.n) for y in range(S.n)
                if S.product(x, y) == S.top_id)
+
+
+def naive_is_filter(S, F):
+    """The pair loop ``is_filter`` replaced: F is nonempty and no pair
+    x <= y breaks ``xy in F <=> x in F and y in F``."""
+    if F == 0:
+        return False
+    for x in range(S.n):
+        in_x = bool(F >> x & 1)
+        for y in range(x, S.n):
+            in_p = bool(F >> S.product(x, y) & 1)
+            if in_p != (in_x and bool(F >> y & 1)):
+                return False
+    return True
+
+
+def naive_defect_set(S, lam, X):
+    """The pair loop ``defect_set`` replaced: the least lambda(x) +
+    lambda(y) over the pairs that break the filter identity, or None when
+    none does (a zero defect)."""
+    best = None
+    for x in range(S.n):
+        in_x = bool(X >> x & 1)
+        for y in range(x, S.n):
+            in_p = bool(X >> S.product(x, y) & 1)
+            if in_p != (in_x and bool(X >> y & 1)):
+                m = lam[x] + lam[y]
+                if best is None or m < best:
+                    best = m
+    return best
+
+
+def _principal_filters(S):
+    """The up-set ``{z : xz = x}`` of each element x, by id."""
+    return [mask_of(z for z in range(S.n) if S.product(x, z) == x)
+            for x in range(S.n)]
+
+
+def naive_dist_set(S, lam, X):
+    """The candidate loop ``dist_set`` replaced: ``(m, witness)`` with m the
+    least weight on the difference of X and a principal filter or the
+    empty set (None for distance zero), candidates in id order then the
+    empty set, first winner kept."""
+    def m(F):
+        diff = X ^ F
+        return None if diff == 0 else min(lam[x] for x in bits(diff))
+
+    def closer(a, b):  # distance exp(-a) below exp(-b); None is zero
+        return b is not None and (a is None or a > b)
+
+    candidates = _principal_filters(S) + [0]
+    best, witness = m(candidates[0]), candidates[0]
+    for F in candidates[1:]:
+        d = m(F)
+        if closer(d, best):
+            best, witness = d, F
+    return best, witness
+
+
+def naive_dist_complex(S, lam, psi):
+    """The candidate loop ``dist_complex`` replaced: weighted sup distance
+    from psi to each principal-filter indicator in id order, then to zero,
+    a later candidate winning only by more than 1e-12."""
+    a = np.asarray(psi, dtype=np.complex128)
+    wf = np.exp(-np.array([float(lam[x]) for x in range(S.n)]))
+    best = witness = None
+    for F in _principal_filters(S):
+        ind = np.array([(F >> x) & 1 for x in range(S.n)], dtype=np.float64)
+        d = float(np.max(np.abs(a - ind) * wf))
+        if best is None or d < best - 1e-12:
+            best, witness = d, F
+    d = float(np.max(np.abs(a) * wf))
+    if d < best - 1e-12:
+        best, witness = d, 0
+    return best, witness
+
+
+def naive_generated_filter(S, E):
+    """The filter generated by E: the factors of the product of E (0 for
+    the empty set)."""
+    if E == 0:
+        return 0
+    ids = list(bits(E))
+    p = ids[0]
+    for x in ids[1:]:
+        p = S.product(p, x)
+    return mask_of(z for z in range(S.n) if S.product(z, p) == p)
+
+
+def naive_check_equivalence_iii(S, lam, L, C):
+    """The loop ``check_equivalence_iii`` replaced, from the definitions:
+    ``(checked, stable_count, violations, exhaustive)``.  Every subset for
+    n <= 20, each tested for C-stability by one naive step; above, the
+    naive closures of the same 4000 seeds drawn under seed 0, each stable
+    by construction."""
+    L, C = Fraction(L), Fraction(C)
+    W = mask_of(x for x in range(S.n) if lam[x] <= L)
+
+    def agrees(G):
+        return G & W == naive_generated_filter(S, G & W) & W
+
+    violations = []
+    if S.n <= 20:
+        stable = [G for G in range(1 << S.n) if naive_stable(S, lam, C, G)]
+        violations = [G for G in stable if not agrees(G)]
+        return 1 << S.n, len(stable), violations, True
+    rng = random.Random(0)
+    for _ in range(4000):
+        seed = mask_of(rng.sample(range(S.n), rng.randrange(0, 8)))
+        G = naive_closure(S, lam, C, seed)
+        if not agrees(G):
+            violations.append(G)
+    return 4000, 4000, violations, False
+
+
+def naive_join_closure(gens, join):
+    """The frontier loop ``_join_closure`` replaced: join each new element
+    with everything closed so far, round after round."""
+    closed = set(gens)
+    frontier = list(closed)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(closed):
+                u = join(a, b)
+                if u not in closed:
+                    closed.add(u)
+                    new.append(u)
+        frontier = new
+    return closed

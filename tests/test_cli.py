@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -525,3 +526,95 @@ def test_fuzzed_input_gets_an_exit_code_and_never_a_traceback(
             assert rc in (0, 1, 2, 3) and "Traceback" not in err
             if rc == 2:
                 assert _one_error_line(err), (argv, inst, lam, err)
+
+
+# -- branches of the commands, each with its pinned output -----------------
+
+def _csv_rows(out):
+    """Rows of a sweep's CSV, the seconds column dropped."""
+    rows = list(csv.reader(io.StringIO(out)))
+    cut = rows[0].index("seconds")
+    return [row[:cut] + row[cut + 1:] for row in rows]
+
+
+def test_breadth_above_five_thousand_elements_is_a_greedy_bound():
+    rc, out, err = _main(["breadth", "pstar(13)"])
+    rep = json.loads(out)
+    assert rc == 0 and err == ""
+    assert rep["breadth"] == 13 and rep["witness"] == list(range(13))
+    assert rep["exhaustive"] is False
+    assert rep["notes"] == ["greedy lower bound only (large instance)"]
+
+
+def test_sweep_breadth_rows():
+    rc, out, _ = _main(["sweep", "--family", "pstar", "--range", "2:5",
+                        "--op", "breadth"])
+    assert rc == 0
+    assert _csv_rows(out)[1:] == [
+        ["pstar", str(k), str(2**k - 1), "breadth", str(k), "", "", "",
+         "True", ""] for k in range(2, 6)]
+
+
+def test_sweep_profile_rows_of_a_template_family():
+    rc, out, _ = _main(["sweep", "--family", "fin({},2)", "--range", "3:5",
+                        "--op", "profile", "--L", "2"])
+    assert rc == 0
+    assert _csv_rows(out)[1:] == [
+        ["fin({},2)", str(p), str(n), "profile", "2", "2.0", "4", "True",
+         "True", ""] for p, n in ((3, 8), (4, 12), (5, 17))]
+
+
+def test_sweep_breadth_of_a_template_table_family():
+    rc, out, _ = _main(["sweep", "--family", "tree({},2)", "--range", "1:3",
+                        "--op", "breadth"])
+    assert rc == 0
+    assert [row[4] for row in _csv_rows(out)[1:]] == ["1", "2", "2"]
+
+
+def test_profile_of_an_empty_level_set():
+    rc, out, _ = _main(["profile", "pstar(3)", "--L", "-1"])
+    rep = json.loads(out)
+    assert rc == 0 and rep["notes"] == ["empty level set"]
+    assert rep["value"]["c"] == {"num": 0, "den": 1}
+    assert rep["witness_E"] == [] and rep["witness_z"] is None
+
+
+def test_vmap_over_a_collapsed_union_is_out_of_budget():
+    # two disjoint 8-sets of fin(24,8): their union collapses to the top,
+    # whose factors are all 1271627 elements
+    from slat.core import fin_truncation
+    S = fin_truncation(24, 8)
+    E = f"{S.id_of_mask(0xFF)},{S.id_of_mask(0xFF00)}"
+    rc, out, err = _main(["vmap", "fin(24,8)", "--weight", "cardinality",
+                          "--E", E, "--z", "0"])
+    assert rc == 3 and out == ""
+    assert err == "budget exhausted: closure universe has 1271627 elements\n"
+
+
+def _instance_file(tmp_path, obj):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("host", [
+    "table file", "collapsed-top file", "pstar(4)", "fin(5,2)", "tree(2,3)",
+    "chain(6)"])
+def test_analyze_counts_one_filter_per_element(tmp_path, host):
+    from slat.core import Semilattice, fin_truncation, generate_instance
+    from slat.metrics import enumerate_filters
+    obj = None
+    if host == "table file":
+        obj = {"kind": "table", "product": [
+            [0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]}
+    elif host == "collapsed-top file":
+        obj = fin_truncation(5, 2).to_json()
+        del obj["elements"][3]          # a family that is not a truncation
+        obj["collapsed_top"] -= 1
+    if obj is None:
+        ref, S = host, generate_instance(host)
+    else:
+        ref, S = _instance_file(tmp_path, obj), Semilattice.from_json(obj)
+    rc, out, _ = _main(["analyze", ref])
+    assert rc == 0
+    assert json.loads(out)["filter_count"] == len(enumerate_filters(S)) == S.n

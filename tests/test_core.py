@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -136,11 +137,6 @@ def test_fin_truncation_quotient_collapses():
     assert S.validate().ok
 
 
-def test_fin_truncation_exact_raises_when_not_closed():
-    with pytest.raises(NotClosedError):
-        fin_truncation(4, 2, exact=True)
-
-
 def test_fin_truncation_rank_unrank_roundtrip():
     S = fin_truncation(24, 8)
     assert S.n == sum(__import__("math").comb(24, i) for i in range(9)) + 1
@@ -212,6 +208,20 @@ def test_product_table_np_reports_a_missing_union_like_product():
                     masks=[0b001, 0b010, 0b100])
     with pytest.raises(NotClosedError) as looped:
         S.product(0, 1)
+    with pytest.raises(NotClosedError) as vectorized:
+        S.product_table_np()
+    assert str(vectorized.value) == str(looped.value)
+
+
+@pytest.mark.parametrize("block_elems", [1 << 14, 3, 1])
+def test_product_table_np_names_the_first_missing_union_of_any_block(
+        block_elems, monkeypatch):
+    # row 0 (the empty set) joins with everything; the first miss is (1, 2)
+    monkeypatch.setattr(core, "NP_BLOCK_ELEMS", block_elems)
+    S = Semilattice("set_system", 4, ground=["a", "b", "c"],
+                    masks=[0b000, 0b001, 0b010, 0b100])
+    with pytest.raises(NotClosedError) as looped:
+        S.product(1, 2)
     with pytest.raises(NotClosedError) as vectorized:
         S.product_table_np()
     assert str(vectorized.value) == str(looped.value)
@@ -306,3 +316,11 @@ def test_large_cubes_use_rank_storage():
     for S in (free_nonempty(20), fin_truncation(22, 21)):
         assert S._masks is None and S.top_id is None
         assert S.id_of_mask(S.member_mask(S.n - 1)) == S.n - 1
+
+
+def test_union_closure_of_fourteen_singletons_is_fast():
+    t = time.perf_counter()
+    S = Semilattice.from_sets(range(14), [[i] for i in range(14)], close=True)
+    assert time.perf_counter() - t < 0.5
+    assert S.n == (1 << 14) - 1
+    assert S.member_mask(S.n - 1) == (1 << 14) - 1

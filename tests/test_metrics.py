@@ -150,3 +150,20 @@ def test_d_set_is_a_metric_sample(X, Y, seed):
     dxy = d_set(S, lam, X, Y)
     assert dxy == d_set(S, lam, Y, X)
     assert (dxy == ZERO) == (X == Y)
+
+
+@pytest.mark.parametrize("g", [0, 5, 100])
+def test_dist_set_stops_at_an_exact_hit(g, monkeypatch):
+    S = free_nonempty(10)
+    lam = builtin_logweight(S, "cardinality")
+    F = S.factors_mask(g)
+    visited = []
+    factors_mask = S.factors_mask
+
+    def counted(p):
+        visited.append(p)
+        return factors_mask(p)
+
+    monkeypatch.setattr(S, "factors_mask", counted)
+    assert dist_set(S, lam, F) == (ZERO, F)
+    assert visited == list(range(g + 1))

@@ -1,0 +1,144 @@
+"""Each exact pass against the loop it replaced (kept in ``oracles.py``), on
+random small hosts of every kind: product tables, Boolean cubes,
+collapsed-top instance files (truncations and a family that is not one)
+and ``sch_embed`` images, under random or explicit log-weights."""
+
+import operator
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (naive_check_equivalence_iii, naive_defect_set,
+                     naive_dist_complex, naive_dist_set, naive_is_filter,
+                     naive_join_closure)
+from slat.core import (Semilattice, _join_closure, chain, fin_truncation,
+                       free_nonempty, kary_tree, powerset, sch_embed)
+from slat.metrics import (defect_set, dist_complex, dist_set,
+                          enumerate_filters, is_filter)
+from slat.propagation import check_equivalence_iii
+from slat.weights import LogWeight, builtin_logweight, random_logweight
+from test_weights import without_member
+
+
+def _file(S):
+    """``S`` read back from its instance file object."""
+    return Semilattice.from_json(S.to_json())
+
+
+HOSTS = {
+    "chain(4)": chain(4),
+    "tree(2,2)": kary_tree(2, 2),
+    "tree(3,1)": kary_tree(3, 1),
+    "powerset(3)": powerset(3),
+    "pstar(3)": free_nonempty(3),
+    "pstar(4)": free_nonempty(4),
+    "fin(4,1) file": _file(fin_truncation(4, 1)),
+    "fin(4,2) file": _file(fin_truncation(4, 2)),
+    "fin(4,2) less {0,1}": without_member(fin_truncation(4, 2), [0, 1]),
+    "sch_embed(tree(2,2))": sch_embed(kary_tree(2, 2)).semilattice,
+    "sch_embed(chain(5))": sch_embed(chain(5)).semilattice,
+}
+#: hosts small enough for the 2^n naive stability scan
+SMALL = [name for name, S in HOSTS.items() if S.n <= 8]
+
+
+def test_the_catalog_covers_every_host_kind():
+    assert {S.kind for S in HOSTS.values()} == {"table", "set_system"}
+    assert HOSTS["fin(4,1) file"].truncation_bound() == 1
+    other = HOSTS["fin(4,2) less {0,1}"]
+    assert other.truncation_bound() is None and other.top_id is not None
+    assert all(S.validate().ok for S in HOSTS.values())
+    assert len(SMALL) >= 6
+
+
+@st.composite
+def weighted(draw, names=tuple(HOSTS)):
+    """A host, and a random or an explicit log-weight on it (explicit
+    values need not be subadditive: every functional here is defined for
+    any nonnegative weight)."""
+    S = HOSTS[draw(st.sampled_from(names))]
+    if draw(st.booleans()):
+        return S, random_logweight(S, draw(st.integers(0, 1000)))
+    vals = draw(st.lists(st.fractions(0, 6, max_denominator=3),
+                         min_size=S.n, max_size=S.n))
+    return S, LogWeight.from_values(vals)
+
+
+def _subset(draw, S):
+    """An id-mask: a filter, the empty set or any subset."""
+    how = draw(st.sampled_from(["filter", "empty", "any"]))
+    if how == "filter":
+        return draw(st.sampled_from(enumerate_filters(S)))
+    return 0 if how == "empty" else draw(st.integers(0, (1 << S.n) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted(), st.data())
+def test_filter_defect_and_distance_match_the_pair_loops(host, data):
+    S, lam = host
+    X = _subset(data.draw, S)
+    assert is_filter(S, X) == naive_is_filter(S, X)
+    assert defect_set(S, lam, X).m == naive_defect_set(S, lam, X)
+    d, witness = dist_set(S, lam, X)
+    assert (d.m, witness) == naive_dist_set(S, lam, X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted(), st.data(),
+       st.sampled_from([0.0, 1e-13, 1e-3, 0.4, 2.0]), st.integers(0, 99))
+def test_complex_distance_matches_the_candidate_loop(host, data, eps, seed):
+    S, lam = host
+    X = _subset(data.draw, S)
+    rng = np.random.default_rng(seed)
+    psi = np.array([X >> x & 1 for x in range(S.n)], dtype=np.float64) \
+        + eps * (rng.normal(size=S.n) + 1j * rng.normal(size=S.n))
+    assert dist_complex(S, lam, psi) == naive_dist_complex(S, lam, psi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted(tuple(SMALL)), st.data())
+def test_equivalence_check_matches_the_subset_loop(host, data):
+    S, lam = host
+    levels = sorted({lam[x] for x in range(S.n)} | {Fraction(-1)})
+    L = data.draw(st.sampled_from(levels))
+    C = data.draw(st.sampled_from(levels))
+    rep = check_equivalence_iii(S, lam, L, C)
+    assert (rep.checked, rep.stable_count, rep.violations, rep.exhaustive) \
+        == naive_check_equivalence_iii(S, lam, L, C)
+
+
+def test_sampled_equivalence_check_matches_the_closure_loop():
+    # pstar(5) has 31 elements, so 4000 seeded closures stand in for 2^31
+    S = free_nonempty(5)
+    lam = builtin_logweight(S, "cardinality")
+    rep = check_equivalence_iii(S, lam, 2, 1)
+    want = naive_check_equivalence_iii(S, lam, 2, 1)
+    assert want[:2] == (4000, 4000) and want[2] and not want[3]
+    assert (rep.checked, rep.stable_count, rep.violations, rep.exhaustive) \
+        == want
+    assert check_equivalence_iii(S, lam, 2, 1) == rep
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, (1 << 9) - 1), max_size=7))
+def test_union_closure_matches_the_frontier_loop(masks):
+    assert _join_closure(masks, operator.or_) \
+        == naive_join_closure(masks, operator.or_)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(HOSTS)), st.data())
+def test_product_closure_matches_the_frontier_loop(name, data):
+    S = HOSTS[name]
+    gens = data.draw(st.lists(st.integers(0, S.n - 1), max_size=6))
+    assert _join_closure(gens, S.product) == naive_join_closure(gens,
+                                                                S.product)
+
+
+@pytest.mark.parametrize("k", [6, 14])
+def test_union_closure_of_singletons_is_the_free_semilattice(k):
+    closed = _join_closure([1 << i for i in range(k)], operator.or_)
+    assert closed == set(range(1, 1 << k))

@@ -336,3 +336,15 @@ def test_level_five_barrier_on_fin_20_15_is_fast():
     res = verify_barrier(chain, S, 5)
     assert time.perf_counter() - t < 1
     assert res.passed and res.value == PropagationValue.finite(3)
+
+
+def test_equivalence_check_decides_each_level_part_once():
+    # 2^15 subsets of pstar(4), but only 2^4 level-1 parts to decide
+    S = free_nonempty(4)
+    lam = builtin_logweight(S, "cardinality")
+    C = propagation_profile(S, lam, 1).value.c
+    t = time.perf_counter()
+    rep = check_equivalence_iii(S, lam, 1, C)
+    assert time.perf_counter() - t < 0.5
+    assert (rep.checked, rep.stable_count, rep.violations, rep.exhaustive) \
+        == (1 << 15, 1 << 15, [], True)

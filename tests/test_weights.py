@@ -146,6 +146,13 @@ def test_collapse_cap_matches_pair_loop(build):
     assert validate_logweight(S, lam).ok
 
 
+def test_collapse_cap_takes_the_least_over_row_blocks(monkeypatch):
+    monkeypatch.setattr(core, "NP_BLOCK_ELEMS", 1)   # one row a block
+    S = without_member(fin_truncation(6, 2), [1, 2])
+    assert builtin_logweight(S, "cardinality")[S.top_id] \
+        == naive_collapse_cap(S) == 2
+
+
 def test_collapse_cap_on_a_large_family_is_vectorized():
     S = without_member(fin_truncation(20, 3), [4])
     assert S.n == 1351
@@ -272,3 +279,13 @@ def test_numerators_whose_sum_overflows_int64_fall_back():
     lam = LogWeight(S.n, values=[big, big, Fraction(0)])
     assert _numerators(lam.values()).dtype == object
     assert validate_logweight(S, lam).ok
+
+
+def test_cardinality_on_a_rank_storage_host_is_lazy():
+    S = fin_truncation(24, 8)
+    assert S.n == 1271627
+    lam = builtin_logweight(S, "cardinality")
+    assert lam._values is None          # nothing stored per element
+    assert lam[S.top_id] == 9           # the cap c + 1
+    for x in (0, 1, 300, S.n - 2):
+        assert lam[x] == popcount(S.member_mask(x))
