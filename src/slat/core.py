@@ -402,12 +402,16 @@ def _table_size(n):
     return n
 
 
+def block_rows(cols):
+    """Rows in a block of ``cols`` columns: about ``NP_BLOCK_ELEMS`` entries,
+    to keep temporaries small."""
+    return max(1, NP_BLOCK_ELEMS // max(cols, 1))
+
+
 def row_blocks(rows, cols):
     """The one row-block loop of a whole-host scan: ``(r0, r1)`` for each
-    block of rows r0..r1-1 out of ``rows``, each block about
-    ``NP_BLOCK_ELEMS`` entries of ``cols`` columns, to keep temporaries
-    small."""
-    block = max(1, NP_BLOCK_ELEMS // max(cols, 1))
+    block of ``block_rows(cols)`` rows r0..r1-1 out of ``rows``."""
+    block = block_rows(cols)
     for r0 in range(0, rows, block):
         yield r0, min(r0 + block, rows)
 

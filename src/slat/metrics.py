@@ -207,8 +207,11 @@ def dist_complex(S: Semilattice, lam: LogWeight, psi):
     a = _as_psi(S, psi)
     wf = np.exp(-lam.as_floats())
 
+    size = (S.n + 7) // 8
+
     def dist(F):
-        ind = np.array([(F >> x) & 1 for x in range(S.n)], dtype=np.float64)
+        ind = np.unpackbits(np.frombuffer(F.to_bytes(size, "little"), np.uint8),
+                            count=S.n, bitorder="little").astype(np.float64)
         return float(np.max(np.abs(a - ind) * wf))
 
     return _nearest(S, dist, lambda d, best: d < best - 1e-12, 0.0)

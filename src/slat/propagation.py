@@ -5,22 +5,29 @@ For a weight level C, the one-step operator collects every element of the
 level set that divides a binary product of current members.  The least level
 at which the closure from a generating set reaches a target is a bottleneck
 cost: the largest weight a derivation uses, minimized over derivations.
-``_first_levels`` finds these first levels for every target in a single
-pass, and ``v_value`` and ``propagation_profile`` both call it.  It routes
-each closure by the product J of its generators:
+Two passes find these first levels for every target at once:
 
-- a set system whose J is a member (not a collapsed top) with at least
-  ``SUBSET_MIN_BITS`` points goes through the subset lattice of J, unless
-  its 2^|J| subsets outnumber four times the host's elements (the rule
-  ``Semilattice.iter_factors`` uses).  Each round is a subset-sum and a
-  Moebius transform over those subsets (F. Yates, 1937; Bjoerklund,
-  Husfeldt, Kaski and Koivisto, "Fourier meets Moebius: fast subset
-  convolution", STOC 2007), repeated to a fixed point at each weight level;
-  past ``SUBSET_MAX_BITS`` points it raises ``BudgetExceeded``;
-- every other closure (tables, collapsed-top joins, small joins and sparse
-  families) goes through a pair-by-pair pass in the manner of Knuth's
-  generalization of Dijkstra's algorithm (D. E. Knuth, "A generalization of
-  Dijkstra's algorithm", IPL 6(1), 1977).
+- the subset pass, on a set system, indexes the members inside a point set
+  G by the subsets of G.  Each round is a subset-sum and a Moebius
+  transform over those subsets (F. Yates, 1937; Bjoerklund, Husfeldt,
+  Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
+  STOC 2007), repeated to a fixed point at each weight level, for a batch
+  of closures at once, one a row; past ``SUBSET_MAX_BITS`` points it
+  raises ``BudgetExceeded``;
+- the pair-by-pair pass works in the manner of Knuth's generalization of
+  Dijkstra's algorithm (D. E. Knuth, "A generalization of Dijkstra's
+  algorithm", IPL 6(1), 1977).
+
+Routing uses the density rule of ``Semilattice.iter_factors``: the 2^|G|
+subsets of G must not outnumber four times the host's elements.
+``v_value`` runs one closure, from generators whose product is J: a one-row
+subset pass over the subsets of J when J is a member (not a collapsed top)
+of at least ``SUBSET_MIN_BITS`` points that passes the rule, else the
+pair-by-pair pass.  ``propagation_profile`` routes once per profile: when
+the points G of its level set pass the rule and number at most
+``SUBSET_MAX_BITS``, its generating sets run in blocks, each block the rows
+of one subset pass over G, and a set whose product is the collapsed top
+takes the pair-by-pair pass; on other hosts every set takes it.
 
 Both passes rank the attained weights once per call, so levels are exact
 rationals.  ``fbp`` and ``fbp_closure`` apply the definition one step at a
@@ -32,13 +39,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, partial, total_ordering
+from functools import cache, lru_cache, partial, reduce, total_ordering
+from itertools import chain, islice
+from operator import or_
 
 import numpy as np
 
 from ._bitset import bits, mask_of, popcount
 from .breadth import _iter_incompressible, breadth, is_compressible
-from .core import Semilattice
+from .core import Semilattice, block_rows
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -193,21 +202,9 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
 
 # -- reachability cost -------------------------------------------------------
 
-def _first_levels(S, lam, E_ids, targets, factors):
-    """First level at which the closure from E reaches each target: a dict
-    ``{id: level}`` holding every target that is a factor of the product J
-    of E.  The pass is chosen by J, as the module docstring says."""
-    J = S.product_ids(E_ids)
-    if S.kind == "set_system" and J != S.top_id:
-        J_mask = S.member_mask(J)
-        width = popcount(J_mask)
-        if width >= SUBSET_MIN_BITS and 1 << width <= 4 * S.n:
-            return _subset_first_levels(S, lam, E_ids, targets, J_mask)
-    return _knuth_first_levels(S, lam, E_ids, targets, factors, J)
-
-
 def _knuth_first_levels(S, lam, E_ids, targets, factors, J):
-    """The pair-by-pair pass behind ``_first_levels``.
+    """The pair-by-pair pass: first levels of the closure from E, the
+    product of which is J.
 
     The closed world is U, the ``factors`` of J.  Elements are settled in
     order of rising first level, and each settled element is paired with
@@ -251,59 +248,90 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J):
     return first
 
 
-def _subset_first_levels(S, lam, E_ids, targets, J_mask):
-    """The subset-lattice pass behind ``_first_levels`` on a set system.
-
-    Every factor of J is a member whose set lies inside J, so the closed
-    world is indexed by the subsets of J: bit j of a local index stands for
-    the j-th point of J.  At level i one round maps the reached set R to the
-    members of rank at most i inside the union of two members of R.  Rounds
-    repeat to a fixed point, and the last unions carry over to the next
-    level, so a level that admits nothing new costs one comparison.
-    """
-    k = popcount(J_mask)
+def _subset_world(S, lam, G_mask):
+    """The closed world of the subset pass over the subsets of G, a set of
+    points of a set system: bit j of a local index stands for the j-th point
+    of G.  Returns ``(pos, levels, rank)``: ``pos`` maps each element whose
+    set lies inside G (a collapsed top too) to its local index, ``levels``
+    are the sorted weights of those members, and ``rank[s]`` is the index in
+    ``levels`` of the member at s, or ``len(levels)`` (never admitted) for a
+    non-member or the collapsed top."""
+    k = popcount(G_mask)
     if k > SUBSET_MAX_BITS:
         raise BudgetExceeded(f"closure join has {k} points; the subset "
                              f"closure takes at most {SUBSET_MAX_BITS}")
     subs = [0]
-    for p in bits(J_mask):
+    for p in bits(G_mask):
         subs += [m | 1 << p for m in subs]
-    local = {x: s for s, x in enumerate(map(S.id_of_mask, subs))
-             if x is not None and x != S.top_id}    # member id -> index
-    weight = [lam[x] for x in local]
-    levels = sorted(set(weight))
-    index = {c: i for i, c in enumerate(levels)}
-    rank = np.full(1 << k, len(levels))     # non-members are never admitted
-    rank[list(local.values())] = [index[c] for c in weight]
-    seed = np.zeros(1 << k, dtype=bool)
-    seed[[local[e] for e in E_ids]] = True
-    pending = {z: local[z] for z in targets if z in local}
-    first = {}
-    reached = unions = np.zeros(1 << k, dtype=bool)
-    for i, c in enumerate(levels):
-        if not pending:
-            break
+    pos = {x: s for s, x in enumerate(map(S.id_of_mask, subs))
+           if x is not None}
+    members = [x for x in pos if x != S.top_id]
+    weight = [lam[x] for x in members]
+    # distinct weights keyed by (numerator, denominator): a Fraction's own
+    # hash costs a modular inverse
+    key = [(c.numerator, c.denominator) for c in weight]
+    levels = sorted(dict(zip(key, weight)).values())
+    index = {(c.numerator, c.denominator): i for i, c in enumerate(levels)}
+    rank = np.full(1 << k, len(levels))
+    rank[[pos[x] for x in members]] = [index[t] for t in key]
+    return pos, levels, rank
+
+
+def _local_joins(seeds):
+    """Local index of the union of each row's seeds."""
+    rows, local = np.nonzero(seeds)
+    joins = np.zeros(len(seeds), dtype=np.int64)
+    np.bitwise_or.at(joins, rows, local)
+    return joins
+
+
+def _subset_first_levels(seeds, rank, nlevels, cols):
+    """The subset-lattice pass: one closure per row of ``seeds``, a boolean
+    array over the subsets of a set G (local indices, as ``_subset_world``
+    makes them, with ``rank`` and its ``nlevels`` levels).
+
+    Every factor of a row's join J is a member whose set lies inside J, so
+    the closures of all rows run together.  At level i one round maps each
+    row's reached set R to the members of rank at most i inside the union
+    of two members of R.  Rounds repeat until no row changes, and the last
+    unions carry over to the next level, so a level that admits nothing new
+    costs one comparison.  Returns, for each row and each target local index
+    in ``cols``, the index of the first level at which the row's closure
+    reaches the target, or -1 for a target outside the row's join; the pass
+    stops once every row has reached its targets.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    left = np.count_nonzero(cols & ~_local_joins(seeds)[:, None] == 0)
+    first = np.full((len(seeds), len(cols)), -1)
+    done = 0
+    reached = unions = np.zeros_like(seeds)
+    for i in range(nlevels if left else 0):
         allowed = rank <= i
-        nxt = (unions | seed) & allowed
+        nxt = (unions | seeds) & allowed
         if np.array_equal(nxt, reached):
             continue                        # the level admits nothing new
         while True:
             reached = nxt
-            unions = _pair_unions(reached, k)
+            unions = _pair_unions(reached)
             nxt = unions & allowed
             if np.array_equal(nxt, reached):
                 break
-        for z in [z for z, s in pending.items() if reached[s]]:
-            first[z] = c
-            del pending[z]
+        got = reached[:, cols]
+        if np.count_nonzero(got) > done:
+            first[got & (first < 0)] = i
+            done = np.count_nonzero(got)
+            if done == left:
+                break
     return first
 
 
-def _pair_unions(R, k):
-    """Indicator, over the 2**k subsets of a k-point set, of the subsets of
-    x | y for x and y in R: the support of the Moebius transform of the
-    squared subset sums of R's down-closure.  The squares count pairs, so
-    they stay below 2**(2k) and int64 is exact for k <= 22."""
+def _pair_unions(R):
+    """Indicator, row by row over the 2**k subsets of a k-point set, of the
+    subsets of x | y for x and y in the row's set R: the support of the
+    Moebius transform of the squared subset sums of R's down-closure.  The
+    squares count pairs, so they stay below 2**(2k) and int64 is exact for
+    k <= 22."""
+    k = R.shape[-1].bit_length() - 1
     down = R.copy()
     for j in range(k):                      # down-closure, one bit a pass
         half = down.reshape(-1, 2, 1 << j)
@@ -324,21 +352,74 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     when z lies outside the filter generated by E.
 
     The first level of z is a bottleneck cost, the largest weight used by a
-    derivation of z, minimized over derivations; ``_first_levels`` finds it
-    in one pass that stops as soon as z is reached.
+    derivation of z, minimized over derivations.  One closure pass finds it
+    and stops as soon as z is reached; the module docstring says which.
     """
     if E == 0:
         return INFINITE
     E_ids = list(bits(E))
-    if not S.leq(S.product_ids(E_ids), z):
+    J = S.product_ids(E_ids)
+    if not S.leq(J, z):
         return INFINITE
-    c = _first_levels(S, lam, E_ids, [z], S.iter_factors).get(z)
+    if S.kind == "set_system" and J != S.top_id:
+        J_mask = S.member_mask(J)
+        width = popcount(J_mask)
+        if width >= SUBSET_MIN_BITS and 1 << width <= 4 * S.n:
+            pos, levels, rank = _subset_world(S, lam, J_mask)
+            seeds = np.zeros((1, len(rank)), dtype=bool)
+            seeds[0, [pos[e] for e in E_ids]] = True
+            i = _subset_first_levels(seeds, rank, len(levels), [pos[z]])
+            return PropagationValue.finite(levels[i[0, 0]])
+    c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
     if c is None:
         raise AssertionError("target inside the generated filter never reached")
     return PropagationValue.finite(c)
 
 
 # -- per-level profile -------------------------------------------------------
+
+def _block_winners(S, lam, W_ids, sets):
+    """Run the closures of the generating sets ``sets`` a block at a time,
+    in order, and yield ``(E_ids, top, first)`` for each block: the first
+    set of the block whose largest first level of a target in ``W_ids`` is
+    the block's largest, that level, and the ``{id: level}`` map of its
+    closure.  Blocks are routed as the module docstring says; a block is
+    ``block_rows(2**|G|)`` sets on the subset pass over the points G of
+    ``W_ids``, and one set on the pair-by-pair pass.
+    """
+    factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
+    pos = None
+    if S.kind == "set_system":
+        G = reduce(or_, map(S.member_mask, W_ids))
+        k = popcount(G)
+        if k <= SUBSET_MAX_BITS and 1 << k <= 4 * S.n:
+            pos, levels, rank = _subset_world(S, lam, G)
+            targets = [z for z in W_ids if z != S.top_id]
+            cols = [pos[z] for z in targets]
+    rows = 1 if pos is None else block_rows(1 << k)
+    sets = iter(sets)
+    while block := list(islice(sets, rows)):
+        got, pairwise = {}, range(len(block))   # position -> (top, first)
+        if pos is not None:
+            seeds = np.zeros((len(block), 1 << k), dtype=bool)
+            seeds[[j for j, E_ids in enumerate(block) for _ in E_ids],
+                  [pos[e] for E_ids in block for e in E_ids]] = True
+            on = rank[_local_joins(seeds)] < len(levels)   # not the top
+            pairwise = np.flatnonzero(~on)
+            if on.any():
+                first = _subset_first_levels(seeds[on], rank, len(levels),
+                                             cols)
+                tops = first.max(axis=1)
+                r = tops.argmax()
+                got[np.flatnonzero(on)[r]] = levels[tops[r]], {
+                    z: levels[i] for z, i in zip(targets, first[r]) if i >= 0}
+        for j in pairwise:
+            first = _knuth_first_levels(S, lam, block[j], W_ids, factors,
+                                        S.product_ids(block[j]))
+            got[j] = max(first[z] for z in W_ids if z in first), first
+        j = max(sorted(got), key=lambda j: got[j][0])
+        yield block[j], *got[j]
+
 
 def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000,
                         strict: bool = False, seed: int = 0,
@@ -350,7 +431,9 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     target is incompressible, and shrinking a generating set never lowers
     the cost.  Exhaustive when the enumeration fits the budget; otherwise a
     seeded sampled lower bound (or BudgetExceeded in strict mode).  The
-    closures share one factor list per element, cached for this call only.
+    closures run a block of generating sets at a time, in enumeration order
+    (``_block_winners``); on the pair-by-pair pass they share one factor
+    list per element, cached for this call only.
     """
     L = Fraction(L)
     W_mask = level_set(S, lam, L)
@@ -360,28 +443,12 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
         prof.notes.append("empty level set")
         return prof
     counter = {"nodes": 0, "capped": False}
-    factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
 
-    def consider(E_ids):
-        first = _first_levels(S, lam, E_ids, W_ids, factors)
-        targets = [z for z in W_ids if z in first]
-        top = max(first[z] for z in targets)
-        v = PropagationValue.finite(top)
-        if v > prof.value:
-            prof.value = v
-            prof.witness_E = mask_of(E_ids)
-            # Ties go to the first target in the iteration order of
-            # set(targets); profile output depends on this choice.
-            prof.witness_z = next(z for z in set(targets) if first[z] == top)
-
-    for E_ids in _iter_incompressible(S, W_ids, counter, budget):
-        consider(E_ids)
-    prof.nodes = counter["nodes"]
-    if counter["capped"]:
+    def sampled():              # runs once the enumeration has stopped
+        if not counter["capped"]:
+            return
         if strict:
             raise BudgetExceeded("profile enumeration exceeded the budget")
-        prof.exhaustive = False
-        prof.notes.append("budget exceeded; sampled lower bound")
         rng = random.Random(seed)
         for _ in range(samples):
             size = rng.randrange(1, min(len(W_ids), 12) + 1)
@@ -392,7 +459,22 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
                 if not comp:
                     break
                 E_ids.remove(x)
-            consider(E_ids)
+            yield E_ids
+
+    sets = chain(_iter_incompressible(S, W_ids, counter, budget), sampled())
+    for E_ids, top, first in _block_winners(S, lam, W_ids, sets):
+        v = PropagationValue.finite(top)
+        if v > prof.value:          # the first set with the larger value
+            targets = [z for z in W_ids if z in first]
+            prof.value = v
+            prof.witness_E = mask_of(E_ids)
+            # Ties go to the first target in the iteration order of
+            # set(targets); profile output depends on this choice.
+            prof.witness_z = next(z for z in set(targets) if first[z] == top)
+    prof.nodes = counter["nodes"]
+    if counter["capped"]:
+        prof.exhaustive = False
+        prof.notes.append("budget exceeded; sampled lower bound")
     return prof
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -61,6 +62,80 @@ def test_profile_subcommand(capsys):
                  "--L", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["exhaustive"] and out["value"]["c"] == {"num": 2, "den": 1}
+
+
+# profile output as the per-set closure pass printed it, field by field:
+# cubes and a truncation at two levels, a random weight, sampled runs, a
+# collapsed top, and a product table
+PROFILE_FIELDS = ("value", "witness_E", "witness_z", "nodes", "exhaustive")
+PINNED_PROFILES = [
+    (["pstar(5)", "--weight", "cardinality", "--L", "2"],
+     '{"exhaustive": true, "nodes": 1271, "value": {"approx": 2.0, "c": '
+     '{"den": 1, "num": 2}, "kind": "finite"}, "witness_E": [0, 1], '
+     '"witness_z": 5}'),
+    (["pstar(5)", "--weight", "cardinality", "--L", "3"],
+     '{"exhaustive": true, "nodes": 6216, "value": {"approx": 3.0, "c": '
+     '{"den": 1, "num": 3}, "kind": "finite"}, "witness_E": [0, 1, 2], '
+     '"witness_z": 15}'),
+    (["fin(5,4)", "--weight", "cardinality", "--L", "2"],
+     '{"exhaustive": true, "nodes": 1287, "value": {"approx": 2.0, "c": '
+     '{"den": 1, "num": 2}, "kind": "finite"}, "witness_E": [1, 2], '
+     '"witness_z": 6}'),
+    (["fin(5,4)", "--weight", "cardinality", "--L", "3"],
+     '{"exhaustive": true, "nodes": 6242, "value": {"approx": 3.0, "c": '
+     '{"den": 1, "num": 3}, "kind": "finite"}, "witness_E": [1, 2, 3], '
+     '"witness_z": 16}'),
+    (["powerset(4)", "--weight", "random:7", "--L", "3/2"],
+     '{"exhaustive": true, "nodes": 45, "value": {"approx": 0.5, "c": '
+     '{"den": 2, "num": 1}, "kind": "finite"}, "witness_E": [2, 7], '
+     '"witness_z": 12}'),
+    (["pstar(5)", "--weight", "cardinality", "--L", "3", "--budget", "5"],
+     '{"exhaustive": false, "nodes": 6, "value": {"approx": 3.0, "c": '
+     '{"den": 1, "num": 3}, "kind": "finite"}, "witness_E": [0, 1, 2], '
+     '"witness_z": 15}'),
+    (["pstar(6)", "--weight", "random:3", "--L", "1", "--budget", "50"],
+     '{"exhaustive": false, "nodes": 51, "value": {"approx": 1.0, "c": '
+     '{"den": 1, "num": 1}, "kind": "finite"}, "witness_E": [0], '
+     '"witness_z": 0}'),
+    (["fin(6,3)", "--weight", "cardinality", "--L", "2"],
+     '{"exhaustive": true, "nodes": 3648, "value": {"approx": 2.0, "c": '
+     '{"den": 1, "num": 2}, "kind": "finite"}, "witness_E": [1, 2], '
+     '"witness_z": 7}'),
+    (["fin(6,3)", "--weight", "cardinality", "--L", "2", "--budget", "5",
+      "--seed", "3"],
+     '{"exhaustive": false, "nodes": 6, "value": {"approx": 2.0, "c": '
+     '{"den": 1, "num": 2}, "kind": "finite"}, "witness_E": [11, 17], '
+     '"witness_z": 0}'),
+    (["tree(2,3)", "--weight", "random:5", "--L", "2"],
+     '{"exhaustive": true, "nodes": 85, "value": {"approx": 2.0, "c": '
+     '{"den": 1, "num": 2}, "kind": "finite"}, "witness_E": [0], '
+     '"witness_z": 7}'),
+]
+
+
+@pytest.mark.parametrize("block_elems", [None, 96])
+@pytest.mark.parametrize("args, expect", PINNED_PROFILES,
+                         ids=[" ".join(a) for a, _ in PINNED_PROFILES])
+def test_profile_output_is_pinned(args, expect, block_elems, capsys,
+                                  monkeypatch):
+    from slat import core
+    if block_elems:     # blocks of 1 to 6 generating sets
+        monkeypatch.setattr(core, "NP_BLOCK_ELEMS", block_elems)
+    assert main(["profile", *args]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert json.dumps({k: out[k] for k in PROFILE_FIELDS},
+                      sort_keys=True) == expect
+
+
+def test_profile_of_fin_7_6_at_level_2_is_fast(capsys):
+    t = time.perf_counter()
+    assert main(["profile", "fin(7,6)", "--weight", "cardinality",
+                 "--L", "2"]) == 0
+    assert time.perf_counter() - t < 1.5
+    out = json.loads(capsys.readouterr().out)
+    assert (out["nodes"], out["witness_E"], out["witness_z"]) == \
+        (56352, [1, 2], 8)
+    assert out["value"]["c"] == {"num": 2, "den": 1}
 
 
 def test_analyze_reads_instance_file(tmp_path, capsys):

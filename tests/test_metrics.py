@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -167,3 +168,17 @@ def test_dist_set_stops_at_an_exact_hit(g, monkeypatch):
     monkeypatch.setattr(S, "factors_mask", counted)
     assert dist_set(S, lam, F) == (ZERO, F)
     assert visited == list(range(g + 1))
+
+
+def test_dist_complex_scans_pstar12_fast():
+    S = free_nonempty(12)
+    lam = builtin_logweight(S, "cardinality")
+    for x in range(S.n):        # the host's factor masks, built once
+        S.factors_mask(x)
+    rng = np.random.default_rng(1)
+    psi = rng.random(S.n) + 1j * rng.random(S.n)   # no candidate is exact
+    t = time.perf_counter()
+    d, witness = dist_complex(S, lam, psi)
+    assert time.perf_counter() - t < 0.5
+    ind = np.array([witness >> x & 1 for x in range(S.n)], dtype=np.float64)
+    assert d == float(np.max(np.abs(psi - ind) * np.exp(-lam.as_floats())))

@@ -2,7 +2,9 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,19 +12,20 @@ from hypothesis import strategies as st
 from oracles import (naive_closure, naive_fbp_step, naive_profile,
                      naive_stable, naive_v)
 from test_acceptance import _dense_v_oracle
-from slat import propagation
+from test_weights import without_member
+from slat import core, propagation
 from slat._bitset import bits, mask_of
 from slat.adversarial import build_chain, verify_barrier
-from slat.core import (chain, fin_truncation, free_nonempty, generate_instance,
-                       kary_tree, powerset, sch_embed)
+from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
+                       generate_instance, kary_tree, powerset, sch_embed)
 from slat.metrics import generate_filter
 from slat.propagation import (INFINITE, SUBSET_MIN_BITS, BudgetExceeded,
                               PropagationValue, check_equivalence_iii, fbp,
                               fbp_closure, finite_breadth_bound_check,
                               is_fbp_stable, propagation_profile,
                               stability_threshold, v_value)
-from slat.weights import (LogWeight, builtin_logweight, level_set,
-                          random_logweight)
+from slat.weights import (LogWeight, PrototypeMissingTop, builtin_logweight,
+                          level_set, random_logweight)
 
 
 def test_propagation_value_ordering():
@@ -147,6 +150,14 @@ def test_profile_budget_strict_raises():
         propagation_profile(S, lam, 4, budget=5, strict=True)
 
 
+def test_profile_samples_only_past_the_budget(monkeypatch):
+    S = free_nonempty(4)
+    lam = builtin_logweight(S, "cardinality")
+    monkeypatch.setattr(propagation, "is_compressible", None)  # the sampler's
+    prof = propagation_profile(S, lam, 2, strict=True)
+    assert prof.exhaustive and prof.notes == []
+
+
 def test_profile_budget_sampled_mode_lower_bound():
     S = free_nonempty(4)
     lam = builtin_logweight(S, "cardinality")
@@ -219,6 +230,91 @@ def test_profile_leaves_host_and_weight_caches_alone():
     assert lam._cache == cache
 
 
+# -- profiles in blocks --------------------------------------------------------
+
+@st.composite
+def _profile_host(draw):
+    """A random union-closed family, a cube, or a collapsed-top family (two
+    truncations and a family that is not one)."""
+    kind = draw(st.sampled_from(["family", "cube", "collapsed"]))
+    if kind == "family":
+        k = draw(st.integers(1, 6))
+        sets = draw(st.sets(st.frozensets(st.integers(0, k - 1)), min_size=1,
+                            max_size=6))
+        return Semilattice.from_sets(range(k), [sorted(m) for m in sets],
+                                     close=True)
+    names = ["pstar(4)", "powerset(4)", "pstar(5)"] if kind == "cube" else \
+        ["fin(6,3)", "fin(7,3)", "fin(4,2) less {0,1}"]
+    return _PROFILE_HOSTS[draw(st.sampled_from(names))]
+
+
+_PROFILE_HOSTS = {spec: generate_instance(spec) for spec in (
+    "pstar(4)", "powerset(4)", "pstar(5)", "fin(6,3)", "fin(7,3)")}
+_PROFILE_HOSTS["fin(4,2) less {0,1}"] = without_member(fin_truncation(4, 2),
+                                                       [0, 1])
+
+
+def _profile_fields(prof):
+    return (prof.value, prof.witness_E, prof.witness_z, prof.nodes,
+            prof.exhaustive)
+
+
+@settings(max_examples=80, deadline=None)
+@given(S=_profile_host(), wname=st.sampled_from(["random", "cardinality",
+                                                 "prototype"]),
+       seed=st.integers(0, 10_000), budget=st.integers(1, 1500),
+       block_elems=st.sampled_from([1, 40, 1 << 14]), data=st.data())
+def test_batched_profile_matches_the_per_set_pass(S, wname, seed, budget,
+                                                  block_elems, data):
+    if wname == "random":
+        lam = random_logweight(S, seed)
+    else:
+        try:
+            lam = builtin_logweight(S, wname)
+        except PrototypeMissingTop:
+            assume(False)
+    L = data.draw(st.sampled_from(sorted(set(lam.values()))), label="L")
+    run = partial(propagation_profile, S, lam, L, budget=budget, seed=seed,
+                  samples=25)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", block_elems)
+        batched = run()
+        mp.setattr(propagation, "SUBSET_MAX_BITS", -1)   # every set alone
+        per_set = run()
+    assert _profile_fields(batched) == _profile_fields(per_set)
+
+
+def test_profile_blocks_route_collapsed_joins_to_the_pair_pass(monkeypatch):
+    S = _PROFILE_HOSTS["fin(6,3)"]
+    lam = builtin_logweight(S, "cardinality")
+    tops = []
+    knuth = propagation._knuth_first_levels
+    monkeypatch.setattr(propagation, "_knuth_first_levels",
+                        lambda *a: tops.append(a[-1]) or knuth(*a))
+    prof = propagation_profile(S, lam, 2)
+    assert tops and set(tops) == {S.top_id}
+    assert prof.value == PropagationValue.finite(2)
+
+
+def test_sparse_profiles_stay_on_the_pair_pass(monkeypatch):
+    # 12 nested sets span 12 points: 4096 subsets for 12 members
+    S = chain_system(12)
+    lam = builtin_logweight(S, "cardinality")
+    monkeypatch.setattr(propagation, "_subset_first_levels", None)
+    prof = propagation_profile(S, lam, 12)
+    assert prof.exhaustive and prof.value == PropagationValue.finite(12)
+
+
+def test_profile_of_pstar6_at_level_3_is_fast():
+    S = free_nonempty(6)
+    lam = builtin_logweight(S, "cardinality")
+    t = time.perf_counter()
+    prof = propagation_profile(S, lam, 3)
+    assert time.perf_counter() - t < 0.6
+    assert (prof.value, prof.witness_E, prof.witness_z, prof.nodes) == \
+        (PropagationValue.finite(3), 0b111, 21, 86599)
+
+
 # -- the two closure passes --------------------------------------------------
 
 # joins of up to 7 points, with and without a collapsed top, and sparse
@@ -232,11 +328,15 @@ _PASS_HOSTS.update({f"sch_embed({spec})": sch_embed(generate_instance(spec))
 def _both_passes(S, lam, E_ids):
     """First levels of every factor of the product of E by each pass."""
     J = S.product_ids(E_ids)
-    targets = range(S.n)
-    return (propagation._knuth_first_levels(S, lam, E_ids, targets,
-                                            S.iter_factors, J),
-            propagation._subset_first_levels(S, lam, E_ids, targets,
-                                             S.member_mask(J)))
+    knuth = propagation._knuth_first_levels(S, lam, E_ids, range(S.n),
+                                            S.iter_factors, J)
+    pos, levels, rank = propagation._subset_world(S, lam, S.member_mask(J))
+    members = [z for z in pos if z != S.top_id]
+    seeds = np.zeros((1, len(rank)), dtype=bool)
+    seeds[0, [pos[e] for e in E_ids]] = True
+    first = propagation._subset_first_levels(seeds, rank, len(levels),
+                                             [pos[z] for z in members])
+    return knuth, {z: levels[i] for z, i in zip(members, first[0])}
 
 
 @settings(max_examples=60, deadline=None)
