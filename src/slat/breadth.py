@@ -6,6 +6,20 @@ incompressible subset.  Both the test and the search compare a product with
 its k "rest products", the product without each member, joined through the
 host's ``join_seam``; on a union-closed set system a set is
 incompressible exactly when every member owns a point no other member has.
+
+On a set system without a collapsed top, breadth is therefore a question
+about point sets: it is the size of the largest set P of points such that
+each p in P has a member meeting P in {p} alone (the private points of an
+incompressible family form such a P, and such a P picks one).  That member
+exists exactly when p lies in D[~P | p], where D[X] is the union of the
+members inside X, and D is one OR-transform over the 2**k subsets of the k
+points of the host (F. Yates, "The design and analysis of factorial
+experiments", 1937, as in ``propagation``).  When k is at most
+``SUBSET_MAX_BITS`` and 2**k <= 4n, ``breadth`` takes this route, and a
+min-transform of the search positions rebuilds the branch and bound's
+witness (``_first_witness``).  Tables, other collapsed-top families and
+sparse or wide set systems take the branch and bound over
+``_iter_incompressible``.
 """
 
 from __future__ import annotations
@@ -14,8 +28,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from ._bitset import bits, mask_of
-from .core import _join_closure
+import numpy as np
+
+from ._bitset import bits, mask_of, popcount
+from .core import SUBSET_MAX_BITS, _join_closure
 
 
 class EmptySetError(ValueError):
@@ -31,7 +47,7 @@ class BreadthReport:
     breadth: int
     witness: int                      # id-mask of a largest incompressible set
     exhaustive: bool
-    nodes: int = 0
+    nodes: int = 0                    # candidates tried (docs/formats.md)
     notes: list = field(default_factory=list)
 
     def to_json(self):
@@ -88,10 +104,40 @@ def _trunc_breadth_cap(S):
     return None if c is None else c + 1
 
 
-def _distinctness_order(S):
+def _point_index(S):
+    """``(k, local)`` for a set system without a collapsed top whose k points
+    (those of some member) number at most ``SUBSET_MAX_BITS`` and pass the
+    density rule 2**k <= 4n: ``local[x]`` is the set of element x over those
+    points, bit j for the j-th.  None for any other host."""
+    if S.kind != "set_system" or S.top_id is not None:
+        return None
+    masks = S.member_masks_np()
+    G = int(np.bitwise_or.reduce(masks))
+    k = popcount(G)
+    if k > SUBSET_MAX_BITS or 1 << k > 4 * S.n:
+        return None
+    local = np.zeros(S.n, dtype=np.int64)
+    for j, p in enumerate(bits(G)):
+        local |= (masks >> p & 1).astype(np.int64) << j
+    return k, local
+
+
+def _distinctness_order(S, index=None):
     """Element order for the search: descending count of elements not below,
-    ties by canonical id."""
+    ties by canonical id.
+
+    y is below x when x's set lies inside y's, so with the ``_point_index``
+    of the host the count is n less the supersets of x, which one
+    superset-sum pass over the 2**k subsets gives for every x at once."""
     n = S.n
+    if index is not None:
+        k, local = index
+        supersets = np.zeros(1 << k, dtype=np.int32)
+        supersets[local] = 1
+        for j in range(k):
+            half = supersets.reshape(-1, 2, 1 << j)
+            half[:, 0] += half[:, 1]
+        return np.argsort(supersets[local], kind="stable").tolist()
     score = [0] * n
     for x in range(n):
         score[x] = sum(1 for y in range(n) if not S.leq(y, x))
@@ -156,11 +202,14 @@ def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
 
 
 def breadth(S, cap: int = 10_000_000) -> BreadthReport:
-    """Exact breadth by branch and bound when the search fits in ``cap``
-    nodes; otherwise the best lower bound found, marked non-exhaustive.
+    """Breadth with a largest incompressible set as witness.
 
-    Incompressibility is hereditary, so any branch that turns compressible
-    is cut immediately.
+    A cube truncation with a collapsed top takes its cardinality bound, and
+    a host that ``_point_index`` indexes the point-set transform (module
+    docstring); both are always exact.  Any other host takes the branch and
+    bound within ``cap`` nodes, or above 5000 elements a greedy lower bound.
+    The transform, and the branch and bound when it finishes, report the
+    first incompressible set of the largest size in ``_distinctness_order``.
     """
     cap_exact = _trunc_breadth_cap(S)
     if cap_exact is not None:
@@ -168,10 +217,23 @@ def breadth(S, cap: int = 10_000_000) -> BreadthReport:
         if len(ids) == cap_exact:
             return BreadthReport(cap_exact, mask_of(ids), exhaustive=True,
                                  notes=["truncation cardinality bound"])
+    index = _point_index(S)
+    if index is not None:
+        return _transform_breadth(S, index)
     if S.n > 5000:
         ids = _greedy_incompressible(S, S.n)
         return BreadthReport(len(ids), mask_of(ids), exhaustive=False,
                              notes=["greedy lower bound only (large instance)"])
+    return _branch_and_bound(S, cap)
+
+
+def _branch_and_bound(S, cap):
+    """Breadth by branch and bound when the search fits in ``cap`` nodes;
+    otherwise the best lower bound found, marked non-exhaustive.
+
+    Incompressibility is hereditary, so any branch that turns compressible
+    is cut immediately.
+    """
     order = _distinctness_order(S)
     best = [order[0]] if S.n else []
     nodes, capped = 0, False
@@ -186,6 +248,69 @@ def breadth(S, cap: int = 10_000_000) -> BreadthReport:
             best = ids
     return BreadthReport(len(best), mask_of(best), exhaustive=not capped,
                          nodes=nodes)
+
+
+def _transform_breadth(S, index):
+    """Breadth and witness on a host that ``_point_index`` indexes as
+    ``(k, local)``: the largest point set P whose points each have a member
+    meeting P in {p} alone, found by one OR-transform (module docstring)."""
+    k, local = index
+    sets = np.arange(1 << k, dtype=np.int32)    # k <= 22: int32 holds a set
+    inside = np.zeros(1 << k, dtype=np.int32)   # D: union of members inside
+    inside[local] = local
+    for j in range(k):
+        half = inside.reshape(-1, 2, 1 << j)
+        half[:, 1] |= half[:, 0]
+    outside = sets ^ (1 << k) - 1
+    owned = np.ones(1 << k, dtype=bool)         # every point of P owned
+    for j in range(k):
+        owned &= (inside[outside | 1 << j] | ~sets) >> j & 1 == 1
+    size = np.bitwise_count(sets)
+    b = max(1, int(size[owned].max()))
+    order = _distinctness_order(S, index)
+    if b == 1:          # any one element is incompressible
+        return BreadthReport(1, 1 << order[0], exhaustive=True, nodes=1)
+    ids = _first_witness(order, index, sets[owned & (size == b)], b)
+    return BreadthReport(b, mask_of(ids), exhaustive=True,
+                         nodes=order.index(ids[-1]) + 1)
+
+
+def _first_witness(order, index, P, b):
+    """The first incompressible b-sequence of positions of ``order``, the
+    set the branch and bound reports, given the point sets P of size b that
+    the transform accepts (local indices, as in ``_transform_breadth``).
+
+    A chosen prefix extends through P when each chosen member meets P in
+    one point, these points are distinct, and each remaining point q of P
+    has a member meeting P in {q} alone at a later position.  Greedily, the
+    next member is the earliest that keeps some P extendable.  Every P
+    starts extendable, and no remaining point of a P that stays so has a
+    member before the last chosen position: such a member would have come
+    before the chosen one.  So the next member is the earliest, over the P
+    that stay extendable, of the first member meeting P in one remaining
+    point q.  That member is the first member inside ~P | q: one without q
+    has a union with a member holding q that is inside too, has fewer
+    supersets, and so comes first in ``_distinctness_order``.  One
+    min-transform over the subsets gives every first member inside.
+    """
+    k, local = index
+    n = len(order)
+    inside = np.full(1 << k, n, dtype=np.int32)
+    inside[local[order]] = np.arange(n)     # position of the member at a set
+    for j in range(k):                      # first member inside each set
+        half = inside.reshape(-1, 2, 1 << j)
+        np.minimum(half[:, 1], half[:, 0], out=half[:, 1])
+    points = np.arange(k)
+    pts = P[:, None] >> points & 1 == 1
+    first = inside[(P[:, None] ^ (1 << k) - 1) | 1 << points]  # at ~P | q
+    rest, ids = pts, []
+    for _ in range(b):
+        x = order[int(np.where(rest, first, n).min())]
+        hit = pts & (int(local[x]) >> points & 1 == 1)
+        live = (hit.sum(axis=1) == 1) & (hit & rest).any(axis=1)
+        pts, rest, first = pts[live], (rest & ~hit)[live], first[live]
+        ids.append(x)
+    return ids
 
 
 def _greedy_incompressible(S, target):
@@ -218,8 +343,9 @@ def find_incompressible(S, size):
         return got[:size]
     if S.n > 5000:
         return None
-    walk = _iter_incompressible(S, _distinctness_order(S), {"nodes": 0},
-                                2_000_000, lambda: size)
+    order = _distinctness_order(S, _point_index(S))
+    walk = _iter_incompressible(S, order, {"nodes": 0}, 2_000_000,
+                                lambda: size)
     return next((ids for ids in walk if len(ids) == size), None)
 
 

@@ -38,6 +38,10 @@ FULL_VALIDATE_CAP = 251
 #: so that a block's few temporaries stay in cache and add little to the
 #: peak memory of a small host)
 NP_BLOCK_ELEMS = 1 << 14
+#: most points of a set on the subset-lattice passes (closures in
+#: ``propagation``, exact breadth in ``breadth``), whose arrays have
+#: 2**points entries
+SUBSET_MAX_BITS = 22
 
 
 class NotClosedError(ValueError):

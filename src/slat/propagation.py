@@ -47,7 +47,7 @@ import numpy as np
 
 from ._bitset import bits, mask_of, popcount
 from .breadth import _iter_incompressible, breadth, is_compressible
-from .core import Semilattice, block_rows
+from .core import SUBSET_MAX_BITS, Semilattice, block_rows
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -55,8 +55,6 @@ from .weights import LogWeight, level_set
 #: joins with fewer points go through the pair-by-pair pass, which is faster
 #: there: at 5 points the two passes tie, at 6 the subset pass is 2-3x faster
 SUBSET_MIN_BITS = 6
-#: most points of a join on the subset pass, whose arrays have 2**|J| entries
-SUBSET_MAX_BITS = 22
 
 
 class BudgetExceeded(RuntimeError):

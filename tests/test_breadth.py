@@ -1,15 +1,18 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_breadth, naive_incompressible
 from slat._bitset import bits
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        generate_instance, kary_tree, powerset)
-from slat.breadth import (EmptySetError, SizeLimit, _iter_incompressible,
-                          breadth, find_incompressible, is_compressible,
+from slat.breadth import (EmptySetError, SizeLimit, _branch_and_bound,
+                          _distinctness_order, _iter_incompressible,
+                          _point_index, _transform_breadth, breadth,
+                          find_incompressible, is_compressible,
                           is_free_embedding)
 from slat.propagation import propagation_profile
 from slat.weights import builtin_logweight
@@ -147,10 +150,11 @@ def test_enumerator_matches_bruteforce(spec, data, k):
 def test_search_node_counts_are_pinned():
     for spec, nodes in (("pstar(6)", 8844), ("powerset(6)", 9582),
                         ("tree(2,5)", 1700), ("pstar(5)", 665)):
-        rep = breadth(generate_instance(spec))
+        rep = _branch_and_bound(generate_instance(spec), 10_000_000)
         assert (rep.nodes, rep.exhaustive) == (nodes, True)
-    rep = breadth(generate_instance("pstar(6)"), cap=17)
-    assert rep.to_json() == {"breadth": 2, "witness": [56, 57],
+    assert breadth(generate_instance("tree(2,5)")).nodes == 1700
+    rep = breadth(generate_instance("tree(2,5)"), cap=17)
+    assert rep.to_json() == {"breadth": 2, "witness": [1, 2],
                              "exhaustive": False, "nodes": 17, "notes": []}
     S = generate_instance("pstar(4)")
     lam = builtin_logweight(S, "cardinality")
@@ -159,6 +163,114 @@ def test_search_node_counts_are_pinned():
     prof = propagation_profile(S, lam, 2, budget=7)
     assert (prof.nodes, prof.exhaustive) == (8, False)
     assert find_incompressible(generate_instance("fin(6,2)"), 4) is None
+
+
+# -- the point-set transform ---------------------------------------------------
+
+def _dense_index(S):
+    """``_point_index`` of a set system without its density rule: the
+    members' sets over the points that some member holds."""
+    points = sorted({p for x in range(S.n) for p in bits(S.member_mask(x))})
+    local = [sum(1 << j for j, p in enumerate(points)
+                 if S.member_mask(x) >> p & 1) for x in range(S.n)]
+    return len(points), np.array(local, dtype=np.int64)
+
+
+def _owned_points(S):
+    """Largest point set P in which each point p has a member meeting P in
+    {p} alone, by trying every P."""
+    k, local = _dense_index(S)
+    return max(bin(P).count("1") for P in range(1 << k)
+               if all(any(m & P == 1 << p for m in local.tolist())
+                      for p in bits(P)))
+
+
+_CUBES = {spec: generate_instance(spec) for spec in (
+    "pstar(1)", "pstar(3)", "powerset(3)", "pstar(5)", "powerset(5)",
+    "pstar(6)")}
+
+
+@st.composite
+def _closed_family(draw, max_points=7):
+    """The union-closure of random sets over at most ``max_points`` points
+    (the empty set and one-member families among them), the family that
+    holds only the empty set, or a cube."""
+    kind = draw(st.sampled_from(["family", "family", "empty", "cube"]))
+    if kind == "cube":
+        return _CUBES[draw(st.sampled_from(sorted(_CUBES)))]
+    if kind == "empty":
+        return Semilattice.from_sets("a", [[]])
+    k = draw(st.integers(1, max_points))
+    sets = draw(st.sets(st.frozensets(st.integers(0, k - 1)), min_size=1,
+                        max_size=8))
+    return Semilattice.from_sets(range(k), [sorted(m) for m in sets],
+                                 close=True)
+
+
+# the witness rebuild must drop a point set that a chosen member meets in
+# two points: keeping it gives a wrong witness on this family
+_MEETS_TWICE = Semilattice.from_sets(
+    range(6), [[0], [0, 2, 5], [1, 2, 3, 4], [1, 5], [3, 5]], close=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(S=_closed_family())
+@example(S=_MEETS_TWICE)
+def test_transform_matches_the_branch_and_bound(S):
+    index = _point_index(S)
+    dense = _dense_index(S)
+    if index is not None:
+        assert index[0] == dense[0] and index[1].tolist() == dense[1].tolist()
+    got = _transform_breadth(S, dense)       # sparse families too
+    want = _branch_and_bound(S, 10**9)
+    assert (got.breadth, got.witness, got.exhaustive, got.notes) == \
+        (want.breadth, want.witness, want.exhaustive, want.notes)
+    assert breadth(S).to_json() == (got if index else want).to_json()
+    assert got.breadth == max(1, _owned_points(S))
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=_closed_family(max_points=5))
+def test_transform_matches_the_naive_oracles(S):
+    assume(S.n <= 16)
+    rep = _transform_breadth(S, _dense_index(S))
+    assert rep.exhaustive
+    assert rep.breadth == naive_breadth(S, rep.breadth + 1)
+    assert len(list(bits(rep.witness))) == rep.breadth
+    assert naive_incompressible(S, list(bits(rep.witness)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(S=_closed_family())
+def test_superset_counts_give_the_search_order(S):
+    assert _distinctness_order(S, _dense_index(S)) == _distinctness_order(S)
+
+
+def test_point_index_reads_points_past_63():
+    # member masks reach 2**69, so member_masks_np holds Python ints
+    S = Semilattice.from_sets(range(70), [[60], [61], [63], [64, 65], [69]],
+                              close=True)
+    k, local = _point_index(S)
+    assert k == 6 and local.tolist() == _dense_index(S)[1].tolist()
+    rep = breadth(S)
+    assert (rep.breadth, rep.exhaustive, rep.nodes) == (5, True, 31)
+    assert rep.witness == _branch_and_bound(S, 10**9).witness
+
+
+def test_transform_is_exact_where_the_branch_and_bound_caps_out():
+    # the union-closure of 14 sets over 9 points, 205 members
+    sets = [(0, 1, 3), (0, 2, 4, 8), (0, 3), (0, 6, 7, 8), (0, 8), (1, 4, 7),
+            (1, 5), (2, 5), (3, 4, 5), (3, 5, 6), (4, 6), (5, 7, 8), (5, 8),
+            (6, 7)]
+    S = Semilattice.from_sets(range(9), sets, close=True)
+    assert S.n == 205
+    capped = _branch_and_bound(S, 10_000)
+    assert (capped.breadth, capped.exhaustive) == (3, False)
+    rep = breadth(S)
+    ids = list(bits(rep.witness))
+    assert (rep.breadth, rep.exhaustive, len(ids)) == (6, True, 6)
+    assert _owned_points(S) == 6
+    assert naive_incompressible(S, ids)
 
 
 # -- backends that the hosts above lack --------------------------------------

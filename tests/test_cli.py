@@ -612,13 +612,42 @@ def _csv_rows(out):
     return [row[:cut] + row[cut + 1:] for row in rows]
 
 
-def test_breadth_above_five_thousand_elements_is_a_greedy_bound():
+def test_breadth_above_five_thousand_elements_is_a_greedy_bound(tmp_path):
+    # pstar(13) takes the point-set transform, exact at any size
     rc, out, err = _main(["breadth", "pstar(13)"])
     rep = json.loads(out)
     assert rc == 0 and err == ""
     assert rep["breadth"] == 13 and rep["witness"] == list(range(13))
-    assert rep["exhaustive"] is False
-    assert rep["notes"] == ["greedy lower bound only (large instance)"]
+    assert rep["exhaustive"] is True and rep["notes"] == []
+    # 13 disjoint 2-point blocks span 26 points: 8191 members off the
+    # transform, where only a greedy bound is given above 5000 elements
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({
+        "kind": "set_system", "ground": [str(p) for p in range(26)],
+        "elements": [[2 * i, 2 * i + 1] for i in range(13)]}))
+    rc, out, err = _main(["breadth", str(path), "--close"])
+    assert rc == 0 and err == ""
+    assert json.loads(out) == {
+        "breadth": 13, "witness": list(range(13)), "exhaustive": False,
+        "nodes": 0, "notes": ["greedy lower bound only (large instance)"]}
+
+
+def test_breadth_of_pstar_8_is_fast():
+    t = time.perf_counter()
+    rc, out, _ = _main(["breadth", "pstar(8)"])
+    assert time.perf_counter() - t < 1
+    assert rc == 0 and json.loads(out) == {
+        "breadth": 8, "witness": list(range(8)), "exhaustive": True,
+        "nodes": 255, "notes": []}
+
+
+def test_analyze_of_pstar_9_is_fast():
+    t = time.perf_counter()
+    rc, out, _ = _main(["analyze", "pstar(9)"])
+    assert time.perf_counter() - t < 2
+    assert rc == 0 and json.loads(out)["breadth"] == {
+        "breadth": 9, "witness": list(range(9)), "exhaustive": True,
+        "nodes": 511, "notes": []}
 
 
 def test_sweep_breadth_rows():
