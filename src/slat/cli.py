@@ -17,6 +17,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from . import adversarial, core, metrics, propagation, weights
 from ._bitset import bits, mask_of, popcount
@@ -324,11 +325,10 @@ def cmd_verify(args):
         entry["logweight_valid"] = w.to_json()
         good = v.ok and w.ok
         if S.n <= 64:
-            filt_ok = all(metrics.is_filter(S, F)
-                          for F in metrics.enumerate_filters(S))
-            zero_ok = all(
-                metrics.defect_set(S, lam, F).is_zero
-                for F in metrics.enumerate_filters(S))
+            filters = metrics.enumerate_filters(S)
+            filt_ok = all(metrics.is_filter(S, F) for F in filters)
+            zero_ok = all(metrics.defect_set(S, lam, F).is_zero
+                          for F in filters)
             rt = core.Semilattice.from_json(S.to_json())
             roundtrip_ok = rt.to_json() == S.to_json()
             entry["filters_are_filters"] = filt_ok
@@ -344,7 +344,11 @@ def cmd_verify(args):
 
 # -- dispatch ----------------------------------------------------------------
 
+@cache
 def _build_parser():
+    """The argument parser, built on the first ``main`` call and reused by
+    later calls in the process.  It holds no handler: ``main`` looks up
+    ``cmd_<command>`` when it runs one."""
     top = argparse.ArgumentParser(prog="slat",
                                   description="finite weighted semilattice toolkit")
     sub = top.add_subparsers(dest="command", required=True)
@@ -358,7 +362,7 @@ def _build_parser():
         "format": dict(choices=("json", "text"), default="json"),
     }
 
-    def add(name, fn, flags, instance="required", **extra):
+    def add(name, flags, instance="required", **extra):
         p = sub.add_parser(name)
         if instance == "required":
             p.add_argument("instance",
@@ -369,35 +373,34 @@ def _build_parser():
             p.add_argument("--" + flag, **shared[flag])
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
 
-    add("analyze", cmd_analyze, "format weight close cap")
-    add("defect", cmd_defect, "format weight close",
+    add("analyze", "format weight close cap")
+    add("defect", "format weight close",
         **{"--set": dict(required=True)})
-    add("dist", cmd_dist, "format weight close",
+    add("dist", "format weight close",
         **{"--set": dict(required=True)})
-    add("fbp", cmd_fbp, "format weight close",
+    add("fbp", "format weight close",
         **{"--C": dict(required=True), "--set": dict(required=True)})
-    add("vmap", cmd_vmap, "format weight close",
+    add("vmap", "format weight close",
         **{"--E": dict(required=True), "--z": dict(required=True)})
-    add("profile", cmd_profile, "format weight seed close strict budget",
+    add("profile", "format weight seed close strict budget",
         **{"--L": dict(required=True)})
-    add("breadth", cmd_breadth, "format close cap")
-    add("adversary", cmd_adversary, "format close strict",
+    add("breadth", "format close cap")
+    add("adversary", "format close strict",
         **{"--nmax": dict(type=int, required=True)})
-    add("sweep", cmd_sweep, "seed strict budget cap", instance=None,
+    add("sweep", "seed strict budget cap", instance=None,
         **{"--family": dict(required=True),
            "--range": dict(required=True, help="inclusive LO:HI"),
            "--op": dict(default="vmap", choices=("vmap", "breadth", "profile")),
            "--L": dict(default="1")})
-    add("verify", cmd_verify, "format weight seed close", instance="optional")
+    add("verify", "format weight seed close", instance="optional")
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

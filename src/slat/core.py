@@ -259,7 +259,8 @@ class Semilattice:
 
         Up to ``FULL_VALIDATE_CAP`` elements every triple x <= y <= z is
         checked on the dense table; beyond it associativity is checked on
-        50 000 triples drawn under ``seed`` and the report is marked
+        50 000 triples (x, y, z), drawn as three ``randrange(n)`` per triple
+        from ``random.Random(seed)``, and the report is marked
         non-exhaustive.  Set systems are union-closed by construction: their
         builders reject a family that is not, unless it has a collapsed top.
         """
@@ -267,15 +268,16 @@ class Semilattice:
         n = self.n
         full = n <= FULL_VALIDATE_CAP
         rep.exhaustive = full
-        prod = self.product
-        for x in range(min(n, 100_000)):
-            if prod(x, x) != x:
-                rep.violations.append(Violation("NotIdempotent", (x,)))
+        ids = np.arange(n)
+        T = self.product_table_np() if full or self.kind == "table" else None
+        if T is not None:
+            loops = np.flatnonzero(T.diagonal() != ids).tolist()
+        else:  # a set system's product of x with itself is its mask's id
+            loops = [x for x in range(min(n, 100_000))
+                     if self._id(self._mask(x)) != x]
+        rep.violations += [Violation("NotIdempotent", (x,)) for x in loops]
         if n > 100_000:
             rep.notes.append("idempotence checked on the first 100000 elements")
-        if full or self.kind == "table":
-            T = self.product_table_np()
-            ids = np.arange(n)
         if self.kind == "table":  # set-system products are symmetric
             rep.violations += [
                 Violation("NotCommutative", pair) for pair in pairs_where(
@@ -294,25 +296,53 @@ class Semilattice:
                 for x, yz in pairs_where(n, n * n, nonassociative)]
             rep.checked_triples = math.comb(n + 2, 3)
         else:
-            rng = random.Random(seed)
-            for _ in range(50_000):
-                x = rng.randrange(n)
-                y = rng.randrange(n)
-                z = rng.randrange(n)
-                if prod(prod(x, y), z) != prod(x, prod(y, z)):
-                    rep.violations.append(Violation("NotAssociative", (x, y, z)))
-                rep.checked_triples += 1
+            rows = _randrange_bulk(random.Random(seed), n,
+                                   3 * 50_000).reshape(-1, 3)
+            x, y, z = rows.T
+            if T is not None:
+                bad = T[T[x, y], z] != T[x, T[y, z]]
+            else:
+                bad = self._sampled_nonassociative(rows)
+            rep.violations += [Violation("NotAssociative", tuple(t))
+                               for t in rows[bad].tolist()]
+            rep.checked_triples = len(bad)
             rep.notes.append("associativity sampled")
         return rep
+
+    def _sampled_nonassociative(self, rows):
+        """Whether ``(xy)z != x(yz)`` for each row (x, y, z) of ids on a set
+        system, compared in mask space: each distinct id is unranked once,
+        and each distinct union resolved once to itself (a member) or to the
+        collapsed top's mask."""
+        uniq, where = np.unique(rows, return_inverse=True)
+        top = None if self.top_id is None else self._mask(self.top_id)
+        # the top's mask is in the array too, to choose a dtype it fits
+        masks = _mask_array([self._mask(x) for x in uniq.tolist()]
+                            + [top or 0])
+        mx, my, mz = masks[where].reshape(-1, 3).T
+
+        def resolve(unions):
+            distinct, back = np.unique(unions, return_inverse=True)
+            out = []
+            for m in distinct.tolist():
+                if self._id(m) is None:
+                    if top is None:
+                        raise NotClosedError(f"union {list(bits(m))} of "
+                                             f"member sets is not a member")
+                    m = top
+                out.append(m)
+            return np.array(out, dtype=masks.dtype)[back]
+
+        xy, yz = resolve(np.concatenate([mx | my, my | mz])).reshape(2, -1)
+        left, right = resolve(np.concatenate([xy | mz, mx | yz])).reshape(2, -1)
+        return left != right
 
     # -- tables for vectorized scans ------------------------------------
 
     def member_masks_np(self):
         """Member masks of all elements by id: an int64 array, or an object
         array of Python ints when one reaches 2**63."""
-        masks = [self._mask(x) for x in range(self.n)]
-        return np.array(masks, dtype=object if max(masks, default=0) >> 63
-                        else np.int64)
+        return _mask_array([self._mask(x) for x in range(self.n)])
 
     def product_table_np(self):
         """Dense n-by-n product table as a new numpy array (small n only);
@@ -323,7 +353,7 @@ class Semilattice:
         """
         n = _table_size(self.n)
         if self.kind == "table":
-            return np.array(self.table, dtype=np.int32)
+            return np.array(self.table, dtype=np.int32).reshape(n, n)
         masks = self.member_masks_np()
         order = np.argsort(masks).astype(np.int32)
         ordered = masks[order]
@@ -429,6 +459,33 @@ def pairs_where(rows, cols, bad):
         xs, ys = np.nonzero(bad(r0, r1))
         out += zip((xs + r0).tolist(), ys.tolist())
     return out
+
+
+def _mask_array(masks):
+    """Member masks as an int64 array, or an object array of Python ints
+    when one reaches 2**63."""
+    return np.array(masks, dtype=object if max(masks, default=0) >> 63
+                    else np.int64)
+
+
+def _randrange_bulk(rng, n, count):
+    """``[rng.randrange(n) for _ in range(count)]`` as an int64 array, for
+    0 < n < 2**32, drawn in bulk.  ``randrange(n)`` keeps the top
+    ``n.bit_length()`` bits of one 32-bit Mersenne Twister output and draws
+    again while the value is >= n; ``getrandbits(32 * m)`` is m such outputs
+    in turn, little-endian, so filtering them the same way gives the same
+    values.  Spare outputs are drawn too, so ``rng`` ends up further on than
+    ``count`` calls would leave it."""
+    k = n.bit_length()
+    got = [np.empty(0, np.uint32)]
+    need = count
+    while need > 0:
+        m = (need << k) // n + 64  # the expected outputs, and some to spare
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
+                              dtype="<u4") >> (32 - k)
+        got.append(words[words < n])
+        need -= len(got[-1])
+    return np.concatenate(got)[:count].astype(np.int64)
 
 
 def _no_member_masks(_):

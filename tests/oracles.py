@@ -142,6 +142,51 @@ def naive_semilattice_violations(S):
     return out, len(triples)
 
 
+def naive_sampled_validation(S, seed):
+    """``Semilattice.validate(seed).to_json()`` above ``FULL_VALIDATE_CAP``
+    by the plain loop it replaced: idempotence on the first 100 000 ids,
+    commutativity of a table for x < y, then 50 000 triples, each three
+    ``randrange(n)`` calls, checked with ``product``."""
+    p, n = S.product, S.n
+    out = [("NotIdempotent", (x,)) for x in range(min(n, 100_000))
+           if p(x, x) != x]
+    notes = ["idempotence checked on the first 100000 elements"] \
+        if n > 100_000 else []
+    if S.kind == "table":
+        out += [("NotCommutative", (x, y))
+                for x, y in combinations(range(n), 2) if p(x, y) != p(y, x)]
+    rng = random.Random(seed)
+    for _ in range(50_000):
+        x = rng.randrange(n)
+        y = rng.randrange(n)
+        z = rng.randrange(n)
+        if p(p(x, y), z) != p(x, p(y, z)):
+            out.append(("NotAssociative", (x, y, z)))
+    return {"ok": not out,
+            "violations": [{"kind": k, "witness": list(w)} for k, w in out],
+            "checked_triples": 50_000, "exhaustive": False,
+            "notes": notes + ["associativity sampled"]}
+
+
+def planted_table_json(n=260, cells=3000, seed=11):
+    """A min-table on ``n`` elements with ``cells`` entries overwritten at
+    random: above ``FULL_VALIDATE_CAP`` it breaks all three axioms."""
+    rng = random.Random(seed)
+    table = [[min(x, y) for y in range(n)] for x in range(n)]
+    for _ in range(cells):
+        table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return {"kind": "table", "product": table}
+
+
+def broken_top_json(k, elements):
+    """A set system on ``k`` points with the empty set and ``elements``
+    (which hold {0}), whose top is collapsed onto the member {0}: a union that is not a member lands below the members it contains,
+    so the product is not associative."""
+    return {"kind": "set_system", "ground": [f"g{i}" for i in range(k)],
+            "elements": [[]] + [list(e) for e in elements if list(e)],
+            "collapsed_top": 1}
+
+
 def naive_random_logweight(S, seed):
     """Values of ``random_logweight(S, seed)`` by the plain repair loop: the
     same seeded draws, then lambda(xy) lowered to lambda(x) + lambda(y) one

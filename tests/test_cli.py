@@ -8,11 +8,14 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import broken_top_json, naive_sampled_validation, planted_table_json
+from slat import core
 from slat.cli import main
 
 SLAT = [sys.executable, "-m", "slat.cli"]
@@ -390,6 +393,42 @@ def test_depth_five_adversary_report_is_unchanged():
         ADVERSARY_FIN_20_15_DEPTH_5
 
 
+# sha256 of the report as the per-triple sampling loop of validate printed it
+VERIFY_FIN_10_5_SEED_3 = ("dc012a339617844fc78219512f252ae1"
+                          "eb7eb537f8807b86d98a4e180772f662")
+
+
+def test_sampled_verify_report_is_unchanged():
+    rc, out, err = _main(["verify", "fin(10,5)", "--seed", "3"])
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIN_10_5_SEED_3
+
+
+def test_parser_reuse_leaks_no_option_between_calls():
+    """One process runs a sequence of commands through ``main``, which
+    reuses its parser; each prints what it prints in a fresh interpreter."""
+    profile = ["profile", "fin(6,3)", "--L", "2"]
+    seq = [profile + ["--weight", "cardinality", "--budget", "20",
+                      "--seed", "5"],
+           profile + ["--weight", "cardinality", "--budget", "20"],
+           profile,
+           ["profile", "fin(6,3)"],  # no --L: argparse exits 2
+           ["verify", "chain(3)", "--format", "text"],
+           ["verify", "chain(3)"]]
+    outs = []
+    for argv in seq:
+        try:
+            rc, out, _ = _main(argv)
+        except SystemExit as exc:
+            rc, out = exc.code, ""
+        proc = run(argv)
+        assert (rc, out) == (proc.returncode, proc.stdout), argv
+        outs.append(out)
+    assert [o == "" for o in outs] == [False, False, False, True, False,
+                                       False]
+    assert len(set(outs)) == len(outs)
+
+
 def test_adversary_on_a_table_is_usage_error():
     rc, out, err = _main(["adversary", "chain(3)", "--nmax", "2"])
     assert rc == 2 and out == "" and _one_error_line(err)
@@ -513,6 +552,23 @@ def test_verify_reports_a_table_that_is_not_a_semilattice(tmp_path, kind):
     # every other command refuses it at the boundary
     rc, out, err = _main(["breadth", str(path)])
     assert rc == 2 and out == "" and _one_error_line(err) and kind in err
+
+
+@pytest.mark.parametrize("obj", [
+    planted_table_json(),
+    broken_top_json(12, [c for m in (1, 2, 3)
+                         for c in combinations(range(12), m)]),
+], ids=["planted-table", "broken-top"])
+def test_boundary_names_the_first_sampled_violation(tmp_path, obj):
+    path = tmp_path / "host.json"
+    path.write_text(json.dumps(obj))
+    S = core.Semilattice.from_json(obj)
+    assert S.n > core.FULL_VALIDATE_CAP
+    first = naive_sampled_validation(S, 0)["violations"][0]
+    rc, out, err = _main(["breadth", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}: not a semilattice: {first['kind']} at "
+                   f"{first['witness']}\n")
 
 
 # Small valid inputs that the fuzz test below mutates.  The first set system

@@ -1,11 +1,16 @@
 import json
+import random
 import time
+from functools import cache
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_semilattice_violations
+from oracles import (broken_top_json, naive_sampled_validation,
+                     naive_semilattice_violations, planted_table_json)
 from slat import core
 from slat._bitset import bits, mask_of, popcount, submasks
 from slat.core import (NotClosedError, Semilattice, chain, fin_truncation,
@@ -274,6 +279,61 @@ def test_validate_says_when_idempotence_is_checked_on_a_prefix():
     assert big.n > 100_000 and not rep.exhaustive and not rep.violations
     assert note in rep.notes
     assert note not in core.generate_instance("fin(10,5)").validate().notes
+
+
+def _ranked(spec):
+    """The cube ``spec`` in rank storage, whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "IMPLICIT_THRESHOLD", 0)
+        S = generate_instance(spec)
+    assert S._masks is None
+    return S
+
+
+#: hosts above FULL_VALIDATE_CAP, where validate samples associativity
+SAMPLED_HOSTS = {
+    "fin(10,5)": lambda: generate_instance("fin(10,5)"),
+    "pstar(9)": lambda: generate_instance("pstar(9)"),
+    "fin(10,5) ranked": lambda: _ranked("fin(10,5)"),
+    "planted table": lambda: Semilattice.from_json(planted_table_json()),
+    "broken top": lambda: Semilattice.from_json(broken_top_json(
+        12, [c for m in (1, 2, 3) for c in combinations(range(12), m)])),
+    # more than 63 points: masks are Python ints in object arrays
+    "broken top, 70 points": lambda: Semilattice.from_json(broken_top_json(
+        70, [(i, i + d) for d in (0, 1, 5) for i in range(70 - d)]
+        + [(i, i + 1, i + 2) for i in range(68)])),
+}
+
+
+@cache
+def _sampled_host(name):
+    S = SAMPLED_HOSTS[name]()
+    assert S.n > core.FULL_VALIDATE_CAP
+    return S
+
+
+@pytest.mark.parametrize("name", list(SAMPLED_HOSTS))
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_sampled_validate_matches_the_triple_loop(name, seed):
+    S = _sampled_host(name)
+    want = naive_sampled_validation(S, seed)
+    assert S.validate(seed).to_json() == want
+    kinds = {v["kind"] for v in want["violations"]}
+    assert kinds == ({"NotIdempotent", "NotCommutative", "NotAssociative"}
+                     if name == "planted table" else {"NotAssociative"}
+                     if name.startswith("broken top") else set())
+
+
+@pytest.mark.parametrize("n", [1, 2, 252, 256, 257, 639, 4096, 2**20 + 1,
+                               2**24])
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+def test_bulk_draws_are_randrange_call_by_call(n, seed):
+    rng = random.Random(seed)
+    want = [rng.randrange(n) for _ in range(3000)]
+    for count in (0, 1, 3000):
+        got = core._randrange_bulk(random.Random(seed), n, count)
+        assert got.dtype == np.int64 and got.tolist() == want[:count]
 
 
 CUBES = ([f"powerset({k})" for k in range(9)]
