@@ -18,16 +18,18 @@ from operator import or_
 import numpy as np
 
 from ._bitset import bits, mask_of, popcount
-from .breadth import find_incompressible, is_compressible
+from .breadth import SizeLimit, find_incompressible, is_compressible
 from .core import Semilattice, ValidationReport, Violation
 from .propagation import PropagationValue, v_value
 from .weights import LogWeight, _superadditive_pairs
 
 
 class InsufficientBreadth(Exception):
-    """The host has no incompressible set of the required size.
+    """No incompressible set of the required size was found: the host has
+    none, or the bounded search for one was cut, and the message says which.
 
-    A finding about the instance (too small a truncation), not a bug.
+    A finding about the instance (too small a truncation, or too large a
+    host to search), not a bug.
     """
 
 
@@ -72,7 +74,10 @@ def find_markers(S: Semilattice, a_mask: int, m: int):
     if m < 1:
         raise ValueError("need at least one marker")
     size = popcount(a_mask) + m
-    ids = find_incompressible(S, size)
+    try:
+        ids = find_incompressible(S, size)
+    except SizeLimit as exc:
+        raise InsufficientBreadth(str(exc)) from exc
     if ids is None:
         raise InsufficientBreadth(
             f"no incompressible family of size {size} found")

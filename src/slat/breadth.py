@@ -2,9 +2,9 @@
 
 A finite set of elements is compressible when some proper subset already has
 the same product; the breadth of a semilattice is the size of its largest
-incompressible subset.  Both the test and the search compare a product with
-its k "rest products", the product without each member, joined through the
-host's ``join_seam``; on a union-closed set system a set is
+incompressible subset.  Both the test and the search compare a product t with
+its k "rest products" r_y, the product without each member y, joined through
+the host's ``join_seam``; on a union-closed set system a set is
 incompressible exactly when every member owns a point no other member has.
 
 On a set system without a collapsed top, breadth is therefore a question
@@ -20,18 +20,35 @@ min-transform of the search positions rebuilds the branch and bound's
 witness (``_first_witness``).  Tables, other collapsed-top families and
 sparse or wide set systems take the branch and bound over
 ``_iter_incompressible``.
+
+That enumerator, shared with the profiles and ``find_incompressible``,
+keeps the candidates that leave its set incompressible as one bitset over
+its positions: those outside R(t), where t.x names t, and outside each
+Q(r_y, t), where r_y.x and t.x name one element.  On a set system without a
+collapsed top these are ORs and ANDs of one bitset of positions per point
+(x holds a point off t; x holds every point of t less r_y); on other hosts
+they compare rows of products, one row per product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
+from operator import eq
 
 import numpy as np
 
 from ._bitset import bits, mask_of, popcount
-from .core import SUBSET_MAX_BITS, _join_closure
+from .core import SUBSET_MAX_BITS, TABLE_HARD_CAP, _join_closure, row_blocks
+
+
+#: most elements of a host that the branch and bound or a search may walk
+_EXACT_MAX_ELEMENTS = 5000
+#: most nodes of ``find_incompressible``'s search
+_FIND_NODE_CAP = 2_000_000
+#: bytes 0 and 1 to the digits "0" and "1", to read a row of flags as a bitset
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class EmptySetError(ValueError):
@@ -58,14 +75,6 @@ class BreadthReport:
                 "notes": list(self.notes)}
 
 
-def _droppable(total, rests, resolve):
-    """Position of the first rest product naming the element ``total``
-    names, or None."""
-    if resolve is not None:
-        total, rests = resolve(total), [*map(resolve, rests)]
-    return rests.index(total) if total in rests else None
-
-
 def is_compressible(S, ids):
     """Single-removal compressibility test.
 
@@ -84,9 +93,12 @@ def is_compressible(S, ids):
     keys = [key(x) for x in ids]
     prefix = list(accumulate(keys, prod))                # keys[:i + 1]
     suffix = list(accumulate(reversed(keys), prod))[::-1]  # keys[i:]
-    rests = [suffix[1], *map(prod, prefix[:-2], suffix[2:]), prefix[-2]]
-    i = _droppable(prefix[-1], rests, resolve)
-    return (False, None) if i is None else (True, ids[i])
+    names = [suffix[1], *map(prod, prefix[:-2], suffix[2:]), prefix[-2],
+             prefix[-1]]            # the rest products, then the product
+    if resolve is not None:
+        names = [*map(resolve, names)]
+    i = names.index(names[-1])
+    return (False, None) if i == len(ids) else (True, ids[i])
 
 
 def _trunc_breadth_cap(S):
@@ -128,7 +140,9 @@ def _distinctness_order(S, index=None):
 
     y is below x when x's set lies inside y's, so with the ``_point_index``
     of the host the count is n less the supersets of x, which one
-    superset-sum pass over the 2**k subsets gives for every x at once."""
+    superset-sum pass over the 2**k subsets gives for every x at once;
+    otherwise one row-block scan of the product table counts, for every x,
+    the y with y.x != y."""
     n = S.n
     if index is not None:
         k, local = index
@@ -138,10 +152,14 @@ def _distinctness_order(S, index=None):
             half = supersets.reshape(-1, 2, 1 << j)
             half[:, 0] += half[:, 1]
         return np.argsort(supersets[local], kind="stable").tolist()
-    score = [0] * n
-    for x in range(n):
-        score[x] = sum(1 for y in range(n) if not S.leq(y, x))
-    return sorted(range(n), key=lambda x: (-score[x], x))
+    if n > TABLE_HARD_CAP:
+        score = [sum(not S.leq(y, x) for y in range(n)) for x in range(n)]
+        return sorted(range(n), key=lambda x: (-score[x], x))
+    T, ids = S.product_table_np(), np.arange(n)
+    score = np.zeros(n, dtype=np.int64)     # the y with T[y, x] != y
+    for r0, r1 in row_blocks(n, n):
+        score += (T[r0:r1] != ids[r0:r1, None]).sum(axis=0)
+    return np.argsort(-score, kind="stable").tolist()
 
 
 def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
@@ -156,49 +174,128 @@ def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
     is current whenever the generator is suspended or done; past ``budget``
     the generator sets ``counter["capped"]`` and stops.
 
-    Each open level keeps the product of ``cur`` and its k rest products; a
-    candidate x joins each once, the old product becomes the rest product
-    of x, and x is compressible exactly when a rest product equals the new
-    one: on a union-closed set system, when some member owns no private point.
+    Each open level keeps the product t of ``cur``, its rest products r_y
+    (``cur`` without y; none for one member) and one bitset over the
+    positions of ``order``: the candidates x that keep ``cur``
+    incompressible, outside R(t), where t.x names t, and outside each
+    Q(r_y, t), where r_y.x and t.x name one element (``_candidate_filter``).
+    They lie among the parent level's, so a level whose parent has none
+    left is empty untested.  The walk jumps to the next candidate and counts
+    each position it passes as tried, whether or not it is a candidate.
     """
     key, join, resolve = S.join_seam()
     keys = [key(x) for x in order]
     n = len(order)
+    keep = None                     # built when a level is first tested
     cur = []
-    levels = [(iter(range(n)), None, None)]  # (positions, product, rests)
+    levels = [[0, (1 << n) - 1, None, None]]  # cursor, candidates, t, rests
     nodes = counter["nodes"]
     lo = floor()
     while levels:
         level = levels[-1]
-        positions, total, rests = level
-        last = len(cur) + n - lo  # later positions cannot reach the floor
-        for i in positions:
-            if i > last:
-                break
-            nodes += 1
-            if nodes > budget:
-                counter["nodes"] = nodes
+        i, cand, total, rests = level
+        last = len(cur) + n - lo    # later positions cannot reach the floor
+        if last >= n:
+            last = n - 1
+        if i <= last:
+            if cand is None:        # first visit: test the parent's rest
+                cand = levels[-2][1] >> i << i
+                if cand:
+                    keep = keep or _candidate_filter(S, keys, join, resolve)
+                    cand = keep(cand, total, rests)
+                level[1] = cand
+            ahead = cand >> i
+            j = i + (ahead & -ahead).bit_length() - 1 if ahead else n
+            tried = (j if j < last else last) - i + 1
+            if nodes + tried > budget:
+                counter["nodes"] = max(nodes, math.floor(budget)) + 1
                 counter["capped"] = True
                 return
-            x = new = keys[i]
-            new_rests = []
-            if cur:
-                add = join(x)
-                new, new_rests = add(total), [*map(add, rests)] or [x]
-                new_rests.append(total)
-                if _droppable(new, new_rests, resolve) is not None:
-                    continue
-            cur.append(order[i])
-            counter["nodes"] = nodes
-            yield list(cur)
-            lo = floor()
-            levels.append((iter(range(i + 1, n)), new, new_rests))
-            break
-        if levels[-1] is level:   # exhausted or cut: close the level
-            levels.pop()
-            if cur:
-                cur.pop()
+            nodes += tried
+            if j <= last:
+                level[0] = j + 1
+                x = new = keys[j]
+                new_rests = []
+                if cur:
+                    add = join(x)
+                    new, new_rests = add(total), [*map(add, rests)] or [x]
+                    new_rests.append(total)
+                cur.append(order[j])
+                counter["nodes"] = nodes
+                yield list(cur)
+                lo = floor()
+                levels.append([j + 1, None, new, new_rests])
+                continue
+        levels.pop()                # exhausted or cut: close the level
+        if cur:
+            cur.pop()
     counter["nodes"] = nodes
+
+
+def _candidate_filter(S, keys, join, resolve):
+    """``keep(cand, t, rests)``: the positions of the bitset ``cand`` whose
+    key joins a set with product t and rest products ``rests`` (as in
+    ``_iter_incompressible``; a one-member set has one rest, None, the
+    empty product) without making a member droppable, that is ``cand``
+    less R(t) and less each Q(r, t).
+
+    On a set system without a collapsed top, x is outside R(t) when it
+    holds a point off t, and in Q(r, t) when it holds every point of t - r
+    (all of t when r is None): ORs and ANDs of one bitset of positions per
+    point.  On any other host R and Q compare rows of the elements that
+    a.x names, one row per key a, cached for the call with R and Q.
+    """
+    if S.kind == "set_system" and S.top_id is None:
+        at, ground = {}, 0          # at[1 << p]: the positions holding p
+        for i, m in enumerate(keys):
+            ground |= m
+            while m:
+                low = m & -m
+                at[low] = at.get(low, 0) | 1 << i
+                m ^= low
+
+        def keep(cand, t, rests):
+            off, m = 0, ground & ~t
+            while m:
+                low = m & -m
+                off, m = off | at[low], m ^ low
+            cand &= off
+            for r in rests or (None,):
+                if not cand:
+                    break
+                q, m = -1, t if r is None else t & ~r
+                while m:
+                    low = m & -m
+                    q, m = q & at[low], m ^ low
+                cand &= ~q
+            return cand
+        return keep
+    rkeys, rows, R, Q = keys[::-1], {}, {}, {}  # highest position first
+
+    def row(a):
+        if a not in rows:
+            got = rkeys if a is None else [*map(join(a), rkeys)]
+            rows[a] = got if resolve is None else [resolve(m) for m in got]
+        return rows[a]
+
+    def keep(cand, t, rests):
+        if t not in R:
+            R[t] = ~_bitset(map(eq, row(t), repeat(
+                t if resolve is None else resolve(t))))
+        cand &= R[t]
+        for r in rests or (None,):
+            if not cand:
+                break
+            if (r, t) not in Q:
+                Q[r, t] = _bitset(map(eq, row(r), row(t)))
+            cand &= ~Q[r, t]
+        return cand
+    return keep
+
+
+def _bitset(flags):
+    """A row of flags, the highest position first, as a bitset."""
+    return int(bytes(flags).translate(_DIGITS), 2)
 
 
 def breadth(S, cap: int = 10_000_000) -> BreadthReport:
@@ -220,7 +317,7 @@ def breadth(S, cap: int = 10_000_000) -> BreadthReport:
     index = _point_index(S)
     if index is not None:
         return _transform_breadth(S, index)
-    if S.n > 5000:
+    if S.n > _EXACT_MAX_ELEMENTS:
         ids = _greedy_incompressible(S, S.n)
         return BreadthReport(len(ids), mask_of(ids), exhaustive=False,
                              notes=["greedy lower bound only (large instance)"])
@@ -329,10 +426,12 @@ def _greedy_incompressible(S, target):
 
 
 def find_incompressible(S, size):
-    """Some incompressible subset of exactly ``size`` elements, or None.
+    """Some incompressible subset of exactly ``size`` elements, or None when
+    the host has none.
 
-    Tries the greedy pass first; for moderate instances falls back to an
-    exhaustive depth-first search (capped at 2 000 000 nodes).
+    Tries the greedy pass first, then an exhaustive depth-first search.
+    That search is cut, with SizeLimit naming the limit, on a host above
+    ``_EXACT_MAX_ELEMENTS`` elements or after ``_FIND_NODE_CAP`` nodes.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -341,12 +440,18 @@ def find_incompressible(S, size):
     got = _greedy_incompressible(S, size)
     if len(got) >= size:
         return got[:size]
-    if S.n > 5000:
-        return None
+    cut = f"the search for an incompressible family of size {size} was cut"
+    if S.n > _EXACT_MAX_ELEMENTS:
+        raise SizeLimit(f"{cut}: the host has over {_EXACT_MAX_ELEMENTS} "
+                        f"elements")
     order = _distinctness_order(S, _point_index(S))
-    walk = _iter_incompressible(S, order, {"nodes": 0}, 2_000_000,
+    counter = {"nodes": 0, "capped": False}
+    walk = _iter_incompressible(S, order, counter, _FIND_NODE_CAP,
                                 lambda: size)
-    return next((ids for ids in walk if len(ids) == size), None)
+    found = next((ids for ids in walk if len(ids) == size), None)
+    if counter["capped"]:
+        raise SizeLimit(f"{cut} at {_FIND_NODE_CAP} nodes")
+    return found
 
 
 def is_free_embedding(S, ids) -> bool:

@@ -616,8 +616,8 @@ def chain(m: int) -> Semilattice:
     if m < 1:
         raise ValueError("chain needs at least one element")
     _table_size(m)
-    table = [[min(x, y) for y in range(m)] for x in range(m)]
-    return Semilattice.from_table(table)
+    table = [[*range(x), *[x] * (m - x)] for x in range(m)]
+    return Semilattice("table", m, table=table)
 
 
 def _cube(k, lo, c, top=False):
@@ -679,31 +679,17 @@ def kary_tree(k: int, depth: int) -> Semilattice:
     for _ in range(depth):  # stops at the cap before k**depth grows large
         width *= k
         n = _table_size(n + width)
-    parent = [None] * n
-    level = [0] * n
-    nxt = 1
-    frontier = [0]
-    for d in range(depth):
-        new = []
-        for v in frontier:
-            for _ in range(k):
-                parent[nxt] = v
-                level[nxt] = d + 1
-                new.append(nxt)
-                nxt += 1
-        frontier = new
-
-    def lca(x, y):
-        while level[x] > level[y]:
-            x = parent[x]
-        while level[y] > level[x]:
-            y = parent[y]
-        while x != y:
-            x, y = parent[x], parent[y]
-        return x
-
-    table = [[lca(x, y) for y in range(n)] for x in range(n)]
-    return Semilattice.from_table(table)
+    # ids run level by level, so the children of v are k*v + 1 .. k*v + k;
+    # x's row is its parent's with x's subtree, a range per level, set to x
+    table = [[0] * n]
+    for x in range(1, n):
+        row = table[(x - 1) // k][:]
+        lo = hi = x
+        while lo < n:
+            row[lo:hi + 1] = [x] * (hi + 1 - lo)
+            lo, hi = k * lo + 1, k * hi + k
+        table.append(row)
+    return Semilattice("table", n, table=table)
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)\s*$")

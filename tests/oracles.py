@@ -343,3 +343,75 @@ def naive_join_closure(gens, join):
                     new.append(u)
         frontier = new
     return closed
+
+
+def naive_tree_table(k, depth):
+    """Product table of the complete k-ary tree of the given depth, ids level
+    by level, by walking each pair up to its youngest common ancestor."""
+    parent, level, frontier = [None], [0], [0]
+    for d in range(depth):
+        new = []
+        for v in frontier:
+            for _ in range(k):
+                parent.append(v)
+                level.append(d + 1)
+                new.append(len(parent) - 1)
+        frontier = new
+
+    def lca(x, y):
+        while level[x] > level[y]:
+            x = parent[x]
+        while level[y] > level[x]:
+            y = parent[y]
+        while x != y:
+            x, y = parent[x], parent[y]
+        return x
+
+    n = len(parent)
+    return [[lca(x, y) for y in range(n)] for x in range(n)]
+
+
+def naive_iter_incompressible(S, order, counter, budget, floor=lambda: 0):
+    """The candidate-by-candidate walk that ``_iter_incompressible``
+    replaced: the same sets, ``counter`` values and cut, found by joining
+    each candidate with the product and every rest product of the current
+    set and comparing the results through the host's ``join_seam``."""
+    key, join, resolve = S.join_seam()
+    name = (lambda v: v) if resolve is None else resolve
+    keys = [key(x) for x in order]
+    n = len(order)
+    cur = []
+    levels = [(iter(range(n)), None, None)]  # (positions, product, rests)
+    nodes = counter["nodes"]
+    lo = floor()
+    while levels:
+        level = levels[-1]
+        positions, total, rests = level
+        last = len(cur) + n - lo  # later positions cannot reach the floor
+        for i in positions:
+            if i > last:
+                break
+            nodes += 1
+            if nodes > budget:
+                counter["nodes"] = nodes
+                counter["capped"] = True
+                return
+            x = new = keys[i]
+            new_rests = []
+            if cur:
+                add = join(x)
+                new, new_rests = add(total), [*map(add, rests)] or [x]
+                new_rests.append(total)
+                if name(new) in map(name, new_rests):
+                    continue
+            cur.append(order[i])
+            counter["nodes"] = nodes
+            yield list(cur)
+            lo = floor()
+            levels.append((iter(range(i + 1, n)), new, new_rests))
+            break
+        if levels[-1] is level:   # exhausted or cut: close the level
+            levels.pop()
+            if cur:
+                cur.pop()
+    counter["nodes"] = nodes

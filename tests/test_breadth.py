@@ -1,11 +1,13 @@
-from itertools import combinations
+from importlib import import_module
+from itertools import combinations, cycle
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_breadth, naive_incompressible
+from oracles import (naive_breadth, naive_incompressible,
+                     naive_iter_incompressible)
 from slat._bitset import bits
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        generate_instance, kary_tree, powerset)
@@ -16,6 +18,9 @@ from slat.breadth import (EmptySetError, SizeLimit, _branch_and_bound,
                           is_free_embedding)
 from slat.propagation import propagation_profile
 from slat.weights import builtin_logweight
+
+# the module; ``slat.breadth`` names the function in the package namespace
+breadth_module = import_module("slat.breadth")
 
 
 def test_single_removal_matches_subset_oracle():
@@ -323,3 +328,95 @@ def test_join_seam_matches_bruteforce_on_other_backends(spec, data, k):
             dropped = _first_droppable(S, ids)
             assert is_compressible(S, ids) == (dropped is not None, dropped)
             assert (dropped is None) == naive_incompressible(S, ids)
+
+
+# -- the bitset walk against the candidate-by-candidate walk -------------------
+
+_WALK_HOSTS = {
+    "tree(2,4)": generate_instance("tree(2,4)"),
+    "tree(3,3)": generate_instance("tree(3,3)"),
+    # two 2-point members join to the top while each joins a third point
+    # to a member: only R(t) under the top drops that point
+    "fin(6,3)": generate_instance("fin(6,3)"),
+    "fin(24,8)": _IMPLICIT,
+    **_SEAM_HOSTS,
+}
+
+
+@st.composite
+def _walk_host(draw):
+    """A host that ``_ENUM_HOSTS`` lacks: a larger tree, a collapsed-top or
+    empty-member family, or a random union-closed family, as a set system
+    or as the product table of one."""
+    kind = draw(st.sampled_from(["named", "family", "table"]))
+    if kind == "named":
+        return _WALK_HOSTS[draw(st.sampled_from(sorted(_WALK_HOSTS)))]
+    S = draw(_closed_family(max_points=5))
+    if kind == "table":
+        S = Semilattice.from_table(S.product_table_np().tolist())
+    return S
+
+
+def _walk(walker, S, order, budget, floors):
+    """Each set the walk yields with the counter at that yield, then the
+    final counter; the floor cycles through ``floors``, one value a read."""
+    counter = {"nodes": 0, "capped": False}
+    reads = cycle(floors)
+    seen = [(ids, dict(counter)) for ids in
+            walker(S, order, counter, budget, lambda: next(reads))]
+    return seen, counter
+
+
+@settings(max_examples=150, deadline=None)
+@given(S=_walk_host(), data=st.data())
+def test_bitset_walk_matches_the_candidate_walk(S, data):
+    order = data.draw(st.lists(st.integers(0, S.n - 1), unique=True,
+                               max_size=24), label="order")
+    floors = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4),
+                       label="floors")
+    budget = data.draw(st.one_of(st.integers(0, 300), st.just(10**9)),
+                       label="budget")
+    assert _walk(_iter_incompressible, S, order, budget, floors) == \
+        _walk(naive_iter_incompressible, S, order, budget, floors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=st.one_of(_walk_host(), st.sampled_from(
+    [chain(6), kary_tree(1, 4), kary_tree(4, 2)])))
+def test_table_scores_give_the_search_order(S):
+    assume(S.n <= 100)
+    score = [sum(not S.leq(y, x) for y in range(S.n)) for x in range(S.n)]
+    want = sorted(range(S.n), key=lambda x: (-score[x], x))
+    assert _distinctness_order(S) == want
+
+
+# a family whose greedy pass stops at one member while two are
+# incompressible ({2, 3} and {0, 1, 3, 4}), so a search has to run
+_GREEDY_FAILS = Semilattice.from_sets(range(5), [[0, 1, 3, 4], [2, 3], [3]],
+                                      close=True)
+
+
+def test_a_cut_search_names_its_limit(monkeypatch):
+    from slat.adversarial import InsufficientBreadth, find_markers
+    assert len(find_incompressible(_GREEDY_FAILS, 2)) == 2
+    assert find_incompressible(_GREEDY_FAILS, 3) is None
+    with pytest.raises(InsufficientBreadth, match="^no incompressible "
+                       "family of size 3 found$"):
+        find_markers(_GREEDY_FAILS, 0, 3)
+    monkeypatch.setattr(breadth_module, "_FIND_NODE_CAP", 2)
+    cut = "the search for an incompressible family of size 2 was cut"
+    with pytest.raises(SizeLimit, match=f"^{cut} at 2 nodes$"):
+        find_incompressible(_GREEDY_FAILS, 2)
+    with pytest.raises(InsufficientBreadth, match=f"^{cut} at 2 nodes$"):
+        find_markers(_GREEDY_FAILS, 0, 2)
+    monkeypatch.setattr(breadth_module, "_EXACT_MAX_ELEMENTS", 3)
+    with pytest.raises(InsufficientBreadth, match=f"^{cut}: the host has "
+                       f"over 3 elements$"):
+        find_markers(_GREEDY_FAILS, 0, 2)
+
+
+def test_fin_6_3_profile_at_level_3_is_pinned():
+    S = generate_instance("fin(6,3)")
+    prof = propagation_profile(S, builtin_logweight(S, "cardinality"), 3)
+    assert (prof.nodes, prof.exhaustive, prof.witness_E, prof.witness_z,
+            prof.value.c) == (19188, True, 14, 22, 3)

@@ -697,6 +697,22 @@ def test_breadth_of_pstar_8_is_fast():
         "nodes": 255, "notes": []}
 
 
+# breadth of trees as the candidate-by-candidate branch and bound printed it
+TREE_BREADTH = {"tree(3,3)": 681, "tree(2,6)": 7365}
+
+
+@pytest.mark.parametrize("spec", sorted(TREE_BREADTH))
+def test_tree_breadth_output_is_pinned(spec):
+    t = time.perf_counter()
+    rc, out, err = _main(["breadth", spec])
+    elapsed = time.perf_counter() - t
+    assert (rc, err) == (0, "")
+    assert out == json.dumps({
+        "breadth": 2, "exhaustive": True, "nodes": TREE_BREADTH[spec],
+        "notes": [], "witness": [1, 2]}, indent=2, sort_keys=True) + "\n"
+    assert elapsed < 0.25      # 0.4 s for tree(2,6) with per-candidate joins
+
+
 def test_analyze_of_pstar_9_is_fast():
     t = time.perf_counter()
     rc, out, _ = _main(["analyze", "pstar(9)"])

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (broken_top_json, naive_sampled_validation,
-                     naive_semilattice_violations, planted_table_json)
+                     naive_semilattice_violations, naive_tree_table,
+                     planted_table_json)
 from slat import core
 from slat._bitset import bits, mask_of, popcount, submasks
 from slat.core import (NotClosedError, Semilattice, chain, fin_truncation,
@@ -70,6 +71,18 @@ def test_kary_tree_validates_and_has_meets():
     assert T.validate().ok
     # meet of two siblings is their parent
     assert T.product(1, 2) == 0
+
+
+def test_generated_tables_match_their_definitions():
+    for m in range(1, 41):
+        S = chain(m)
+        assert S.table == [[min(x, y) for y in range(m)] for x in range(m)]
+    for k in (1, 2, 3):
+        for depth in range(4):
+            S = kary_tree(k, depth)
+            assert S.table == naive_tree_table(k, depth)
+            # no row is shared with another, as from_table's copies were not
+            assert len({id(row) for row in S.table}) == S.n
 
 
 def test_from_sets_rejects_non_closed():
