@@ -15,11 +15,11 @@ exists exactly when p lies in D[~P | p], where D[X] is the union of the
 members inside X, and D is one OR-transform over the 2**k subsets of the k
 points of the host (F. Yates, "The design and analysis of factorial
 experiments", 1937, as in ``propagation``).  When k is at most
-``SUBSET_MAX_BITS`` and 2**k <= 4n, ``breadth`` takes this route, and a
-min-transform of the search positions rebuilds the branch and bound's
-witness (``_first_witness``).  Tables, other collapsed-top families and
-sparse or wide set systems take the branch and bound over
-``_iter_incompressible``.
+``SUBSET_MAX_BITS`` and the points fit ``Semilattice.subsets_fit``,
+``breadth`` takes this route, and a min-transform of the search positions
+rebuilds the branch and bound's witness (``_first_witness``).  Tables,
+other collapsed-top families and sparse or wide set systems take the branch
+and bound over ``_iter_incompressible``.
 
 That enumerator, shared with the profiles and ``find_incompressible``,
 keeps the candidates that leave its set incompressible as one bitset over
@@ -118,19 +118,19 @@ def _trunc_breadth_cap(S):
 
 def _point_index(S):
     """``(k, local)`` for a set system without a collapsed top whose k points
-    (those of some member) number at most ``SUBSET_MAX_BITS`` and pass the
-    density rule 2**k <= 4n: ``local[x]`` is the set of element x over those
-    points, bit j for the j-th.  None for any other host."""
-    if S.kind != "set_system" or S.top_id is not None:
+    number at most ``SUBSET_MAX_BITS`` and fit ``Semilattice.subsets_fit``:
+    ``local[x]``, the inverse of ``subset_ids``, is the set of element x over
+    those points, bit j for the j-th.  None for any other host."""
+    if S.kind != "set_system" or S.top_id is not None or not S.n:
         return None
-    masks = S.member_masks_np()
-    G = int(np.bitwise_or.reduce(masks))
+    G = S.member_mask(S.n - 1)  # a closed family's union, last in id order
     k = popcount(G)
-    if k > SUBSET_MAX_BITS or 1 << k > 4 * S.n:
+    if k > SUBSET_MAX_BITS or not S.subsets_fit(G):
         return None
-    local = np.zeros(S.n, dtype=np.int64)
-    for j, p in enumerate(bits(G)):
-        local |= (masks >> p & 1).astype(np.int64) << j
+    ids = S.subset_ids(G)
+    inside = np.flatnonzero(ids >= 0)
+    local = np.empty(S.n, dtype=np.int64)
+    local[ids[inside]] = inside
     return k, local
 
 

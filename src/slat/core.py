@@ -7,7 +7,8 @@ systems list their member masks, except that a Boolean-cube family above
 ``IMPLICIT_THRESHOLD`` members uses rank storage: ids and member masks are
 computed from each other in the combinatorial number system.  Only this
 module knows the storage: the constructor binds each host's two lookups (id
-to member mask, member mask to id or None) once, and the methods use them.
+to member mask, member mask to id or None) once, in a scalar and an array
+form, and the methods use them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class SizeOverflowError(ValueError):
     """Requested instance exceeds the configured size cap."""
 
 
+class BudgetExceeded(RuntimeError):
+    """Raised when a search or a subset pass outgrows its budget."""
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -88,7 +93,9 @@ class Semilattice:
     Instances are immutable after construction, apart from the factor
     cache that fills as it is used.  Use the module-level generators or
     ``from_table`` / ``from_sets`` / ``from_json`` instead of calling the
-    constructor.
+    constructor.  On a set system, ``masks_of(ids)`` and ``ids_of(masks)``
+    are ``member_mask`` and ``id_of_mask`` over an int64 array (of objects
+    where masks reach 2**63), with -1 for None.
     """
 
     def __init__(self, kind, n, *, table=None, ground=None, masks=None,
@@ -105,11 +112,14 @@ class Semilattice:
         if masks is not None:
             self._mask = masks.__getitem__
             self._id = {m: i for i, m in enumerate(masks)}.get
+            self.masks_of, self.ids_of = _listed_lookups(masks)
         elif trunc is not None:
-            self._mask = partial(_trunc_unrank, *trunc, top_id)
-            self._id = partial(_trunc_rank, *trunc, top_id)
+            self._mask, self._id, self.masks_of, self.ids_of = (
+                partial(f, *trunc, top_id) for f in (
+                    _trunc_unrank, _trunc_rank, _trunc_unrank_np, _trunc_rank_np))
         else:
-            self._mask = self._id = _no_member_masks
+            self._mask = self._id = self.masks_of = self.ids_of = \
+                _no_member_masks
 
     # -- constructors -------------------------------------------------
 
@@ -162,6 +172,22 @@ class Semilattice:
     def id_of_mask(self, mask: int):
         """Element id whose member set equals ``mask``, or None."""
         return self._id(mask)
+
+    def subsets_fit(self, G) -> bool:
+        """The density rule: the point set G has at most 4n subsets."""
+        return 1 << popcount(G) <= 4 * self.n
+
+    def subset_ids(self, G):
+        """``ids_of`` of the subsets of the point set G, bit j of an index for
+        the j-th point of G; past ``SUBSET_MAX_BITS`` points it raises."""
+        k = popcount(G)
+        if k > SUBSET_MAX_BITS:
+            raise BudgetExceeded(f"closure join has {k} points; the subset "
+                                 f"closure takes at most {SUBSET_MAX_BITS}")
+        subs = np.zeros(1 << k, dtype=object if G >> 63 else np.int64)
+        for j, p in enumerate(bits(G)):
+            subs[1 << j:2 << j] = subs[:1 << j] | 1 << p
+        return self.ids_of(subs)
 
     def truncation_bound(self):
         """The cardinality bound c of a cube truncation whose larger unions
@@ -220,7 +246,7 @@ class Semilattice:
                 yield from range(self.n)
                 return
             pm = self._mask(p)
-            if (1 << popcount(pm)) <= 4 * self.n:
+            if self.subsets_fit(pm):
                 out = []
                 for sub in submasks(pm):
                     z = self._id(sub)
@@ -268,14 +294,12 @@ class Semilattice:
         n = self.n
         full = n <= FULL_VALIDATE_CAP
         rep.exhaustive = full
-        ids = np.arange(n)
+        ids, head = np.arange(n), np.arange(min(n, 100_000))
         T = self.product_table_np() if full or self.kind == "table" else None
-        if T is not None:
-            loops = np.flatnonzero(T.diagonal() != ids).tolist()
-        else:  # a set system's product of x with itself is its mask's id
-            loops = [x for x in range(min(n, 100_000))
-                     if self._id(self._mask(x)) != x]
-        rep.violations += [Violation("NotIdempotent", (x,)) for x in loops]
+        # a set system's product of x with itself is its mask's id
+        same = self.ids_of(self.masks_of(head)) if T is None else T.diagonal()
+        rep.violations += [Violation("NotIdempotent", (x,))
+                           for x in np.flatnonzero(same != head).tolist()]
         if n > 100_000:
             rep.notes.append("idempotence checked on the first 100000 elements")
         if self.kind == "table":  # set-system products are symmetric
@@ -302,78 +326,49 @@ class Semilattice:
             if T is not None:
                 bad = T[T[x, y], z] != T[x, T[y, z]]
             else:
-                bad = self._sampled_nonassociative(rows)
+                P, M = self._join_ids, self.masks_of
+                mx, my, mz = M(rows.T)
+                bad = P(M(P(mx, my)), mz) != P(mx, M(P(my, mz)))
             rep.violations += [Violation("NotAssociative", tuple(t))
                                for t in rows[bad].tolist()]
             rep.checked_triples = len(bad)
             rep.notes.append("associativity sampled")
         return rep
 
-    def _sampled_nonassociative(self, rows):
-        """Whether ``(xy)z != x(yz)`` for each row (x, y, z) of ids on a set
-        system, compared in mask space: each distinct id is unranked once,
-        and each distinct union resolved once to itself (a member) or to the
-        collapsed top's mask."""
-        uniq, where = np.unique(rows, return_inverse=True)
-        top = None if self.top_id is None else self._mask(self.top_id)
-        # the top's mask is in the array too, to choose a dtype it fits
-        masks = _mask_array([self._mask(x) for x in uniq.tolist()]
-                            + [top or 0])
-        mx, my, mz = masks[where].reshape(-1, 3).T
-
-        def resolve(unions):
-            distinct, back = np.unique(unions, return_inverse=True)
-            out = []
-            for m in distinct.tolist():
-                if self._id(m) is None:
-                    if top is None:
-                        raise NotClosedError(f"union {list(bits(m))} of "
-                                             f"member sets is not a member")
-                    m = top
-                out.append(m)
-            return np.array(out, dtype=masks.dtype)[back]
-
-        xy, yz = resolve(np.concatenate([mx | my, my | mz])).reshape(2, -1)
-        left, right = resolve(np.concatenate([xy | mz, mx | yz])).reshape(2, -1)
-        return left != right
+    def _join_ids(self, a, b):
+        """``product`` of the members with mask arrays ``a`` and ``b``, which
+        broadcast; NotClosedError names the first failing pair in row-major
+        order, as ``product`` would."""
+        ids = self.ids_of(a | b)
+        miss = ids < 0
+        if self.top_id is not None:
+            ids[miss] = self.top_id
+        elif miss.any():
+            x, y = np.broadcast_arrays(self.ids_of(a), self.ids_of(b))
+            raise NotClosedError(f"union of elements {x[miss][0]} and "
+                                 f"{y[miss][0]} is not a member")
+        return ids
 
     # -- tables for vectorized scans ------------------------------------
 
     def member_masks_np(self):
-        """Member masks of all elements by id: an int64 array, or an object
-        array of Python ints when one reaches 2**63."""
-        return _mask_array([self._mask(x) for x in range(self.n)])
+        """``masks_of`` every id."""
+        return self.masks_of(np.arange(self.n))
 
     def product_table_np(self):
         """Dense n-by-n product table as a new numpy array (small n only);
         callers hold it for one scan.
 
-        A set system's member masks (``member_masks_np``) are joined, and
-        each union is looked up by binary search among the sorted masks.
+        A set system's member masks (``member_masks_np``) are joined a row
+        block at a time, and the unions looked up by ``ids_of``.
         """
         n = _table_size(self.n)
         if self.kind == "table":
             return np.array(self.table, dtype=np.int32).reshape(n, n)
         masks = self.member_masks_np()
-        order = np.argsort(masks).astype(np.int32)
-        ordered = masks[order]
         t = np.empty((n, n), dtype=np.int32)
         for r0, r1 in row_blocks(n, n):
-            unions = masks[r0:r1, None] | masks
-            pos = np.searchsorted(ordered, unions)
-            np.minimum(pos, n - 1, out=pos)
-            miss = ordered[pos] != unions
-            del unions  # at most three temporaries per entry
-            rows = t[r0:r1]
-            np.take(order, pos, out=rows)
-            if self.top_id is not None:
-                rows[miss] = self.top_id
-            elif miss.any():
-                # the first miss in row-major order has x <= y, so the
-                # message names the pair that ``product`` would
-                x, y = np.argwhere(miss)[0].tolist()
-                raise NotClosedError(f"union of elements {r0 + x} and {y} "
-                                     f"is not a member")
+            t[r0:r1] = self._join_ids(masks[r0:r1, None], masks)
         return t
 
     # -- serialization ---------------------------------------------------
@@ -461,13 +456,6 @@ def pairs_where(rows, cols, bad):
     return out
 
 
-def _mask_array(masks):
-    """Member masks as an int64 array, or an object array of Python ints
-    when one reaches 2**63."""
-    return np.array(masks, dtype=object if max(masks, default=0) >> 63
-                    else np.int64)
-
-
 def _randrange_bulk(rng, n, count):
     """``[rng.randrange(n) for _ in range(count)]`` as an int64 array, for
     0 < n < 2**32, drawn in bulk.  ``randrange(n)`` keeps the top
@@ -486,6 +474,20 @@ def _randrange_bulk(rng, n, count):
         got.append(words[words < n])
         need -= len(got[-1])
     return np.concatenate(got)[:count].astype(np.int64)
+
+
+def _listed_lookups(masks):
+    """``(masks_of, ids_of)`` of listed member masks: an array of them, and a
+    binary search among them sorted."""
+    arr = np.array(masks, dtype=object if max(masks, default=0) >> 63
+                   else np.int64)
+    order = np.argsort(arr)
+    return partial(np.take, arr), partial(_sorted_ids, order, arr[order])
+
+
+def _sorted_ids(order, ordered, ms):
+    at = np.minimum(np.searchsorted(ordered, ms), len(order) - 1)
+    return np.where(ordered[at] == ms, order[at], -1)
 
 
 def _no_member_masks(_):
@@ -607,6 +609,51 @@ def _trunc_unrank(k, lo, c, top_id, x):
         mask |= 1 << q
         q += 1
     return mask
+
+
+def _trunc_rank_np(k, lo, c, top_id, masks):
+    """``_trunc_rank`` over an array, -1 for None.  The lexicographic rank of
+    an m-subset is comb(k, m) - 1 less the sum, over its points p, of
+    comb(k - 1 - p, its points from p up): one pass per point, downward."""
+    masks = np.asarray(masks)
+    if k >= 63:     # masks reach 2**63: one at a time
+        ids = np.frompyfunc(partial(_trunc_rank, k, lo, c, top_id), 1, 1)(masks)
+        return np.where(np.equal(ids, None), -1, ids).astype(np.int64)
+    binom = np.array(_binomials(k, k + 2))
+    last = np.array(_trunc_offsets(k, lo, c)[1:]) - 1   # per size m
+    m, below = np.zeros((2, *masks.shape), dtype=np.int64)
+    for p in range(k - 1, -1, -1):
+        b = masks >> p & 1
+        m += b
+        below += b * binom[k - 1 - p][m]
+    ok = (masks >> k == 0) & (m >= lo) & (m <= c)
+    ids = np.where(ok, last[np.clip(m - lo, 0, c - lo)] - below, -1)
+    if top_id is not None:
+        ids[masks == (1 << k) - 1] = top_id
+    return ids
+
+
+def _trunc_unrank_np(k, lo, c, top_id, ids):
+    """``_trunc_unrank`` over an array: one pass per point q, taken when the
+    rest rank r is below the count of the subsets whose next point is q."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if k >= 63:     # Python ints, one at a time
+        return np.frompyfunc(partial(_trunc_unrank, k, lo, c, top_id), 1, 1)(ids)
+    binom = np.array(_binomials(k, k + 2))     # its last column is 0
+    offs = np.array(_trunc_offsets(k, lo, c))
+    level = np.searchsorted(offs, ids, side="right") - 1
+    r = ids - offs[level]
+    left = level + lo               # points still to place
+    masks = np.zeros_like(ids)
+    for q in range(k):
+        block = binom[k - 1 - q][left - 1]      # 0 once none are left
+        take = r < block
+        r -= np.where(take, 0, block)
+        left -= take
+        masks |= take << q
+    if top_id is not None:
+        masks[ids == top_id] = (1 << k) - 1
+    return masks
 
 
 # -- instance generators -------------------------------------------------

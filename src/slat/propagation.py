@@ -12,19 +12,19 @@ Two passes find these first levels for every target at once:
   transform over those subsets (F. Yates, 1937; Bjoerklund, Husfeldt,
   Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
   STOC 2007), repeated to a fixed point at each weight level, for a batch
-  of closures at once, one a row; past ``SUBSET_MAX_BITS`` points it
-  raises ``BudgetExceeded``;
+  of closures at once, one a row; past ``SUBSET_MAX_BITS`` points
+  ``Semilattice.subset_ids`` raises ``BudgetExceeded``;
 - the pair-by-pair pass works in the manner of Knuth's generalization of
   Dijkstra's algorithm (D. E. Knuth, "A generalization of Dijkstra's
   algorithm", IPL 6(1), 1977).
 
-Routing uses the density rule of ``Semilattice.iter_factors``: the 2^|G|
+Routing uses the one density rule, ``Semilattice.subsets_fit``: the 2^|G|
 subsets of G must not outnumber four times the host's elements.
 ``v_value`` runs one closure, from generators whose product is J: a one-row
 subset pass over the subsets of J when J is a member (not a collapsed top)
-of at least ``SUBSET_MIN_BITS`` points that passes the rule, else the
+of at least ``SUBSET_MIN_BITS`` points that fits the rule, else the
 pair-by-pair pass.  ``propagation_profile`` routes once per profile: when
-the points G of its level set pass the rule and number at most
+the points G of its level set fit the rule and number at most
 ``SUBSET_MAX_BITS``, its generating sets run in blocks, each block the rows
 of one subset pass over G, and a set whose product is the collapsed top
 takes the pair-by-pair pass; on other hosts every set takes it.
@@ -39,15 +39,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, partial, reduce, total_ordering
+from functools import cache, lru_cache, partial, total_ordering
 from itertools import chain, islice
-from operator import or_
 
 import numpy as np
 
 from ._bitset import bits, mask_of, popcount
 from .breadth import _iter_incompressible, breadth, is_compressible
-from .core import SUBSET_MAX_BITS, Semilattice, block_rows
+from .core import SUBSET_MAX_BITS, BudgetExceeded, Semilattice, block_rows
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -55,10 +54,6 @@ from .weights import LogWeight, level_set
 #: joins with fewer points go through the pair-by-pair pass, which is faster
 #: there: at 5 points the two passes tie, at 6 the subset pass is 2-3x faster
 SUBSET_MIN_BITS = 6
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised in strict mode when a search outgrows its node budget."""
 
 
 @total_ordering
@@ -254,15 +249,9 @@ def _subset_world(S, lam, G_mask):
     are the sorted weights of those members, and ``rank[s]`` is the index in
     ``levels`` of the member at s, or ``len(levels)`` (never admitted) for a
     non-member or the collapsed top."""
-    k = popcount(G_mask)
-    if k > SUBSET_MAX_BITS:
-        raise BudgetExceeded(f"closure join has {k} points; the subset "
-                             f"closure takes at most {SUBSET_MAX_BITS}")
-    subs = [0]
-    for p in bits(G_mask):
-        subs += [m | 1 << p for m in subs]
-    pos = {x: s for s, x in enumerate(map(S.id_of_mask, subs))
-           if x is not None}
+    ids = S.subset_ids(G_mask)
+    inside = np.flatnonzero(ids >= 0)
+    pos = dict(zip(ids[inside].tolist(), inside.tolist()))
     members = [x for x in pos if x != S.top_id]
     weight = [lam[x] for x in members]
     # distinct weights keyed by (numerator, denominator): a Fraction's own
@@ -270,7 +259,7 @@ def _subset_world(S, lam, G_mask):
     key = [(c.numerator, c.denominator) for c in weight]
     levels = sorted(dict(zip(key, weight)).values())
     index = {(c.numerator, c.denominator): i for i, c in enumerate(levels)}
-    rank = np.full(1 << k, len(levels))
+    rank = np.full(len(ids), len(levels))
     rank[[pos[x] for x in members]] = [index[t] for t in key]
     return pos, levels, rank
 
@@ -361,8 +350,7 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
         return INFINITE
     if S.kind == "set_system" and J != S.top_id:
         J_mask = S.member_mask(J)
-        width = popcount(J_mask)
-        if width >= SUBSET_MIN_BITS and 1 << width <= 4 * S.n:
+        if popcount(J_mask) >= SUBSET_MIN_BITS and S.subsets_fit(J_mask):
             pos, levels, rank = _subset_world(S, lam, J_mask)
             seeds = np.zeros((1, len(rank)), dtype=bool)
             seeds[0, [pos[e] for e in E_ids]] = True
@@ -388,9 +376,9 @@ def _block_winners(S, lam, W_ids, sets):
     factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
     pos = None
     if S.kind == "set_system":
-        G = reduce(or_, map(S.member_mask, W_ids))
+        G = int(np.bitwise_or.reduce(S.masks_of(W_ids)))
         k = popcount(G)
-        if k <= SUBSET_MAX_BITS and 1 << k <= 4 * S.n:
+        if k <= SUBSET_MAX_BITS and S.subsets_fit(G):
             pos, levels, rank = _subset_world(S, lam, G)
             targets = [z for z in W_ids if z != S.top_id]
             cols = [pos[z] for z in targets]

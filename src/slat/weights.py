@@ -151,10 +151,7 @@ def _top_element(S: Semilattice):
     """Id of the maximum element (union of all member sets), or None."""
     if S.top_id is not None:
         return S.top_id
-    full = 0
-    for x in range(S.n):
-        full |= S.member_mask(x)
-    return S.id_of_mask(full)
+    return S.id_of_mask(int(np.bitwise_or.reduce(S.member_masks_np())))
 
 
 def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:

@@ -17,7 +17,9 @@ from slat.weights import (LogWeight, builtin_logweight, logweight_from_json,
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "slat"
 STORAGE_ATTRS = {"_masks", "_trunc", "_mask", "_id", "table"}
-STORAGE_NAMES = {"_trunc_rank", "_trunc_unrank", "_cube"}
+STORAGE_NAMES = {"_trunc_rank", "_trunc_unrank", "_trunc_rank_np",
+                 "_trunc_unrank_np", "_listed_lookups", "_sorted_ids",
+                 "_cube"}
 
 
 def _storage_uses(tree):
