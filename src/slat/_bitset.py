@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
@@ -32,3 +34,11 @@ def submasks(mask: int) -> Iterator[int]:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def popcounts(masks):
+    """Point counts, as int64, of an array of masks (of Python ints where
+    masks reach 2**63)."""
+    count = np.frompyfunc(int.bit_count, 1, 1) if masks.dtype == object \
+        else np.bitwise_count
+    return count(masks).astype(np.int64)

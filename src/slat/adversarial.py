@@ -17,7 +17,7 @@ from operator import or_
 
 import numpy as np
 
-from ._bitset import bits, mask_of, popcount
+from ._bitset import bits, mask_of, popcount, popcounts
 from .breadth import SizeLimit, find_incompressible, is_compressible
 from .core import Semilattice, ValidationReport, Violation
 from .propagation import PropagationValue, v_value
@@ -166,26 +166,22 @@ def _assert_level(S, x_ids, gammas, E_n, D_prev, n):
 
 # -- the derived log-weight --------------------------------------------------
 
-def _eta_of_trace(trace: int, cumulative: list) -> int:
-    """Marker count past the deepest fully contained prefix, from the
-    intersection of a member set with the final prefix."""
-    N = 0
-    for n in range(len(cumulative) - 1, -1, -1):
-        if trace & cumulative[n] == cumulative[n]:
-            N = n
-            break
-    return popcount(trace & ~cumulative[N])
+def _eta_of_traces(traces, cumulative):
+    """Marker count past the deepest fully contained prefix, for each trace
+    in an array of them: the intersection of a member set with the final
+    prefix."""
+    counts = np.full(len(traces), -1)
+    for D in reversed(cumulative):      # every trace holds cumulative[0] = 0
+        hit = (counts < 0) & (traces & D == D)
+        counts[hit] = popcounts(traces[hit] & ~D)
+    return counts
 
 
 def eta_weight(chain: AdversarialChain, S: Semilattice) -> LogWeight:
-    """The chain's derived log-weight as an exact lazy LogWeight."""
-    d_final = chain.d_final
-    cumulative = list(chain.cumulative)
-
-    def eta(x):
-        return Fraction(_eta_of_trace(S.member_mask(x) & d_final, cumulative))
-
-    return LogWeight.lazy(S.n, eta, name="eta")
+    """The chain's derived log-weight, computed from the traces."""
+    d_final, cumulative = chain.d_final, list(chain.cumulative)
+    return LogWeight(S.n, 1, lambda ids: _eta_of_traces(
+        S.masks_of(ids) & d_final, cumulative), "eta")
 
 
 def check_eta_subadditive(chain: AdversarialChain, S: Semilattice) -> ValidationReport:
@@ -204,8 +200,7 @@ def check_eta_subadditive(chain: AdversarialChain, S: Semilattice) -> Validation
     prefixes = [mask_of(j for j, p in enumerate(pts) if D >> p & 1)
                 for D in chain.cumulative]
     size = 1 << len(pts)
-    eta = np.array([_eta_of_trace(i, prefixes) for i in range(size)],
-                   dtype=np.int64)
+    eta = _eta_of_traces(np.arange(size), prefixes)
     for i, j in _superadditive_pairs(
             eta, lambda rows: rows[:, None] | np.arange(size), upper=False):
         rep.violations.append(Violation(
@@ -247,8 +242,8 @@ def verify_barrier(chain: AdversarialChain, S: Semilattice, n: int,
         eta = eta_weight(chain, S)
     F = chain.families[n - 1]
     z = S.product_ids(F)
-    fam_ok = all(eta[x] <= 1 for x in F)
-    z_ok = eta[z] == 0
+    w = eta.num(np.array([*F, z]))
+    fam_ok, z_ok = bool((w[:-1] <= eta.den).all()), bool(w[-1] == 0)
     V = v_value(S, eta, mask_of(F), z)
     bound = Fraction(n, 2)
     passed = fam_ok and z_ok and not V.is_infinite and V.c >= bound

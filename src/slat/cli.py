@@ -102,10 +102,10 @@ def _load_weighted(args):
     instead)."""
     S, obj = _host(args.instance, args.close)
     lam = _weight(S, args.weight, obj)
-    if lam.name == "explicit":  # the only weights that can go below zero
-        for x, v in enumerate(lam.values()):
-            if v < 0:
-                raise NegativeWeight(f"element {x} has negative log-weight {v}")
+    # explicit weights are the only ones that can go below zero
+    if lam.name == "explicit" and lam.distinct_values()[0] < 0:
+        x, v = next((x, v) for x, v in enumerate(lam.values()) if v < 0)
+        raise NegativeWeight(f"element {x} has negative log-weight {v}")
     return S, lam
 
 
@@ -143,9 +143,9 @@ def cmd_analyze(args):
     br = run_breadth(S, cap=args.cap)
     vals = None
     if S.n <= 100_000:
-        vs = lam.values()
-        vals = {"min": _frac_json(min(vs)), "max": _frac_json(max(vs)),
-                "distinct": len(set(vs))}
+        vs = lam.distinct_values()
+        vals = {"min": _frac_json(vs[0]), "max": _frac_json(vs[-1]),
+                "distinct": len(vs)}
     # every host _host accepts is commutative and idempotent, so g -> {z >= g}
     # is one-to-one and there are as many principal filters as elements
     report = {"n": S.n, "kind": S.kind,
@@ -228,7 +228,7 @@ def cmd_adversary(args):
         res = adversarial.verify_barrier(chain, S, n, eta=eta)
         levels.append(res.to_json())
     report = {"chain": chain.to_json(),
-              "eta_on_families": [[str(eta[x]) for x in F]
+              "eta_on_families": [list(map(str, eta.values(F)))
                                   for F in chain.families],
               "subadditive": sub.to_json(),
               "barriers": levels,

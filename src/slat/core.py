@@ -326,7 +326,7 @@ class Semilattice:
             if T is not None:
                 bad = T[T[x, y], z] != T[x, T[y, z]]
             else:
-                P, M = self._join_ids, self.masks_of
+                P, M = self.join_ids, self.masks_of
                 mx, my, mz = M(rows.T)
                 bad = P(M(P(mx, my)), mz) != P(mx, M(P(my, mz)))
             rep.violations += [Violation("NotAssociative", tuple(t))
@@ -335,7 +335,7 @@ class Semilattice:
             rep.notes.append("associativity sampled")
         return rep
 
-    def _join_ids(self, a, b):
+    def join_ids(self, a, b):
         """``product`` of the members with mask arrays ``a`` and ``b``, which
         broadcast; NotClosedError names the first failing pair in row-major
         order, as ``product`` would."""
@@ -368,7 +368,7 @@ class Semilattice:
         masks = self.member_masks_np()
         t = np.empty((n, n), dtype=np.int32)
         for r0, r1 in row_blocks(n, n):
-            t[r0:r1] = self._join_ids(masks[r0:r1, None], masks)
+            t[r0:r1] = self.join_ids(masks[r0:r1, None], masks)
         return t
 
     # -- serialization ---------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import partial, total_ordering
+from functools import total_ordering
 from itertools import chain
 
 import numpy as np
@@ -120,8 +120,9 @@ def generate_filter(S: Semilattice, E: int) -> int:
 
 def defect_set(S: Semilattice, lam: LogWeight, X: int) -> LogMagnitude:
     """Weighted multiplicativity defect of the indicator of X (exact)."""
-    best = min((lam[x] + lam[y] for x, y in _broken_pairs(S, X)), default=None)
-    return ZERO if best is None else LogMagnitude.exp(best)
+    w = lam.num(np.arange(S.n)).tolist()
+    best = min((w[x] + w[y] for x, y in _broken_pairs(S, X)), default=None)
+    return ZERO if best is None else LogMagnitude.exp(Fraction(best, lam.den))
 
 
 def d_set(S: Semilattice, lam: LogWeight, X: int, Y: int) -> LogMagnitude:
@@ -154,7 +155,14 @@ def dist_set(S: Semilattice, lam: LogWeight, X: int):
     Returns ``(LogMagnitude, witness_mask)``; candidates are scanned in
     canonical generator order with the empty set last, first winner kept.
     """
-    return _nearest(S, partial(d_set, S, lam, X), operator.lt, ZERO)
+    w = lam.num(np.arange(S.n)).tolist()
+
+    def dist(F):            # d_set, on the numerators read once
+        diff = X ^ F
+        return LogMagnitude.exp(Fraction(min(w[x] for x in bits(diff)),
+                                         lam.den)) if diff else ZERO
+
+    return _nearest(S, dist, operator.lt, ZERO)
 
 
 def level_agreement(S: Semilattice, lam: LogWeight, X: int, Y: int):
@@ -167,7 +175,7 @@ def level_agreement(S: Semilattice, lam: LogWeight, X: int, Y: int):
     diff = X ^ Y
     if diff == 0:
         return None, False
-    return min(lam[x] for x in bits(diff)), True
+    return min(lam.values(list(bits(diff)))), True
 
 
 def best_guess_check(S: Semilattice, lam: LogWeight, X: int, L) -> bool:

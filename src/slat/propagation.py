@@ -29,9 +29,10 @@ the points G of its level set fit the rule and number at most
 of one subset pass over G, and a set whose product is the collapsed top
 takes the pair-by-pair pass; on other hosts every set takes it.
 
-Both passes rank the attained weights once per call, so levels are exact
-rationals.  ``fbp`` and ``fbp_closure`` apply the definition one step at a
-time; the ``fbp`` command and the cross-checks use them.
+Levels are ranks of integer numerators (``np.unique``), once per ``v_value``
+call and per profile, so they stay exact.  ``fbp`` and ``fbp_closure`` apply
+the definition one step at a time; the ``fbp`` command and the cross-checks
+use them.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class PropagationProfile:
 def fbp(S: Semilattice, lam: LogWeight, C, X: int) -> int:
     """One step: level-C elements dividing a binary product of two level-C
     members of X.  Always contains X restricted to the level set."""
-    C = Fraction(C)
-    inside = [x for x in bits(X) if lam[x] <= C]
+    W = level_set(S, lam, C)
+    inside = list(bits(X & W))
     out = 0
     seen_products = set()
     for i, x in enumerate(inside):
@@ -137,9 +138,8 @@ def fbp(S: Semilattice, lam: LogWeight, C, X: int) -> int:
                 continue
             seen_products.add(p)
             for z in S.iter_factors(p):
-                if lam[z] <= C:
-                    out |= 1 << z
-    return out
+                out |= 1 << z
+    return out & W
 
 
 def fbp_closure(S: Semilattice, lam: LogWeight, C, E: int):
@@ -149,8 +149,8 @@ def fbp_closure(S: Semilattice, lam: LogWeight, C, E: int):
     restricted to the level set and the generated filter restricted to the
     level set; both inclusions are asserted.
     """
-    C = Fraction(C)
-    seed = mask_of(x for x in bits(E) if lam[x] <= C)
+    W = level_set(S, lam, C)
+    seed = E & W
     if seed == 0:
         return 0, 0
     cur = seed
@@ -162,7 +162,7 @@ def fbp_closure(S: Semilattice, lam: LogWeight, C, E: int):
             break
         cur = nxt
     assert seed & ~cur == 0
-    bound = generate_filter(S, E) & level_set(S, lam, C)
+    bound = generate_filter(S, E) & W
     assert cur & ~bound == 0
     return cur, rounds
 
@@ -179,41 +179,46 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
     once C reaches the largest of the three weights, so X is C-stable
     exactly for C strictly below the returned value.
     """
-    best = None
     xs = list(bits(X))
-    for i, x in enumerate(xs):
-        for y in xs[i:]:
-            p = S.product(x, y)
-            outside = S.factors_mask(p) & ~X
-            if outside:
-                base = max(lam[x], lam[y])
-                t = min(max(base, lam[z]) for z in bits(outside))
-                if best is None or t < best:
-                    best = t
-    return best
+    found = [(x, y, outside) for i, x in enumerate(xs) for y in xs[i:]
+             if (outside := S.factors_mask(S.product(x, y)) & ~X)]
+    if not found:
+        return None
+    ids = sorted(set(xs).union(*(bits(o) for *_, o in found)))
+    w = dict(zip(ids, lam.num(np.array(ids)).tolist()))
+    return Fraction(min(max(w[x], w[y], min(w[z] for z in bits(o)))
+                        for x, y, o in found), lam.den)
 
 
 # -- reachability cost -------------------------------------------------------
 
-def _knuth_first_levels(S, lam, E_ids, targets, factors, J):
+def _ranked(lam, ids):
+    """The distinct weights of ``ids``, rising, and each id's rank in them."""
+    levels, rank = np.unique(lam.num(ids), return_inverse=True)
+    return [Fraction(a, lam.den) for a in levels.tolist()], rank.tolist()
+
+
+def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
     """The pair-by-pair pass: first levels of the closure from E, the
     product of which is J.
 
     The closed world is U, the ``factors`` of J.  Elements are settled in
     order of rising first level, and each settled element is paired with
     every element settled before it and with itself.  Returns ``{id: level}``
-    for each element settled before every target inside U is.
+    for each element settled before every target inside U is.  U is ranked
+    here unless the caller passes ``ranked``, ``_ranked`` of every element.
     """
     U = list(factors(J))
     if len(U) > 200_000:
         raise BudgetExceeded(f"closure universe has {len(U)} elements")
-    levels = sorted({lam[g] for g in U})
-    index = {c: i for i, c in enumerate(levels)}
-    rank = {g: index[lam[g]] for g in U}
+    if ranked is None:
+        levels, rank = _ranked(lam, np.array(U))
+        ranked = levels, dict(zip(U, rank))
+    levels, rank = ranked
     buckets = [[] for _ in levels]      # bucket i: reached at levels[i]
     for e in E_ids:
         buckets[rank[e]].append(e)
-    pending = {z for z in targets if z in rank}
+    pending = set(targets).intersection(U)
     first = {}
     settled = []
     formed = set()
@@ -252,15 +257,10 @@ def _subset_world(S, lam, G_mask):
     ids = S.subset_ids(G_mask)
     inside = np.flatnonzero(ids >= 0)
     pos = dict(zip(ids[inside].tolist(), inside.tolist()))
-    members = [x for x in pos if x != S.top_id]
-    weight = [lam[x] for x in members]
-    # distinct weights keyed by (numerator, denominator): a Fraction's own
-    # hash costs a modular inverse
-    key = [(c.numerator, c.denominator) for c in weight]
-    levels = sorted(dict(zip(key, weight)).values())
-    index = {(c.numerator, c.denominator): i for i, c in enumerate(levels)}
+    members = inside[ids[inside] != S.top_id]
+    levels, member_rank = _ranked(lam, ids[members])
     rank = np.full(len(ids), len(levels))
-    rank[[pos[x] for x in members]] = [index[t] for t in key]
+    rank[members] = member_rank
     return pos, levels, rank
 
 
@@ -374,7 +374,7 @@ def _block_winners(S, lam, W_ids, sets):
     ``W_ids``, and one set on the pair-by-pair pass.
     """
     factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
-    pos = None
+    pos = ranked = None
     if S.kind == "set_system":
         G = int(np.bitwise_or.reduce(S.masks_of(W_ids)))
         k = popcount(G)
@@ -400,8 +400,9 @@ def _block_winners(S, lam, W_ids, sets):
                 got[np.flatnonzero(on)[r]] = levels[tops[r]], {
                     z: levels[i] for z, i in zip(targets, first[r]) if i >= 0}
         for j in pairwise:
+            ranked = ranked or _ranked(lam, np.arange(S.n))
             first = _knuth_first_levels(S, lam, block[j], W_ids, factors,
-                                        S.product_ids(block[j]))
+                                        S.product_ids(block[j]), ranked)
             got[j] = max(first[z] for z in W_ids if z in first), first
         j = max(sorted(got), key=lambda j: got[j][0])
         yield block[j], *got[j]

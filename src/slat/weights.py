@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
-from ._bitset import mask_of, popcount
+from ._bitset import popcounts
 from .core import (TABLE_HARD_CAP, Semilattice, ValidationReport, Violation,
-                   pairs_where, row_blocks)
+                   _randrange_bulk, pairs_where, row_blocks)
 
 
 class KindMismatch(TypeError):
@@ -28,49 +28,44 @@ class PrototypeMissingTop(ValueError):
 
 
 class LogWeight:
-    """Per-element nonnegative rationals, either stored or computed lazily.
+    """Per-element rationals as integer numerators over one denominator.
 
-    ``lam[x]`` returns the exact value for element id ``x``.
+    ``num(ids)`` maps a 1-d id array to the numerators over ``den``: an
+    int64 array when each is below 2**62 (so that no sum of two
+    overflows), else an object array of Python ints.  Library code reads
+    ``num`` once for the ids it needs and compares integers; ``lam[x]``, the
+    exact value of one element, is for oracles, tests and interactive use.
     """
 
-    def __init__(self, n, values=None, fn=None, name="explicit"):
-        if (values is None) == (fn is None):
-            raise ValueError("provide exactly one of values or fn")
-        self.n = n
-        self.name = name
-        self._values = list(values) if values is not None else None
-        self._fn = fn
-        self._cache = {} if fn is not None else None
+    #: no weight caches its values; the benchmark's tracer reads this field
+    _cache = None
+
+    def __init__(self, n, den, num, name="explicit"):
+        self.n, self.den, self.num, self.name = n, den, num, name
 
     @classmethod
     def from_values(cls, values, name="explicit"):
-        vals = [Fraction(v) for v in values]
-        return cls(len(vals), values=vals, name=name)
-
-    @classmethod
-    def lazy(cls, n, fn, name):
-        return cls(n, fn=fn, name=name)
+        den, num = _numerators([Fraction(v) for v in values])
+        return cls(len(num), den, partial(np.take, num), name)
 
     def __getitem__(self, x: int) -> Fraction:
-        if self._values is not None:
-            return self._values[x]
-        v = self._cache.get(x)
-        if v is None:
-            v = self._fn(x)
-            self._cache[x] = v
-        return v
+        return self.values([x])[0]
 
-    def values(self):
-        return [self[x] for x in range(self.n)]
+    def values(self, ids=None):
+        """The exact values of ``ids`` (every element by default)."""
+        ids = np.arange(self.n) if ids is None else np.asarray(ids, np.int64)
+        return [Fraction(a, self.den) for a in self.num(ids).tolist()]
 
     def as_floats(self):
-        return np.array([float(self[x]) for x in range(self.n)])
+        return np.array([a / self.den
+                         for a in self.num(np.arange(self.n)).tolist()])
 
     def max_value(self) -> Fraction:
-        return max(self[x] for x in range(self.n))
+        return Fraction(int(self.num(np.arange(self.n)).max()), self.den)
 
     def distinct_values(self):
-        return sorted(set(self[x] for x in range(self.n)))
+        return [Fraction(a, self.den)
+                for a in sorted(set(self.num(np.arange(self.n)).tolist()))]
 
     def to_json(self):
         if self.name in ("cardinality", "prototype", "zero"):
@@ -96,39 +91,37 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
     n = S.n
     if lam.n != n:
         raise ValueError("log-weight length does not match the instance")
+    num = lam.num
     if n <= TABLE_HARD_CAP:
-        vals = lam.values()
-        for x in range(n):
-            if vals[x] < 0:
-                rep.violations.append(Violation("Negative", (x,)))
+        w = num(np.arange(n))
+        rep.violations += [Violation("Negative", (x,))
+                           for x in np.flatnonzero(w < 0).tolist()]
         P = S.product_table_np()
         rep.violations += [
             Violation("NotSubadditive", pair) for pair in _superadditive_pairs(
-                _numerators(vals), lambda rows: P[rows], upper=True)]
+                w, lambda rows: P[rows], upper=True)]
         return rep
-    rng = random.Random(seed)
     rep.exhaustive = False
     rep.notes.append("pair check sampled")
-    neg_rng = random.Random(seed + 1)
-    for _ in range(min(n, samples)):
-        x = neg_rng.randrange(n)
-        if lam[x] < 0:
-            rep.violations.append(Violation("Negative", (x,)))
-    for _ in range(samples):
-        x, y = rng.randrange(n), rng.randrange(n)
-        if lam[S.product(x, y)] > lam[x] + lam[y]:
-            rep.violations.append(Violation("NotSubadditive", (x, y)))
+    # the draws of randrange(n) calls, x then y for each pair
+    xs = _randrange_bulk(random.Random(seed + 1), n, min(n, samples))
+    rep.violations += [Violation("Negative", (x,))
+                       for x in xs[num(xs) < 0].tolist()]
+    pairs = _randrange_bulk(random.Random(seed), n, 2 * samples).reshape(-1, 2)
+    x, y = pairs.T
+    bad = num(S.join_ids(S.masks_of(x), S.masks_of(y))) > num(x) + num(y)
+    rep.violations += [Violation("NotSubadditive", tuple(pair))
+                       for pair in pairs[bad].tolist()]
     return rep
 
 
 def _numerators(vals):
-    """Numerators of ``vals`` over their least common denominator: an int64
-    array when each is below 2**62 (so that no sum of two overflows), else
-    an object array of Python ints."""
+    """The least common denominator of ``vals`` and their numerators over
+    it, in the array form of ``LogWeight.num``."""
     den = math.lcm(*{v.denominator for v in vals})
     num = [v.numerator * (den // v.denominator) for v in vals]
     wide = any(abs(a) >= 1 << 62 for a in num)
-    return np.array(num, dtype=object if wide else np.int64)
+    return den, np.array(num, dtype=object if wide else np.int64)
 
 
 def _superadditive_pairs(num, products, upper):
@@ -165,39 +158,43 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
     """
     params = params or {}
     if name == "zero":
-        return LogWeight(S.n, values=[Fraction(0)] * S.n, name="zero")
+        return LogWeight(S.n, 1, lambda ids: np.zeros(len(ids), np.int64),
+                         "zero")
     if S.kind != "set_system":
         raise KindMismatch(f"{name} weight needs a set-system instance")
     if name in ("cardinality", "scaled"):
         q = Fraction(params.get("q", 1)) if name == "scaled" else Fraction(1)
         if q < 0:
             raise ValueError("scale factor must be nonnegative")
-        cap = S.truncation_bound()
+        top, cap = S.top_id, S.truncation_bound()
         if cap is not None:
             cap += 1
-        elif S.top_id is not None:
+        elif top is not None:
             cap = _collapse_cap(S)
-        by_size = lru_cache(maxsize=None)(q.__mul__)  # one value per size
-
-        def card(x):
-            c = popcount(S.member_mask(x))
-            if x == S.top_id and cap is not None:
-                c = min(c, cap)
-            return by_size(c)
-
-        if S.n > 100_000:
-            return LogWeight.lazy(S.n, card, name=name)
-        return LogWeight(S.n, values=[card(x) for x in range(S.n)], name=name)
+        return LogWeight(S.n, q.denominator, _counted(S, q.numerator, top, cap),
+                         name)
     if name == "prototype":
         top = _top_element(S)
         if top is None:
             raise PrototypeMissingTop(
                 "prototype weight needs the full universe as an element")
-        by_size = lru_cache(maxsize=None)(Fraction)  # one value per size
-        vals = [by_size(popcount(S.member_mask(x))) for x in range(S.n)]
-        vals[top] = by_size(0)
-        return LogWeight(S.n, values=vals, name="prototype")
+        return LogWeight(S.n, 1, _counted(S, 1, top, 0), "prototype")
     raise ValueError(f"unknown builtin log-weight {name!r}")
+
+
+def _counted(S: Semilattice, q: int, top, cap: int):
+    """``num`` of q times the point count of each member, with at most
+    ``cap`` points at the element ``top`` (None: at no element)."""
+    wide = q * len(S.ground) >= 1 << 62
+
+    def num(ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        c = popcounts(S.masks_of(ids))
+        if top is not None:
+            np.minimum(c, cap, out=c, where=ids == top)
+        return c.astype(object) * q if wide else c * q
+
+    return num
 
 
 def _collapse_cap(S: Semilattice) -> int:
@@ -206,19 +203,18 @@ def _collapse_cap(S: Semilattice) -> int:
     has such a pair: x with the top."""
     T = S.product_table_np()
     masks = S.member_masks_np()
-    size = np.frompyfunc(int.bit_count, 1, 1) if masks.dtype == object \
-        else np.bitwise_count
     caps = []
     for r0, r1 in row_blocks(S.n, S.n):
         unions = masks[r0:r1, None] | masks
-        caps.append(int(size(unions[T[r0:r1] == S.top_id]).min()))
+        caps.append(int(popcounts(unions[T[r0:r1] == S.top_id]).min()))
     return min(caps)
 
 
 def level_set(S: Semilattice, lam: LogWeight, L) -> int:
     """Bitmask of the level set {x : lambda(x) <= L}; comparison is exact."""
     L = Fraction(L)
-    return mask_of(x for x in range(S.n) if lam[x] <= L)
+    inside = lam.num(np.arange(S.n)) <= L.numerator * lam.den // L.denominator
+    return int.from_bytes(np.packbits(inside, bitorder="little"), "little")
 
 
 def random_logweight(S: Semilattice, seed: int) -> LogWeight:
@@ -243,8 +239,7 @@ def random_logweight(S: Semilattice, seed: int) -> LogWeight:
         if np.array_equal(new, num):
             break
         num = new
-    return LogWeight(S.n, values=[Fraction(a, 6) for a in num.tolist()],
-                     name="random")
+    return LogWeight(S.n, 6, partial(np.take, num.astype(np.int64)), "random")
 
 
 def _fraction_from_json(v) -> Fraction:
@@ -268,7 +263,7 @@ def logweight_from_json(S: Semilattice, obj) -> LogWeight:
         vals = [_fraction_from_json(v) for v in obj["values"]]
         if len(vals) != S.n:
             raise ValueError("explicit weight length mismatch")
-        return LogWeight(S.n, values=vals, name="explicit")
+        return LogWeight.from_values(vals)
     if kind == "scaled":
         q = obj.get("q", {"num": 1, "den": 1})
         return builtin_logweight(S, "scaled",

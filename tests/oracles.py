@@ -14,6 +14,12 @@ import numpy as np
 from slat._bitset import bits, mask_of
 
 
+def _values(lam):
+    """The exact values of a log-weight by id, read once: the loops here
+    index them one element at a time (a list passes through)."""
+    return lam if isinstance(lam, list) else lam.values()
+
+
 def brute_filters(S):
     """All filters by scanning every nonempty subset for the biconditional."""
     out = []
@@ -35,6 +41,7 @@ def brute_filters(S):
 
 
 def naive_fbp_step(S, lam, C, X):
+    lam = _values(lam)
     C = Fraction(C)
     inside = [x for x in bits(X) if lam[x] <= C]
     out = 0
@@ -48,6 +55,7 @@ def naive_fbp_step(S, lam, C, X):
 
 
 def naive_closure(S, lam, C, E):
+    lam = _values(lam)
     C = Fraction(C)
     cur = mask_of(x for x in bits(E) if lam[x] <= C)
     while True:
@@ -65,6 +73,7 @@ def naive_v(S, lam, E, z):
     """Dense threshold scan: the closure is a step function of the level
     with jumps only at attained weight values, so scanning those is a full
     scan of all levels.  Returns a Fraction or None for unreachable."""
+    lam = _values(lam)
     if E == 0:
         return None
     for C in sorted({lam[x] for x in range(S.n)}):
@@ -76,6 +85,7 @@ def naive_v(S, lam, E, z):
 def naive_profile(S, lam, L):
     """Max of naive_v over every nonempty generating subset of the level set
     and every target in it; the level set must be small."""
+    lam = _values(lam)
     L = Fraction(L)
     W = [x for x in range(S.n) if lam[x] <= L]
     assert len(W) <= 16, "oracle profile needs a small level set"
@@ -120,11 +130,45 @@ def naive_subadditive_violations(S, lam):
     ``validate_logweight`` reports them: negative elements by id, then every
     pair x <= y with lambda(xy) > lambda(x) + lambda(y), compared as exact
     rationals with ``product``."""
+    lam = _values(lam)
     out = [("Negative", (x,)) for x in range(S.n) if lam[x] < 0]
     for x, y in combinations_with_replacement(range(S.n), 2):
         if lam[S.product(x, y)] > lam[x] + lam[y]:
             out.append(("NotSubadditive", (x, y)))
     return out
+
+
+def naive_sampled_logweight_violations(S, lam, seed, samples):
+    """``(kind, witness)`` of the violations ``validate_logweight(S, lam,
+    seed, samples)`` reports above ``TABLE_HARD_CAP`` by the plain loop it
+    replaced: ``min(n, samples)`` ids drawn by ``randrange(n)`` from
+    ``Random(seed + 1)`` checked for a negative value, then ``samples``
+    pairs, x then y, from ``Random(seed)`` checked with ``product``."""
+    lam = _values(lam)
+    n = S.n
+    neg_rng, rng = random.Random(seed + 1), random.Random(seed)
+    out = []
+    for _ in range(min(n, samples)):
+        x = neg_rng.randrange(n)
+        if lam[x] < 0:
+            out.append(("Negative", (x,)))
+    for _ in range(samples):
+        x, y = rng.randrange(n), rng.randrange(n)
+        if lam[S.product(x, y)] > lam[x] + lam[y]:
+            out.append(("NotSubadditive", (x, y)))
+    return out
+
+
+def eta_of_trace(trace, cumulative):
+    """The adversarial weight of a member set from its trace, its
+    intersection with the final marker prefix: the markers in the trace past
+    the deepest prefix ``cumulative[N]`` it contains."""
+    N = 0
+    for n in range(len(cumulative) - 1, -1, -1):
+        if trace & cumulative[n] == cumulative[n]:
+            N = n
+            break
+    return (trace & ~cumulative[N]).bit_count()
 
 
 def naive_semilattice_violations(S):
@@ -233,6 +277,7 @@ def naive_defect_set(S, lam, X):
     """The pair loop ``defect_set`` replaced: the least lambda(x) +
     lambda(y) over the pairs that break the filter identity, or None when
     none does (a zero defect)."""
+    lam = _values(lam)
     best = None
     for x in range(S.n):
         in_x = bool(X >> x & 1)
@@ -256,6 +301,7 @@ def naive_dist_set(S, lam, X):
     least weight on the difference of X and a principal filter or the
     empty set (None for distance zero), candidates in id order then the
     empty set, first winner kept."""
+    lam = _values(lam)
     def m(F):
         diff = X ^ F
         return None if diff == 0 else min(lam[x] for x in bits(diff))
@@ -276,6 +322,7 @@ def naive_dist_complex(S, lam, psi):
     """The candidate loop ``dist_complex`` replaced: weighted sup distance
     from psi to each principal-filter indicator in id order, then to zero,
     a later candidate winning only by more than 1e-12."""
+    lam = _values(lam)
     a = np.asarray(psi, dtype=np.complex128)
     wf = np.exp(-np.array([float(lam[x]) for x in range(S.n)]))
     best = witness = None
@@ -308,6 +355,7 @@ def naive_check_equivalence_iii(S, lam, L, C):
     n <= 20, each tested for C-stability by one naive step; above, the
     naive closures of the same 4000 seeds drawn under seed 0, each stable
     by construction."""
+    lam = _values(lam)
     L, C = Fraction(L), Fraction(C)
     W = mask_of(x for x in range(S.n) if lam[x] <= L)
 

@@ -1,14 +1,21 @@
 import json
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import eta_of_trace
 from slat._bitset import bits, mask_of, popcount
 from slat.adversarial import (AdversarialChain, InsufficientBreadth,
-                              _eta_of_trace, build_chain,
+                              _eta_of_traces, build_chain,
                               check_eta_subadditive, eta_weight, find_markers,
                               verify_barrier)
-from slat.core import Semilattice, chain, fin_truncation, free_nonempty
+from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
+                       sch_embed)
 from slat.propagation import v_value
 from slat.weights import validate_logweight
 
@@ -146,8 +153,8 @@ def test_eta_pair_check_matches_pair_loop_in_order():
               for sub in range(1 << len(pts))]
     expected = [(list(bits(t1)), list(bits(t2)))
                 for t1 in traces for t2 in traces
-                if _eta_of_trace(t1 | t2, cumulative)
-                > _eta_of_trace(t1, cumulative) + _eta_of_trace(t2, cumulative)]
+                if eta_of_trace(t1 | t2, cumulative)
+                > eta_of_trace(t1, cumulative) + eta_of_trace(t2, cumulative)]
     rep = check_eta_subadditive(c, free_nonempty(3))
     assert expected
     assert [v.witness for v in rep.violations] == expected
@@ -156,3 +163,48 @@ def test_eta_pair_check_matches_pair_loop_in_order():
                for p in w)
     assert rep.checked_triples == len(traces) ** 2
     assert json.dumps(rep.to_json())
+
+
+# listed masks, rank storage with a collapsed top, masks beyond int64
+ETA_HOSTS = {"pstar(8)": free_nonempty(8), "fin(20,15)": fin_truncation(20, 15),
+             "sch_embed(chain(70))": sch_embed(chain(70)).semilattice}
+# the prefixes of test_eta_pair_check_matches_pair_loop_in_order: not nested
+SPREAD = [0, 1 << 1, 1 << 4, 1 << 6, mask_of([1, 4, 6, 9])]
+
+
+def _assert_eta_matches_scalar(S, cumulative, ids, local):
+    """``eta_weight`` of a chain with prefixes ``cumulative`` on the ids,
+    and the table of ``check_eta_subadditive`` over the local trace indices
+    of the same prefixes before their shift, ``local``, against the scalar
+    rule."""
+    c = AdversarialChain(depth=len(cumulative) - 1, marker_sets=[],
+                         families=[], cumulative=cumulative)
+    got = eta_weight(c, S).num(np.array(ids, dtype=np.int64))
+    assert got.tolist() == [eta_of_trace(S.member_mask(x) & c.d_final,
+                                         cumulative) for x in ids]
+    size = 1 << max(local).bit_length()
+    assert _eta_of_traces(np.arange(size), local).tolist() == \
+        [eta_of_trace(t, local) for t in range(size)]
+
+
+@pytest.mark.parametrize("name", sorted(ETA_HOSTS))
+def test_eta_on_spread_prefixes_matches_the_scalar_rule(name):
+    S = ETA_HOSTS[name]
+    ids = range(S.n) if S.n < 300 else [0, 1, 57, S.n - 2, S.n - 1]
+    _assert_eta_matches_scalar(S, SPREAD, list(ids), SPREAD)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(ETA_HOSTS)), st.data())
+def test_eta_matches_the_scalar_rule(name, data):
+    S = ETA_HOSTS[name]
+    k = len(S.ground)
+    offset = data.draw(st.integers(0, k - 8), label="offset")
+    local = data.draw(st.lists(st.integers(0, (1 << 8) - 1), min_size=1,
+                               max_size=5), label="prefixes")
+    if data.draw(st.booleans(), label="nested"):
+        local = list(accumulate(local, or_))
+    ids = data.draw(st.lists(st.integers(0, S.n - 1), max_size=40),
+                    label="ids")
+    _assert_eta_matches_scalar(S, [0] + [D << offset for D in local],
+                               ids + [S.n - 1], [0] + local)

@@ -1,15 +1,18 @@
 """Storage is known only to ``core``: no other module of the package reads
-a storage field or calls a rank-storage helper.  The benchmark's tracer
-(``bench/``) is the one outside reader of private fields, and the last tests
-pin what it reads on every host and weight kind."""
+a storage field or calls a rank-storage helper, and no module indexes a
+log-weight one element at a time.  The benchmark's tracer (``bench/``) is
+the one outside reader of private fields, and the last tests pin what it
+reads on every host and weight kind."""
 
 import ast
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from slat.adversarial import build_chain, eta_weight
+from slat import core
+from slat.adversarial import build_chain, eta_weight, verify_barrier
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        kary_tree, powerset, sch_embed)
 from slat.weights import (LogWeight, builtin_logweight, logweight_from_json,
@@ -37,6 +40,29 @@ def _storage_uses(tree):
 def test_only_core_reads_storage(path):
     tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
     assert list(_storage_uses(tree)) == []
+
+
+def test_no_module_indexes_a_weight_by_element():
+    # library code reads lam.num once for the ids it needs
+    found = [(path.name, node.lineno) for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("lam", "eta")]
+    assert found == []
+
+
+def test_barrier_reads_the_eta_weight_in_bulk(monkeypatch):
+    S = fin_truncation(20, 15)
+    c = build_chain(S, 5)
+    eta = eta_weight(c, S)
+    calls = []
+    scalar = core.Semilattice.member_mask
+    monkeypatch.setattr(core.Semilattice, "member_mask",
+                        lambda S, x: calls.append(x) or scalar(S, x))
+    res = verify_barrier(c, S, 5, eta=eta)
+    assert res.passed and res.value.c == 3
+    assert len(calls) <= 3, calls      # not one per member of the closure
 
 
 # -- the private fields bench/run.py and bench/tracing.py read ---------------
@@ -72,7 +98,8 @@ def test_bench_reads_the_backend_and_the_factor_cache(name):
 
 
 def _weights():
-    """(weight, lazy) for every way a log-weight is made."""
+    """(weight, on a host of more than 100 000 elements) for every way a
+    log-weight is made."""
     S, T = free_nonempty(4), kary_tree(2, 2)
     yield builtin_logweight(T, "zero"), False
     yield builtin_logweight(S, "cardinality"), False
@@ -84,16 +111,16 @@ def _weights():
         {"num": 1, "den": 1}] * T.n}), False
     yield builtin_logweight(fin_truncation(24, 8), "cardinality"), True
     yield builtin_logweight(free_nonempty(17), "scaled", {"q": 2}), True
-    P = free_nonempty(6)
+    P = free_nonempty(17)
     yield eta_weight(build_chain(P, 2), P), True
 
 
-@pytest.mark.parametrize("lam, lazy", list(_weights()),
+@pytest.mark.parametrize("lam, large", list(_weights()),
                          ids=lambda v: getattr(v, "name", None))
-def test_bench_reads_the_lazy_weight_cache(lam, lazy):
-    # bench/tracing.py: a lookup is lazy when lam._cache is not None, and
-    # misses when x is not in it
-    assert (lam._cache is not None) == lazy
-    lam[0]
-    if lazy:
-        assert isinstance(lam._cache, dict) and 0 in lam._cache
+def test_bench_reads_the_lazy_weight_cache(lam, large):
+    # bench/tracing.py counts a lookup as lazy when lam._cache is not None:
+    # no weight is, whatever the size of its host
+    assert (lam.n > 100_000) == large
+    assert lam._cache is None
+    assert lam[0] == Fraction(int(lam.num(np.array([0]))[0]), lam.den)
+    assert lam._cache is None

@@ -24,8 +24,8 @@ from slat.propagation import (INFINITE, SUBSET_MIN_BITS, BudgetExceeded,
                               fbp_closure, finite_breadth_bound_check,
                               is_fbp_stable, propagation_profile,
                               stability_threshold, v_value)
-from slat.weights import (LogWeight, PrototypeMissingTop, builtin_logweight,
-                          level_set, random_logweight)
+from slat.weights import (PrototypeMissingTop, builtin_logweight, level_set,
+                          random_logweight)
 
 
 def test_propagation_value_ordering():
@@ -218,16 +218,14 @@ def test_closure_engine_matches_oracles(spec, seed, data):
 
 def test_profile_leaves_host_and_weight_caches_alone():
     S = generate_instance("pstar(4)")
-    stored = builtin_logweight(S, "cardinality")
-    lam = LogWeight.lazy(S.n, stored.__getitem__, "lazy")
-    lam.values()                  # every value is read before the profile
+    lam = builtin_logweight(S, "cardinality")
     S.factors_mask(3)
-    host, factors, cache = dict(vars(S)), dict(S._factors_cache), \
-        dict(lam._cache)
+    host, factors, weight = dict(vars(S)), dict(S._factors_cache), \
+        dict(vars(lam))
     for budget in (500_000, 7):
         propagation_profile(S, lam, 2, budget=budget, samples=20)
     assert vars(S) == host and S._factors_cache == factors
-    assert lam._cache == cache
+    assert vars(lam) == weight and lam._cache is None
 
 
 # -- profiles in blocks --------------------------------------------------------
@@ -290,7 +288,7 @@ def test_profile_blocks_route_collapsed_joins_to_the_pair_pass(monkeypatch):
     tops = []
     knuth = propagation._knuth_first_levels
     monkeypatch.setattr(propagation, "_knuth_first_levels",
-                        lambda *a: tops.append(a[-1]) or knuth(*a))
+                        lambda *a: tops.append(a[5]) or knuth(*a))
     prof = propagation_profile(S, lam, 2)
     assert tops and set(tops) == {S.top_id}
     assert prof.value == PropagationValue.finite(2)
@@ -406,7 +404,7 @@ def test_sparse_families_stay_on_the_pair_pass(monkeypatch):
 
 def test_subset_pass_refuses_a_wide_join_before_allocating():
     S = generate_instance("fin(23,22)")     # the 23-cube, rank storage
-    lam = LogWeight.lazy(S.n, lambda x: Fraction(0), "zero")
+    lam = builtin_logweight(S, "zero")
     singles = mask_of(S.id_of_mask(1 << i) for i in range(23))
     top = S.id_of_mask((1 << 23) - 1)
     tracemalloc.start()

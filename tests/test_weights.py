@@ -1,14 +1,17 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (naive_collapse_cap, naive_random_logweight,
+                     naive_sampled_logweight_violations,
                      naive_subadditive_violations)
 from slat import core
-from slat._bitset import popcount
+from slat._bitset import mask_of, popcount
 from slat.core import (TABLE_HARD_CAP, Semilattice, SizeOverflowError, chain,
                        fin_truncation, free_nonempty, generate_instance,
                        kary_tree, powerset, sch_embed)
@@ -197,16 +200,19 @@ def test_sampled_negativity_check_draws_many_elements():
     assert len(named) > 1
 
 
-def test_lazy_weight_caches():
+def test_weight_lookups_read_num_each_time():
     calls = []
 
-    def fn(x):
-        calls.append(x)
-        return Fraction(x)
+    def num(ids):
+        calls.append(ids.tolist())
+        return ids * 3
 
-    lam = LogWeight.lazy(4, fn, name="probe")
-    assert lam[2] == 2 and lam[2] == 2
-    assert calls == [2]
+    lam = LogWeight(4, 2, num, name="probe")
+    assert lam[2] == 3 and lam[2] == 3
+    assert calls == [[2], [2]]          # nothing is kept per element
+    assert lam.values() == [0, Fraction(3, 2), 3, Fraction(9, 2)]
+    assert lam.values([3, 1]) == [Fraction(9, 2), Fraction(3, 2)]
+    assert lam._cache is None
 
 
 # table, explicit-mask and collapsed-top hosts
@@ -230,10 +236,10 @@ def test_validate_logweight_matches_pair_loop(host, seed, tamper, overflow,
     if overflow:
         for i, p in enumerate(BIG_PRIMES):
             vals[(seed + i) % S.n] += Fraction(1, p)
-        assert _numerators(vals).dtype == object
+        assert _numerators(vals)[1].dtype == object
     else:
-        assert _numerators(vals).dtype != object
-    lam = LogWeight(S.n, values=vals)
+        assert _numerators(vals)[1].dtype != object
+    lam = LogWeight.from_values(vals)
     orig = core.NP_BLOCK_ELEMS
     core.NP_BLOCK_ELEMS = block_elems
     try:
@@ -252,40 +258,89 @@ def test_validate_logweight_finds_tampered_pairs_in_order():
     vals = lam.values()
     vals[S.top_id] = Fraction(7)
     vals[0] = Fraction(-1, 2)
-    bad = LogWeight(S.n, values=vals)
+    bad = LogWeight.from_values(vals)
     rep = validate_logweight(S, bad)
     expected = naive_subadditive_violations(S, bad)
     assert len(expected) > 10
     assert [(v.kind, v.witness) for v in rep.violations] == expected
 
 
-def test_builtin_weights_share_one_value_per_size():
+def test_builtin_weights_are_numerators_over_one_denominator():
     S = fin_truncation(6, 2)
-    zero = builtin_logweight(S, "zero").values()
-    assert all(v is zero[0] for v in zero)
-    card = builtin_logweight(S, "cardinality")
-    ones = [card[x] for x in range(S.n) if popcount(S.member_mask(x)) == 1]
-    assert len(ones) == 6 and all(v is ones[0] for v in ones)
+    ids = np.arange(S.n)
+    sizes = [popcount(S.member_mask(x)) for x in range(S.n)]
+    zero = builtin_logweight(S, "zero")
+    scaled = builtin_logweight(S, "scaled", {"q": Fraction(3, 2)})
+    proto = builtin_logweight(S, "prototype")
+    assert (zero.den, scaled.den, proto.den) == (1, 2, 1)
+    assert zero.num(ids).tolist() == [0] * S.n
+    # the collapsed top is capped at c + 1 = 3 points, and free under
+    # the prototype
+    assert scaled.num(ids).tolist() == [3 * min(c, 3) for c in sizes]
+    assert proto.num(ids).tolist() == [0 if x == S.top_id else c
+                                       for x, c in enumerate(sizes)]
+    for lam in (zero, scaled, proto):
+        assert lam.num(ids).dtype == np.int64
+        assert lam.num(ids[::-1]).tolist() == lam.num(ids).tolist()[::-1]
 
 
 def test_validate_logweight_on_empty_instances():
     for S in (Semilattice.from_table([]), Semilattice.from_sets([], [])):
-        assert validate_logweight(S, LogWeight(0, values=[])).ok
+        assert validate_logweight(S, LogWeight.from_values([])).ok
 
 
 def test_numerators_whose_sum_overflows_int64_fall_back():
     S = free_nonempty(2)  # ids: {0}, {1}, {0,1}
     big = Fraction(3 * 2**61)  # below 2**63, but twice it is not
-    lam = LogWeight(S.n, values=[big, big, Fraction(0)])
-    assert _numerators(lam.values()).dtype == object
+    lam = LogWeight.from_values([big, big, Fraction(0)])
+    assert lam.num(np.arange(S.n)).dtype == object
     assert validate_logweight(S, lam).ok
 
 
 def test_cardinality_on_a_rank_storage_host_is_lazy():
     S = fin_truncation(24, 8)
     assert S.n == 1271627
-    lam = builtin_logweight(S, "cardinality")
-    assert lam._values is None          # nothing stored per element
-    assert lam[S.top_id] == 9           # the cap c + 1
-    for x in (0, 1, 300, S.n - 2):
-        assert lam[x] == popcount(S.member_mask(x))
+    tracemalloc.start()
+    try:
+        lam = builtin_logweight(S, "cardinality")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20               # nothing stored per element
+    ids = [0, 1, 300, S.n - 2, S.top_id]
+    assert lam.num(np.array(ids)).tolist() == \
+        [popcount(S.member_mask(x)) for x in ids[:-1]] + [9]  # the cap c + 1
+
+
+def test_scaled_weight_with_wide_numerators():
+    # q * 6 points needs more than int64: the numerators are Python ints
+    q = 2**70
+    S = fin_truncation(6, 2)
+    lam = builtin_logweight(S, "scaled", {"q": q})
+    assert lam.num(np.arange(S.n)).dtype == object
+    assert validate_logweight(S, lam).ok
+    assert level_set(S, lam, 2 * q) == mask_of(
+        x for x in range(S.n) if popcount(S.member_mask(x)) <= 2)
+    assert level_set(S, lam, Fraction(q - 1)) == 1   # the empty set alone
+    big = free_nonempty(13)
+    assert validate_logweight(big, builtin_logweight(big, "scaled", {"q": q}),
+                              samples=2000).ok
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampled_validation_matches_the_pair_loop(seed):
+    S = free_nonempty(13)  # above TABLE_HARD_CAP: pairs are sampled
+    rng = np.random.default_rng(seed)
+    vals = [Fraction(popcount(S.member_mask(x))) for x in range(S.n)]
+    for x in range(S.n):
+        if popcount(S.member_mask(x)) >= 12:
+            vals[x] = Fraction(30)
+    for x in rng.choice(S.n, 400, replace=False).tolist():
+        vals[x] = Fraction(-1, 3)
+    lam = LogWeight.from_values(vals)
+    rep = validate_logweight(S, lam, seed=seed, samples=3000)
+    got = [(v.kind, v.witness) for v in rep.violations]
+    assert got == naive_sampled_logweight_violations(S, lam, seed, 3000)
+    assert {k for k, _ in got} == {"Negative", "NotSubadditive"}
+    assert all(type(x) is int for _, w in got for x in w)
+    assert not rep.exhaustive and rep.notes == ["pair check sampled"]
