@@ -26,8 +26,9 @@ of at least ``SUBSET_MIN_BITS`` points that fits the rule, else the
 pair-by-pair pass.  ``propagation_profile`` routes once per profile: when
 the points G of its level set fit the rule and number at most
 ``SUBSET_MAX_BITS``, its generating sets run in blocks, each block the rows
-of one subset pass over G, and a set whose product is the collapsed top
-takes the pair-by-pair pass; on other hosts every set takes it.
+of one subset pass over G.  A set whose product is the collapsed top stays
+on it while the top lies outside the level set, and takes the pair-by-pair
+pass when the top lies inside; on other hosts every set takes that pass.
 
 Levels are ranks of integer numerators (``np.unique``), once per ``v_value``
 call and per profile, so they stay exact.  ``fbp`` and ``fbp_closure`` apply
@@ -68,7 +69,7 @@ class PropagationValue:
 
     @classmethod
     def finite(cls, c):
-        return cls(Fraction(c))
+        return cls(c)
 
     @property
     def is_infinite(self):
@@ -277,61 +278,73 @@ def _subset_first_levels(seeds, rank, nlevels, cols):
     array over the subsets of a set G (local indices, as ``_subset_world``
     makes them, with ``rank`` and its ``nlevels`` levels).
 
-    Every factor of a row's join J is a member whose set lies inside J, so
-    the closures of all rows run together.  At level i one round maps each
+    Until a closure forms the collapsed top, every product it forms is a
+    member whose set lies inside G, so the closures of all rows run
+    together, each a column of one array.  At level i one round maps each
     row's reached set R to the members of rank at most i inside the union
-    of two members of R.  Rounds repeat until no row changes, and the last
-    unions carry over to the next level, so a level that admits nothing new
-    costs one comparison.  Returns, for each row and each target local index
-    in ``cols``, the index of the first level at which the row's closure
-    reaches the target, or -1 for a target outside the row's join; the pass
-    stops once every row has reached its targets.
+    of two members of R; once such a union has rank ``nlevels``, the
+    product is the top, which every element divides, and R becomes every
+    member of rank at most i.  Rounds repeat until no row changes, and the
+    last unions carry over to the next level, so a level that admits
+    nothing new costs one comparison.  Returns, for each row and each
+    target local index in ``cols``, the index of the first level at which
+    the row's closure reaches the target, or -1 for a target outside a join
+    that is not the top; the pass stops once every row has reached its
+    targets.
     """
     cols = np.asarray(cols, dtype=np.int64)
-    left = np.count_nonzero(cols & ~_local_joins(seeds)[:, None] == 0)
-    first = np.full((len(seeds), len(cols)), -1)
+    joins = _local_joins(seeds)
+    topped = rank[joins][:, None] == nlevels    # joins on the collapsed top
+    left = np.count_nonzero((cols & ~joins[:, None] == 0) | topped)
+    top = rank == nlevels if topped.any() else None
+    seeds = np.ascontiguousarray(seeds.T)
+    first = np.full((len(cols), seeds.shape[1]), -1)
     done = 0
     reached = unions = np.zeros_like(seeds)
     for i in range(nlevels if left else 0):
-        allowed = rank <= i
+        allowed = (rank <= i)[:, None]
         nxt = (unions | seeds) & allowed
         if np.array_equal(nxt, reached):
             continue                        # the level admits nothing new
         while True:
             reached = nxt
-            unions = _pair_unions(reached)
+            unions = _pair_unions(reached, top)
             nxt = unions & allowed
             if np.array_equal(nxt, reached):
                 break
-        got = reached[:, cols]
+        got = reached[cols]
         if np.count_nonzero(got) > done:
             first[got & (first < 0)] = i
             done = np.count_nonzero(got)
             if done == left:
                 break
-    return first
+    return first.T
 
 
-def _pair_unions(R):
-    """Indicator, row by row over the 2**k subsets of a k-point set, of the
-    subsets of x | y for x and y in the row's set R: the support of the
-    Moebius transform of the squared subset sums of R's down-closure.  The
-    squares count pairs, so they stay below 2**(2k) and int64 is exact for
-    k <= 22."""
-    k = R.shape[-1].bit_length() - 1
-    down = R.copy()
-    for j in range(k):                      # down-closure, one bit a pass
-        half = down.reshape(-1, 2, 1 << j)
-        half[:, 0] |= half[:, 1]
-    f = down.astype(np.int64)
+def _pair_unions(R, top=None):
+    """Indicator, column by column over the 2**k subsets (the first axis) of
+    a k-point set, of the subsets of x | y for x and y in the column's set
+    R.  The Moebius transform of the squared subset sums of R counts the
+    pairs with each union, so its support is the unions themselves, and a
+    down-closure follows.  A column with a union at a subset marked in
+    ``top`` becomes every subset.  The counts stay below 4**k: int32 holds
+    them for k <= 15, int64 above."""
+    k, n = len(R).bit_length() - 1, R.shape[1]
+    f = R.astype(np.int32 if k <= 15 else np.int64)
     for j in range(k):                      # subset sums
-        half = f.reshape(-1, 2, 1 << j)
+        half = f.reshape(-1, 2, n << j)
         half[:, 1] += half[:, 0]
     f *= f
     for j in range(k):                      # Moebius inversion
-        half = f.reshape(-1, 2, 1 << j)
+        half = f.reshape(-1, 2, n << j)
         half[:, 1] -= half[:, 0]
-    return f > 0
+    unions = f > 0
+    if top is not None:
+        unions |= unions[top].any(axis=0)
+    for j in range(k):                      # down-closure, one bit a pass
+        half = unions.reshape(-1, 2, n << j)
+        half[:, 0] |= half[:, 1]
+    return unions
 
 
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
@@ -382,6 +395,7 @@ def _block_winners(S, lam, W_ids, sets):
             pos, levels, rank = _subset_world(S, lam, G)
             targets = [z for z in W_ids if z != S.top_id]
             cols = [pos[z] for z in targets]
+            topless = len(targets) == len(W_ids)
     rows = 1 if pos is None else block_rows(1 << k)
     sets = iter(sets)
     while block := list(islice(sets, rows)):
@@ -390,7 +404,7 @@ def _block_winners(S, lam, W_ids, sets):
             seeds = np.zeros((len(block), 1 << k), dtype=bool)
             seeds[[j for j, E_ids in enumerate(block) for _ in E_ids],
                   [pos[e] for E_ids in block for e in E_ids]] = True
-            on = rank[_local_joins(seeds)] < len(levels)   # not the top
+            on = (rank[_local_joins(seeds)] < len(levels)) | topless
             pairwise = np.flatnonzero(~on)
             if on.any():
                 first = _subset_first_levels(seeds[on], rank, len(levels),

@@ -282,16 +282,21 @@ def test_batched_profile_matches_the_per_set_pass(S, wname, seed, budget,
     assert _profile_fields(batched) == _profile_fields(per_set)
 
 
-def test_profile_blocks_route_collapsed_joins_to_the_pair_pass(monkeypatch):
+def test_profile_blocks_route_collapsed_joins_by_the_level_set(monkeypatch):
+    # a collapsed top outside the level set tops its rows on the subset pass;
+    # inside it, the top is a target and its sets take the pair-by-pair pass
     S = _PROFILE_HOSTS["fin(6,3)"]
-    lam = builtin_logweight(S, "cardinality")
     tops = []
     knuth = propagation._knuth_first_levels
     monkeypatch.setattr(propagation, "_knuth_first_levels",
                         lambda *a: tops.append(a[5]) or knuth(*a))
-    prof = propagation_profile(S, lam, 2)
-    assert tops and set(tops) == {S.top_id}
+    prof = propagation_profile(S, builtin_logweight(S, "cardinality"), 2)
+    assert not tops
     assert prof.value == PropagationValue.finite(2)
+    lam = builtin_logweight(S, "prototype")
+    assert S.top_id in bits(level_set(S, lam, 1))
+    propagation_profile(S, lam, 1)
+    assert tops and set(tops) == {S.top_id}
 
 
 def test_sparse_profiles_stay_on_the_pair_pass(monkeypatch):
@@ -311,6 +316,16 @@ def test_profile_of_pstar6_at_level_3_is_fast():
     assert time.perf_counter() - t < 0.6
     assert (prof.value, prof.witness_E, prof.witness_z, prof.nodes) == \
         (PropagationValue.finite(3), 0b111, 21, 86599)
+
+
+def test_profile_of_fin_6_3_at_level_3_is_fast():
+    # every generating set whose join collapses runs on the subset pass
+    S = _PROFILE_HOSTS["fin(6,3)"]
+    lam = builtin_logweight(S, "cardinality")
+    t = time.perf_counter()
+    prof = propagation_profile(S, lam, 3)
+    assert time.perf_counter() - t < 0.1
+    assert prof.value == PropagationValue.finite(3) and prof.exhaustive
 
 
 # -- the two closure passes --------------------------------------------------
@@ -400,6 +415,72 @@ def test_sparse_families_stay_on_the_pair_pass(monkeypatch):
     assert v_value(S, lam, mask_of(range(S.n)), 0) == \
         PropagationValue.finite(1)
 
+
+# -- the subset pass on a block ------------------------------------------------
+
+def _down_closure(sets):
+    out, todo = set(), list(sets)
+    while todo:
+        s = todo.pop()
+        if s not in out:
+            out.add(s)
+            todo += [s & ~(1 << b) for b in bits(s)]
+    return out
+
+
+@pytest.mark.parametrize("k", [15, 16])     # int32 counts, then int64
+def test_pair_unions_of_a_full_cube(k):
+    # every subset is a pair union, and the full set is formed by 3**k pairs
+    R = np.ones((1 << k, 1), dtype=bool)
+    assert propagation._pair_unions(R).all()
+
+
+def test_pair_unions_of_a_block_at_15_points():
+    k, rng = 15, random.Random(15)
+    columns = [[(1 << k) - 1], [], [0]] + [
+        [mask_of(rng.sample(range(k), rng.randrange(4))) for _ in range(12)]
+        for _ in range(5)]
+    R = np.zeros((1 << k, len(columns)), dtype=bool)
+    for c, sets in enumerate(columns):
+        R[sets, c] = True
+    t = columns[3][0] | columns[3][1]           # a union of column 3
+    top = np.zeros(1 << k, dtype=bool)
+    top[t] = True
+    U, topped = propagation._pair_unions(R), propagation._pair_unions(R, top)
+    for c, sets in enumerate(columns):
+        unions = {x | y for x in sets for y in sets}
+        assert set(np.flatnonzero(U[:, c]).tolist()) == _down_closure(unions)
+        assert (topped[:, c] == (True if t in unions else U[:, c])).all()
+    assert topped[:, 3].all() and not topped[:, 1].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["fin(6,3)", "fin(7,3)", "fin(4,2) less {0,1}"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_subset_pass_blocks_match_single_rows_and_the_pair_pass(spec, seed,
+                                                                data):
+    S = _PROFILE_HOSTS[spec]
+    lam = random_logweight(S, seed)
+    pos, levels, rank = propagation._subset_world(
+        S, lam, (1 << len(S.ground)) - 1)
+    members = [z for z in pos if z != S.top_id]
+    rows = data.draw(st.lists(st.lists(st.sampled_from(members), min_size=1,
+                                       max_size=4, unique=True),
+                              min_size=1, max_size=8), label="rows")
+    assume(any(S.product_ids(E_ids) == S.top_id for E_ids in rows))
+    seeds = np.zeros((len(rows), len(rank)), dtype=bool)
+    for r, E_ids in enumerate(rows):
+        seeds[r, [pos[e] for e in E_ids]] = True
+    cols = [pos[z] for z in members]
+    block = propagation._subset_first_levels(seeds, rank, len(levels), cols)
+    for r, E_ids in enumerate(rows):
+        alone = propagation._subset_first_levels(seeds[r:r + 1], rank,
+                                                 len(levels), cols)
+        assert alone[0].tolist() == block[r].tolist()
+        knuth = propagation._knuth_first_levels(
+            S, lam, E_ids, members, S.iter_factors, S.product_ids(E_ids))
+        assert {z: levels[i] for z, i in zip(members, block[r]) if i >= 0} \
+            == {z: knuth[z] for z in members if z in knuth}
 
 
 def test_subset_pass_refuses_a_wide_join_before_allocating():
