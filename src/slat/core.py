@@ -175,7 +175,7 @@ class Semilattice:
 
     def subsets_fit(self, G) -> bool:
         """The density rule: the point set G has at most 4n subsets."""
-        return 1 << popcount(G) <= 4 * self.n
+        return _fits(popcount(G), self.n)
 
     def subset_ids(self, G):
         """``ids_of`` of the subsets of the point set G, bit j of an index for
@@ -423,6 +423,11 @@ class Semilattice:
         return f"Semilattice(kind={self.kind!r}, n={self.n})"
 
 
+def _fits(k, n):
+    """The density rule: 2^k subsets are at most 4n."""
+    return 1 << k <= 4 * n
+
+
 def _table_size(n):
     """``n``, or SizeOverflowError when an n-by-n table is above the cap."""
     if n > TABLE_HARD_CAP:
@@ -477,12 +482,23 @@ def _randrange_bulk(rng, n, count):
 
 
 def _listed_lookups(masks):
-    """``(masks_of, ids_of)`` of listed member masks: an array of them, and a
-    binary search among them sorted."""
-    arr = np.array(masks, dtype=object if max(masks, default=0) >> 63
-                   else np.int64)
+    """``(masks_of, ids_of)`` of listed member masks: an array of them, and
+    for ``ids_of`` a table indexed by mask when the masks' k bits pass the
+    density rule, else a binary search among them sorted."""
+    k = max(masks, default=0).bit_length()
+    arr = np.array(masks, dtype=object if k > 63 else np.int64)
+    if _fits(k, len(masks)):
+        table = np.full((1 << k) + 1, -1, dtype=np.int64)
+        table[arr] = np.arange(len(masks))
+        return partial(np.take, arr), partial(_dense_ids, table)
     order = np.argsort(arr)
     return partial(np.take, arr), partial(_sorted_ids, order, arr[order])
+
+
+def _dense_ids(table, ms):
+    """``ids_of`` through a table indexed by mask; every mask at or past its
+    last entry, -1, has a point no member has."""
+    return table[np.minimum(ms, len(table) - 1).astype(np.int64, copy=False)]
 
 
 def _sorted_ids(order, ordered, ms):

@@ -1,7 +1,10 @@
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import or_
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eta_of_trace
-from slat._bitset import bits, mask_of, popcount
+from slat import adversarial
+from slat._bitset import bits, mask_of, popcount, popcounts
 from slat.adversarial import (AdversarialChain, InsufficientBreadth,
+                              _box_max, _classes_over, _count_classes,
                               _eta_of_traces, build_chain,
                               check_eta_subadditive, eta_weight, find_markers,
                               verify_barrier)
+from slat.cli import main
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        sch_embed)
 from slat.propagation import v_value
@@ -208,3 +214,110 @@ def test_eta_matches_the_scalar_rule(name, data):
                     label="ids")
     _assert_eta_matches_scalar(S, [0] + [D << offset for D in local],
                                ids + [S.n - 1], [0] + local)
+
+
+def _spread_chain(sizes, pts):
+    """A chain whose nested prefixes take the points ``pts`` in turn,
+    ``sizes[j]`` of them for the j-th marker set."""
+    ends = list(accumulate(sizes))
+    cumulative = [0, *accumulate((mask_of(pts[i - e:i])
+                                  for i, e in zip(ends, sizes)), or_)]
+    return AdversarialChain(depth=len(sizes), marker_sets=[], families=[],
+                            cumulative=cumulative)
+
+
+def _union_maxima(prefixes, sizes):
+    """The largest eta of a union of two traces, for each pair of count
+    classes, over every pair of traces on the local points of
+    ``prefixes``."""
+    traces = np.arange(1 << sizes.sum())
+    stride = np.cumprod([1, *(sizes[::-1] + 1)])[-2::-1]
+    cls = sum(popcounts(traces & (D & ~C)) * w
+              for C, D, w in zip(prefixes, prefixes[1:], stride))
+    unions = _eta_of_traces((traces[:, None] | traces).ravel(), prefixes)
+    K = int(np.prod(sizes + 1))
+    out = np.full((K, K), -1)
+    np.maximum.at(out, (np.repeat(cls, len(traces)), np.tile(cls, len(traces))),
+                  unions)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ETA_HOSTS)), st.data())
+def test_count_classes_agree_with_the_pair_scan(name, data):
+    S = ETA_HOSTS[name]
+    k = len(S.ground)
+    sizes = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)
+                      .filter(lambda s: sum(s) <= min(12, k)), label="sizes")
+    pts = data.draw(st.permutations(range(k)), label="points")[:sum(sizes)]
+    c = _spread_chain(sizes, pts)
+    local = [mask_of(j for j, p in enumerate(sorted(pts)) if D >> p & 1)
+             for D in c.cumulative]
+    counts, got_sizes, eta = _count_classes(local)
+    assert got_sizes.tolist() == sizes
+    assert _classes_over(counts, got_sizes, eta) == []
+    if sum(sizes) <= 8:
+        # the box maximum is the largest eta of the unions it stands for
+        box = _box_max(counts.T[:, :, None], counts.T[:, None, :],
+                       got_sizes[:, None, None])
+        assert (box == _union_maxima(local, got_sizes)).all()
+    with mock.patch.object(adversarial, "_nested", return_value=False):
+        scan = check_eta_subadditive(c, S).to_json()
+    assert check_eta_subadditive(c, S).to_json() == scan
+
+
+def test_a_forged_class_table_is_flagged_and_rescanned():
+    # marker sets of 1, 2 and 3 points; a trace with both points of the
+    # second set and one with all three of the third weigh 2 and 3, and
+    # their union 5: a table that gives the second class 2 as well flags
+    # that pair and no other (every other class weighs 100)
+    c = _spread_chain([1, 2, 3], [3, 7, 0, 5, 2, 9])
+    local = [mask_of(j for j, p in enumerate([0, 2, 3, 5, 7, 9])
+                     if D >> p & 1) for D in c.cumulative]
+    counts, sizes, eta = _count_classes(local)
+    a = counts.tolist().index([0, 2, 0])
+    b = counts.tolist().index([0, 0, 3])
+    assert (eta[a], eta[b]) == (2, 3)
+    forged = np.full(len(counts), 100)
+    forged[[a, b]] = 2
+    box = _box_max(counts.T[:, :, None], counts.T[:, None, :],
+                   sizes[:, None, None])
+    want = [(x, y) for x, y in product(range(len(counts)), repeat=2)
+            if x <= y and box[x, y] > forged[x] + forged[y]]
+    assert want == [(min(a, b), max(a, b))]
+    assert _classes_over(counts, sizes, forged) == want
+    # the box maximum against every count vector in each box
+    for x, y in product(range(len(counts)), repeat=2):
+        box_xy = [eta[counts.tolist().index(list(u))] for u in product(
+            *(range(max(p, q), min(p + q, e) + 1)
+              for p, q, e in zip(counts[x], counts[y], sizes)))]
+        assert box[x, y] == max(box_xy)
+    # a flagged class pair sends the check to the pair scan, which finds
+    # the weight itself subadditive
+    scans, pair_scan = [], adversarial._superadditive_pairs
+
+    def scan(*args, **kw):
+        scans.append(args)
+        return pair_scan(*args, **kw)
+
+    with mock.patch.object(adversarial, "_count_classes",
+                           return_value=(counts, sizes, forged)), \
+            mock.patch.object(adversarial, "_superadditive_pairs", scan):
+        rep = check_eta_subadditive(c, free_nonempty(10))
+    assert len(scans) == 1 and rep.ok
+    assert rep.checked_triples == 4 ** 6
+    with mock.patch.object(adversarial, "_superadditive_pairs", scan):
+        assert check_eta_subadditive(c, free_nonempty(10)).ok
+    assert len(scans) == 1
+
+
+@pytest.mark.slow
+def test_depth_six_adversary_passes():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["adversary", "fin(24,21)", "--nmax", "6"])
+    rep = json.loads(out.getvalue())
+    assert rc == 0 and rep["all_passed"]
+    assert rep["chain"]["depth"] == 6 and rep["chain"]["notes"] == []
+    assert [b["value"]["c"]["num"] for b in rep["barriers"]] == [1, 2, 2, 3, 3]
+    assert rep["subadditive"]["checked_triples"] == 4 ** 21

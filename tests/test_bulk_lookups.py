@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from slat import core
 from slat._bitset import bits
 from slat.breadth import breadth
-from slat.core import (BudgetExceeded, Semilattice, fin_truncation,
-                       free_nonempty, generate_instance, sch_embed)
+from slat.core import (BudgetExceeded, NotClosedError, Semilattice,
+                       fin_truncation, free_nonempty, generate_instance,
+                       sch_embed)
 
 
 def _rank_host(k, lo, c, top):
@@ -151,6 +152,57 @@ def test_wide_rank_host_by_samples():
     probes = [1 << 150 | 1 << 3 | 1 << 199 | 1, 1 << 63, 0b1111, 1 << 200]
     assert S.ids_of(np.array(probes, dtype=object)).tolist() == \
         _want_ids(S, probes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 9), data=st.data())
+def test_dense_ids_match_the_binary_search(k, data):
+    # members on k bits, at least 2^k / 4 of them and one holding bit k - 1
+    masks = data.draw(st.lists(st.integers(0, (1 << k) - 1), unique=True,
+                               min_size=(1 << k) // 4, max_size=1 << k)
+                      .map(lambda ms: [1 << k - 1] + [m for m in ms
+                                                      if m != 1 << k - 1]),
+                      label="masks")
+    masks = data.draw(st.permutations(masks), label="order")
+    masks_of, ids_of = core._listed_lookups(masks)
+    assert ids_of.func is core._dense_ids
+    arr = masks_of(np.arange(len(masks)))
+    order = np.argsort(arr)
+
+    def binary(ms):
+        return core._sorted_ids(order, arr[order], ms)
+
+    probe = st.one_of(st.integers(0, (1 << k + 1) - 1),
+                      st.integers(0, 2**63 - 1))
+    a = np.array(data.draw(st.lists(probe, max_size=30), label="a"),
+                 dtype=np.int64)
+    b = np.array(data.draw(st.lists(probe, max_size=30), label="b"),
+                 dtype=np.int64)
+    wide = np.array(data.draw(st.lists(st.one_of(
+        st.integers(0, (1 << k) - 1), st.integers(2**63, 2**80)), max_size=30),
+        label="wide"), dtype=object)
+    for ms in (arr, a, wide, a[:, None] | b, a[:2, None] | b[None, :3],
+               np.array([], dtype=np.int64), np.array([], dtype=object),
+               np.zeros((0, 3), dtype=np.int64)):
+        got = ids_of(ms)
+        assert got.dtype == np.int64 and got.shape == ms.shape
+        assert got.tolist() == binary(ms).tolist()
+        assert got.ravel().tolist() == [masks.index(m) if m in masks else -1
+                                        for m in ms.ravel().tolist()]
+
+
+def test_narrow_members_of_a_wide_ground_use_the_dense_table():
+    # 70 ground points, members on the first two: probes past 2**63 are
+    # object arrays, and every one of them names no member
+    S = Semilattice.from_sets(range(70), [[0], [1], [0, 1]])
+    assert S.ids_of.func is core._dense_ids
+    assert S.subset_ids(1 << 69 | 1 << 1 | 1).tolist() == \
+        [-1, 0, 1, 2, -1, -1, -1, -1]
+    a = np.array([1, 2, 3], dtype=object)
+    assert S.join_ids(a[:, None], a).tolist() == \
+        [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+    with pytest.raises(NotClosedError, match="elements 0 and -1"):
+        S.join_ids(a[:, None], np.array([1 << 69], dtype=object))
 
 
 def test_the_density_rule_is_the_4n_rule():
