@@ -186,7 +186,7 @@ def eta_weight(chain: AdversarialChain, S: Semilattice) -> LogWeight:
         S.masks_of(ids) & d_final, cumulative), "eta")
 
 
-def check_eta_subadditive(chain: AdversarialChain, S: Semilattice) -> ValidationReport:
+def check_eta_subadditive(chain: AdversarialChain) -> ValidationReport:
     """Exhaustive subadditivity check for the derived log-weight.
 
     The weight of an element depends only on its trace on the final marker

@@ -222,7 +222,7 @@ def cmd_adversary(args):
         raise UsageError(f"{args.instance}: adversary needs a set system")
     chain = adversarial.build_chain(S, args.nmax, strict=args.strict)
     eta = adversarial.eta_weight(chain, S)
-    sub = adversarial.check_eta_subadditive(chain, S)
+    sub = adversarial.check_eta_subadditive(chain)
     levels = []
     for n in range(2, chain.depth + 1):
         res = adversarial.verify_barrier(chain, S, n, eta=eta)

@@ -13,7 +13,12 @@ Two passes find these first levels for every target at once:
   Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
   STOC 2007), repeated to a fixed point at each weight level, for a batch
   of closures at once, one a row; past ``SUBSET_MAX_BITS`` points
-  ``Semilattice.subset_ids`` raises ``BudgetExceeded``;
+  ``Semilattice.subset_ids`` raises ``BudgetExceeded``.  The pairs of a
+  reached set R whose union covers s number (-1)**|s| times the superset
+  Moebius transform of f**2 at the complement of s, f the subset sums of
+  R: counts of at most 4**k, int32 for k <= 15 points and int64 above, and
+  no down-closure.  Whether an exact union is the collapsed top is one dot
+  product in the same dtype;
 - the pair-by-pair pass works in the manner of Knuth's generalization of
   Dijkstra's algorithm (D. E. Knuth, "A generalization of Dijkstra's
   algorithm", IPL 6(1), 1977).
@@ -54,7 +59,9 @@ from .weights import LogWeight, level_set
 
 
 #: joins with fewer points go through the pair-by-pair pass, which is faster
-#: there: at 5 points the two passes tie, at 6 the subset pass is 2-3x faster
+#: there: on ``pstar(8)``, with targets one point short of the join, the
+#: pair pass is 1.1-1.6x faster at 5 points and the subset pass 1.1-2.5x
+#: faster at 6 (4-7x at 7)
 SUBSET_MIN_BITS = 6
 
 
@@ -250,19 +257,18 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
 def _subset_world(S, lam, G_mask):
     """The closed world of the subset pass over the subsets of G, a set of
     points of a set system: bit j of a local index stands for the j-th point
-    of G.  Returns ``(pos, levels, rank)``: ``pos`` maps each element whose
-    set lies inside G (a collapsed top too) to its local index, ``levels``
-    are the sorted weights of those members, and ``rank[s]`` is the index in
-    ``levels`` of the member at s, or ``len(levels)`` (never admitted) for a
-    non-member or the collapsed top."""
+    of G.  Returns ``(ids, levels, rank)``: ``ids`` is ``S.subset_ids(G)``,
+    the element at each local index (-1 for a non-member), ``levels`` are
+    the sorted distinct numerators (over ``lam.den``) of the members whose
+    sets lie inside G, and ``rank[s]`` is the index in ``levels`` of the
+    member at s, or ``len(levels)`` (never admitted) for a non-member or the
+    collapsed top."""
     ids = S.subset_ids(G_mask)
-    inside = np.flatnonzero(ids >= 0)
-    pos = dict(zip(ids[inside].tolist(), inside.tolist()))
-    members = inside[ids[inside] != S.top_id]
-    levels, member_rank = _ranked(lam, ids[members])
+    members = (ids >= 0) & (ids != S.top_id)
+    levels, member_rank = np.unique(lam.num(ids[members]), return_inverse=True)
     rank = np.full(len(ids), len(levels))
     rank[members] = member_rank
-    return pos, levels, rank
+    return ids, levels, rank
 
 
 def _local_joins(seeds):
@@ -284,34 +290,33 @@ def _subset_first_levels(seeds, rank, nlevels, cols):
     row's reached set R to the members of rank at most i inside the union
     of two members of R; once such a union has rank ``nlevels``, the
     product is the top, which every element divides, and R becomes every
-    member of rank at most i.  Rounds repeat until no row changes, and the
-    last unions carry over to the next level, so a level that admits
-    nothing new costs one comparison.  Returns, for each row and each
-    target local index in ``cols``, the index of the first level at which
-    the row's closure reaches the target, or -1 for a target outside a join
-    that is not the top; the pass stops once every row has reached its
-    targets.
+    member of rank at most i.  A round only adds members, so rounds repeat
+    until the count of reached members stops growing, and the last unions
+    carry over to the next level, so a level that admits nothing new costs
+    one count.  Returns, for each row and each target local index in
+    ``cols``, the index of the first level at which the row's closure
+    reaches the target, or -1 for a target outside a join that is not the
+    top; the pass stops once every row has reached its targets.
     """
     cols = np.asarray(cols, dtype=np.int64)
     joins = _local_joins(seeds)
     topped = rank[joins][:, None] == nlevels    # joins on the collapsed top
     left = np.count_nonzero((cols & ~joins[:, None] == 0) | topped)
-    top = rank == nlevels if topped.any() else None
+    top = _topped_form(rank == nlevels) if topped.any() else None
     seeds = np.ascontiguousarray(seeds.T)
     first = np.full((len(cols), seeds.shape[1]), -1)
-    done = 0
-    reached = unions = np.zeros_like(seeds)
+    done = count = 0
+    unions = np.zeros_like(seeds)
     for i in range(nlevels if left else 0):
         allowed = (rank <= i)[:, None]
         nxt = (unions | seeds) & allowed
-        if np.array_equal(nxt, reached):
+        if (grown := np.count_nonzero(nxt)) == count:
             continue                        # the level admits nothing new
-        while True:
-            reached = nxt
+        while grown > count:
+            reached, count = nxt, grown
             unions = _pair_unions(reached, top)
             nxt = unions & allowed
-            if np.array_equal(nxt, reached):
-                break
+            grown = np.count_nonzero(nxt)
         got = reached[cols]
         if np.count_nonzero(got) > done:
             first[got & (first < 0)] = i
@@ -321,30 +326,46 @@ def _subset_first_levels(seeds, rank, nlevels, cols):
     return first.T
 
 
+def _sweep(f, op, into=1):
+    """Over the first axis of ``f``, of length 2**k, in place, one point a
+    pass: the subset sums (``op=np.add``) or the Moebius transform
+    (``op=np.subtract``), over subsets, or over supersets with ``into=0``."""
+    k = len(f).bit_length() - 1
+    for j in range(k):
+        half = f.reshape(-1, 2, f.size >> k << j)
+        op(half[:, into], half[:, 1 - into], out=half[:, into])
+    return f
+
+
+def _topped_form(top):
+    """The superset Moebius transform of the indicator ``top``: its dot
+    product with the f**2 of ``_pair_unions`` counts the pairs with an
+    exact union marked in ``top``."""
+    return _sweep(top.astype(np.int64), np.subtract, into=0)
+
+
 def _pair_unions(R, top=None):
     """Indicator, column by column over the 2**k subsets (the first axis) of
-    a k-point set, of the subsets of x | y for x and y in the column's set
-    R.  The Moebius transform of the squared subset sums of R counts the
-    pairs with each union, so its support is the unions themselves, and a
-    down-closure follows.  A column with a union at a subset marked in
-    ``top`` becomes every subset.  The counts stay below 4**k: int32 holds
-    them for k <= 15, int64 above."""
-    k, n = len(R).bit_length() - 1, R.shape[1]
-    f = R.astype(np.int32 if k <= 15 else np.int64)
-    for j in range(k):                      # subset sums
-        half = f.reshape(-1, 2, n << j)
-        half[:, 1] += half[:, 0]
-    f *= f
-    for j in range(k):                      # Moebius inversion
-        half = f.reshape(-1, 2, n << j)
-        half[:, 1] -= half[:, 0]
-    unions = f > 0
-    if top is not None:
-        unions |= unions[top].any(axis=0)
-    for j in range(k):                      # down-closure, one bit a pass
-        half = unions.reshape(-1, 2, n << j)
-        half[:, 0] |= half[:, 1]
-    return unions
+    a k-point set, of the subsets under some x | y, x and y in the column's
+    set R.  With f the subset sums of R, f(T)**2 counts the pairs whose
+    union lies inside T, and by inclusion-exclusion the pairs whose union
+    covers s number (-1)**|s| times the superset Moebius transform of f**2
+    at the complement of s, the same index read from the other end: 2k
+    passes in place, no down-closure.  No count exceeds 4**k, so int32
+    holds them for k <= 15 and int64 above; the passes may wrap, but the
+    final values fit and come out exact.  ``top``, when given, is
+    ``_topped_form`` of an indicator of subsets, and a column with an exact
+    union in it becomes every subset: such pairs number ``top @ f**2``, one
+    dot product in the same dtype, exact however it wraps since the count
+    is at most 4**k."""
+    dtype = np.int32 if len(R) <= 1 << 15 else np.int64
+    f = _sweep(R.astype(dtype), np.add)
+    np.square(f, out=f)
+    topped = None if top is None else top.astype(dtype) @ f > 0
+    covered = (_sweep(f, np.subtract, into=0) != 0)[::-1]
+    if topped is not None:
+        covered |= topped
+    return covered
 
 
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
@@ -364,11 +385,12 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     if S.kind == "set_system" and J != S.top_id:
         J_mask = S.member_mask(J)
         if popcount(J_mask) >= SUBSET_MIN_BITS and S.subsets_fit(J_mask):
-            pos, levels, rank = _subset_world(S, lam, J_mask)
-            seeds = np.zeros((1, len(rank)), dtype=bool)
-            seeds[0, [pos[e] for e in E_ids]] = True
-            i = _subset_first_levels(seeds, rank, len(levels), [pos[z]])
-            return PropagationValue.finite(levels[i[0, 0]])
+            ids, levels, rank = _subset_world(S, lam, J_mask)
+            seeds = np.isin(ids, E_ids, kind="sort")[None]
+            i = _subset_first_levels(seeds, rank, len(levels),
+                                     np.flatnonzero(ids == z))
+            return PropagationValue.finite(
+                Fraction(int(levels[i[0, 0]]), lam.den))
     c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
     if c is None:
         raise AssertionError("target inside the generated filter never reached")
@@ -392,7 +414,10 @@ def _block_winners(S, lam, W_ids, sets):
         G = int(np.bitwise_or.reduce(S.masks_of(W_ids)))
         k = popcount(G)
         if k <= SUBSET_MAX_BITS and S.subsets_fit(G):
-            pos, levels, rank = _subset_world(S, lam, G)
+            ids, nums, rank = _subset_world(S, lam, G)
+            levels = [Fraction(a, lam.den) for a in nums.tolist()]
+            inside = np.flatnonzero(ids >= 0)
+            pos = dict(zip(ids[inside].tolist(), inside.tolist()))
             targets = [z for z in W_ids if z != S.top_id]
             cols = [pos[z] for z in targets]
             topless = len(targets) == len(W_ids)

@@ -393,6 +393,27 @@ def naive_join_closure(gens, join):
     return closed
 
 
+def naive_pair_unions(columns, top, k):
+    """What the subset pass's ``_pair_unions`` computes, from its definition:
+    for each column, a set of subsets of k points as masks, the unions x | y
+    of two of its members and every subset below one; a column with such a
+    union in ``top`` becomes every subset."""
+    out = []
+    for sets in columns:
+        unions = {x | y for x in sets for y in sets}
+        if unions & set(top):
+            out.append(set(range(1 << k)))
+            continue
+        closed, todo = set(), list(unions)
+        while todo:
+            s = todo.pop()
+            if s not in closed:
+                closed.add(s)
+                todo += [s & ~(1 << b) for b in bits(s)]
+        out.append(closed)
+    return out
+
+
 def naive_tree_table(k, depth):
     """Product table of the complete k-ary tree of the given depth, ids level
     by level, by walking each pair up to its youngest common ancestor."""

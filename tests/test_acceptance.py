@@ -240,7 +240,7 @@ def test_criterion_9_adversarial_end_to_end():
     S = fin_truncation(24, 8)
     chain_ = build_chain(S, 6)
     assert chain_.depth >= 3
-    sub = check_eta_subadditive(chain_, S)
+    sub = check_eta_subadditive(chain_)
     assert sub.ok and sub.exhaustive
     eta = eta_weight(chain_, S)
     for n in range(1, chain_.depth + 1):

@@ -123,7 +123,7 @@ def test_eta_values_on_families_and_joins():
 def test_eta_subadditive_exhaustive_and_sampled():
     S = fin_truncation(12, 6)
     c = build_chain(S, 3)
-    rep = check_eta_subadditive(c, S)
+    rep = check_eta_subadditive(c)
     assert rep.ok and rep.exhaustive
     assert validate_logweight(S, eta_weight(c, S)).ok
 
@@ -161,7 +161,7 @@ def test_eta_pair_check_matches_pair_loop_in_order():
                 for t1 in traces for t2 in traces
                 if eta_of_trace(t1 | t2, cumulative)
                 > eta_of_trace(t1, cumulative) + eta_of_trace(t2, cumulative)]
-    rep = check_eta_subadditive(c, free_nonempty(3))
+    rep = check_eta_subadditive(c)
     assert expected
     assert [v.witness for v in rep.violations] == expected
     assert {v.kind for v in rep.violations} == {"NotSubadditive"}
@@ -262,8 +262,8 @@ def test_count_classes_agree_with_the_pair_scan(name, data):
                        got_sizes[:, None, None])
         assert (box == _union_maxima(local, got_sizes)).all()
     with mock.patch.object(adversarial, "_nested", return_value=False):
-        scan = check_eta_subadditive(c, S).to_json()
-    assert check_eta_subadditive(c, S).to_json() == scan
+        scan = check_eta_subadditive(c).to_json()
+    assert check_eta_subadditive(c).to_json() == scan
 
 
 def test_a_forged_class_table_is_flagged_and_rescanned():
@@ -303,11 +303,11 @@ def test_a_forged_class_table_is_flagged_and_rescanned():
     with mock.patch.object(adversarial, "_count_classes",
                            return_value=(counts, sizes, forged)), \
             mock.patch.object(adversarial, "_superadditive_pairs", scan):
-        rep = check_eta_subadditive(c, free_nonempty(10))
+        rep = check_eta_subadditive(c)
     assert len(scans) == 1 and rep.ok
     assert rep.checked_triples == 4 ** 6
     with mock.patch.object(adversarial, "_superadditive_pairs", scan):
-        assert check_eta_subadditive(c, free_nonempty(10)).ok
+        assert check_eta_subadditive(c).ok
     assert len(scans) == 1
 
 

@@ -4,6 +4,7 @@ collapsed-top instance files (truncations and a family that is not one)
 and ``sch_embed`` images, under random or explicit log-weights."""
 
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 from oracles import (naive_check_equivalence_iii, naive_defect_set,
                      naive_dist_complex, naive_dist_set, naive_is_filter,
-                     naive_join_closure)
+                     naive_join_closure, naive_pair_unions)
+from slat._bitset import mask_of
 from slat.core import (Semilattice, _join_closure, chain, fin_truncation,
                        free_nonempty, kary_tree, powerset, sch_embed)
 from slat.metrics import (defect_set, dist_complex, dist_set,
                           enumerate_filters, is_filter)
-from slat.propagation import check_equivalence_iii
+from slat.propagation import _pair_unions, _topped_form, check_equivalence_iii
 from slat.weights import LogWeight, builtin_logweight, random_logweight
 from test_weights import without_member
 
@@ -142,3 +144,47 @@ def test_product_closure_matches_the_frontier_loop(name, data):
 def test_union_closure_of_singletons_is_the_free_semilattice(k):
     closed = _join_closure([1 << i for i in range(k)], operator.or_)
     assert closed == set(range(1, 1 << k))
+
+
+def _pair_unions_of(columns, top, k):
+    """``_pair_unions`` of the columns (sets of masks over k points), each
+    column's answer as a set of masks; ``top`` is None or a set of masks."""
+    R = np.zeros((1 << k, len(columns)), dtype=bool)
+    for c, sets in enumerate(columns):
+        R[list(sets), c] = True
+    if top is not None:
+        marked = np.zeros(1 << k, dtype=bool)
+        marked[list(top)] = True
+        top = _topped_form(marked)
+    U = _pair_unions(R, top)
+    return [set(np.flatnonzero(U[:, c]).tolist()) for c in range(len(columns))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10), st.data())
+def test_pair_unions_match_the_set_loop(k, data):
+    subset = st.integers(0, (1 << k) - 1)
+    columns = data.draw(st.lists(st.sets(subset, max_size=6), min_size=1,
+                                 max_size=5), label="columns")
+    top = data.draw(st.none() | st.sets(subset, max_size=4), label="top")
+    if top is not None and data.draw(st.booleans(), label="hit") \
+            and columns[0]:     # mark a union of the first column
+        x, y = data.draw(st.lists(st.sampled_from(sorted(columns[0])),
+                                  min_size=2, max_size=2), label="pair")
+        top.add(x | y)
+    assert _pair_unions_of(columns, top, k) == \
+        naive_pair_unions(columns, top or (), k)
+
+
+def test_pair_unions_of_a_block_at_16_points_with_a_top():
+    # int64 counts, and a top of about 300 subsets whose form has entries
+    # up to a few hundred
+    k, rng = 16, random.Random(16)
+    columns = [set(), {0}, {(1 << k) - 1}] + [
+        {mask_of(rng.sample(range(k), rng.randrange(5))) for _ in range(10)}
+        for _ in range(5)]
+    x, y = sorted(columns[3])[:2]
+    top = {x | y} | {mask_of(rng.sample(range(k), 12)) for _ in range(300)}
+    got = _pair_unions_of(columns, top, k)
+    assert got == naive_pair_unions(columns, top, k)
+    assert len(got[3]) == 1 << k and got[0] == set()

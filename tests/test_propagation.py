@@ -3,14 +3,15 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (naive_closure, naive_fbp_step, naive_profile,
-                     naive_stable, naive_v)
+from oracles import (naive_closure, naive_fbp_step, naive_pair_unions,
+                     naive_profile, naive_stable, naive_v)
 from test_acceptance import _dense_v_oracle
 from test_weights import without_member
 from slat import core, propagation
@@ -338,12 +339,20 @@ _PASS_HOSTS.update({f"sch_embed({spec})": sch_embed(generate_instance(spec))
                     .semilattice for spec in ("tree(2,3)", "pstar(3)")})
 
 
+def _world(S, lam, G):
+    """``_subset_world`` of G with each element's local index and the levels
+    as fractions."""
+    ids, levels, rank = propagation._subset_world(S, lam, G)
+    pos = {z: s for s, z in enumerate(ids.tolist()) if z >= 0}
+    return pos, [Fraction(a, lam.den) for a in levels.tolist()], rank
+
+
 def _both_passes(S, lam, E_ids):
     """First levels of every factor of the product of E by each pass."""
     J = S.product_ids(E_ids)
     knuth = propagation._knuth_first_levels(S, lam, E_ids, range(S.n),
                                             S.iter_factors, J)
-    pos, levels, rank = propagation._subset_world(S, lam, S.member_mask(J))
+    pos, levels, rank = _world(S, lam, S.member_mask(J))
     members = [z for z in pos if z != S.top_id]
     seeds = np.zeros((1, len(rank)), dtype=bool)
     seeds[0, [pos[e] for e in E_ids]] = True
@@ -407,6 +416,40 @@ def test_joins_around_the_crossover(spec, points, wname, monkeypatch):
     assert _dense_v_oracle(S, lam, E_ids, z) == v.c
 
 
+_REACH_HOSTS = {k: free_nonempty(k) for k in (8, 9)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from(sorted(_REACH_HOSTS)),
+       wname=st.sampled_from(["cardinality", "prototype", "random"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_wide_joins_without_a_top_match_the_pair_pass(k, wname, seed, data):
+    # generators whose union has 6-8 points, and a target one point short of
+    # it: one-row subset passes over up to 256 subsets, no collapsed top
+    S = _REACH_HOSTS[k]
+    lam = random_logweight(S, seed) if wname == "random" else \
+        builtin_logweight(S, wname)
+    pts = data.draw(st.permutations(range(k)), label="points")[
+        :data.draw(st.integers(6, 8), label="points in the union")]
+    owner = data.draw(st.lists(st.integers(0, 3), min_size=len(pts),
+                               max_size=len(pts)), label="owners")
+    extra = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=4,
+                               max_size=4), label="extra points")
+    union = mask_of(pts)
+    masks = {union & (extra[g] | mask_of(p for p, o in zip(pts, owner)
+                                         if o == g)) for g in range(4)}
+    E_ids = sorted(S.id_of_mask(m) for m in masks - {0})
+    z = S.id_of_mask(union & ~(1 << data.draw(st.sampled_from(pts),
+                                              label="dropped point")))
+    with mock.patch.object(propagation, "_subset_first_levels",
+                           wraps=propagation._subset_first_levels) as subset:
+        v = v_value(S, lam, mask_of(E_ids), z)
+    assert subset.call_count == 1
+    knuth = propagation._knuth_first_levels(S, lam, E_ids, [z], S.iter_factors,
+                                            S.product_ids(E_ids))
+    assert v == PropagationValue.finite(knuth[z])
+
+
 def test_sparse_families_stay_on_the_pair_pass(monkeypatch):
     # 30 nested sets: the join has 30 points but only 30 members below it
     S = chain_system(30)
@@ -418,19 +461,10 @@ def test_sparse_families_stay_on_the_pair_pass(monkeypatch):
 
 # -- the subset pass on a block ------------------------------------------------
 
-def _down_closure(sets):
-    out, todo = set(), list(sets)
-    while todo:
-        s = todo.pop()
-        if s not in out:
-            out.add(s)
-            todo += [s & ~(1 << b) for b in bits(s)]
-    return out
-
-
 @pytest.mark.parametrize("k", [15, 16])     # int32 counts, then int64
 def test_pair_unions_of_a_full_cube(k):
-    # every subset is a pair union, and the full set is formed by 3**k pairs
+    # every subset is under a pair union, and all 4**k pairs cover the empty
+    # set: 2**30 fits int32, 2**32 needs int64
     R = np.ones((1 << k, 1), dtype=bool)
     assert propagation._pair_unions(R).all()
 
@@ -446,11 +480,12 @@ def test_pair_unions_of_a_block_at_15_points():
     t = columns[3][0] | columns[3][1]           # a union of column 3
     top = np.zeros(1 << k, dtype=bool)
     top[t] = True
-    U, topped = propagation._pair_unions(R), propagation._pair_unions(R, top)
-    for c, sets in enumerate(columns):
-        unions = {x | y for x in sets for y in sets}
-        assert set(np.flatnonzero(U[:, c]).tolist()) == _down_closure(unions)
-        assert (topped[:, c] == (True if t in unions else U[:, c])).all()
+    U = propagation._pair_unions(R)
+    topped = propagation._pair_unions(R, propagation._topped_form(top))
+    for c, (plain, full) in enumerate(zip(naive_pair_unions(columns, (), k),
+                                          naive_pair_unions(columns, {t}, k))):
+        assert set(np.flatnonzero(U[:, c]).tolist()) == plain
+        assert set(np.flatnonzero(topped[:, c]).tolist()) == full
     assert topped[:, 3].all() and not topped[:, 1].any()
 
 
@@ -461,8 +496,7 @@ def test_subset_pass_blocks_match_single_rows_and_the_pair_pass(spec, seed,
                                                                 data):
     S = _PROFILE_HOSTS[spec]
     lam = random_logweight(S, seed)
-    pos, levels, rank = propagation._subset_world(
-        S, lam, (1 << len(S.ground)) - 1)
+    pos, levels, rank = _world(S, lam, (1 << len(S.ground)) - 1)
     members = [z for z in pos if z != S.top_id]
     rows = data.draw(st.lists(st.lists(st.sampled_from(members), min_size=1,
                                        max_size=4, unique=True),
