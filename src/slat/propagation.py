@@ -18,7 +18,10 @@ Two passes find these first levels for every target at once:
   Moebius transform of f**2 at the complement of s, f the subset sums of
   R: counts of at most 4**k, int32 for k <= 15 points and int64 above, and
   no down-closure.  Whether an exact union is the collapsed top is one dot
-  product in the same dtype;
+  product in the same dtype.  A single column of at most
+  ``KRONECKER_MAX_BITS`` points runs each transform, a Kronecker power of
+  a 2 x 2 block, as two int64 matrix products over halves of the points,
+  exact since no partial sum exceeds 8**k;
 - the pair-by-pair pass works in the manner of Knuth's generalization of
   Dijkstra's algorithm (D. E. Knuth, "A generalization of Dijkstra's
   algorithm", IPL 6(1), 1977).
@@ -58,11 +61,18 @@ from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
 
-#: joins with fewer points go through the pair-by-pair pass, which is faster
-#: there: on ``pstar(8)``, with targets one point short of the join, the
-#: pair pass is 1.1-1.6x faster at 5 points and the subset pass 1.1-2.5x
-#: faster at 6 (4-7x at 7)
+#: joins with fewer points take the pair pass: on ``pstar(8)``, singleton
+#: generators, the target one point short of the join, the one-row subset
+#: pass takes 110-190 us at 4 points against 80-150 for the pair pass,
+#: 120-220 against 210-380 at 5 and 150-260 against 740-1150 at 6; 5 would
+#: reroute ``cli``'s 5-point ``vmap`` jobs, not yet measured end to end
 SUBSET_MIN_BITS = 6
+
+#: one column of at most this many points takes ``_pair_unions``'s two-half
+#: matrix form (int64 matmul, no BLAS): one column at 5% density took 9-14 /
+#: 18 / 30 / 65 / 150 / 1100 us at k = 6 / 7 / 8 / 9 / 10 / 12 in that form,
+#: 38-53 / 59 / 71 / 90 / 118 / 235 us in k-pass sweeps (2 vCPUs)
+KRONECKER_MAX_BITS = 8
 
 
 @total_ordering
@@ -344,6 +354,17 @@ def _topped_form(top):
     return _sweep(top.astype(np.int64), np.subtract, into=0)
 
 
+@cache
+def _kronecker_halves(w):
+    """Read-only subset-sum and superset Moebius matrices of w points, the
+    Kronecker powers of [[1, 1], [0, 1]] and [[1, -1], [0, 1]]."""
+    Z = M = np.ones((1, 1), dtype=np.int64)
+    for _ in range(w):
+        Z, M = np.kron(Z, [[1, 1], [0, 1]]), np.kron(M, [[1, -1], [0, 1]])
+    Z.flags.writeable = M.flags.writeable = False
+    return Z, M
+
+
 def _pair_unions(R, top=None):
     """Indicator, column by column over the 2**k subsets (the first axis) of
     a k-point set, of the subsets under some x | y, x and y in the column's
@@ -357,7 +378,20 @@ def _pair_unions(R, top=None):
     ``_topped_form`` of an indicator of subsets, and a column with an exact
     union in it becomes every subset: such pairs number ``top @ f**2``, one
     dot product in the same dtype, exact however it wraps since the count
-    is at most 4**k."""
+    is at most 4**k.
+
+    A single column F of at most ``KRONECKER_MAX_BITS`` points, reshaped to
+    (2**hi, 2**lo) with hi = k // 2, instead takes f = ``Z_hi.T @ F @ Z_lo``
+    and ``M_hi @ f**2 @ M_lo.T`` in int64 (``_kronecker_halves``), exact
+    since no partial sum exceeds 8**k."""
+    k = len(R).bit_length() - 1
+    if R.shape[1] == 1 and k <= KRONECKER_MAX_BITS:
+        (Zh, Mh), (Zl, Ml) = map(_kronecker_halves, (k // 2, k - k // 2))
+        f = Zh.T @ R.reshape(len(Zh), len(Zl)) @ Zl
+        np.square(f, out=f)
+        if top is not None and (top.reshape(f.shape) * f).sum() > 0:
+            return np.ones_like(R)
+        return (Mh @ f @ Ml.T != 0).ravel()[::-1, None]
     dtype = np.int32 if len(R) <= 1 << 15 else np.int64
     f = _sweep(R.astype(dtype), np.add)
     np.square(f, out=f)

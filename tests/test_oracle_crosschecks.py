@@ -188,3 +188,50 @@ def test_pair_unions_of_a_block_at_16_points_with_a_top():
     got = _pair_unions_of(columns, top, k)
     assert got == naive_pair_unions(columns, top, k)
     assert len(got[3]) == 1 << k and got[0] == set()
+
+
+def _one_column_against_the_sweep(R, top):
+    """``_pair_unions`` of the one column R against the same column doubled,
+    which keeps the k-pass sweep; ``top`` is None or an indicator."""
+    form = None if top is None else _topped_form(top)
+    one = _pair_unions(R, form)
+    assert one.shape == R.shape and one.dtype == bool
+    assert np.array_equal(one, _pair_unions(np.repeat(R, 2, axis=1),
+                                            form)[:, :1])
+    return one
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.sampled_from(["random", "empty", "full"]),
+       st.sampled_from([0.005, 0.02, 0.05, 0.2, 0.5]),
+       st.sampled_from(["none", "random", "hit"]),
+       st.integers(0, 2**32 - 1))
+def test_one_column_matches_the_sweep(k, fill, density, marks, seed):
+    rng = np.random.default_rng(seed)
+    R = np.full((1 << k, 1), fill == "full") if fill != "random" else \
+        rng.random((1 << k, 1)) < density
+    top = None if marks == "none" else rng.random(1 << k) < 0.02
+    members = np.flatnonzero(R)
+    if marks == "hit" and len(members):     # a union of two of its members
+        top[rng.choice(members) | rng.choice(members)] = True
+    one = _one_column_against_the_sweep(R, top)
+    if not len(members):
+        assert not one.any()
+    elif fill == "full" or marks == "hit":
+        assert one.all()
+
+
+@pytest.mark.parametrize("k", [8, 9, 15, 16, 17])   # the gate; int32/int64
+def test_one_column_at_the_gate_and_the_count_dtype_switch(k):
+    full = np.ones((1 << k, 1), dtype=bool)
+    pair = np.zeros((1 << k, 1), dtype=bool)
+    pair[[1, 2]] = True                     # two points, with union 0b11
+    top = np.zeros(1 << k, dtype=bool)
+    assert _one_column_against_the_sweep(full, None).all()
+    assert _one_column_against_the_sweep(full, top).all()
+    assert np.flatnonzero(_one_column_against_the_sweep(pair, top)).tolist() \
+        == [0, 1, 2, 3]
+    top[(1 << k) - 1] = True
+    assert _one_column_against_the_sweep(full, top).all()
+    top[3] = True
+    assert _one_column_against_the_sweep(pair, top).all()
