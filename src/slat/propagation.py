@@ -12,7 +12,9 @@ Two passes find these first levels for every target at once:
   transform over those subsets (F. Yates, 1937; Bjoerklund, Husfeldt,
   Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
   STOC 2007), repeated to a fixed point at each weight level, for a batch
-  of closures at once, one a row; past ``SUBSET_MAX_BITS`` points
+  of closures at once, one a row.  The pass starts at the targets' least
+  level, skips levels that admit nothing and stops on the round that
+  reaches the last target; past ``SUBSET_MAX_BITS`` points
   ``Semilattice.subset_ids`` raises ``BudgetExceeded``.  The pairs of a
   reached set R whose union covers s number (-1)**|s| times the superset
   Moebius transform of f**2 at the complement of s, f the subset sums of
@@ -62,10 +64,11 @@ from .weights import LogWeight, level_set
 
 
 #: joins with fewer points take the pair pass: on ``pstar(8)``, singleton
-#: generators, the target one point short of the join, the one-row subset
-#: pass takes 110-190 us at 4 points against 80-150 for the pair pass,
-#: 120-220 against 210-380 at 5 and 150-260 against 740-1150 at 6; 5 would
-#: reroute ``cli``'s 5-point ``vmap`` jobs, not yet measured end to end
+#: generators, the target one point short of the join, cardinality,
+#: prototype and a random weight (2 vCPUs), the one-row subset pass takes
+#: 43-72 us at 4 points against 38-44 for the pair pass, 45-97 against
+#: 95-102 at 5 and 54-108 against 294-307 at 6; 5 would reroute ``cli``'s
+#: 5-point ``vmap`` jobs, not yet measured end to end
 SUBSET_MIN_BITS = 6
 
 #: one column of at most this many points takes ``_pair_unions``'s two-half
@@ -301,12 +304,16 @@ def _subset_first_levels(seeds, rank, nlevels, cols):
     of two members of R; once such a union has rank ``nlevels``, the
     product is the top, which every element divides, and R becomes every
     member of rank at most i.  A round only adds members, so rounds repeat
-    until the count of reached members stops growing, and the last unions
-    carry over to the next level, so a level that admits nothing new costs
-    one count.  Returns, for each row and each target local index in
-    ``cols``, the index of the first level at which the row's closure
-    reaches the target, or -1 for a target outside a join that is not the
-    top; the pass stops once every row has reached its targets.
+    until the count of reached members stops growing.  No target is reached
+    below its own rank and the closure only grows with the level, so the
+    pass starts at the least rank of a target.  The last unions carry over,
+    and the next level visited is the least rank among those unions and the
+    seeds not yet admitted: the levels between admit nothing new.  Targets
+    are read before each round, so the pass stops without a confirming
+    round once every row has reached its targets.  Returns, for each row
+    and each target local index in ``cols``, the index of the first level
+    at which the row's closure reaches the target, or -1 for a target
+    outside a join that is not the top.
     """
     cols = np.asarray(cols, dtype=np.int64)
     joins = _local_joins(seeds)
@@ -316,23 +323,22 @@ def _subset_first_levels(seeds, rank, nlevels, cols):
     seeds = np.ascontiguousarray(seeds.T)
     first = np.full((len(cols), seeds.shape[1]), -1)
     done = count = 0
-    unions = np.zeros_like(seeds)
-    for i in range(nlevels if left else 0):
+    held = seeds                    # the last round's unions, and the seeds
+    i = rank[cols].min() if left else nlevels
+    while i < nlevels:
         allowed = (rank <= i)[:, None]
-        nxt = (unions | seeds) & allowed
-        if (grown := np.count_nonzero(nxt)) == count:
-            continue                        # the level admits nothing new
-        while grown > count:
-            reached, count = nxt, grown
-            unions = _pair_unions(reached, top)
-            nxt = unions & allowed
-            grown = np.count_nonzero(nxt)
-        got = reached[cols]
-        if np.count_nonzero(got) > done:
-            first[got & (first < 0)] = i
-            done = np.count_nonzero(got)
-            if done == left:
-                break
+        nxt = held & allowed
+        while (grown := np.count_nonzero(nxt)) > count:
+            got = nxt[cols]
+            if (n := np.count_nonzero(got)) > done:
+                first[got & (first < 0)] = i
+                if (done := n) == left:
+                    return first.T
+            count = grown
+            held = _pair_unions(nxt, top)
+            nxt = held & allowed
+        held |= seeds
+        i = rank.min(where=held.any(axis=1) & (rank > i), initial=nlevels)
     return first.T
 
 
@@ -420,9 +426,12 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
         J_mask = S.member_mask(J)
         if popcount(J_mask) >= SUBSET_MIN_BITS and S.subsets_fit(J_mask):
             ids, levels, rank = _subset_world(S, lam, J_mask)
-            seeds = np.isin(ids, E_ids, kind="sort")[None]
-            i = _subset_first_levels(seeds, rank, len(levels),
-                                     np.flatnonzero(ids == z))
+            point = {p: 1 << j for j, p in enumerate(bits(J_mask))}
+            target, *local = [sum(map(point.get, bits(m)))
+                              for m in S.masks_of([z, *E_ids]).tolist()]
+            seeds = np.zeros((1, len(ids)), dtype=bool)
+            seeds.put(local, True)
+            i = _subset_first_levels(seeds, rank, len(levels), [target])
             return PropagationValue.finite(
                 Fraction(int(levels[i[0, 0]]), lam.den))
     c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)

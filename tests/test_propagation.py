@@ -450,6 +450,21 @@ def test_wide_joins_without_a_top_match_the_pair_pass(k, wname, seed, data):
     assert v == PropagationValue.finite(knuth[z])
 
 
+@pytest.mark.parametrize("wname", ["cardinality", "prototype"])
+def test_subset_pass_stops_on_the_round_that_reaches_the_target(wname):
+    # the pass starts at the level of the six-point target: singletons pair
+    # into two-, four- and then six-point members, and the target is read
+    # before a fourth round
+    S = _REACH_HOSTS[8]
+    lam = builtin_logweight(S, wname)
+    E = mask_of(S.id_of_mask(1 << p) for p in range(7))
+    z = S.id_of_mask(0b1111110)
+    with mock.patch.object(propagation, "_pair_unions",
+                           wraps=propagation._pair_unions) as rounds:
+        assert v_value(S, lam, E, z) == PropagationValue.finite(6)
+    assert rounds.call_count <= 3
+
+
 def test_sparse_families_stay_on_the_pair_pass(monkeypatch):
     # 30 nested sets: the join has 30 points but only 30 members below it
     S = chain_system(30)
@@ -515,6 +530,46 @@ def test_subset_pass_blocks_match_single_rows_and_the_pair_pass(spec, seed,
             S, lam, E_ids, members, S.iter_factors, S.product_ids(E_ids))
         assert {z: levels[i] for z, i in zip(members, block[r]) if i >= 0} \
             == {z: knuth[z] for z in members if z in knuth}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(_PASS_HOSTS)), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_subset_pass_on_chosen_targets(spec, seed, data):
+    # one target, only targets at or above a drawn level (the pass then
+    # starts above level 0), or any targets, some outside a row's join; rows
+    # run alone and as one block, which may hold joins on a collapsed top
+    S = _PASS_HOSTS[spec]
+    lam = random_logweight(S, seed)
+    pos, levels, rank = _world(S, lam, (1 << len(S.ground)) - 1)
+    members = sorted(z for z in pos if z != S.top_id)
+    rows = data.draw(st.lists(st.lists(st.sampled_from(members), min_size=1,
+                                       max_size=4, unique=True),
+                              min_size=1, max_size=6), label="rows")
+    floor = data.draw(st.integers(0, len(levels) - 1), label="lowest level")
+    high = [z for z in members if rank[pos[z]] >= floor]
+    targets = data.draw(st.one_of(
+        st.tuples(st.sampled_from(members)),
+        st.lists(st.sampled_from(high), min_size=1, unique=True),
+        st.lists(st.sampled_from(members), min_size=1, unique=True)),
+        label="targets")
+    seeds = np.zeros((len(rows), len(rank)), dtype=bool)
+    for r, E_ids in enumerate(rows):
+        seeds[r, [pos[e] for e in E_ids]] = True
+    cols = [pos[z] for z in targets]
+    block = propagation._subset_first_levels(seeds, rank, len(levels), cols)
+    every = propagation._subset_first_levels(seeds, rank, len(levels),
+                                             [pos[z] for z in members])
+    assert block.tolist() == \
+        every[:, [members.index(z) for z in targets]].tolist()
+    for r, E_ids in enumerate(rows):
+        alone = propagation._subset_first_levels(seeds[r:r + 1], rank,
+                                                 len(levels), cols)
+        assert alone[0].tolist() == block[r].tolist()
+        knuth = propagation._knuth_first_levels(
+            S, lam, E_ids, targets, S.iter_factors, S.product_ids(E_ids))
+        assert {z: levels[i] for z, i in zip(targets, block[r]) if i >= 0} \
+            == {z: knuth[z] for z in targets if z in knuth}
 
 
 def test_subset_pass_refuses_a_wide_join_before_allocating():
