@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import or_
 
 import numpy as np
 
 from ._bitset import bits, mask_of, popcount, popcounts
 from .breadth import SizeLimit, find_incompressible, is_compressible
-from .core import Semilattice, ValidationReport, Violation, pairs_where
+from .core import Semilattice, ValidationReport, Violation
 from .propagation import PropagationValue, v_value
 from .weights import LogWeight, _superadditive_pairs
 
@@ -193,11 +193,18 @@ def check_eta_subadditive(chain: AdversarialChain) -> ValidationReport:
     prefix, and the trace of a union is the union of the traces (a collapsed
     product has weight 0, which never violates the bound), so checking every
     pair of prefix subsets covers every pair of elements.  On nested prefixes
-    a trace's weight depends only on how many points of each marker set it
-    holds, and one check per pair of count classes covers every trace pair
-    (``_classes_over``); the trace pairs themselves are scanned when the
-    prefixes are not nested or some class pair fails, so witnesses are
-    always trace pairs.
+    the weight follows the count rule: with u_j the points a trace u holds of
+    the j-th marker set E_j, and E_h the first set u does not hold in full,
+    eta(u) = sum of u_j over j >= h (0 when u holds every set).  The rule
+    alone gives the bound.  Take u the union of traces a and b: a_h and b_h
+    are at most u_h < |E_h|, so a and b each stop holding in full at E_h or
+    before it, and
+
+        eta(u) = sum_{j>=h} u_j <= sum_{j>=h} (a_j + b_j) <= eta(a) + eta(b).
+
+    ``_count_rule_holds`` checks the rule on one trace per count class; the
+    trace pairs themselves are scanned when the prefixes are not nested or
+    the rule fails, so witnesses are always trace pairs.
     """
     rep = ValidationReport()
     pts = list(bits(chain.d_final))
@@ -207,8 +214,7 @@ def check_eta_subadditive(chain: AdversarialChain) -> ValidationReport:
     prefixes = [mask_of(j for j, p in enumerate(pts) if D >> p & 1)
                 for D in chain.cumulative]
     size = 1 << len(pts)
-    if not _nested(prefixes, size - 1) or _classes_over(
-            *_count_classes(prefixes)):
+    if not (_nested(prefixes, size - 1) and _count_rule_holds(prefixes)):
         eta = _eta_of_traces(np.arange(size), prefixes)
         for i, j in _superadditive_pairs(
                 eta, lambda rows: rows[:, None] | np.arange(size), upper=False):
@@ -227,76 +233,24 @@ def _nested(prefixes, full):
             and all(C & ~D == 0 for C, D in zip(prefixes, prefixes[1:])))
 
 
-def _count_classes(prefixes):
-    """``(counts, sizes, eta)`` of nested prefixes: one row of marker counts
-    per count class (a trace holding ``counts[c, j]`` points of the j-th
-    marker set, which has ``sizes[j]`` points), and the weight of each
-    class, read off one trace of it by ``_eta_of_traces`` and checked
-    against the count rule."""
+def _count_rule_holds(prefixes):
+    """Whether ``_eta_of_traces`` follows the count rule of
+    ``check_eta_subadditive`` on nested prefixes, checked on one trace per
+    count class: a trace holding the lowest c_j points of the j-th marker
+    set, for every c_j from 0 to its size."""
     dtype = object if prefixes[-1] >> 63 else np.int64
     # firsts[j][c]: the lowest c points of marker set j
     firsts = [np.array(list(accumulate(bits(D & ~C), lambda t, p: t | 1 << p,
                                        initial=0)), dtype=dtype)
               for C, D in zip(prefixes, prefixes[1:])]
     sizes = np.array([len(f) - 1 for f in firsts], dtype=np.int64)
-    counts = np.array(list(product(*(range(e + 1) for e in sizes))),
-                      dtype=np.int64)
+    counts = np.indices(sizes + 1).reshape(len(sizes), -1).T
     traces = reduce(or_, (f[c] for f, c in zip(firsts, counts.T)),
                     np.zeros(len(counts), dtype))
-    eta = _eta_of_traces(traces, prefixes)
-    # the count rule: the points held past the deepest prefix held in full
+    # the points held past the deepest prefix held in full
     held = np.cumprod(counts == sizes, axis=1).sum(axis=1)
-    assert (eta == counts.sum(axis=1) - np.cumsum([0, *sizes])[held]).all(), \
-        "eta must depend on the marker counts alone"
-    return counts, sizes, eta
-
-
-def _classes_over(counts, sizes, w):
-    """Class pairs ``(a, b)``, a <= b, in row-major order, for which some
-    union of a trace of class a with one of class b weighs more than
-    ``w[a] + w[b]`` (``_box_max``), ``w`` holding the eta of each class."""
-    K = len(counts)
-    # the narrowest type that holds twice the number of marker points
-    dtype = np.min_scalar_type(-2 * int(sizes.sum()) - 1)
-    c = counts.T.astype(dtype)[:, :, None]          # (sets, classes, 1)
-    e = sizes.astype(dtype)[:, None, None]
-    cols = np.arange(K)
-
-    def over(r0, r1):                   # columns r0.. only: b >= a >= r0
-        box = _box_max(c[:, r0:r1], c[:, r0:, 0][:, None], e)
-        out = np.zeros((r1 - r0, K), dtype=bool)
-        out[:, r0:] = (box > w[r0:r1, None] + w[r0:]) \
-            & (cols[r0:r1, None] <= cols[r0:])
-        return out
-
-    return pairs_where(K, K, over)
-
-
-def _box_max(a, b, sizes):
-    """The largest eta of a union of a trace with marker counts ``a`` and
-    one with counts ``b``, for arrays whose first axis runs over the marker
-    sets, of ``sizes`` points each, and whose other axes broadcast.
-
-    Such a union holds u_j points of set j, for any u_j from max(a_j, b_j)
-    to hi_j = min(a_j + b_j, sizes[j]) chosen per j.  With the sets before
-    j held in full and set j not, its eta is at most
-    min(a_j + b_j, sizes[j] - 1) plus hi of every later set, and reaches
-    that; holding every set gives 0.  The answer is the largest of these
-    over the depths j that the box allows; every box holds some union and
-    every eta is at least 0, so 0 stands in for the depths it does not.
-    """
-    s = a + b
-    held = s >= sizes                   # u_j can be all of set j
-    short = (a < sizes) & (b < sizes)   # u_j can stay below it
-    for j in range(1, len(s)):
-        short[j] &= held[j - 1]
-        held[j] &= held[j - 1]
-    hi, part = np.minimum(s, sizes), np.minimum(s, sizes - 1)
-    box = later = np.zeros(s.shape[1:], s.dtype)
-    for j in reversed(range(len(s))):
-        box = np.maximum(box, (part[j] + later) * short[j])
-        later = later + hi[j]
-    return box
+    return bool((_eta_of_traces(traces, prefixes)
+                 == counts.sum(axis=1) - np.cumsum([0, *sizes])[held]).all())
 
 
 # -- barrier verification ----------------------------------------------------

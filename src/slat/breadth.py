@@ -40,7 +40,8 @@ from operator import eq
 import numpy as np
 
 from ._bitset import bits, mask_of, popcount
-from .core import SUBSET_MAX_BITS, TABLE_HARD_CAP, _join_closure, row_blocks
+from .core import (SUBSET_MAX_BITS, TABLE_HARD_CAP, _join_closure,
+                   _subset_sweep, row_blocks)
 
 
 #: most elements of a host that the branch and bound or a search may walk
@@ -148,9 +149,7 @@ def _distinctness_order(S, index=None):
         k, local = index
         supersets = np.zeros(1 << k, dtype=np.int32)
         supersets[local] = 1
-        for j in range(k):
-            half = supersets.reshape(-1, 2, 1 << j)
-            half[:, 0] += half[:, 1]
+        _subset_sweep(supersets, np.add, into=0)
         return np.argsort(supersets[local], kind="stable").tolist()
     if n > TABLE_HARD_CAP:
         score = [sum(not S.leq(y, x) for y in range(n)) for x in range(n)]
@@ -355,9 +354,7 @@ def _transform_breadth(S, index):
     sets = np.arange(1 << k, dtype=np.int32)    # k <= 22: int32 holds a set
     inside = np.zeros(1 << k, dtype=np.int32)   # D: union of members inside
     inside[local] = local
-    for j in range(k):
-        half = inside.reshape(-1, 2, 1 << j)
-        half[:, 1] |= half[:, 0]
+    _subset_sweep(inside, np.bitwise_or)
     outside = sets ^ (1 << k) - 1
     owned = np.ones(1 << k, dtype=bool)         # every point of P owned
     for j in range(k):
@@ -394,9 +391,7 @@ def _first_witness(order, index, P, b):
     n = len(order)
     inside = np.full(1 << k, n, dtype=np.int32)
     inside[local[order]] = np.arange(n)     # position of the member at a set
-    for j in range(k):                      # first member inside each set
-        half = inside.reshape(-1, 2, 1 << j)
-        np.minimum(half[:, 1], half[:, 0], out=half[:, 1])
+    _subset_sweep(inside, np.minimum)       # first member inside each set
     points = np.arange(k)
     pts = P[:, None] >> points & 1 == 1
     first = inside[(P[:, None] ^ (1 << k) - 1) | 1 << points]  # at ~P | q

@@ -423,6 +423,20 @@ class Semilattice:
         return f"Semilattice(kind={self.kind!r}, n={self.n})"
 
 
+def _subset_sweep(f, op, into=1):
+    """Over the first axis of ``f``, of length 2**k and indexed as
+    ``Semilattice.subset_ids`` indexes subsets, in place, one point a pass:
+    each subset with the point takes ``op`` of itself and the subset without
+    it, or with ``into=0`` the other way round.  ``np.add`` gives the subset
+    sums (superset sums with ``into=0``), ``np.subtract`` the Moebius
+    transforms, and ``np.bitwise_or`` or ``np.minimum`` fold the same way."""
+    k = len(f).bit_length() - 1
+    for j in range(k):
+        half = f.reshape(-1, 2, f.size >> k << j)
+        op(half[:, into], half[:, 1 - into], out=half[:, into])
+    return f
+
+
 def _fits(k, n):
     """The density rule: 2^k subsets are at most 4n."""
     return 1 << k <= 4 * n

@@ -58,7 +58,8 @@ import numpy as np
 
 from ._bitset import bits, mask_of, popcount
 from .breadth import _iter_incompressible, breadth, is_compressible
-from .core import SUBSET_MAX_BITS, BudgetExceeded, Semilattice, block_rows
+from .core import (SUBSET_MAX_BITS, BudgetExceeded, Semilattice, _subset_sweep,
+                   block_rows)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -342,22 +343,11 @@ def _subset_first_levels(seeds, rank, nlevels, cols):
     return first.T
 
 
-def _sweep(f, op, into=1):
-    """Over the first axis of ``f``, of length 2**k, in place, one point a
-    pass: the subset sums (``op=np.add``) or the Moebius transform
-    (``op=np.subtract``), over subsets, or over supersets with ``into=0``."""
-    k = len(f).bit_length() - 1
-    for j in range(k):
-        half = f.reshape(-1, 2, f.size >> k << j)
-        op(half[:, into], half[:, 1 - into], out=half[:, into])
-    return f
-
-
 def _topped_form(top):
     """The superset Moebius transform of the indicator ``top``: its dot
     product with the f**2 of ``_pair_unions`` counts the pairs with an
     exact union marked in ``top``."""
-    return _sweep(top.astype(np.int64), np.subtract, into=0)
+    return _subset_sweep(top.astype(np.int64), np.subtract, into=0)
 
 
 @cache
@@ -399,10 +389,10 @@ def _pair_unions(R, top=None):
             return np.ones_like(R)
         return (Mh @ f @ Ml.T != 0).ravel()[::-1, None]
     dtype = np.int32 if len(R) <= 1 << 15 else np.int64
-    f = _sweep(R.astype(dtype), np.add)
+    f = _subset_sweep(R.astype(dtype), np.add)
     np.square(f, out=f)
     topped = None if top is None else top.astype(dtype) @ f > 0
-    covered = (_sweep(f, np.subtract, into=0) != 0)[::-1]
+    covered = (_subset_sweep(f, np.subtract, into=0) != 0)[::-1]
     if topped is not None:
         covered |= topped
     return covered

@@ -2,7 +2,7 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import or_
 from unittest import mock
 
@@ -15,8 +15,7 @@ from oracles import eta_of_trace
 from slat import adversarial
 from slat._bitset import bits, mask_of, popcount, popcounts
 from slat.adversarial import (AdversarialChain, InsufficientBreadth,
-                              _box_max, _classes_over, _count_classes,
-                              _eta_of_traces, build_chain,
+                              _count_rule_holds, _eta_of_traces, build_chain,
                               check_eta_subadditive, eta_weight, find_markers,
                               verify_barrier)
 from slat.cli import main
@@ -227,19 +226,23 @@ def _spread_chain(sizes, pts):
 
 
 def _union_maxima(prefixes, sizes):
-    """The largest eta of a union of two traces, for each pair of count
-    classes, over every pair of traces on the local points of
+    """``(eta, unions)``: the eta of each count class, checked to be the same
+    for every trace of it, and the largest eta of a union of two traces for
+    each pair of classes, over every pair of traces on the local points of
     ``prefixes``."""
     traces = np.arange(1 << sizes.sum())
     stride = np.cumprod([1, *(sizes[::-1] + 1)])[-2::-1]
     cls = sum(popcounts(traces & (D & ~C)) * w
               for C, D, w in zip(prefixes, prefixes[1:], stride))
-    unions = _eta_of_traces((traces[:, None] | traces).ravel(), prefixes)
     K = int(np.prod(sizes + 1))
+    each, eta = _eta_of_traces(traces, prefixes), np.full(K, -1)
+    eta[cls] = each
+    assert (eta[cls] == each).all()
+    unions = _eta_of_traces((traces[:, None] | traces).ravel(), prefixes)
     out = np.full((K, K), -1)
     np.maximum.at(out, (np.repeat(cls, len(traces)), np.tile(cls, len(traces))),
                   unions)
-    return out
+    return eta, out
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,55 +256,41 @@ def test_count_classes_agree_with_the_pair_scan(name, data):
     c = _spread_chain(sizes, pts)
     local = [mask_of(j for j, p in enumerate(sorted(pts)) if D >> p & 1)
              for D in c.cumulative]
-    counts, got_sizes, eta = _count_classes(local)
-    assert got_sizes.tolist() == sizes
-    assert _classes_over(counts, got_sizes, eta) == []
+    assert _count_rule_holds(local)
     if sum(sizes) <= 8:
-        # the box maximum is the largest eta of the unions it stands for
-        box = _box_max(counts.T[:, :, None], counts.T[:, None, :],
-                       got_sizes[:, None, None])
-        assert (box == _union_maxima(local, got_sizes)).all()
+        # the lemma the count rule stands for, over every pair of classes
+        eta, unions = _union_maxima(local, np.array(sizes))
+        assert (unions <= eta[:, None] + eta).all()
     with mock.patch.object(adversarial, "_nested", return_value=False):
         scan = check_eta_subadditive(c).to_json()
     assert check_eta_subadditive(c).to_json() == scan
 
 
 def test_a_forged_class_table_is_flagged_and_rescanned():
-    # marker sets of 1, 2 and 3 points; a trace with both points of the
-    # second set and one with all three of the third weigh 2 and 3, and
-    # their union 5: a table that gives the second class 2 as well flags
-    # that pair and no other (every other class weighs 100)
+    # marker sets of 1, 2 and 3 points; the count rule gives the trace with
+    # both points of the second set (local points 0 and 4) weight 2
     c = _spread_chain([1, 2, 3], [3, 7, 0, 5, 2, 9])
     local = [mask_of(j for j, p in enumerate([0, 2, 3, 5, 7, 9])
                      if D >> p & 1) for D in c.cumulative]
-    counts, sizes, eta = _count_classes(local)
-    a = counts.tolist().index([0, 2, 0])
-    b = counts.tolist().index([0, 0, 3])
-    assert (eta[a], eta[b]) == (2, 3)
-    forged = np.full(len(counts), 100)
-    forged[[a, b]] = 2
-    box = _box_max(counts.T[:, :, None], counts.T[:, None, :],
-                   sizes[:, None, None])
-    want = [(x, y) for x, y in product(range(len(counts)), repeat=2)
-            if x <= y and box[x, y] > forged[x] + forged[y]]
-    assert want == [(min(a, b), max(a, b))]
-    assert _classes_over(counts, sizes, forged) == want
-    # the box maximum against every count vector in each box
-    for x, y in product(range(len(counts)), repeat=2):
-        box_xy = [eta[counts.tolist().index(list(u))] for u in product(
-            *(range(max(p, q), min(p + q, e) + 1)
-              for p, q, e in zip(counts[x], counts[y], sizes)))]
-        assert box[x, y] == max(box_xy)
-    # a flagged class pair sends the check to the pair scan, which finds
-    # the weight itself subadditive
+    assert _eta_of_traces(np.array([0b10001]), local).tolist() == [2]
+    assert _count_rule_holds(local)
+    true_eta = adversarial._eta_of_traces
+
+    def misweigh(traces, prefixes):
+        return true_eta(traces, prefixes) + (traces == 0b10001)
+
+    with mock.patch.object(adversarial, "_eta_of_traces", misweigh):
+        assert not _count_rule_holds(local)
+    # a rule that fails sends the check to one pair scan, which finds the
+    # weight itself subadditive; a rule that holds sends it to none
     scans, pair_scan = [], adversarial._superadditive_pairs
 
     def scan(*args, **kw):
         scans.append(args)
         return pair_scan(*args, **kw)
 
-    with mock.patch.object(adversarial, "_count_classes",
-                           return_value=(counts, sizes, forged)), \
+    with mock.patch.object(adversarial, "_count_rule_holds",
+                           return_value=False), \
             mock.patch.object(adversarial, "_superadditive_pairs", scan):
         rep = check_eta_subadditive(c)
     assert len(scans) == 1 and rep.ok
@@ -309,6 +298,16 @@ def test_a_forged_class_table_is_flagged_and_rescanned():
     with mock.patch.object(adversarial, "_superadditive_pairs", scan):
         assert check_eta_subadditive(c).ok
     assert len(scans) == 1
+
+
+def test_a_depth_eight_chain_is_certified_by_the_count_rule():
+    # 36 marker points: 4**36 trace pairs, none of them scanned
+    c = _spread_chain(list(range(1, 9)), list(range(36)))
+    with mock.patch.object(adversarial, "_superadditive_pairs",
+                           side_effect=AssertionError("pair scan")):
+        rep = check_eta_subadditive(c)
+    assert rep.ok and rep.exhaustive
+    assert rep.checked_triples == 4 ** 36
 
 
 @pytest.mark.slow
