@@ -31,14 +31,13 @@ Two passes find these first levels for every target at once:
 Routing uses the one density rule, ``Semilattice.subsets_fit``: the 2^|G|
 subsets of G must not outnumber four times the host's elements.
 ``v_value`` runs one closure, from generators whose product is J: a one-row
-subset pass over the subsets of J when J is a member (not a collapsed top)
-of at least ``SUBSET_MIN_BITS`` points that fits the rule, else the
-pair-by-pair pass.  ``propagation_profile`` routes once per profile: when
-the points G of its level set fit the rule and number at most
-``SUBSET_MAX_BITS``, its generating sets run in blocks, each block the rows
-of one subset pass over G.  A set whose product is the collapsed top stays
-on it while the top lies outside the level set, and takes the pair-by-pair
-pass when the top lies inside; on other hosts every set takes that pass.
+subset pass over the subsets of J when J has at least ``SUBSET_MIN_BITS``
+points and fits the rule, else the pair-by-pair pass.
+``propagation_profile`` routes once per profile: when the points G of its
+level set fit the rule and number at most ``SUBSET_MAX_BITS``, its
+generating sets run in blocks, each block the rows of one subset pass over
+G; on other hosts each set takes the pair-by-pair pass.  The subset pass
+ranks a collapsed top like any member, so it serves as a seed and a target.
 
 Levels are ranks of integer numerators (``np.unique``), once per ``v_value``
 call and per profile, so they stay exact.  ``fbp`` and ``fbp_closure`` apply
@@ -271,56 +270,55 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
 def _subset_world(S, lam, G_mask):
     """The closed world of the subset pass over the subsets of G, a set of
     points of a set system: bit j of a local index stands for the j-th point
-    of G.  Returns ``(ids, levels, rank)``: ``ids`` is ``S.subset_ids(G)``,
-    the element at each local index (-1 for a non-member), ``levels`` are
-    the sorted distinct numerators (over ``lam.den``) of the members whose
-    sets lie inside G, and ``rank[s]`` is the index in ``levels`` of the
-    member at s, or ``len(levels)`` (never admitted) for a non-member or the
-    collapsed top."""
+    of G.  Returns ``(ids, levels, rank, absorbing)``: ``ids`` is
+    ``S.subset_ids(G)``, the element at each local index (-1 for a
+    non-member), ``levels`` are the sorted distinct numerators (over
+    ``lam.den``) of the members whose sets lie inside G, the collapsed top
+    among them, ``rank[s]`` is the index in ``levels`` of the member at s,
+    or ``len(levels)`` (never admitted) for a non-member, and ``absorbing``
+    marks the unions whose product is the top: non-members and the top."""
     ids = S.subset_ids(G_mask)
-    members = (ids >= 0) & (ids != S.top_id)
+    members = ids >= 0
     levels, member_rank = np.unique(lam.num(ids[members]), return_inverse=True)
     rank = np.full(len(ids), len(levels))
     rank[members] = member_rank
-    return ids, levels, rank
+    absorbing = ~members
+    if S.top_id is not None:
+        absorbing |= ids == S.top_id
+    return ids, levels, rank, absorbing
 
 
-def _local_joins(seeds):
-    """Local index of the union of each row's seeds."""
-    rows, local = np.nonzero(seeds)
-    joins = np.zeros(len(seeds), dtype=np.int64)
-    np.bitwise_or.at(joins, rows, local)
-    return joins
-
-
-def _subset_first_levels(seeds, rank, nlevels, cols):
+def _subset_first_levels(seeds, rank, nlevels, absorbing, cols):
     """The subset-lattice pass: one closure per row of ``seeds``, a boolean
     array over the subsets of a set G (local indices, as ``_subset_world``
-    makes them, with ``rank`` and its ``nlevels`` levels).
+    makes them, with ``rank``, its ``nlevels`` levels and ``absorbing``).
 
     Until a closure forms the collapsed top, every product it forms is a
     member whose set lies inside G, so the closures of all rows run
     together, each a column of one array.  At level i one round maps each
     row's reached set R to the members of rank at most i inside the union
-    of two members of R; once such a union has rank ``nlevels``, the
-    product is the top, which every element divides, and R becomes every
-    member of rank at most i.  A round only adds members, so rounds repeat
-    until the count of reached members stops growing.  No target is reached
-    below its own rank and the closure only grows with the level, so the
-    pass starts at the least rank of a target.  The last unions carry over,
-    and the next level visited is the least rank among those unions and the
-    seeds not yet admitted: the levels between admit nothing new.  Targets
-    are read before each round, so the pass stops without a confirming
-    round once every row has reached its targets.  Returns, for each row
-    and each target local index in ``cols``, the index of the first level
-    at which the row's closure reaches the target, or -1 for a target
-    outside a join that is not the top.
+    of two members of R; once such a union is absorbing, the product is the
+    top, which every element divides, and R becomes every member of rank at
+    most i.  A round only adds members, so rounds repeat until the count of
+    reached members stops growing; a row that forms the top at level i
+    reaches it at the larger of i and the top's own rank.  No target is
+    reached below its own rank and the closure only grows with the level,
+    so the pass starts at the least rank of a target.  The last unions
+    carry over, and the next level visited is the least rank among those
+    unions and the seeds not yet admitted: the levels between admit nothing
+    new.  Targets are read before each round, so the pass stops without a
+    confirming round once every row has reached its targets.  Returns, for
+    each row and each target local index in ``cols``, the index of the
+    first level at which the row's closure reaches the target, or -1 for a
+    target outside a join that is not the top.
     """
     cols = np.asarray(cols, dtype=np.int64)
-    joins = _local_joins(seeds)
-    topped = rank[joins][:, None] == nlevels    # joins on the collapsed top
+    rows, local = np.nonzero(seeds)         # each row's union of seeds
+    joins = np.zeros(len(seeds), dtype=np.int64)
+    np.bitwise_or.at(joins, rows, local)
+    topped = absorbing[joins][:, None]      # rows whose product is the top
     left = np.count_nonzero((cols & ~joins[:, None] == 0) | topped)
-    top = _topped_form(rank == nlevels) if topped.any() else None
+    top = _topped_form(absorbing) if topped.any() else None
     seeds = np.ascontiguousarray(seeds.T)
     first = np.full((len(cols), seeds.shape[1]), -1)
     done = count = 0
@@ -412,16 +410,20 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     J = S.product_ids(E_ids)
     if not S.leq(J, z):
         return INFINITE
-    if S.kind == "set_system" and J != S.top_id:
+    if S.kind == "set_system":
         J_mask = S.member_mask(J)
         if popcount(J_mask) >= SUBSET_MIN_BITS and S.subsets_fit(J_mask):
-            ids, levels, rank = _subset_world(S, lam, J_mask)
-            point = {p: 1 << j for j, p in enumerate(bits(J_mask))}
+            masks = S.masks_of([z, *E_ids])
+            # a collapsed top read from a file may miss points of E and z
+            G = J_mask | int(np.bitwise_or.reduce(masks))
+            ids, levels, rank, absorbing = _subset_world(S, lam, G)
+            point = {p: 1 << j for j, p in enumerate(bits(G))}
             target, *local = [sum(map(point.get, bits(m)))
-                              for m in S.masks_of([z, *E_ids]).tolist()]
+                              for m in masks.tolist()]
             seeds = np.zeros((1, len(ids)), dtype=bool)
             seeds.put(local, True)
-            i = _subset_first_levels(seeds, rank, len(levels), [target])
+            i = _subset_first_levels(seeds, rank, len(levels), absorbing,
+                                     [target])
             return PropagationValue.finite(
                 Fraction(int(levels[i[0, 0]]), lam.den))
     c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
@@ -437,47 +439,36 @@ def _block_winners(S, lam, W_ids, sets):
     in order, and yield ``(E_ids, top, first)`` for each block: the first
     set of the block whose largest first level of a target in ``W_ids`` is
     the block's largest, that level, and the ``{id: level}`` map of its
-    closure.  Blocks are routed as the module docstring says; a block is
+    closure.  Blocks are routed as the module docstring says: a block is
     ``block_rows(2**|G|)`` sets on the subset pass over the points G of
-    ``W_ids``, and one set on the pair-by-pair pass.
+    ``W_ids``, or one set on the pair-by-pair pass.
     """
-    factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
-    pos = ranked = None
+    sets = iter(sets)
     if S.kind == "set_system":
         G = int(np.bitwise_or.reduce(S.masks_of(W_ids)))
-        k = popcount(G)
-        if k <= SUBSET_MAX_BITS and S.subsets_fit(G):
-            ids, nums, rank = _subset_world(S, lam, G)
+        if popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
+            ids, nums, rank, absorbing = _subset_world(S, lam, G)
             levels = [Fraction(a, lam.den) for a in nums.tolist()]
             inside = np.flatnonzero(ids >= 0)
             pos = dict(zip(ids[inside].tolist(), inside.tolist()))
-            targets = [z for z in W_ids if z != S.top_id]
-            cols = [pos[z] for z in targets]
-            topless = len(targets) == len(W_ids)
-    rows = 1 if pos is None else block_rows(1 << k)
-    sets = iter(sets)
-    while block := list(islice(sets, rows)):
-        got, pairwise = {}, range(len(block))   # position -> (top, first)
-        if pos is not None:
-            seeds = np.zeros((len(block), 1 << k), dtype=bool)
-            seeds[[j for j, E_ids in enumerate(block) for _ in E_ids],
-                  [pos[e] for E_ids in block for e in E_ids]] = True
-            on = (rank[_local_joins(seeds)] < len(levels)) | topless
-            pairwise = np.flatnonzero(~on)
-            if on.any():
-                first = _subset_first_levels(seeds[on], rank, len(levels),
-                                             cols)
+            cols = [pos[z] for z in W_ids]
+            while block := list(islice(sets, block_rows(len(ids)))):
+                seeds = np.zeros((len(block), len(ids)), dtype=bool)
+                seeds[[j for j, E_ids in enumerate(block) for _ in E_ids],
+                      [pos[e] for E_ids in block for e in E_ids]] = True
+                first = _subset_first_levels(seeds, rank, len(levels),
+                                             absorbing, cols)
                 tops = first.max(axis=1)
                 r = tops.argmax()
-                got[np.flatnonzero(on)[r]] = levels[tops[r]], {
-                    z: levels[i] for z, i in zip(targets, first[r]) if i >= 0}
-        for j in pairwise:
-            ranked = ranked or _ranked(lam, np.arange(S.n))
-            first = _knuth_first_levels(S, lam, block[j], W_ids, factors,
-                                        S.product_ids(block[j]), ranked)
-            got[j] = max(first[z] for z in W_ids if z in first), first
-        j = max(sorted(got), key=lambda j: got[j][0])
-        yield block[j], *got[j]
+                yield block[r], levels[tops[r]], {
+                    z: levels[i] for z, i in zip(W_ids, first[r]) if i >= 0}
+            return
+    factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
+    ranked = _ranked(lam, np.arange(S.n))
+    for E_ids in sets:
+        first = _knuth_first_levels(S, lam, E_ids, W_ids, factors,
+                                    S.product_ids(E_ids), ranked)
+        yield E_ids, max(first[z] for z in W_ids if z in first), first
 
 
 def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000,

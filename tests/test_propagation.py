@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -283,21 +284,29 @@ def test_batched_profile_matches_the_per_set_pass(S, wname, seed, budget,
     assert _profile_fields(batched) == _profile_fields(per_set)
 
 
-def test_profile_blocks_route_collapsed_joins_by_the_level_set(monkeypatch):
-    # a collapsed top outside the level set tops its rows on the subset pass;
-    # inside it, the top is a target and its sets take the pair-by-pair pass
+def test_fitting_hosts_never_take_the_pair_pass(monkeypatch):
+    # the collapsed top of fin(6,3) lies outside the level set of cardinality
+    # at L = 2 and inside that of the prototype weight at L = 1: both
+    # profiles, and closures from a collapsed join or from the top itself,
+    # run on the subset pass
     S = _PROFILE_HOSTS["fin(6,3)"]
-    tops = []
-    knuth = propagation._knuth_first_levels
-    monkeypatch.setattr(propagation, "_knuth_first_levels",
-                        lambda *a: tops.append(a[5]) or knuth(*a))
-    prof = propagation_profile(S, builtin_logweight(S, "cardinality"), 2)
-    assert not tops
-    assert prof.value == PropagationValue.finite(2)
-    lam = builtin_logweight(S, "prototype")
-    assert S.top_id in bits(level_set(S, lam, 1))
-    propagation_profile(S, lam, 1)
-    assert tops and set(tops) == {S.top_id}
+    monkeypatch.setattr(propagation, "_knuth_first_levels", None)
+    card, proto = (builtin_logweight(S, w) for w in ("cardinality",
+                                                     "prototype"))
+    assert S.top_id not in bits(level_set(S, card, 2))
+    prof = propagation_profile(S, card, 2)
+    assert (prof.value, prof.witness_E, prof.witness_z) == \
+        (PropagationValue.finite(2), 6, 7)
+    assert S.top_id in bits(level_set(S, proto, 1))
+    prof = propagation_profile(S, proto, 1)
+    assert (prof.value, prof.witness_E, prof.witness_z) == \
+        (PropagationValue.finite(2), 30, 5)
+    E = mask_of(S.id_of_mask(m) for m in (0b111, 0b111000))
+    assert S.product_of_mask(E) == S.top_id
+    pair = S.id_of_mask(0b11)
+    assert [v_value(S, lam, E, z).c for lam in (card, proto)
+            for z in (S.top_id, pair)] == [4, 3, 3, 3]
+    assert v_value(S, proto, 1 << S.top_id, S.id_of_mask(1)).c == 1
 
 
 def test_sparse_profiles_stay_on_the_pair_pass(monkeypatch):
@@ -340,11 +349,12 @@ _PASS_HOSTS.update({f"sch_embed({spec})": sch_embed(generate_instance(spec))
 
 
 def _world(S, lam, G):
-    """``_subset_world`` of G with each element's local index and the levels
-    as fractions."""
-    ids, levels, rank = propagation._subset_world(S, lam, G)
+    """``_subset_world`` of G with each element's local index, the collapsed
+    top's among them, and the levels as fractions."""
+    ids, levels, rank, absorbing = propagation._subset_world(S, lam, G)
     pos = {z: s for s, z in enumerate(ids.tolist()) if z >= 0}
-    return pos, [Fraction(a, lam.den) for a in levels.tolist()], rank
+    return pos, [Fraction(a, lam.den) for a in levels.tolist()], rank, \
+        absorbing
 
 
 def _both_passes(S, lam, E_ids):
@@ -352,13 +362,12 @@ def _both_passes(S, lam, E_ids):
     J = S.product_ids(E_ids)
     knuth = propagation._knuth_first_levels(S, lam, E_ids, range(S.n),
                                             S.iter_factors, J)
-    pos, levels, rank = _world(S, lam, S.member_mask(J))
-    members = [z for z in pos if z != S.top_id]
+    pos, levels, rank, absorbing = _world(S, lam, S.member_mask(J))
     seeds = np.zeros((1, len(rank)), dtype=bool)
     seeds[0, [pos[e] for e in E_ids]] = True
     first = propagation._subset_first_levels(seeds, rank, len(levels),
-                                             [pos[z] for z in members])
-    return knuth, {z: levels[i] for z, i in zip(members, first[0])}
+                                             absorbing, list(pos.values()))
+    return knuth, {z: levels[i] for z, i in zip(pos, first[0])}
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,7 +378,6 @@ def test_closure_passes_agree_with_oracles(spec, seed, data):
     lam = random_logweight(S, seed)
     E_ids = sorted(data.draw(st.sets(st.integers(0, S.n - 1), min_size=1,
                                      max_size=4), label="E"))
-    assume(S.product_ids(E_ids) != S.top_id)
     knuth, subset = _both_passes(S, lam, E_ids)
     assert knuth == subset
     z = data.draw(st.sampled_from(sorted(knuth)), label="z")
@@ -509,10 +517,11 @@ def test_pair_unions_of_a_block_at_15_points():
        seed=st.integers(0, 10_000), data=st.data())
 def test_subset_pass_blocks_match_single_rows_and_the_pair_pass(spec, seed,
                                                                 data):
+    # rows may seed the top, and the top is a target
     S = _PROFILE_HOSTS[spec]
     lam = random_logweight(S, seed)
-    pos, levels, rank = _world(S, lam, (1 << len(S.ground)) - 1)
-    members = [z for z in pos if z != S.top_id]
+    pos, levels, rank, absorbing = _world(S, lam, (1 << len(S.ground)) - 1)
+    members = list(pos)
     rows = data.draw(st.lists(st.lists(st.sampled_from(members), min_size=1,
                                        max_size=4, unique=True),
                               min_size=1, max_size=8), label="rows")
@@ -520,11 +529,12 @@ def test_subset_pass_blocks_match_single_rows_and_the_pair_pass(spec, seed,
     seeds = np.zeros((len(rows), len(rank)), dtype=bool)
     for r, E_ids in enumerate(rows):
         seeds[r, [pos[e] for e in E_ids]] = True
-    cols = [pos[z] for z in members]
-    block = propagation._subset_first_levels(seeds, rank, len(levels), cols)
+    run = partial(propagation._subset_first_levels, rank=rank,
+                  nlevels=len(levels), absorbing=absorbing,
+                  cols=[pos[z] for z in members])
+    block = run(seeds)
     for r, E_ids in enumerate(rows):
-        alone = propagation._subset_first_levels(seeds[r:r + 1], rank,
-                                                 len(levels), cols)
+        alone = run(seeds[r:r + 1])
         assert alone[0].tolist() == block[r].tolist()
         knuth = propagation._knuth_first_levels(
             S, lam, E_ids, members, S.iter_factors, S.product_ids(E_ids))
@@ -538,11 +548,12 @@ def test_subset_pass_blocks_match_single_rows_and_the_pair_pass(spec, seed,
 def test_subset_pass_on_chosen_targets(spec, seed, data):
     # one target, only targets at or above a drawn level (the pass then
     # starts above level 0), or any targets, some outside a row's join; rows
-    # run alone and as one block, which may hold joins on a collapsed top
+    # run alone and as one block, which may seed or target a collapsed top
+    # and hold joins on it
     S = _PASS_HOSTS[spec]
     lam = random_logweight(S, seed)
-    pos, levels, rank = _world(S, lam, (1 << len(S.ground)) - 1)
-    members = sorted(z for z in pos if z != S.top_id)
+    pos, levels, rank, absorbing = _world(S, lam, (1 << len(S.ground)) - 1)
+    members = sorted(pos)
     rows = data.draw(st.lists(st.lists(st.sampled_from(members), min_size=1,
                                        max_size=4, unique=True),
                               min_size=1, max_size=6), label="rows")
@@ -556,20 +567,56 @@ def test_subset_pass_on_chosen_targets(spec, seed, data):
     seeds = np.zeros((len(rows), len(rank)), dtype=bool)
     for r, E_ids in enumerate(rows):
         seeds[r, [pos[e] for e in E_ids]] = True
+    run = partial(propagation._subset_first_levels, rank=rank,
+                  nlevels=len(levels), absorbing=absorbing)
     cols = [pos[z] for z in targets]
-    block = propagation._subset_first_levels(seeds, rank, len(levels), cols)
-    every = propagation._subset_first_levels(seeds, rank, len(levels),
-                                             [pos[z] for z in members])
+    block = run(seeds, cols=cols)
+    every = run(seeds, cols=[pos[z] for z in members])
     assert block.tolist() == \
         every[:, [members.index(z) for z in targets]].tolist()
     for r, E_ids in enumerate(rows):
-        alone = propagation._subset_first_levels(seeds[r:r + 1], rank,
-                                                 len(levels), cols)
+        alone = run(seeds[r:r + 1], cols=cols)
         assert alone[0].tolist() == block[r].tolist()
         knuth = propagation._knuth_first_levels(
             S, lam, E_ids, targets, S.iter_factors, S.product_ids(E_ids))
         assert {z: levels[i] for z, i in zip(targets, block[r]) if i >= 0} \
             == {z: knuth[z] for z in targets if z in knuth}
+
+
+# a collapsed top one point short of the ground: the seventh point is a
+# member alone, and its union with any other nonempty member collapses
+_SHORT_TOP = Semilattice.from_json({
+    "kind": "set_system", "ground": [str(p) for p in range(7)],
+    "elements": [[]] + [list(c) for m in (1, 2) for c in combinations(range(6),
+                                                                      m)]
+    + [[6], list(range(6))], "collapsed_top": 23})
+_COLLAPSED_HOSTS = {spec: _PROFILE_HOSTS[spec] for spec in (
+    "fin(6,3)", "fin(7,3)", "fin(4,2) less {0,1}")} | {"short top": _SHORT_TOP}
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(sorted(_COLLAPSED_HOSTS)),
+       wname=st.sampled_from(["random", "cardinality", "prototype"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
+                                                          data):
+    # every join, the top among them, takes the one-row subset pass
+    S = _COLLAPSED_HOSTS[spec]
+    try:
+        lam = random_logweight(S, seed) if wname == "random" else \
+            builtin_logweight(S, wname)
+    except PrototypeMissingTop:
+        assume(False)
+    E_ids = sorted(data.draw(st.sets(st.integers(0, S.n - 1), min_size=1,
+                                     max_size=4), label="E"))
+    assume(S.product_ids(E_ids) == S.top_id)
+    z = data.draw(st.integers(0, S.n - 1), label="z")
+    knuth = propagation._knuth_first_levels(S, lam, E_ids, [z],
+                                            S.iter_factors, S.top_id)
+    with mock.patch.object(propagation, "SUBSET_MIN_BITS", 0), \
+            mock.patch.object(propagation, "_knuth_first_levels", None):
+        assert v_value(S, lam, mask_of(E_ids), z) == \
+            PropagationValue.finite(knuth[z])
 
 
 def test_subset_pass_refuses_a_wide_join_before_allocating():
