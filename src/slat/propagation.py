@@ -5,16 +5,14 @@ For a weight level C, the one-step operator collects every element of the
 level set that divides a binary product of current members.  The least level
 at which the closure from a generating set reaches a target is a bottleneck
 cost: the largest weight a derivation uses, minimized over derivations.
-Two passes find these first levels for every target at once:
+Three passes find these first levels for every target at once:
 
 - the subset pass, on a set system, indexes the members inside a point set
   G by the subsets of G.  Each round is a subset-sum and a Moebius
   transform over those subsets (F. Yates, 1937; Bjoerklund, Husfeldt,
   Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
   STOC 2007), repeated to a fixed point at each weight level, for a batch
-  of closures at once, one a row.  The pass starts at the targets' least
-  level, skips levels that admit nothing and stops on the round that
-  reaches the last target; past ``SUBSET_MAX_BITS`` points
+  of closures at once, one a row.  Past ``SUBSET_MAX_BITS`` points
   ``Semilattice.subset_ids`` raises ``BudgetExceeded``.  The pairs of a
   reached set R whose union covers s number (-1)**|s| times the superset
   Moebius transform of f**2 at the complement of s, f the subset sums of
@@ -24,20 +22,36 @@ Two passes find these first levels for every target at once:
   ``KRONECKER_MAX_BITS`` points runs each transform, a Kronecker power of
   a 2 x 2 block, as two int64 matrix products over halves of the points,
   exact since no partial sum exceeds 8**k;
+- the element pass runs the same identity on the host's own order (G.-C.
+  Rota, "On the foundations of combinatorial theory I: theory of Moebius
+  functions", 1964), on a host of at most ``FULL_VALIDATE_CAP`` elements.
+  With A[t, x] = [tx = t], x a factor of t, f = A @ R counts the members
+  of R that are factors of each t, and f**2 the pairs whose product is a
+  factor of t, since t(xy) = t exactly when tx = t and ty = t.  inv(A)
+  turns those counts into pairs per exact product, and A.T marks every
+  factor of such a product: a round is ``K @ (A @ R)**2 != 0``, K = A.T @
+  inv(A), two float64 matrix products.  A guard (``_element_world``)
+  checks the meet identity on every triple, an exact integer inverse, and
+  n**2 times the largest row sum of |K| below 2**53, so that float64 holds
+  every partial sum of a round exactly;
 - the pair-by-pair pass works in the manner of Knuth's generalization of
   Dijkstra's algorithm (D. E. Knuth, "A generalization of Dijkstra's
   algorithm", IPL 6(1), 1977).
 
-Routing uses the one density rule, ``Semilattice.subsets_fit``: the 2^|G|
-subsets of G must not outnumber four times the host's elements.
-``v_value`` runs one closure, from generators whose product is J: a one-row
-subset pass over the subsets of J when J has at least ``SUBSET_MIN_BITS``
-points and fits the rule, else the pair-by-pair pass.
-``propagation_profile`` routes once per profile: when the points G of its
-level set fit the rule and number at most ``SUBSET_MAX_BITS``, its
-generating sets run in blocks, each block the rows of one subset pass over
-G; on other hosts each set takes the pair-by-pair pass.  The subset pass
-ranks a collapsed top like any member, so it serves as a seed and a target.
+The subset and element passes share one level loop (``_first_levels``):
+it starts at the targets' least level, skips levels that admit nothing and
+stops on the round that reaches the last target.  Routing uses the one
+density rule, ``Semilattice.subsets_fit``: the 2^|G| subsets of G must not
+outnumber four times the host's elements.  ``v_value`` runs one closure,
+from generators whose product is J: a one-row subset pass over the subsets
+of J when J has at least ``SUBSET_MIN_BITS`` points and fits the rule, else
+the pair-by-pair pass.  ``propagation_profile`` routes once per profile,
+and runs its generating sets in blocks, each block the rows of one pass:
+the subset pass over the points G of its level set when they fit the rule
+and number at most ``SUBSET_MAX_BITS``; else the element pass when the
+host passes its guard; else each set alone on the pair-by-pair pass.  The
+subset pass ranks a collapsed top like any member, so it serves as a seed
+and a target; the element pass treats it as any element.
 
 Levels are ranks of integer numerators (``np.unique``), once per ``v_value``
 call and per profile, so they stay exact.  ``fbp`` and ``fbp_closure`` apply
@@ -57,8 +71,8 @@ import numpy as np
 
 from ._bitset import bits, mask_of, popcount
 from .breadth import _iter_incompressible, breadth, is_compressible
-from .core import (SUBSET_MAX_BITS, BudgetExceeded, Semilattice, _subset_sweep,
-                   block_rows)
+from .core import (FULL_VALIDATE_CAP, SUBSET_MAX_BITS, BudgetExceeded,
+                   Semilattice, _subset_sweep, block_rows, row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -288,6 +302,47 @@ def _subset_world(S, lam, G_mask):
     return ids, levels, rank, absorbing
 
 
+def _element_world(S):
+    """The closed world of the element pass on a host of at most
+    ``FULL_VALIDATE_CAP`` elements: ``(A, K)`` in float64, A[t, x] = [tx =
+    t] (x a factor of t) and K = A.T @ inv(A), or None unless the guard
+    holds.  The guard asks for (a) the meet identity A[t, xy] = A[t, x] and
+    A[t, y], checked on every triple, a column of A at a time as a bitset
+    over t; (b) an exact integer inverse of A, by substitution in uint64
+    (wrapping) and kept only when its entries are below 2**53 / n and A @
+    inv(A) = I holds in float64, exact at that bound; and (c) n**2 times
+    the largest row sum of |K| below 2**53, so that every partial sum of a
+    round's float64 products is an exact integer."""
+    n = S.n
+    if n > FULL_VALIDATE_CAP:
+        return None
+    T = S.product_table_np()
+    A = T == np.arange(n)[:, None]
+    cols = np.packbits(A, axis=0).T         # column x of A, packed over t
+    for r0, r1 in row_blocks(n, n * cols.shape[1]):
+        if (cols[T[r0:r1]] != cols[r0:r1, None] & cols).any():
+            return None
+    # in the order of rising down-set size, a semilattice's A is upper
+    # unitriangular, and elements with down-sets of one size are pairwise
+    # incomparable: substitute a run of one size at a time
+    size = A.sum(axis=0)
+    order = np.argsort(size, kind="stable")
+    B = A[np.ix_(order, order)].astype(np.uint64)
+    Y = np.eye(n, dtype=np.uint64)
+    starts = np.flatnonzero(np.diff(size[order])) + 1
+    for s, e in zip(starts, [*starts[1:], n]):
+        Y[:s, s:e] -= Y[:s, :s] @ B[:s, s:e]
+    X = np.empty((n, n))
+    X[np.ix_(order, order)] = Y.view(np.int64)
+    A = A.astype(float)
+    if abs(X).max() * n >= 1 << 53 or not np.array_equal(A @ X, np.eye(n)):
+        return None
+    K = A.T @ X
+    if n * n * int(abs(K).sum(axis=1).max()) >= 1 << 53:
+        return None
+    return A, K
+
+
 def _subset_first_levels(seeds, rank, nlevels, absorbing, cols):
     """The subset-lattice pass: one closure per row of ``seeds``, a boolean
     array over the subsets of a set G (local indices, as ``_subset_world``
@@ -295,22 +350,13 @@ def _subset_first_levels(seeds, rank, nlevels, absorbing, cols):
 
     Until a closure forms the collapsed top, every product it forms is a
     member whose set lies inside G, so the closures of all rows run
-    together, each a column of one array.  At level i one round maps each
-    row's reached set R to the members of rank at most i inside the union
-    of two members of R; once such a union is absorbing, the product is the
-    top, which every element divides, and R becomes every member of rank at
-    most i.  A round only adds members, so rounds repeat until the count of
-    reached members stops growing; a row that forms the top at level i
-    reaches it at the larger of i and the top's own rank.  No target is
-    reached below its own rank and the closure only grows with the level,
-    so the pass starts at the least rank of a target.  The last unions
-    carry over, and the next level visited is the least rank among those
-    unions and the seeds not yet admitted: the levels between admit nothing
-    new.  Targets are read before each round, so the pass stops without a
-    confirming round once every row has reached its targets.  Returns, for
-    each row and each target local index in ``cols``, the index of the
-    first level at which the row's closure reaches the target, or -1 for a
-    target outside a join that is not the top.
+    together, each a column of one array.  A round maps each row's reached
+    set R to the members inside the union of two members of R
+    (``_pair_unions``); once such a union is absorbing, the product is the
+    top, which every element divides, and R becomes every member.  A row
+    that forms the top at level i reaches it at the larger of i and the
+    top's own rank.  Returns ``_first_levels``; a target outside a join that
+    is not the top is never reached.
     """
     cols = np.asarray(cols, dtype=np.int64)
     rows, local = np.nonzero(seeds)         # each row's union of seeds
@@ -319,10 +365,53 @@ def _subset_first_levels(seeds, rank, nlevels, absorbing, cols):
     topped = absorbing[joins][:, None]      # rows whose product is the top
     left = np.count_nonzero((cols & ~joins[:, None] == 0) | topped)
     top = _topped_form(absorbing) if topped.any() else None
+    return _first_levels(seeds, rank, nlevels, cols, left,
+                         partial(_pair_unions, top=top))
+
+
+def _element_first_levels(seeds, A, K, rank, nlevels, cols):
+    """The element pass: one closure per row of ``seeds``, a boolean
+    array over the elements of a host whose ``_element_world`` is
+    ``(A, K)``, with ``rank`` and its ``nlevels`` levels over every element.
+
+    A round maps each row's reached set R to ``K @ (A @ R)**2 != 0``, every
+    factor of a product of two members of R.  The factors of a row's
+    product J are the targets it reaches: t lies below J when A[t, e] holds
+    for every seed e, and J is the element below J with the most elements
+    below it.  Returns ``_first_levels``.
+    """
+    f = A @ seeds.T
+    below = f == seeds.sum(axis=1)          # t below each row's product J
+    joins = np.where(below, A.sum(axis=0)[:, None], -1).argmax(axis=0)
+    left = np.count_nonzero(A[joins][:, cols])
+    return _first_levels(seeds, rank, nlevels, cols, left,
+                         lambda R: K @ np.square(A @ R) != 0)
+
+
+def _first_levels(seeds, rank, nlevels, cols, left, step):
+    """The one level loop of the closure worlds: one closure per row of
+    ``seeds``, a boolean array over a world's indices, whose ``rank`` gives
+    each index's level (``nlevels`` for one never admitted), with ``left``
+    (row, target) pairs reachable among the targets at indices ``cols``.
+
+    The closures of all rows run together, each a column of one array.  At
+    level i one round, ``step``, maps each column's reached set R to a
+    superset of it, and its members of rank at most i are the next R.  A
+    round only adds members, so rounds repeat until the count of reached
+    members stops growing.  No target is reached below its own rank and the
+    closure only grows with the level, so the pass starts at the least rank
+    of a target.  The last round's output carries over, and the next level
+    visited is the least rank among it and the seeds not yet admitted: the
+    levels between admit nothing new.  Targets are read before each round,
+    so the pass stops without a confirming round once every row has reached
+    its targets.  Returns, for each row and each target in ``cols``, the
+    index of the first level at which the row's closure reaches the target,
+    or -1 for a target it never reaches.
+    """
     seeds = np.ascontiguousarray(seeds.T)
     first = np.full((len(cols), seeds.shape[1]), -1)
     done = count = 0
-    held = seeds                    # the last round's unions, and the seeds
+    held = seeds                    # the last round's output, and the seeds
     i = rank[cols].min() if left else nlevels
     while i < nlevels:
         allowed = (rank <= i)[:, None]
@@ -334,7 +423,7 @@ def _subset_first_levels(seeds, rank, nlevels, absorbing, cols):
                 if (done := n) == left:
                     return first.T
             count = grown
-            held = _pair_unions(nxt, top)
+            held = step(nxt)
             nxt = held & allowed
         held |= seeds
         i = rank.min(where=held.any(axis=1) & (rank > i), initial=nlevels)
@@ -439,36 +528,44 @@ def _block_winners(S, lam, W_ids, sets):
     in order, and yield ``(E_ids, top, first)`` for each block: the first
     set of the block whose largest first level of a target in ``W_ids`` is
     the block's largest, that level, and the ``{id: level}`` map of its
-    closure.  Blocks are routed as the module docstring says: a block is
-    ``block_rows(2**|G|)`` sets on the subset pass over the points G of
-    ``W_ids``, or one set on the pair-by-pair pass.
+    closure.  Blocks are routed once, three ways: ``block_rows(2**|G|)``
+    sets on the subset pass when the points G of ``W_ids`` fit the density
+    rule and number at most ``SUBSET_MAX_BITS``; else ``block_rows(n)`` sets
+    on the element pass when ``_element_world`` admits the host; else one
+    set on the pair-by-pair pass.  The first two run their rows through
+    ``_first_levels``.
     """
     sets = iter(sets)
-    if S.kind == "set_system":
-        G = int(np.bitwise_or.reduce(S.masks_of(W_ids)))
-        if popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
-            ids, nums, rank, absorbing = _subset_world(S, lam, G)
-            levels = [Fraction(a, lam.den) for a in nums.tolist()]
-            inside = np.flatnonzero(ids >= 0)
-            pos = dict(zip(ids[inside].tolist(), inside.tolist()))
-            cols = [pos[z] for z in W_ids]
-            while block := list(islice(sets, block_rows(len(ids)))):
-                seeds = np.zeros((len(block), len(ids)), dtype=bool)
-                seeds[[j for j, E_ids in enumerate(block) for _ in E_ids],
-                      [pos[e] for E_ids in block for e in E_ids]] = True
-                first = _subset_first_levels(seeds, rank, len(levels),
-                                             absorbing, cols)
-                tops = first.max(axis=1)
-                r = tops.argmax()
-                yield block[r], levels[tops[r]], {
-                    z: levels[i] for z, i in zip(W_ids, first[r]) if i >= 0}
-            return
-    factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
-    ranked = _ranked(lam, np.arange(S.n))
-    for E_ids in sets:
-        first = _knuth_first_levels(S, lam, E_ids, W_ids, factors,
-                                    S.product_ids(E_ids), ranked)
-        yield E_ids, max(first[z] for z in W_ids if z in first), first
+    G = int(np.bitwise_or.reduce(S.masks_of(W_ids))) \
+        if S.kind == "set_system" else None
+    if G is not None and popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
+        ids, nums, rank, absorbing = _subset_world(S, lam, G)
+        inside = np.flatnonzero(ids >= 0)
+        pos = dict(zip(ids[inside].tolist(), inside.tolist()))
+        run = partial(_subset_first_levels, absorbing=absorbing)
+    elif (world := _element_world(S)) is not None:
+        ids = pos = range(S.n)
+        nums, rank = np.unique(lam.num(np.arange(S.n)), return_inverse=True)
+        run = partial(_element_first_levels, A=world[0], K=world[1])
+    else:
+        factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
+        ranked = _ranked(lam, np.arange(S.n))
+        for E_ids in sets:
+            first = _knuth_first_levels(S, lam, E_ids, W_ids, factors,
+                                        S.product_ids(E_ids), ranked)
+            yield E_ids, max(first[z] for z in W_ids if z in first), first
+        return
+    levels = [Fraction(a, lam.den) for a in nums.tolist()]
+    cols = np.array([pos[z] for z in W_ids])
+    while block := list(islice(sets, block_rows(len(ids)))):
+        seeds = np.zeros((len(block), len(ids)), dtype=bool)
+        seeds[[j for j, E_ids in enumerate(block) for _ in E_ids],
+              [pos[e] for E_ids in block for e in E_ids]] = True
+        first = run(seeds, rank=rank, nlevels=len(levels), cols=cols)
+        tops = first.max(axis=1)
+        r = tops.argmax()
+        yield block[r], levels[tops[r]], {
+            z: levels[i] for z, i in zip(W_ids, first[r]) if i >= 0}
 
 
 def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000,
@@ -482,8 +579,10 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     the cost.  Exhaustive when the enumeration fits the budget; otherwise a
     seeded sampled lower bound (or BudgetExceeded in strict mode).  The
     closures run a block of generating sets at a time, in enumeration order
-    (``_block_winners``); on the pair-by-pair pass they share one factor
-    list per element, cached for this call only.
+    (``_block_winners``), on the subset pass, the element pass (a host of at
+    most ``FULL_VALIDATE_CAP`` elements that passes its guard) or the
+    pair-by-pair pass; on the last they share one factor list per element,
+    cached for this call only.  Every pass gives the same profile.
     """
     L = Fraction(L)
     W_mask = level_set(S, lam, L)

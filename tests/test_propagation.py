@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (naive_closure, naive_fbp_step, naive_pair_unions,
-                     naive_profile, naive_stable, naive_v)
+                     naive_profile, naive_stable, naive_v, planted_table_json)
 from test_acceptance import _dense_v_oracle
 from test_weights import without_member
 from slat import core, propagation
@@ -26,8 +26,8 @@ from slat.propagation import (INFINITE, SUBSET_MIN_BITS, BudgetExceeded,
                               fbp_closure, finite_breadth_bound_check,
                               is_fbp_stable, propagation_profile,
                               stability_threshold, v_value)
-from slat.weights import (PrototypeMissingTop, builtin_logweight, level_set,
-                          random_logweight)
+from slat.weights import (LogWeight, PrototypeMissingTop, builtin_logweight,
+                          level_set, random_logweight)
 
 
 def test_propagation_value_ordering():
@@ -280,6 +280,7 @@ def test_batched_profile_matches_the_per_set_pass(S, wname, seed, budget,
         mp.setattr(core, "NP_BLOCK_ELEMS", block_elems)
         batched = run()
         mp.setattr(propagation, "SUBSET_MAX_BITS", -1)   # every set alone
+        mp.setattr(propagation, "_element_world", lambda S: None)
         per_set = run()
     assert _profile_fields(batched) == _profile_fields(per_set)
 
@@ -309,13 +310,28 @@ def test_fitting_hosts_never_take_the_pair_pass(monkeypatch):
     assert v_value(S, proto, 1 << S.top_id, S.id_of_mask(1)).c == 1
 
 
-def test_sparse_profiles_stay_on_the_pair_pass(monkeypatch):
+def test_sparse_profiles_below_the_cap_take_the_element_pass(monkeypatch):
     # 12 nested sets span 12 points: 4096 subsets for 12 members
     S = chain_system(12)
     lam = builtin_logweight(S, "cardinality")
     monkeypatch.setattr(propagation, "_subset_first_levels", None)
+    monkeypatch.setattr(propagation, "_knuth_first_levels", None)
     prof = propagation_profile(S, lam, 12)
     assert prof.exhaustive and prof.value == PropagationValue.finite(12)
+
+
+def test_sparse_profiles_stay_on_the_pair_pass(monkeypatch):
+    # 260 nested sets, above the cap of the element pass, whose first 11
+    # span 2048 subsets; and a sparse family that fails the guard
+    monkeypatch.setattr(propagation, "_subset_first_levels", None)
+    monkeypatch.setattr(propagation, "_element_first_levels", None)
+    S = chain_system(core.FULL_VALIDATE_CAP + 9)
+    prof = propagation_profile(S, builtin_logweight(S, "cardinality"), 11)
+    assert prof.exhaustive and prof.value == PropagationValue.finite(11)
+    assert propagation._element_world(_BROKEN_MEET) is None
+    prof = propagation_profile(_BROKEN_MEET, builtin_logweight(
+        _BROKEN_MEET, "cardinality"), 1)
+    assert prof.exhaustive and prof.value == PropagationValue.finite(1)
 
 
 def test_profile_of_pstar6_at_level_3_is_fast():
@@ -336,6 +352,111 @@ def test_profile_of_fin_6_3_at_level_3_is_fast():
     prof = propagation_profile(S, lam, 3)
     assert time.perf_counter() - t < 0.1
     assert prof.value == PropagationValue.finite(3) and prof.exhaustive
+
+
+# -- the element pass ---------------------------------------------------------
+
+# a collapsed-top family that is not a semilattice: {0} and {1} join to the
+# top, yet both lie inside the member {0,1,2}
+_BROKEN_MEET = Semilattice.from_json({
+    "kind": "set_system", "ground": [str(p) for p in range(8)],
+    "elements": [[]] + [[p] for p in range(8)] + [[0, 1, 2], list(range(8))],
+    "collapsed_top": 10})
+
+
+def _all_fields(prof):
+    return _profile_fields(prof) + (prof.notes,)
+
+
+def _pair_pass_profile(S, lam, L, **kw):
+    with mock.patch.object(propagation, "_element_world", lambda S: None):
+        return propagation_profile(S, lam, L, **kw)
+
+
+@pytest.mark.parametrize("host", ["non-associative table", "broken meet",
+                                  "above the cap"])
+def test_element_guard_sends_profiles_to_the_pair_pass(host, monkeypatch):
+    if host == "non-associative table":
+        S = Semilattice.from_json(planted_table_json(n=40, cells=80, seed=3))
+        assert not S.validate().ok
+        lams = [random_logweight(S, 1), builtin_logweight(S, "zero")]
+    elif host == "broken meet":
+        S = _BROKEN_MEET
+        lams = [random_logweight(S, 1), builtin_logweight(S, "cardinality")]
+    else:
+        S = kary_tree(2, 3)
+        lams = [random_logweight(S, 1)]
+    # the element pass's answers, before the cap comes down
+    expect = [_all_fields(propagation_profile(S, lam, L)) for lam in lams
+              for L in lam.distinct_values()]
+    if host == "above the cap":
+        monkeypatch.setattr(propagation, "FULL_VALIDATE_CAP", S.n - 1)
+    assert propagation._element_world(S) is None
+    monkeypatch.setattr(propagation, "_element_first_levels", None)
+    assert [_all_fields(propagation_profile(S, lam, L)) for lam in lams
+            for L in lam.distinct_values()] == expect == \
+        [_all_fields(_pair_pass_profile(S, lam, L)) for lam in lams
+         for L in lam.distinct_values()]
+
+
+def test_element_world_of_a_chain():
+    # on chain(m), x is a factor of t when t <= x, and a round covers z when
+    # the min of some pair is at most z: every pair, less those above z
+    A, K = propagation._element_world(chain(6))
+    assert np.array_equal(A, np.triu(np.ones((6, 6))))
+    expect = -np.eye(6, k=1)
+    expect[:, 0] = 1
+    assert np.array_equal(K, expect)
+
+
+_ELEMENT_HOSTS = {spec: generate_instance(spec) for spec in (
+    "tree(2,3)", "tree(3,2)", "tree(2,4)", "chain(1)", "chain(5)",
+    "chain(12)", "fin(9,2)")}
+_ELEMENT_HOSTS.update({f"sch_embed({spec})": sch_embed(generate_instance(
+    spec)).semilattice for spec in ("tree(2,2)", "tree(3,2)", "chain(6)")})
+_ELEMENT_HOSTS.update({f"chain_system({k})": chain_system(k) for k in (5, 12)})
+_ELEMENT_HOSTS["fin(9,2) less {1,2}"] = without_member(fin_truncation(9, 2),
+                                                       [1, 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(sorted(_ELEMENT_HOSTS)),
+       wname=st.sampled_from(["random", "cardinality", "zero", "distinct"]),
+       seed=st.integers(0, 10_000),
+       budget=st.sampled_from([1, 5, 40, 500_000]), data=st.data())
+def test_element_pass_matches_the_pair_pass(spec, wname, seed, budget, data):
+    # every set-system level set skips the subset pass, so each profile
+    # runs on the element pass or, forced, on the pair pass
+    S = _ELEMENT_HOSTS[spec]
+    assume(wname != "cardinality" or S.kind == "set_system")
+    if wname == "random":
+        lam = random_logweight(S, seed)
+    elif wname == "distinct":
+        lam = LogWeight.from_values([Fraction(v, 3) for v in random.Random(
+            seed).sample(range(10 * S.n), S.n)])
+    else:
+        lam = builtin_logweight(S, wname)
+    assert propagation._element_world(S) is not None
+    L = data.draw(st.sampled_from(lam.distinct_values()), label="L")
+    run = partial(propagation_profile, S, lam, L, budget=budget, seed=seed,
+                  samples=25)
+    with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
+            mock.patch.object(propagation, "_knuth_first_levels", None):
+        element = run()
+    with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
+            mock.patch.object(propagation, "_element_world", lambda S: None):
+        pair = run()
+    assert _all_fields(element) == _all_fields(pair)
+
+
+def test_profile_of_tree_2_6_at_a_random_weight_is_fast():
+    S = kary_tree(2, 6)
+    lam = random_logweight(S, 5)
+    t = time.perf_counter()
+    prof = propagation_profile(S, lam, Fraction(7, 3))
+    assert time.perf_counter() - t < 0.8
+    assert (prof.value, prof.witness_E, prof.witness_z, prof.nodes) == \
+        (PropagationValue.finite(Fraction(7, 3)), 1, 26, 116831)
 
 
 # -- the two closure passes --------------------------------------------------
