@@ -19,23 +19,25 @@ experiments", 1937, as in ``propagation``).  When k is at most
 ``breadth`` takes this route, and a min-transform of the search positions
 rebuilds the branch and bound's witness (``_first_witness``).  Tables,
 other collapsed-top families and sparse or wide set systems take the branch
-and bound over ``_iter_incompressible``.
+and bound over ``_incompressible``.
 
 That enumerator, shared with the profiles and ``find_incompressible``,
-keeps the candidates that leave its set incompressible as one bitset over
-its positions: those outside R(t), where t.x names t, and outside each
-Q(r_y, t), where r_y.x and t.x name one element.  On a set system without a
-collapsed top these are ORs and ANDs of one bitset of positions per point
-(x holds a point off t; x holds every point of t less r_y); on other hosts
-they compare rows of products, one row per product.
+builds the incompressible sets a level at a time, as arrays: the sets of
+m + 1 members extend those of m by a later position x that makes no member
+droppable, x outside R(t), where t.x names t, and outside each Q(r_y, t),
+where r_y.x and t.x name one element.  One gather from the product table,
+or on a set system one union of member sets, gives t.x and every r_y.x for
+a whole level, and a sort of the levels' positions gives the order of a
+depth-first walk.  Its counts of positions tried, and the branch and
+bound's cuts, follow from each set's last position and the sets before it
+in that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import eq
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,8 +50,6 @@ from .core import (SUBSET_MAX_BITS, TABLE_HARD_CAP, _join_closure,
 _EXACT_MAX_ELEMENTS = 5000
 #: most nodes of ``find_incompressible``'s search
 _FIND_NODE_CAP = 2_000_000
-#: bytes 0 and 1 to the digits "0" and "1", to read a row of flags as a bitset
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class EmptySetError(ValueError):
@@ -135,15 +135,15 @@ def _point_index(S):
     return k, local
 
 
-def _distinctness_order(S, index=None):
+def _distinctness_order(S, index=None, T=None):
     """Element order for the search: descending count of elements not below,
     ties by canonical id.
 
     y is below x when x's set lies inside y's, so with the ``_point_index``
     of the host the count is n less the supersets of x, which one
     superset-sum pass over the 2**k subsets gives for every x at once;
-    otherwise one row-block scan of the product table counts, for every x,
-    the y with y.x != y."""
+    otherwise one row-block scan of the product table (``T`` when given)
+    counts, for every x, the y with y.x != y."""
     n = S.n
     if index is not None:
         k, local = index
@@ -154,147 +154,121 @@ def _distinctness_order(S, index=None):
     if n > TABLE_HARD_CAP:
         score = [sum(not S.leq(y, x) for y in range(n)) for x in range(n)]
         return sorted(range(n), key=lambda x: (-score[x], x))
-    T, ids = S.product_table_np(), np.arange(n)
+    T = S.product_table_np() if T is None else T
+    ids = np.arange(n)
     score = np.zeros(n, dtype=np.int64)     # the y with T[y, x] != y
     for r0, r1 in row_blocks(n, n):
         score += (T[r0:r1] != ids[r0:r1, None]).sum(axis=0)
     return np.argsort(-score, kind="stable").tolist()
 
 
-def _iter_incompressible(S, order, counter, budget, floor=lambda: 0):
-    """Depth-first enumeration of the nonempty incompressible subsets of
-    ``order``, each yielded as a list that follows ``order``, parents
-    before children.
+def _incompressible(S, order, floor=0, budget=math.inf, depth=None, T=None):
+    """The nonempty incompressible subsets of ``order`` as ``(sets,
+    total)``: one set a row of ``sets``, its positions in ``order`` rising
+    and padded with -1, in preorder (the lexicographic order of positions,
+    a set before its extensions), the order of a depth-first walk.
 
-    Incompressibility is hereditary, so compressible branches are cut.  A
-    level stops once ``len(cur) + len(order) - i < floor()``; the floor can
-    only change while the generator is suspended, so it is read again after
-    each yield only.  ``counter["nodes"]`` counts the candidates tried and
-    is current whenever the generator is suspended or done; past ``budget``
-    the generator sets ``counter["capped"]`` and stops.
+    Incompressibility is hereditary, so the sets of m + 1 members are those
+    of m, each extended by a later position (the level-wise candidate
+    generation of R. Agrawal and R. Srikant, "Fast algorithms for mining
+    association rules", VLDB 1994).  A level holds, for each set, its
+    positions, its product t and its rests r (the products of the set less
+    one member; for one member the empty product, with r.x = x).  x is kept
+    when tx != t and tx != r.x for every r, all read from one array a
+    level: a gather from a table of products (``T``, else the host's own
+    table), or on a set system the unions of member sets, a union that is
+    not a member naming the collapsed top.  A set of m members takes no
+    position past m + |order| - ``floor``, and ``depth`` is the largest
+    size built.
 
-    Each open level keeps the product t of ``cur``, its rest products r_y
-    (``cur`` without y; none for one member) and one bitset over the
-    positions of ``order``: the candidates x that keep ``cur``
-    incompressible, outside R(t), where t.x names t, and outside each
-    Q(r_y, t), where r_y.x and t.x name one element (``_candidate_filter``).
-    They lie among the parent level's, so a level whose parent has none
-    left is empty untested.  The walk jumps to the next candidate and counts
-    each position it passes as tried, whether or not it is a candidate.
+    The walk tries, for the empty set and then for each set, every later
+    position it may take.  Only the sets it reaches within ``budget``
+    tries are returned; ``total`` counts its tries, or is ``budget + 1``
+    (at least 1) once they pass the budget.  A level drops the sets whose tries counted
+    at their own level already pass it, so it holds at most ``budget`` +
+    |order| sets.
     """
-    key, join, resolve = S.join_seam()
-    keys = [key(x) for x in order]
     n = len(order)
-    keep = None                     # built when a level is first tested
-    cur = []
-    levels = [[0, (1 << n) - 1, None, None]]  # cursor, candidates, t, rests
-    nodes = counter["nodes"]
-    lo = floor()
-    while levels:
-        level = levels[-1]
-        i, cand, total, rests = level
-        last = len(cur) + n - lo    # later positions cannot reach the floor
-        if last >= n:
-            last = n - 1
-        if i <= last:
-            if cand is None:        # first visit: test the parent's rest
-                cand = levels[-2][1] >> i << i
-                if cand:
-                    keep = keep or _candidate_filter(S, keys, join, resolve)
-                    cand = keep(cand, total, rests)
-                level[1] = cand
-            ahead = cand >> i
-            j = i + (ahead & -ahead).bit_length() - 1 if ahead else n
-            tried = (j if j < last else last) - i + 1
-            if nodes + tried > budget:
-                counter["nodes"] = max(nodes, math.floor(budget)) + 1
-                counter["capped"] = True
-                return
-            nodes += tried
-            if j <= last:
-                level[0] = j + 1
-                x = new = keys[j]
-                new_rests = []
-                if cur:
-                    add = join(x)
-                    new, new_rests = add(total), [*map(add, rests)] or [x]
-                    new_rests.append(total)
-                cur.append(order[j])
-                counter["nodes"] = nodes
-                yield list(cur)
-                lo = floor()
-                levels.append([j + 1, None, new, new_rests])
-                continue
-        levels.pop()                # exhausted or cut: close the level
-        if cur:
-            cur.pop()
-    counter["nodes"] = nodes
+    ids = np.array(order, dtype=np.int64)
+    if T is None and S.kind == "table":
+        T = S.product_table_np()
+    if T is not None:               # row u: u.x per position; row -1, x
+        rows = np.concatenate([T[:, ids], ids[None].astype(T.dtype)])
+        names = ids
+    else:
+        masks = names = S.masks_of(ids)
+        if S.top_id is not None:
+            topmask = S.masks_of(np.array([S.top_id]))[0]
+    at = np.arange(n)
+    total = max(0, min(n, n - floor + 1))   # the empty set's tries
+    # a set a row: its positions, its product, its rests; the empty
+    # product is -1 in a table and no points in a set system
+    state = np.empty((total, 3), dtype=names.dtype)
+    state[:, 0], state[:, 1] = at[:total], names[:total]
+    state[:, 2] = -1 if T is not None else 0
+    levels, m = [], 0
+    while len(state):
+        m += 1
+        top = min(n - 1, m + n - floor)
+        pos, names = state[:, :m], state[:, m:]
+        last = pos[:, -1]
+        tries = len(pos) * top - int(last.sum())
+        total += tries
+        if total > budget:
+            w = top - last
+            keep = np.searchsorted(np.cumsum(w) - w + last + 1, budget,
+                                   side="right")
+            levels.append(pos[:keep + 1])   # the first set dropped marks
+            state, names, last = state[:keep], names[:keep], last[:keep]
+            total = max(0, math.floor(budget)) + 1  # where the prefix ends
+        else:
+            levels.append(pos)
+        if m == depth or not len(state) or not tries:
+            break
+        parts = []
+        for r0, r1 in row_blocks(len(state), (m + 1) * (top + 1)):
+            if T is not None:               # t.x, then r.x for each rest r
+                G = rows[names[r0:r1], :top + 1]
+            else:
+                G = names[r0:r1, :, None] | masks[:top + 1]
+                if S.top_id is not None:
+                    G[S.ids_of(G) < 0] = topmask
+            ok = np.logical_and.reduce(G[:, 1:] != G[:, :1], axis=1)
+            ok &= G[:, 0] != names[r0:r1, :1]
+            ok &= at[:top + 1] > last[r0:r1, None]
+            par, x = ok.nonzero()
+            got = state[r0:r1][par]
+            parts.append(np.concatenate([got[:, :m], x[:, None], G[par, :, x],
+                                         got[:, m:m + 1]], axis=1))
+        state = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _preorder(levels, n, floor, total, budget)
 
 
-def _candidate_filter(S, keys, join, resolve):
-    """``keep(cand, t, rests)``: the positions of the bitset ``cand`` whose
-    key joins a set with product t and rest products ``rests`` (as in
-    ``_iter_incompressible``; a one-member set has one rest, None, the
-    empty product) without making a member droppable, that is ``cand``
-    less R(t) and less each Q(r, t).
-
-    On a set system without a collapsed top, x is outside R(t) when it
-    holds a point off t, and in Q(r, t) when it holds every point of t - r
-    (all of t when r is None): ORs and ANDs of one bitset of positions per
-    point.  On any other host R and Q compare rows of the elements that
-    a.x names, one row per key a, cached for the call with R and Q.
-    """
-    if S.kind == "set_system" and S.top_id is None:
-        at, ground = {}, 0          # at[1 << p]: the positions holding p
-        for i, m in enumerate(keys):
-            ground |= m
-            while m:
-                low = m & -m
-                at[low] = at.get(low, 0) | 1 << i
-                m ^= low
-
-        def keep(cand, t, rests):
-            off, m = 0, ground & ~t
-            while m:
-                low = m & -m
-                off, m = off | at[low], m ^ low
-            cand &= off
-            for r in rests or (None,):
-                if not cand:
-                    break
-                q, m = -1, t if r is None else t & ~r
-                while m:
-                    low = m & -m
-                    q, m = q & at[low], m ^ low
-                cand &= ~q
-            return cand
-        return keep
-    rkeys, rows, R, Q = keys[::-1], {}, {}, {}  # highest position first
-
-    def row(a):
-        if a not in rows:
-            got = rkeys if a is None else [*map(join(a), rkeys)]
-            rows[a] = got if resolve is None else [resolve(m) for m in got]
-        return rows[a]
-
-    def keep(cand, t, rests):
-        if t not in R:
-            R[t] = ~_bitset(map(eq, row(t), repeat(
-                t if resolve is None else resolve(t))))
-        cand &= R[t]
-        for r in rests or (None,):
-            if not cand:
-                break
-            if (r, t) not in Q:
-                Q[r, t] = _bitset(map(eq, row(r), row(t)))
-            cand &= ~Q[r, t]
-        return cand
-    return keep
+def _preorder(levels, n, floor, total, budget):
+    """``_incompressible``'s levels in preorder, cut after the sets within
+    the budget when the walk passes it."""
+    sets = np.full((sum(map(len, levels)), len(levels)), -1, dtype=np.int64)
+    r0 = 0
+    for m, pos in enumerate(levels, 1):
+        sets[r0:r0 + len(pos), :m] = pos
+        r0 += len(pos)
+    sets = sets[np.lexsort(sets.T[::-1])] if len(levels) > 1 else sets
+    if total > budget:
+        sets = sets[np.logical_and.accumulate(_counts(sets, n, floor)
+                                              <= budget)]
+    return sets, total
 
 
-def _bitset(flags):
-    """A row of flags, the highest position first, as a bitset."""
-    return int(bytes(flags).translate(_DIGITS), 2)
+def _counts(sets, n, floor):
+    """The walk's count of tries when it reaches each of ``sets``, which
+    hold in preorder every set it reaches up to the last of them: the
+    positions up to the set's last, and the tries of each set before it
+    but its own prefixes."""
+    tops = np.minimum(n - 1, np.arange(1, sets.shape[1] + 1) + n - floor)
+    rows, size = np.arange(len(sets)), (sets >= 0).sum(axis=1)
+    tries = np.where(sets >= 0, tops - sets, 0)
+    own = tries[rows, size - 1]
+    return sets[rows, size - 1] + 1 + np.cumsum(own) - tries.sum(axis=1)
 
 
 def breadth(S, cap: int = 10_000_000) -> BreadthReport:
@@ -327,23 +301,38 @@ def _branch_and_bound(S, cap):
     """Breadth by branch and bound when the search fits in ``cap`` nodes;
     otherwise the best lower bound found, marked non-exhaustive.
 
-    Incompressibility is hereditary, so any branch that turns compressible
-    is cut immediately.
+    The branch and bound walks the incompressible sets in preorder and
+    reaches a set s while the positions after s's last can still bring it
+    to a floor: one more than the largest set found before s, at least 2
+    (the first member of the order is the first best).  A set cut is never
+    larger than the largest set before it, so the floor is one more than
+    the largest set before s, reached or not, and one level-wise pass
+    (``_incompressible``) gives every cut at once.  The nodes are the empty
+    set and each set reached, ``cap`` at most; the pass keeps the sets of
+    its walk within ``cap`` * n tries, enough for its first ``cap`` sets,
+    and twice as many while fewer than ``cap`` of those are reached.
     """
-    order = _distinctness_order(S)
-    best = [order[0]] if S.n else []
-    nodes, capped = 0, False
-    walk = _iter_incompressible(S, order, {"nodes": 0}, math.inf,
-                                lambda: len(best) + 1)
-    for ids in chain([[]], walk):
-        if nodes >= cap:
-            capped = True
+    T = S.product_table_np() if S.n <= TABLE_HARD_CAP else None
+    order = _distinctness_order(S, T=T)
+    n = len(order)
+    keep = cap * max(n, 1)          # each set tries at most n positions
+    while True:
+        sets, total = _incompressible(S, order, 2, keep, T=T)
+        size = (sets >= 0).sum(axis=1)
+        last = sets[np.arange(len(sets)), size - 1]
+        floor = 1 + np.maximum.accumulate(np.concatenate([[1], size[:-1]]))
+        reached = np.flatnonzero(last <= size - 1 + n - floor)
+        if total <= keep or len(reached) >= cap:
             break
-        nodes += 1
-        if len(ids) > len(best):
-            best = ids
-    return BreadthReport(len(best), mask_of(best), exhaustive=not capped,
-                         nodes=nodes)
+        keep *= 2
+    best = [order[0]] if n else []
+    seen = reached[:max(cap - 1, 0)]
+    if len(seen) and size[seen].max() > 1:
+        row = sets[seen[size[seen].argmax()]]
+        best = [order[p] for p in row[row >= 0].tolist()]
+    return BreadthReport(len(best), mask_of(best),
+                         exhaustive=len(reached) < cap,
+                         nodes=max(0, min(cap, len(reached) + 1)))
 
 
 def _transform_breadth(S, index):
@@ -424,8 +413,9 @@ def find_incompressible(S, size):
     """Some incompressible subset of exactly ``size`` elements, or None when
     the host has none.
 
-    Tries the greedy pass first, then an exhaustive depth-first search.
-    That search is cut, with SizeLimit naming the limit, on a host above
+    Tries the greedy pass first, then the first such set in the preorder
+    of an exhaustive depth-first search (``_incompressible``).  That search
+    is cut, with SizeLimit naming the limit, on a host above
     ``_EXACT_MAX_ELEMENTS`` elements or after ``_FIND_NODE_CAP`` nodes.
     """
     if size < 1:
@@ -440,13 +430,14 @@ def find_incompressible(S, size):
         raise SizeLimit(f"{cut}: the host has over {_EXACT_MAX_ELEMENTS} "
                         f"elements")
     order = _distinctness_order(S, _point_index(S))
-    counter = {"nodes": 0, "capped": False}
-    walk = _iter_incompressible(S, order, counter, _FIND_NODE_CAP,
-                                lambda: size)
-    found = next((ids for ids in walk if len(ids) == size), None)
-    if counter["capped"]:
+    sets, total = _incompressible(S, order, size, _FIND_NODE_CAP,
+                                  depth=size)
+    found = sets[(sets >= 0).sum(axis=1) == size]
+    if len(found):
+        return [order[p] for p in found[0].tolist()]
+    if total > _FIND_NODE_CAP:
         raise SizeLimit(f"{cut} at {_FIND_NODE_CAP} nodes")
-    return found
+    return None
 
 
 def is_free_embedding(S, ids) -> bool:

@@ -65,14 +65,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial, total_ordering
-from itertools import chain, islice
 
 import numpy as np
 
 from ._bitset import bits, mask_of, popcount
-from .breadth import _iter_incompressible, breadth, is_compressible
+from .breadth import _incompressible, breadth, is_compressible
 from .core import (FULL_VALIDATE_CAP, SUBSET_MAX_BITS, BudgetExceeded,
-                   Semilattice, _subset_sweep, block_rows, row_blocks)
+                   Semilattice, _subset_sweep, row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -302,21 +301,22 @@ def _subset_world(S, lam, G_mask):
     return ids, levels, rank, absorbing
 
 
-def _element_world(S):
+def _element_world(S, T=None):
     """The closed world of the element pass on a host of at most
-    ``FULL_VALIDATE_CAP`` elements: ``(A, K)`` in float64, A[t, x] = [tx =
-    t] (x a factor of t) and K = A.T @ inv(A), or None unless the guard
-    holds.  The guard asks for (a) the meet identity A[t, xy] = A[t, x] and
-    A[t, y], checked on every triple, a column of A at a time as a bitset
-    over t; (b) an exact integer inverse of A, by substitution in uint64
-    (wrapping) and kept only when its entries are below 2**53 / n and A @
-    inv(A) = I holds in float64, exact at that bound; and (c) n**2 times
-    the largest row sum of |K| below 2**53, so that every partial sum of a
-    round's float64 products is an exact integer."""
+    ``FULL_VALIDATE_CAP`` elements, from its product table (``T`` when
+    given): ``(A, K)`` in float64, A[t, x] = [tx = t] (x a factor of t)
+    and K = A.T @ inv(A), or None unless the guard holds.  The guard asks
+    for (a) the meet identity A[t, xy] = A[t, x] and A[t, y], checked on
+    every triple, a column of A at a time as a bitset over t; (b) an exact
+    integer inverse of A, by substitution in uint64 (wrapping) and kept
+    only when its entries are below 2**53 / n and A @ inv(A) = I holds in
+    float64, exact at that bound; and (c) n**2 times the largest row sum
+    of |K| below 2**53, so that every partial sum of a round's float64
+    products is an exact integer."""
     n = S.n
     if n > FULL_VALIDATE_CAP:
         return None
-    T = S.product_table_np()
+    T = S.product_table_np() if T is None else T
     A = T == np.arange(n)[:, None]
     cols = np.packbits(A, axis=0).T         # column x of A, packed over t
     for r0, r1 in row_blocks(n, n * cols.shape[1]):
@@ -523,48 +523,51 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
 
 # -- per-level profile -------------------------------------------------------
 
-def _block_winners(S, lam, W_ids, sets):
+def _block_winners(S, lam, W_ids, sets, T=None):
     """Run the closures of the generating sets ``sets`` a block at a time,
     in order, and yield ``(E_ids, top, first)`` for each block: the first
     set of the block whose largest first level of a target in ``W_ids`` is
     the block's largest, that level, and the ``{id: level}`` map of its
-    closure.  Blocks are routed once, three ways: ``block_rows(2**|G|)``
+    closure.  A set is a row of positions in ``W_ids``, padded with -1
+    (``breadth._incompressible``), and a block's seeds are filled from its
+    rows at once.  Blocks are routed once, three ways: ``block_rows(2**|G|)``
     sets on the subset pass when the points G of ``W_ids`` fit the density
     rule and number at most ``SUBSET_MAX_BITS``; else ``block_rows(n)`` sets
-    on the element pass when ``_element_world`` admits the host; else one
-    set on the pair-by-pair pass.  The first two run their rows through
-    ``_first_levels``.
+    on the element pass when ``_element_world`` admits the host (from the
+    product table ``T`` when given); else one set on the pair-by-pair pass.
+    The first two run their rows through ``_first_levels``.
     """
-    sets = iter(sets)
-    G = int(np.bitwise_or.reduce(S.masks_of(W_ids))) \
+    W = np.array(W_ids)
+    G = int(np.bitwise_or.reduce(S.masks_of(W))) \
         if S.kind == "set_system" else None
     if G is not None and popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
         ids, nums, rank, absorbing = _subset_world(S, lam, G)
-        inside = np.flatnonzero(ids >= 0)
-        pos = dict(zip(ids[inside].tolist(), inside.tolist()))
+        at = np.argsort(ids)                # each target's local index
+        cols = at[np.searchsorted(ids, W, sorter=at)]
         run = partial(_subset_first_levels, absorbing=absorbing)
-    elif (world := _element_world(S)) is not None:
-        ids = pos = range(S.n)
+    elif (world := _element_world(S, T)) is not None:
+        ids, cols = range(S.n), W
         nums, rank = np.unique(lam.num(np.arange(S.n)), return_inverse=True)
         run = partial(_element_first_levels, A=world[0], K=world[1])
     else:
         factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
         ranked = _ranked(lam, np.arange(S.n))
-        for E_ids in sets:
+        for row in sets:
+            E_ids = W[row[row >= 0]].tolist()
             first = _knuth_first_levels(S, lam, E_ids, W_ids, factors,
                                         S.product_ids(E_ids), ranked)
             yield E_ids, max(first[z] for z in W_ids if z in first), first
         return
     levels = [Fraction(a, lam.den) for a in nums.tolist()]
-    cols = np.array([pos[z] for z in W_ids])
-    while block := list(islice(sets, block_rows(len(ids)))):
+    for r0, r1 in row_blocks(len(sets), len(ids)):
+        block = sets[r0:r1]
         seeds = np.zeros((len(block), len(ids)), dtype=bool)
-        seeds[[j for j, E_ids in enumerate(block) for _ in E_ids],
-              [pos[e] for E_ids in block for e in E_ids]] = True
+        j, p = np.nonzero(block >= 0)
+        seeds[j, cols[block[j, p]]] = True
         first = run(seeds, rank=rank, nlevels=len(levels), cols=cols)
         tops = first.max(axis=1)
         r = tops.argmax()
-        yield block[r], levels[tops[r]], {
+        yield W[block[r][block[r] >= 0]].tolist(), levels[tops[r]], {
             z: levels[i] for z, i in zip(W_ids, first[r]) if i >= 0}
 
 
@@ -576,8 +579,9 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
 
     Only incompressible generating sets matter: a minimal set certifying a
     target is incompressible, and shrinking a generating set never lowers
-    the cost.  Exhaustive when the enumeration fits the budget; otherwise a
-    seeded sampled lower bound (or BudgetExceeded in strict mode).  The
+    the cost.  Exhaustive when the enumeration (``breadth._incompressible``)
+    fits the budget; otherwise a seeded sampled lower bound over the sets
+    within it and the samples (or BudgetExceeded in strict mode).  The
     closures run a block of generating sets at a time, in enumeration order
     (``_block_winners``), on the subset pass, the element pass (a host of at
     most ``FULL_VALIDATE_CAP`` elements that passes its guard) or the
@@ -591,15 +595,17 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     if not W_ids:
         prof.notes.append("empty level set")
         return prof
-    counter = {"nodes": 0, "capped": False}
-
-    def sampled():              # runs once the enumeration has stopped
-        if not counter["capped"]:
-            return
+    T = S.product_table_np() if S.kind == "table" else None
+    sets, prof.nodes = _incompressible(S, W_ids, budget=budget, T=T)
+    if prof.nodes > budget:
         if strict:
             raise BudgetExceeded("profile enumeration exceeded the budget")
+        prof.exhaustive = False
+        prof.notes.append("budget exceeded; sampled lower bound")
         rng = random.Random(seed)
-        for _ in range(samples):
+        drawn = np.full((len(sets) + samples, max(12, sets.shape[1])), -1)
+        drawn[:len(sets), :sets.shape[1]] = sets
+        for row in drawn[len(sets):]:
             size = rng.randrange(1, min(len(W_ids), 12) + 1)
             E_ids = sorted(rng.sample(W_ids, size))
             # random greedy reduction to an incompressible core
@@ -608,10 +614,9 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
                 if not comp:
                     break
                 E_ids.remove(x)
-            yield E_ids
-
-    sets = chain(_iter_incompressible(S, W_ids, counter, budget), sampled())
-    for E_ids, top, first in _block_winners(S, lam, W_ids, sets):
+            row[:len(E_ids)] = np.searchsorted(W_ids, E_ids)
+        sets = drawn
+    for E_ids, top, first in _block_winners(S, lam, W_ids, sets, T):
         v = PropagationValue.finite(top)
         if v > prof.value:          # the first set with the larger value
             targets = [z for z in W_ids if z in first]
@@ -620,10 +625,6 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
             # Ties go to the first target in the iteration order of
             # set(targets); profile output depends on this choice.
             prof.witness_z = next(z for z in set(targets) if first[z] == top)
-    prof.nodes = counter["nodes"]
-    if counter["capped"]:
-        prof.exhaustive = False
-        prof.notes.append("budget exceeded; sampled lower bound")
     return prof
 
 

@@ -1,5 +1,9 @@
+import hashlib
+import json
+import math
+from fractions import Fraction
 from importlib import import_module
-from itertools import combinations, cycle
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,16 +12,16 @@ from hypothesis import strategies as st
 
 from oracles import (naive_breadth, naive_incompressible,
                      naive_iter_incompressible)
-from slat._bitset import bits
+from slat._bitset import bits, mask_of
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        generate_instance, kary_tree, powerset)
 from slat.breadth import (EmptySetError, SizeLimit, _branch_and_bound,
-                          _distinctness_order, _iter_incompressible,
+                          _counts, _distinctness_order, _incompressible,
                           _point_index, _transform_breadth, breadth,
                           find_incompressible, is_compressible,
                           is_free_embedding)
 from slat.propagation import propagation_profile
-from slat.weights import builtin_logweight
+from slat.weights import builtin_logweight, random_logweight
 
 # the module; ``slat.breadth`` names the function in the package namespace
 breadth_module = import_module("slat.breadth")
@@ -118,9 +122,26 @@ def _brute_incompressible(S, order, k):
     return [[order[p] for p in c] for c in sorted(found)]
 
 
+def _walk_of(S, order, floor=0, budget=math.inf):
+    """``_incompressible`` as the walk it stands for: each set, as ids, with
+    the count of positions tried when the walk reaches it, and the final
+    count."""
+    sets, total = _incompressible(S, order, floor, budget)
+    ids = [[order[p] for p in row[row >= 0].tolist()] for row in sets]
+    return list(zip(ids, _counts(sets, len(order), floor).tolist())), total
+
+
+def _naive_walk(S, order, floor=0, budget=math.inf):
+    """``_walk_of`` from ``oracles.naive_iter_incompressible``."""
+    counter = {"nodes": 0, "capped": False}
+    seen = [(ids, counter["nodes"]) for ids in naive_iter_incompressible(
+        S, order, counter, budget, lambda: floor)]
+    return seen, counter["nodes"]
+
+
 def _candidates(order, walk, k):
     """Positions the enumerator must try: after the root and after each
-    yielded set, every later position that still leaves room for k."""
+    set, every later position that still leaves room for k."""
     pos = {x: i for i, x in enumerate(order)}
     n, total = len(order), 0
     for ids in [[]] + walk:
@@ -135,26 +156,23 @@ def _candidates(order, walk, k):
 def test_enumerator_matches_bruteforce(spec, data, k):
     S = _ENUM_HOSTS[spec]
     order = data.draw(st.permutations(range(S.n)), label="order")
-    counter = {"nodes": 0, "capped": False}
-    walk, seen = [], []
-    for ids in _iter_incompressible(S, order, counter, 10**9, lambda: k):
-        walk.append(ids)
-        seen.append(counter["nodes"])
+    seen, total = _walk_of(S, order, k)
+    walk = [ids for ids, _ in seen]
     assert [ids for ids in walk if len(ids) >= k] == \
         _brute_incompressible(S, order, k)
-    assert counter == {"nodes": _candidates(order, walk, k), "capped": False}
-    # the count is current at every yield, not only at the end
-    assert seen == sorted(set(seen)) and all(c > 0 for c in seen)
-    budget = data.draw(st.integers(0, counter["nodes"] - 1), label="budget")
-    small = {"nodes": 0, "capped": False}
-    cut = list(_iter_incompressible(S, order, small, budget, lambda: k))
-    assert small == {"nodes": budget + 1, "capped": True}
-    assert cut == walk[:len(cut)]
+    assert total == _candidates(order, walk, k)
+    # each set's count is a count of positions tried, rising in preorder
+    counts = [c for _, c in seen]
+    assert counts == sorted(set(counts)) and all(c > 0 for c in counts)
+    budget = data.draw(st.integers(0, total - 1), label="budget")
+    assert _walk_of(S, order, k, budget) == \
+        ([(ids, c) for ids, c in seen if c <= budget], budget + 1)
 
 
 def test_search_node_counts_are_pinned():
     for spec, nodes in (("pstar(6)", 8844), ("powerset(6)", 9582),
-                        ("tree(2,5)", 1700), ("pstar(5)", 665)):
+                        ("tree(2,5)", 1700), ("pstar(5)", 665),
+                        ("tree(3,3)", 681), ("tree(2,4)", 371)):
         rep = _branch_and_bound(generate_instance(spec), 10_000_000)
         assert (rep.nodes, rep.exhaustive) == (nodes, True)
     assert breadth(generate_instance("tree(2,5)")).nodes == 1700
@@ -317,11 +335,11 @@ def test_join_seam_matches_bruteforce_on_other_backends(spec, data, k):
         S = _SEAM_HOSTS[spec]
         assert S.top_id is None or S.truncation_bound() is None
         order = data.draw(st.permutations(range(S.n)), label="order")
-    counter = {"nodes": 0, "capped": False}
-    walk = list(_iter_incompressible(S, order, counter, 10**9, lambda: k))
+    seen, total = _walk_of(S, order, k)
+    walk = [ids for ids, _ in seen]
     assert [ids for ids in walk if len(ids) >= k] == \
         _brute_incompressible(S, order, k)
-    assert counter == {"nodes": _candidates(order, walk, k), "capped": False}
+    assert total == _candidates(order, walk, k)
     for r in (1, 2, 3, 4):
         for ids in combinations(order[:9], r):
             ids = list(ids)
@@ -330,7 +348,13 @@ def test_join_seam_matches_bruteforce_on_other_backends(spec, data, k):
             assert (dropped is None) == naive_incompressible(S, ids)
 
 
-# -- the bitset walk against the candidate-by-candidate walk -------------------
+# a family whose greedy pass stops at one member while two are
+# incompressible ({2, 3} and {0, 1, 3, 4}), so a search has to run
+_GREEDY_FAILS = Semilattice.from_sets(range(5), [[0, 1, 3, 4], [2, 3], [3]],
+                                      close=True)
+
+
+# -- the level-wise walk against the candidate-by-candidate walk ------------
 
 _WALK_HOSTS = {
     "tree(2,4)": generate_instance("tree(2,4)"),
@@ -357,27 +381,85 @@ def _walk_host(draw):
     return S
 
 
-def _walk(walker, S, order, budget, floors):
-    """Each set the walk yields with the counter at that yield, then the
-    final counter; the floor cycles through ``floors``, one value a read."""
-    counter = {"nodes": 0, "capped": False}
-    reads = cycle(floors)
-    seen = [(ids, dict(counter)) for ids in
-            walker(S, order, counter, budget, lambda: next(reads))]
-    return seen, counter
+@settings(max_examples=150, deadline=None)
+@given(S=_walk_host(), data=st.data())
+def test_level_walk_matches_the_candidate_walk(S, data):
+    order = data.draw(st.lists(st.integers(0, S.n - 1), unique=True,
+                               max_size=24), label="order")
+    floor = data.draw(st.integers(0, 5), label="floor")
+    seen, total = _naive_walk(S, order, floor)
+    assert _walk_of(S, order, floor) == (seen, total)
+    budget = data.draw(st.integers(-2, total + 1), label="budget")
+    assert _walk_of(S, order, floor, budget) == \
+        _naive_walk(S, order, floor, budget)
+
+
+def _naive_branch_and_bound(S, cap):
+    """The branch and bound over ``oracles.naive_iter_incompressible``: the
+    empty set and each set the walk yields is a node, and the floor is one
+    more than the largest set found, read after each set."""
+    order = _distinctness_order(S)
+    best = [order[0]] if S.n else []
+    walk = naive_iter_incompressible(S, order, {"nodes": 0}, math.inf,
+                                     lambda: len(best) + 1)
+    if cap < 1:
+        return len(best), mask_of(best), False, 0
+    nodes = 1                       # the empty set
+    for ids in walk:
+        if nodes >= cap:
+            return len(best), mask_of(best), False, nodes
+        nodes += 1
+        if len(ids) > len(best):
+            best = ids
+    return len(best), mask_of(best), True, nodes
 
 
 @settings(max_examples=150, deadline=None)
-@given(S=_walk_host(), data=st.data())
-def test_bitset_walk_matches_the_candidate_walk(S, data):
-    order = data.draw(st.lists(st.integers(0, S.n - 1), unique=True,
-                               max_size=24), label="order")
-    floors = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4),
-                       label="floors")
-    budget = data.draw(st.one_of(st.integers(0, 300), st.just(10**9)),
-                       label="budget")
-    assert _walk(_iter_incompressible, S, order, budget, floors) == \
-        _walk(naive_iter_incompressible, S, order, budget, floors)
+@given(S=st.one_of(_walk_host(), _closed_family(max_points=5)),
+       cap=st.one_of(st.integers(-2, 40), st.integers(0, 2000),
+                     st.just(10_000_000)))
+@example(S=chain(1), cap=1)
+def test_branch_and_bound_matches_the_candidate_walk(S, cap):
+    assume(S.n <= 100)
+    rep = _branch_and_bound(S, cap)
+    assert (rep.breadth, rep.witness, rep.exhaustive, rep.nodes) == \
+        _naive_branch_and_bound(S, cap)
+
+
+def _naive_find(S, size):
+    """``find_incompressible`` with its search over
+    ``oracles.naive_iter_incompressible``; SizeLimit when it is cut."""
+    if S.truncation_bound() is not None and size > S.truncation_bound() + 1:
+        return None
+    got = breadth_module._greedy_incompressible(S, size)
+    if len(got) >= size:
+        return got[:size]
+    order = _distinctness_order(S, _point_index(S))
+    counter = {"nodes": 0, "capped": False}
+    walk = naive_iter_incompressible(S, order, counter,
+                                     breadth_module._FIND_NODE_CAP,
+                                     lambda: size)
+    found = next((ids for ids in walk if len(ids) == size), None)
+    return SizeLimit if counter["capped"] else found
+
+
+@settings(max_examples=150, deadline=None)
+@given(S=st.one_of(_walk_host(), _closed_family(max_points=5),
+                   st.just(_GREEDY_FAILS)),
+       size=st.integers(1, 5),
+       cap=st.one_of(st.integers(0, 200), st.just(2_000_000)))
+def test_find_incompressible_matches_the_candidate_walk(S, size, cap):
+    assume(S.n <= 100)
+    kept = breadth_module._FIND_NODE_CAP
+    breadth_module._FIND_NODE_CAP = cap
+    try:
+        try:
+            got = find_incompressible(S, size)
+        except SizeLimit:
+            got = SizeLimit
+        assert got == _naive_find(S, size)
+    finally:
+        breadth_module._FIND_NODE_CAP = kept
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,12 +470,6 @@ def test_table_scores_give_the_search_order(S):
     score = [sum(not S.leq(y, x) for y in range(S.n)) for x in range(S.n)]
     want = sorted(range(S.n), key=lambda x: (-score[x], x))
     assert _distinctness_order(S) == want
-
-
-# a family whose greedy pass stops at one member while two are
-# incompressible ({2, 3} and {0, 1, 3, 4}), so a search has to run
-_GREEDY_FAILS = Semilattice.from_sets(range(5), [[0, 1, 3, 4], [2, 3], [3]],
-                                      close=True)
 
 
 def test_a_cut_search_names_its_limit(monkeypatch):
@@ -420,3 +496,90 @@ def test_fin_6_3_profile_at_level_3_is_pinned():
     prof = propagation_profile(S, builtin_logweight(S, "cardinality"), 3)
     assert (prof.nodes, prof.exhaustive, prof.witness_E, prof.witness_z,
             prof.value.c) == (19188, True, 14, 22, 3)
+
+
+# -- reports pinned byte for byte --------------------------------------------
+
+# sha256 of each report as ``slat`` prints it, recorded from the
+# candidate-by-candidate enumerator: every profile of the benchmark's
+# ``SEARCH_PROFILES``, random-weight profiles on a table, a set system and a
+# chain (two within a budget that cuts them), and breadth on the hosts the
+# benchmark's ``search`` and ``cli`` workloads search, one cut by its cap.
+# (kind, host, weight, level, budget or cap, sha256)
+_PINNED_REPORTS = [
+    ("profile", "fin(5,4)", "cardinality", "1", None,
+     "1f90d3cccc66885ee1110f655af9554963b9e51deab58fd5a61cfcac493c3eff"),
+    ("profile", "fin(5,4)", "cardinality", "2", None,
+     "1724fe037118897d5998aea3f7dac66b1c8ecddb5a52d20d85ddbff725d49cc1"),
+    ("profile", "fin(5,4)", "cardinality", "3", None,
+     "ab33760fef4cdc46129ac8269fea2356bae78a26888b4f33b4eebba0216ddd2f"),
+    ("profile", "pstar(5)", "cardinality", "1", None,
+     "a04e2fa49d6436fd703c78338d4a6a7f98689bf60ba644f8289107f367a12f66"),
+    ("profile", "pstar(5)", "cardinality", "2", None,
+     "35421cd8e803f883011782e5185087be2732a1441d20ab9e5a1c6d698c36b0e3"),
+    ("profile", "pstar(5)", "cardinality", "3", None,
+     "37a1c527ae9285f5c4bd556dff81582b871062d61314797f1e857153f184480d"),
+    ("profile", "fin(6,3)", "cardinality", "1", None,
+     "1531fa39b0320f0c0e0bd78f4047ec20dafd9246eb6cdcd64f7cf5e3f431f261"),
+    ("profile", "fin(6,2)", "cardinality", "1", None,
+     "4930c729439a9f18760312a989a8cbb7aadf623d478b931800a8033be573dfb6"),
+    ("profile", "pstar(4)", "cardinality", "1", None,
+     "3f2ff7af2d0184f6a2b4700b70c4982ce3781d95433be9c89123b979d01633ee"),
+    ("profile", "pstar(4)", "cardinality", "2", None,
+     "1aff5c6f7f0eb9e6a06c97acf1d437acfa4c45c1d4bf6f5630730f8e908c1c96"),
+    ("profile", "pstar(4)", "prototype", "1", None,
+     "737ba0447995ea52049f0dc72a96633cf6a043e1cfdda83c778fcc928ab5ef81"),
+    ("profile", "pstar(4)", "prototype", "2", None,
+     "13a03b79e68069706643325574ff1ead52bdf9d936a5d7a21c2f8191eb516443"),
+    ("profile", "powerset(4)", "cardinality", "1", None,
+     "7e324bd0595e5ec3e7d70aeb3bde92eb62b7bbef1ee2cbe712297788278a30cd"),
+    ("profile", "powerset(4)", "cardinality", "2", None,
+     "eab24d5ccfd0f9709b83c9d784ff4b01bbb17e20475c14b8bd2f56292e94a628"),
+    ("profile", "powerset(4)", "prototype", "1", None,
+     "b51eacaedd50ff81badc06e5a7833baa2f02a69e44beab6b8b4d9895b89ca283"),
+    ("profile", "powerset(4)", "prototype", "2", None,
+     "8f8578cedb48806735560c437262557c3f2ecca02b00f4ef14510302ab1aec83"),
+    ("profile", "tree(2,3)", "random:5", "2", None,
+     "d3c237185e610de1c6af1192ce11a76a98fdc4bd55bc4ebb588fd19e27c91e30"),
+    ("profile", "powerset(4)", "random:5", "4/3", None,
+     "6c6f58d2e2da7dd4cb4c0063d39a275169837c406803298d17e06739d2bb9127"),
+    ("profile", "chain(8)", "random:5", "5/3", None,
+     "47e9d23450fef5a56d0a81a075adfd41ecebe97a8a8e576b5434e13c71ecfa4b"),
+    ("profile", "pstar(5)", "cardinality", "3", 300,
+     "0e7d2b8fd2fd9b080c8cbd883112f91e8793353e85ae25c1b2c21722ae0823d4"),
+    ("profile", "tree(2,3)", "random:5", "2", 40,
+     "e3268d1bd995dbd201733af911a93899e91e38eb81b03610685e6de4ce1daf11"),
+    ("breadth", "pstar(6)", None, None, None,
+     "cb727342cbae6ba30855e8d2b406e279712b61121c76cf95e59d5195a162f946"),
+    ("breadth", "powerset(6)", None, None, None,
+     "366e79a3ece241cd583cc18d3a45a37f5d9f8b91e9c4f30e3297ffd550116d2a"),
+    ("breadth", "tree(2,5)", None, None, None,
+     "89c3283969273e86ffebc76f49b5c4129b5af56b434040eb039a2f876d07d36e"),
+    ("breadth", "tree(3,3)", None, None, None,
+     "da30909e2dffdc5cb2b3c8de3fa5374642631c4e99ea7627a88b46e8fb39d5c2"),
+    ("breadth", "pstar(5)", None, None, None,
+     "15c0c11c566226ba16c0ece8b06250ad4aacde168fd53e0834f808b1f95f948d"),
+    ("breadth", "powerset(5)", None, None, None,
+     "a59e45377a9265498343152455f93454cfe862d3268d937274529929d9e3a93c"),
+    ("breadth", "tree(2,4)", None, None, None,
+     "147c33237f3022dcb9bad822974c207385b91223b858171853269b11627e8862"),
+    ("breadth", "fin(6,3)", None, None, None,
+     "1153746f4b3e013dc7862fdb7e5fcf40a8c3aea30660a6dce1734db4f28011c2"),
+    ("breadth", "fin(7,2)", None, None, None,
+     "dba6609eca9d4337adb4bbbd1f7a7c798ea17a9dc89a07c9f175a2bb5784c085"),
+    ("breadth", "tree(2,5)", None, None, 500,
+     "50fe0dfe521c37304bbc71d50b75bd9617e07dcca1bbf79e1526a9635eb771c6"),
+]
+
+
+@pytest.mark.parametrize("kind,spec,weight,L,limit,sha", _PINNED_REPORTS)
+def test_reports_are_byte_identical(kind, spec, weight, L, limit, sha):
+    S = generate_instance(spec)
+    if kind == "breadth":
+        rep = breadth(S) if limit is None else breadth(S, cap=limit)
+    else:
+        lam = random_logweight(S, int(weight[7:])) \
+            if weight.startswith("random:") else builtin_logweight(S, weight)
+        rep = propagation_profile(S, lam, Fraction(L), budget=limit or 500_000)
+    text = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == sha

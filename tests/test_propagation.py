@@ -280,7 +280,7 @@ def test_batched_profile_matches_the_per_set_pass(S, wname, seed, budget,
         mp.setattr(core, "NP_BLOCK_ELEMS", block_elems)
         batched = run()
         mp.setattr(propagation, "SUBSET_MAX_BITS", -1)   # every set alone
-        mp.setattr(propagation, "_element_world", lambda S: None)
+        mp.setattr(propagation, "_element_world", lambda S, T=None: None)
         per_set = run()
     assert _profile_fields(batched) == _profile_fields(per_set)
 
@@ -369,7 +369,8 @@ def _all_fields(prof):
 
 
 def _pair_pass_profile(S, lam, L, **kw):
-    with mock.patch.object(propagation, "_element_world", lambda S: None):
+    with mock.patch.object(propagation, "_element_world",
+                           lambda S, T=None: None):
         return propagation_profile(S, lam, L, **kw)
 
 
@@ -444,7 +445,8 @@ def test_element_pass_matches_the_pair_pass(spec, wname, seed, budget, data):
             mock.patch.object(propagation, "_knuth_first_levels", None):
         element = run()
     with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
-            mock.patch.object(propagation, "_element_world", lambda S: None):
+            mock.patch.object(propagation, "_element_world",
+                              lambda S, T=None: None):
         pair = run()
     assert _all_fields(element) == _all_fields(pair)
 
