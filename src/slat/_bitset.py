@@ -22,6 +22,17 @@ def mask_of(ids) -> int:
     return m
 
 
+def indicator(mask: int, n: int):
+    """``mask`` as a bool array over the ids 0..n-1."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
+def mask_of_indicator(flags) -> int:
+    """The mask of a bool array over ids, the inverse of ``indicator``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
+
+
 def submasks(mask: int) -> Iterator[int]:
     """Yield every submask of ``mask``, including 0 and ``mask`` itself."""
     sub = mask

@@ -215,9 +215,10 @@ def check_eta_subadditive(chain: AdversarialChain) -> ValidationReport:
                 for D in chain.cumulative]
     size = 1 << len(pts)
     if not (_nested(prefixes, size - 1) and _count_rule_holds(prefixes)):
-        eta = _eta_of_traces(np.arange(size), prefixes)
+        traces = np.arange(size)
+        eta = _eta_of_traces(traces, prefixes)
         for i, j in _superadditive_pairs(
-                eta, lambda rows: rows[:, None] | np.arange(size), upper=False):
+                eta, lambda r0, r1: traces[r0:r1, None] | traces, upper=False):
             rep.violations.append(Violation(
                 "NotSubadditive", ([pts[b] for b in bits(i)],
                                    [pts[b] for b in bits(j)])))

@@ -142,8 +142,8 @@ def _distinctness_order(S, index=None, T=None):
     y is below x when x's set lies inside y's, so with the ``_point_index``
     of the host the count is n less the supersets of x, which one
     superset-sum pass over the 2**k subsets gives for every x at once;
-    otherwise one row-block scan of the product table (``T`` when given)
-    counts, for every x, the y with y.x != y."""
+    otherwise one row-block scan of the host's ``product_rows`` (``T``'s
+    when given), at any size, counts, for every x, the y with y.x != y."""
     n = S.n
     if index is not None:
         k, local = index
@@ -151,14 +151,11 @@ def _distinctness_order(S, index=None, T=None):
         supersets[local] = 1
         _subset_sweep(supersets, np.add, into=0)
         return np.argsort(supersets[local], kind="stable").tolist()
-    if n > TABLE_HARD_CAP:
-        score = [sum(not S.leq(y, x) for y in range(n)) for x in range(n)]
-        return sorted(range(n), key=lambda x: (-score[x], x))
-    T = S.product_table_np() if T is None else T
+    rows = S.product_rows() if T is None else lambda r0, r1: T[r0:r1]
     ids = np.arange(n)
-    score = np.zeros(n, dtype=np.int64)     # the y with T[y, x] != y
+    score = np.zeros(n, dtype=np.int64)     # the y with y.x != y
     for r0, r1 in row_blocks(n, n):
-        score += (T[r0:r1] != ids[r0:r1, None]).sum(axis=0)
+        score += (rows(r0, r1) != ids[r0:r1, None]).sum(axis=0)
     return np.argsort(-score, kind="stable").tolist()
 
 

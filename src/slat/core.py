@@ -23,7 +23,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from ._bitset import bits, mask_of, popcount, submasks
+from ._bitset import bits, mask_of, mask_of_indicator, popcount, submasks
 
 #: most elements of a table host, and of a dense table from product_table_np;
 #: checked before any table is built
@@ -153,15 +153,17 @@ class Semilattice:
         masks, labels = _canonical_members(len(ground), member_sets, labels)
         if close:
             masks, labels = _union_closure(masks), None
-        else:
-            seen = set(masks)
-            for a, b in combinations(masks, 2):
-                if (a | b) not in seen:
-                    raise NotClosedError(
-                        f"union of element sets {sorted(bits(a))} and "
-                        f"{sorted(bits(b))} is not a member (use close=True)")
-        return cls("set_system", len(masks), ground=ground, masks=masks,
-                   labels=labels)
+        S = cls("set_system", len(masks), ground=ground, masks=masks,
+                labels=labels)
+        arr, ids = S.member_masks_np(), np.arange(S.n)
+        missing = None if close else next(pairs_where(
+            S.n, S.n, lambda r0, r1: (S.ids_of(arr[r0:r1, None] | arr) < 0)
+            & (ids[r0:r1, None] < ids)), None)
+        if missing:
+            a, b = (sorted(bits(masks[i])) for i in missing)
+            raise NotClosedError(f"union of element sets {a} and {b} is not "
+                                 f"a member (use close=True)")
+        return S
 
     # -- element access -----------------------------------------------
 
@@ -355,20 +357,23 @@ class Semilattice:
         """``masks_of`` every id."""
         return self.masks_of(np.arange(self.n))
 
-    def product_table_np(self):
-        """Dense n-by-n product table as a new numpy array (small n only);
-        callers hold it for one scan.
-
-        A set system's member masks (``member_masks_np``) are joined a row
-        block at a time, and the unions looked up by ``ids_of``.
-        """
-        n = _table_size(self.n)
+    def product_rows(self):
+        """``rows(r0, r1)``: the products of ids r0..r1-1 with every id, an
+        array of r1 - r0 rows: a slice of a table, or one ``join_ids`` of
+        the block's member masks against every member mask, read once here.
+        A whole-host scan calls it per ``row_blocks`` block."""
         if self.kind == "table":
-            return np.array(self.table, dtype=np.int32).reshape(n, n)
+            return lambda r0, r1: np.array(self.table[r0:r1], dtype=np.int32)
         masks = self.member_masks_np()
-        t = np.empty((n, n), dtype=np.int32)
+        return lambda r0, r1: self.join_ids(masks[r0:r1, None], masks)
+
+    def product_table_np(self):
+        """Dense n-by-n product table, ``product_rows`` stacked, as a new
+        numpy array (small n only); callers hold it for one scan."""
+        n = _table_size(self.n)
+        rows, t = self.product_rows(), np.empty((n, n), dtype=np.int32)
         for r0, r1 in row_blocks(n, n):
-            t[r0:r1] = self.join_ids(masks[r0:r1, None], masks)
+            t[r0:r1] = rows(r0, r1)
         return t
 
     # -- serialization ---------------------------------------------------
@@ -465,14 +470,12 @@ def row_blocks(rows, cols):
 
 
 def pairs_where(rows, cols, bad):
-    """The pairs ``(x, y)``, x < rows and y < cols, where ``bad(r0, r1)`` (a
-    boolean array over rows r0..r1-1 and every column, one ``row_blocks``
-    block) is true, as plain ints in row-major order."""
-    out = []
+    """Yield the pairs ``(x, y)``, x < rows and y < cols, where ``bad(r0,
+    r1)`` (a boolean array over rows r0..r1-1 and every column, one
+    ``row_blocks`` block) is true, as plain ints in row-major order."""
     for r0, r1 in row_blocks(rows, cols):
         xs, ys = np.nonzero(bad(r0, r1))
-        out += zip((xs + r0).tolist(), ys.tolist())
-    return out
+        yield from zip((xs + r0).tolist(), ys.tolist())
 
 
 def _randrange_bulk(rng, n, count):
@@ -810,22 +813,24 @@ def sch_embed(S: Semilattice) -> EmbeddingResult:
 
     Each element maps to the complement of its down-set; intersections of
     down-sets turn into unions of their complements, so the image is
-    union-closed.  The complement convention is recorded in the result note.
+    union-closed.  The down-set of x is column x of ``rows == ids[:, None]``
+    over S's ``product_rows``, which a second pass checks the map against.
+    The complement convention is recorded in the result note.
     """
     n = S.n
-    full = (1 << n) - 1
-    comp = []
-    for x in range(n):
-        down = mask_of(t for t in range(n) if S.leq(t, x))
-        comp.append(full ^ down)
+    rows, ids = S.product_rows(), np.arange(n)
+    below = np.empty((n, n), dtype=bool)
+    for r0, r1 in row_blocks(n, n):
+        below[r0:r1] = rows(r0, r1) == ids[r0:r1, None]
+    comp = [mask_of_indicator(c) for c in ~below.T]
     ground = [S.element_label(t) for t in range(n)]
     T = Semilattice.from_sets(ground, [list(bits(m)) for m in comp])
     mapping = [T.id_of_mask(m) for m in comp]
-    for x in range(n):
-        for y in range(x, n):
-            lhs = T.product(mapping[x], mapping[y])
-            if lhs != mapping[S.product(x, y)]:
-                raise AssertionError("embedding failed to be a homomorphism")
+    image = T.masks_of(np.array(mapping, dtype=np.int64))     # comp, as masks
+    if next(pairs_where(n, n, lambda r0, r1: (
+            image[r0:r1, None] | image != image[rows(r0, r1)])
+            & (ids[r0:r1, None] <= ids)), None):
+        raise AssertionError("embedding failed to be a homomorphism")
     return EmbeddingResult(
         T, mapping,
         "elements are complements of down-sets (union-closed convention)")

@@ -3,20 +3,22 @@
 Indicator-valued functionals are exact: their values are always 0 or of the
 form exp(-m) for a rational m, captured by :class:`LogMagnitude`.  Complex
 valued functionals use double precision with a fixed reduction order.
+
+Each whole-host question is one row-block scan of ``product_rows``, no
+n-by-n table held: of the pairs breaking the filter identity, of the
+principal filters (the rows ``rows == ids[r0:r1, None]``), or of products.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import total_ordering
-from itertools import chain
 
 import numpy as np
 
-from ._bitset import bits, mask_of
-from .core import Semilattice
+from ._bitset import bits, indicator, mask_of, mask_of_indicator
+from .core import Semilattice, pairs_where, row_blocks
 from .weights import LogWeight, level_set
 
 
@@ -78,31 +80,24 @@ ZERO = LogMagnitude.zero()
 
 # -- filters ----------------------------------------------------------------
 
-def _broken_pairs(S: Semilattice, X: int):
-    """Yield the pairs x <= y of ids, in row-major order, at which
+def _broken(S: Semilattice, X: int):
+    """``bad(r0, r1)`` for ``pairs_where``: the pairs x <= y at which
     ``xy in X <=> x in X and y in X`` fails."""
-    inside = [X >> x & 1 for x in range(S.n)]
-    for x, in_x in enumerate(inside):
-        for y in range(x, S.n):
-            if inside[S.product(x, y)] != (in_x and inside[y]):
-                yield x, y
+    inside, rows, ids = indicator(X, S.n), S.product_rows(), np.arange(S.n)
+    return lambda r0, r1: (inside[rows(r0, r1)] != (
+        inside[r0:r1, None] & inside)) & (ids[r0:r1, None] <= ids)
 
 
 def is_filter(S: Semilattice, F: int) -> bool:
     """True iff the id-mask F is nonempty and xy in F <=> x in F and y in F."""
-    return F != 0 and next(_broken_pairs(S, F), None) is None
+    return F != 0 and next(pairs_where(S.n, S.n, _broken(S, F)), None) is None
 
 
 def enumerate_filters(S: Semilattice):
-    """All filters of a finite semilattice: the n principal up-sets."""
-    out = []
-    seen = set()
-    for y in range(S.n):
-        f = S.factors_mask(y)
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
+    """All filters of a finite semilattice: the n principal up-sets, in
+    generator order, each once (the last candidate is the empty set)."""
+    ups = [mask_of_indicator(up) for block in _candidates(S) for up in block]
+    return list(dict.fromkeys(ups[:-1]))
 
 
 def generate_filter(S: Semilattice, E: int) -> int:
@@ -119,9 +114,12 @@ def generate_filter(S: Semilattice, E: int) -> int:
 # -- indicator functionals ---------------------------------------------------
 
 def defect_set(S: Semilattice, lam: LogWeight, X: int) -> LogMagnitude:
-    """Weighted multiplicativity defect of the indicator of X (exact)."""
-    w = lam.num(np.arange(S.n)).tolist()
-    best = min((w[x] + w[y] for x, y in _broken_pairs(S, X)), default=None)
+    """Weighted multiplicativity defect of the indicator of X (exact): the
+    least lambda(x) + lambda(y) over the broken pairs, a block at a time."""
+    w, bad = lam.num(np.arange(S.n)), _broken(S, X)
+    sums = ((w[r0:r1, None] + w)[bad(r0, r1)]
+            for r0, r1 in row_blocks(S.n, S.n))
+    best = min((int(s.min()) for s in sums if len(s)), default=None)
     return ZERO if best is None else LogMagnitude.exp(Fraction(best, lam.den))
 
 
@@ -131,38 +129,34 @@ def d_set(S: Semilattice, lam: LogWeight, X: int, Y: int) -> LogMagnitude:
     return ZERO if t is None else LogMagnitude.exp(t)
 
 
-def _nearest(S: Semilattice, dist, better, floor):
-    """``(distance, witness)`` of the first nearest filter-or-empty-set.
-
-    Candidates are the principal filters in canonical generator order, then
-    the empty set.  A candidate replaces the best so far when
-    ``better(d, best)``; the scan stops once not even ``floor``, the least
-    possible distance, would.
-    """
-    best = witness = None
-    for F in chain(map(S.factors_mask, range(S.n)), [0]):
-        d = dist(F)
-        if best is None or better(d, best):
-            best, witness = d, F
-            if not better(floor, best):
-                break
-    return best, witness
+def _candidates(S: Semilattice):
+    """Yield blocks of indicator rows: the principal filter {z : xz = x} of
+    each x, in canonical generator order, then the empty set."""
+    rows, ids = S.product_rows(), np.arange(S.n)
+    for r0, r1 in row_blocks(S.n, S.n):
+        yield rows(r0, r1) == ids[r0:r1, None]
+    yield np.zeros((1, S.n), dtype=bool)
 
 
 def dist_set(S: Semilattice, lam: LogWeight, X: int):
     """Least weighted distance from X to a filter-or-empty-set.
 
     Returns ``(LogMagnitude, witness_mask)``; candidates are scanned in
-    canonical generator order with the empty set last, first winner kept.
+    canonical generator order with the empty set last, first winner kept;
+    one equal to X (distance zero) ends the scan.
     """
-    w = lam.num(np.arange(S.n)).tolist()
-
-    def dist(F):            # d_set, on the numerators read once
-        diff = X ^ F
-        return LogMagnitude.exp(Fraction(min(w[x] for x in bits(diff)),
-                                         lam.den)) if diff else ZERO
-
-    return _nearest(S, dist, operator.lt, ZERO)
+    w, inside = lam.num(np.arange(S.n)), indicator(X, S.n)
+    equal = w.max(initial=0) + 1        # m of a candidate equal to X
+    best = witness = None
+    for up in _candidates(S):
+        m = np.where(up != inside, w, equal).min(axis=1, initial=equal)
+        i = int(m.argmax())
+        if best is None or m[i] > best:
+            best, witness = m[i], up[i]
+            if best == equal:
+                break
+    return (ZERO if best == equal else LogMagnitude.exp(
+        Fraction(int(best), lam.den))), mask_of_indicator(witness)
 
 
 def level_agreement(S: Semilattice, lam: LogWeight, X: int, Y: int):
@@ -198,11 +192,10 @@ def _as_psi(S, psi):
 
 def defect_complex(S: Semilattice, lam: LogWeight, psi) -> float:
     """Weighted multiplicativity defect of a complex function (double)."""
-    a = _as_psi(S, psi)
-    P = S.product_table_np()
-    lf = lam.as_floats()
-    w = np.exp(-lf[:, None] - lf[None, :])
-    return float(np.max(np.abs(a[P] - np.outer(a, a)) * w))
+    a, lf, rows = _as_psi(S, psi), lam.as_floats(), S.product_rows()
+    return max(float(np.max(np.abs(a[rows(r0, r1)] - np.outer(a[r0:r1], a))
+                            * np.exp(-lf[r0:r1, None] - lf)))
+               for r0, r1 in row_blocks(S.n, S.n))
 
 
 def dist_complex(S: Semilattice, lam: LogWeight, psi):
@@ -212,17 +205,13 @@ def dist_complex(S: Semilattice, lam: LogWeight, psi):
     plus the zero function, canonical order, first winner kept; a later
     candidate wins only by more than 1e-12.
     """
-    a = _as_psi(S, psi)
-    wf = np.exp(-lam.as_floats())
-
-    size = (S.n + 7) // 8
-
-    def dist(F):
-        ind = np.unpackbits(np.frombuffer(F.to_bytes(size, "little"), np.uint8),
-                            count=S.n, bitorder="little").astype(np.float64)
-        return float(np.max(np.abs(a - ind) * wf))
-
-    return _nearest(S, dist, lambda d, best: d < best - 1e-12, 0.0)
+    a, wf = _as_psi(S, psi), np.exp(-lam.as_floats())
+    best = witness = None
+    for up in _candidates(S):
+        for d, ind in zip(np.max(np.abs(a - up) * wf, axis=1).tolist(), up):
+            if best is None or d < best - 1e-12:
+                best, witness = d, ind
+    return best, mask_of_indicator(witness)
 
 
 def omega_bound(S: Semilattice, lam: LogWeight, psi):

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from ._bitset import popcounts
+from ._bitset import mask_of_indicator, popcounts
 from .core import (TABLE_HARD_CAP, Semilattice, ValidationReport, Violation,
                    _randrange_bulk, pairs_where, row_blocks)
 
@@ -82,10 +82,10 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
                        seed: int = 0, samples: int = 100_000):
     """Check nonnegativity and subadditivity.
 
-    Exhaustive over all pairs of a host with a dense product table (up to
-    ``TABLE_HARD_CAP`` elements), on the numerators over one common
-    denominator; beyond that, seeded random pairs with the report marked
-    non-exhaustive.
+    Exhaustive over all pairs up to ``TABLE_HARD_CAP`` elements, one
+    row-block scan of the host's ``product_rows`` on the numerators over
+    one common denominator; beyond that, seeded random pairs with the
+    report marked non-exhaustive.
     """
     rep = ValidationReport()
     n = S.n
@@ -96,10 +96,9 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
         w = num(np.arange(n))
         rep.violations += [Violation("Negative", (x,))
                            for x in np.flatnonzero(w < 0).tolist()]
-        P = S.product_table_np()
         rep.violations += [
             Violation("NotSubadditive", pair) for pair in _superadditive_pairs(
-                w, lambda rows: P[rows], upper=True)]
+                w, S.product_rows(), upper=True)]
         return rep
     rep.exhaustive = False
     rep.notes.append("pair check sampled")
@@ -127,15 +126,15 @@ def _numerators(vals):
 def _superadditive_pairs(num, products, upper):
     """Pairs ``(x, y)`` with ``num[xy] > num[x] + num[y]``, in row-major order.
 
-    ``products(rows)`` gives the ids of the products of each id in ``rows``
-    with every id; with ``upper`` only pairs with ``x <= y`` are kept.
+    ``products(r0, r1)`` gives the ids of the products of ids r0..r1-1 with
+    every id, as ``Semilattice.product_rows`` does; with ``upper`` only
+    pairs with ``x <= y`` are kept.
     """
     ids = np.arange(len(num))
 
     def bad(r0, r1):
-        rows = ids[r0:r1]
-        out = num[products(rows)] > num[rows, None] + num
-        return out & (rows[:, None] <= ids) if upper else out
+        out = num[products(r0, r1)] > num[r0:r1, None] + num
+        return out & (ids[r0:r1, None] <= ids) if upper else out
 
     return pairs_where(len(num), len(num), bad)
 
@@ -199,22 +198,18 @@ def _counted(S: Semilattice, q: int, top, cap: int):
 
 def _collapse_cap(S: Semilattice) -> int:
     """Fewest points in the union of two members whose product is the
-    collapsed top, by a row-block scan of the dense product table.  Each row
-    has such a pair: x with the top."""
-    T = S.product_table_np()
-    masks = S.member_masks_np()
-    caps = []
-    for r0, r1 in row_blocks(S.n, S.n):
-        unions = masks[r0:r1, None] | masks
-        caps.append(int(popcounts(unions[T[r0:r1] == S.top_id]).min()))
-    return min(caps)
+    collapsed top, by a row-block scan of the host's ``product_rows``.  Each
+    row has such a pair: x with the top."""
+    rows, masks = S.product_rows(), S.member_masks_np()
+    return min(int(popcounts((masks[r0:r1, None] | masks)[
+        rows(r0, r1) == S.top_id]).min()) for r0, r1 in row_blocks(S.n, S.n))
 
 
 def level_set(S: Semilattice, lam: LogWeight, L) -> int:
     """Bitmask of the level set {x : lambda(x) <= L}; comparison is exact."""
     L = Fraction(L)
-    inside = lam.num(np.arange(S.n)) <= L.numerator * lam.den // L.denominator
-    return int.from_bytes(np.packbits(inside, bitorder="little"), "little")
+    return mask_of_indicator(
+        lam.num(np.arange(S.n)) <= L.numerator * lam.den // L.denominator)
 
 
 def random_logweight(S: Semilattice, seed: int) -> LogWeight:

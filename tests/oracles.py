@@ -337,6 +337,26 @@ def naive_dist_complex(S, lam, psi):
     return best, witness
 
 
+def naive_search_order(S):
+    """The element order of the breadth search by the ``S.leq`` scoring:
+    descending count of the y not below x, ties by id."""
+    score = [sum(not S.leq(y, x) for y in range(S.n)) for x in range(S.n)]
+    return sorted(range(S.n), key=lambda x: (-score[x], x))
+
+
+def naive_closure_error(masks):
+    """The message of the ``NotClosedError`` that ``Semilattice.from_sets``
+    raises on canonical member ``masks`` by the pair loop it replaced (the
+    first pair, in ``combinations`` order, whose union is not a member), or
+    None for a union-closed family."""
+    seen = set(masks)
+    for a, b in combinations(masks, 2):
+        if (a | b) not in seen:
+            return (f"union of element sets {sorted(bits(a))} and "
+                    f"{sorted(bits(b))} is not a member (use close=True)")
+    return None
+
+
 def naive_generated_filter(S, E):
     """The filter generated by E: the factors of the product of E (0 for
     the empty set)."""

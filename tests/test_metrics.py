@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_filters
+from slat import core
 from slat._bitset import bits, mask_of
 from slat.core import chain, free_nonempty, kary_tree, powerset
 from slat.metrics import (ZERO, LogMagnitude, best_guess_check, d_set,
@@ -156,16 +157,21 @@ def test_d_set_is_a_metric_sample(X, Y, seed):
 @pytest.mark.parametrize("g", [0, 5, 100])
 def test_dist_set_stops_at_an_exact_hit(g, monkeypatch):
     S = free_nonempty(10)
+    monkeypatch.setattr(core, "NP_BLOCK_ELEMS", S.n)    # one row a block
     lam = builtin_logweight(S, "cardinality")
     F = S.factors_mask(g)
     visited = []
-    factors_mask = S.factors_mask
+    product_rows = S.product_rows
 
-    def counted(p):
-        visited.append(p)
-        return factors_mask(p)
+    def counted():
+        rows = product_rows()
 
-    monkeypatch.setattr(S, "factors_mask", counted)
+        def block(r0, r1):
+            visited.extend(range(r0, r1))
+            return rows(r0, r1)
+        return block
+
+    monkeypatch.setattr(S, "product_rows", counted)
     assert dist_set(S, lam, F) == (ZERO, F)
     assert visited == list(range(g + 1))
 
@@ -173,8 +179,6 @@ def test_dist_set_stops_at_an_exact_hit(g, monkeypatch):
 def test_dist_complex_scans_pstar12_fast():
     S = free_nonempty(12)
     lam = builtin_logweight(S, "cardinality")
-    for x in range(S.n):        # the host's factor masks, built once
-        S.factors_mask(x)
     rng = np.random.default_rng(1)
     psi = rng.random(S.n) + 1j * rng.random(S.n)   # no candidate is exact
     t = time.perf_counter()

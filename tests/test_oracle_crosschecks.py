@@ -3,6 +3,7 @@ random small hosts of every kind: product tables, Boolean cubes,
 collapsed-top instance files (truncations and a family that is not one)
 and ``sch_embed`` images, under random or explicit log-weights."""
 
+import importlib
 import operator
 import random
 from fractions import Fraction
@@ -12,17 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (naive_check_equivalence_iii, naive_defect_set,
-                     naive_dist_complex, naive_dist_set, naive_is_filter,
-                     naive_join_closure, naive_pair_unions)
+from oracles import (naive_check_equivalence_iii, naive_closure_error,
+                     naive_defect_set, naive_dist_complex, naive_dist_set,
+                     naive_is_filter, naive_join_closure, naive_pair_unions,
+                     naive_search_order)
+from slat import core
 from slat._bitset import mask_of
-from slat.core import (Semilattice, _join_closure, chain, fin_truncation,
-                       free_nonempty, kary_tree, powerset, sch_embed)
+from slat.core import (NotClosedError, Semilattice, SizeOverflowError,
+                       _canonical_members, _join_closure, chain,
+                       fin_truncation, free_nonempty, kary_tree, powerset,
+                       sch_embed)
 from slat.metrics import (defect_set, dist_complex, dist_set,
                           enumerate_filters, is_filter)
 from slat.propagation import _pair_unions, _topped_form, check_equivalence_iii
 from slat.weights import LogWeight, builtin_logweight, random_logweight
-from test_weights import without_member
+from test_cli import _main
+from test_weights import FLAT_70, without_member
+
+breadth_module = importlib.import_module("slat.breadth")
 
 
 def _file(S):
@@ -77,15 +85,85 @@ def _subset(draw, S):
     return 0 if how == "empty" else draw(st.integers(0, (1 << S.n) - 1))
 
 
+#: the catalog, and a collapsed top whose member masks pass 2**63
+SCAN_HOSTS = {**HOSTS, "FLAT_70": Semilattice.from_json(FLAT_70)}
+
+
+@st.composite
+def scanned(draw):
+    """A host of ``SCAN_HOSTS`` with a random or an explicit log-weight,
+    the explicit one narrow (int64 numerators) or wide (numerators from
+    2**62 up, an object array)."""
+    S = SCAN_HOSTS[draw(st.sampled_from(tuple(SCAN_HOSTS)))]
+    how = draw(st.sampled_from(["random", "narrow", "wide"]))
+    if how == "random":
+        return S, random_logweight(S, draw(st.integers(0, 1000)))
+    vals = draw(st.lists(st.fractions(0, 6, max_denominator=3),
+                         min_size=S.n, max_size=S.n))
+    lam = LogWeight.from_values([v + (2**62 if how == "wide" else 0)
+                                 for v in vals])
+    assert (lam.num(np.arange(S.n)).dtype == object) == (how == "wide")
+    return S, lam
+
+
 @settings(max_examples=150, deadline=None)
-@given(weighted(), st.data())
-def test_filter_defect_and_distance_match_the_pair_loops(host, data):
+@given(scanned(), st.data(), st.sampled_from([1, core.NP_BLOCK_ELEMS]))
+def test_filter_defect_and_distance_match_the_pair_loops(host, data,
+                                                         block_elems):
+    """``is_filter``, ``defect_set``, ``dist_set`` and the search order read
+    the host's product rows a block at a time, one row a block at
+    ``NP_BLOCK_ELEMS`` = 1."""
     S, lam = host
     X = _subset(data.draw, S)
-    assert is_filter(S, X) == naive_is_filter(S, X)
-    assert defect_set(S, lam, X).m == naive_defect_set(S, lam, X)
-    d, witness = dist_set(S, lam, X)
-    assert (d.m, witness) == naive_dist_set(S, lam, X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", block_elems)
+        assert is_filter(S, X) == naive_is_filter(S, X)
+        assert defect_set(S, lam, X).m == naive_defect_set(S, lam, X)
+        d, witness = dist_set(S, lam, X)
+        assert (d.m, witness) == naive_dist_set(S, lam, X)
+        assert breadth_module._distinctness_order(S) \
+            == breadth_module._distinctness_order(S, T=S.product_table_np()) \
+            == naive_search_order(S)
+
+
+def test_the_scans_hold_no_dense_table_above_the_cap(monkeypatch):
+    monkeypatch.setattr(core, "TABLE_HARD_CAP", 8)
+    S = free_nonempty(4)                    # 15 elements
+    with pytest.raises(SizeOverflowError):
+        S.product_table_np()
+    lam = builtin_logweight(S, "cardinality")
+    for X in [0, 1, 0b1000100001, *enumerate_filters(S)[:4], (1 << 15) - 1]:
+        assert is_filter(S, X) == naive_is_filter(S, X)
+        assert defect_set(S, lam, X).m == naive_defect_set(S, lam, X)
+        d, witness = dist_set(S, lam, X)
+        assert (d.m, witness) == naive_dist_set(S, lam, X)
+    assert breadth_module._distinctness_order(S) == naive_search_order(S)
+    argv = ["pstar(4)", "--weight", "cardinality", "--set", "0,5,9",
+            "--format", "text"]
+    exp2 = "{'kind': 'exp', 'm': {'num': 2, 'den': 1}, " \
+        "'approx': 0.1353352832366127}"
+    assert _main(["defect", *argv]) == (
+        0, f"defect: {exp2}\nset: [0, 5, 9]\n", "")
+    assert _main(["dist", *argv]) == (
+        0, f"dist: {exp2}\nset: [0, 5, 9]\nwitness: [0]\n", "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), max_size=4, unique=True),
+                max_size=9, unique_by=lambda s: frozenset(s)),
+       st.sampled_from([1, core.NP_BLOCK_ELEMS]))
+def test_closure_check_names_the_first_pair_of_the_pair_loop(sets,
+                                                             block_elems):
+    masks, _ = _canonical_members(6, sets, None)
+    want = naive_closure_error(masks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", block_elems)
+        try:
+            Semilattice.from_sets(range(6), sets)
+            got = None
+        except NotClosedError as exc:
+            got = str(exc)
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None)
