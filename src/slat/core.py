@@ -182,14 +182,7 @@ class Semilattice:
     def subset_ids(self, G):
         """``ids_of`` of the subsets of the point set G, bit j of an index for
         the j-th point of G; past ``SUBSET_MAX_BITS`` points it raises."""
-        k = popcount(G)
-        if k > SUBSET_MAX_BITS:
-            raise BudgetExceeded(f"closure join has {k} points; the subset "
-                                 f"closure takes at most {SUBSET_MAX_BITS}")
-        subs = np.zeros(1 << k, dtype=object if G >> 63 else np.int64)
-        for j, p in enumerate(bits(G)):
-            subs[1 << j:2 << j] = subs[:1 << j] | 1 << p
-        return self.ids_of(subs)
+        return self.ids_of(_subset_masks(G))
 
     def truncation_bound(self):
         """The cardinality bound c of a cube truncation whose larger unions
@@ -440,6 +433,20 @@ def _subset_sweep(f, op, into=1):
         half = f.reshape(-1, 2, f.size >> k << j)
         op(half[:, into], half[:, 1 - into], out=half[:, into])
     return f
+
+
+def _subset_masks(G):
+    """The masks of the subsets of the point set G, rising, bit j of an index
+    for the j-th point of G; past ``SUBSET_MAX_BITS`` points it raises
+    before it allocates them."""
+    k = popcount(G)
+    if k > SUBSET_MAX_BITS:
+        raise BudgetExceeded(f"closure join has {k} points; the subset "
+                             f"closure takes at most {SUBSET_MAX_BITS}")
+    subs = np.zeros(1 << k, dtype=object if G >> 63 else np.int64)
+    for j, p in enumerate(bits(G)):
+        subs[1 << j:2 << j] = subs[:1 << j] | 1 << p
+    return subs
 
 
 def _fits(k, n):

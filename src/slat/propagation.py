@@ -13,7 +13,7 @@ Three passes find these first levels for every target at once:
   Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
   STOC 2007), repeated to a fixed point at each weight level, for a batch
   of closures at once, one a row.  Past ``SUBSET_MAX_BITS`` points
-  ``Semilattice.subset_ids`` raises ``BudgetExceeded``.  The pairs of a
+  ``core._subset_masks`` raises ``BudgetExceeded``.  The pairs of a
   reached set R whose union covers s number (-1)**|s| times the superset
   Moebius transform of f**2 at the complement of s, f the subset sums of
   R: counts of at most 4**k, int32 for k <= 15 points and int64 above, and
@@ -53,15 +53,17 @@ host passes its guard; else each set alone on the pair-by-pair pass.  The
 subset pass ranks a collapsed top like any member, so it serves as a seed
 and a target; the element pass treats it as any element.
 
-Levels are ranks of integer numerators (``np.unique``), once per ``v_value``
-call and per profile, so they stay exact.  ``fbp`` and ``fbp_closure`` apply
-the definition one step at a time; the ``fbp`` command and the cross-checks
-use them.
+Levels are ranks of integer numerators (``np.unique``), so they stay exact.
+Levels and worlds are built once per host and weight, in a closure context
+(``_Closures``) cached weakly on both, and no answer depends on what the
+cache holds.  ``fbp`` and ``fbp_closure`` apply the definition one step at a
+time; the ``fbp`` command and the cross-checks use them.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial, total_ordering
@@ -70,8 +72,9 @@ import numpy as np
 
 from ._bitset import bits, mask_of, popcount
 from .breadth import _incompressible, breadth, is_compressible
-from .core import (FULL_VALIDATE_CAP, SUBSET_MAX_BITS, BudgetExceeded,
-                   Semilattice, _subset_sweep, row_blocks)
+from .core import (FULL_VALIDATE_CAP, NP_BLOCK_ELEMS, SUBSET_MAX_BITS,
+                   BudgetExceeded, Semilattice, _subset_masks, _subset_sweep,
+                   row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -85,10 +88,10 @@ from .weights import LogWeight, level_set
 SUBSET_MIN_BITS = 6
 
 #: one column of at most this many points takes ``_pair_unions``'s two-half
-#: matrix form (int64 matmul, no BLAS): one column at 5% density took 9-14 /
-#: 18 / 30 / 65 / 150 / 1100 us at k = 6 / 7 / 8 / 9 / 10 / 12 in that form,
-#: 38-53 / 59 / 71 / 90 / 118 / 235 us in k-pass sweeps (2 vCPUs)
-KRONECKER_MAX_BITS = 8
+#: matrix form (int64 matmul, no BLAS): one column at 5% density took 13 /
+#: 30 / 64 us at k = 8 / 9 / 10 in that form, - / 41 / 58 us in k-pass
+#: sweeps (timeit, 2 vCPUs)
+KRONECKER_MAX_BITS = 9
 
 
 @total_ordering
@@ -227,9 +230,10 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
 # -- reachability cost -------------------------------------------------------
 
 def _ranked(lam, ids):
-    """The distinct weights of ``ids``, rising, and each id's rank in them."""
+    """The distinct weights of ``ids``, rising, and each id's rank in them,
+    an array."""
     levels, rank = np.unique(lam.num(ids), return_inverse=True)
-    return [Fraction(a, lam.den) for a in levels.tolist()], rank.tolist()
+    return [Fraction(a, lam.den) for a in levels.tolist()], rank
 
 
 def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
@@ -240,14 +244,15 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
     order of rising first level, and each settled element is paired with
     every element settled before it and with itself.  Returns ``{id: level}``
     for each element settled before every target inside U is.  U is ranked
-    here unless the caller passes ``ranked``, ``_ranked`` of every element.
+    here unless the caller passes ``ranked``: the levels of every element and
+    a list of each id's rank in them.
     """
     U = list(factors(J))
     if len(U) > 200_000:
         raise BudgetExceeded(f"closure universe has {len(U)} elements")
     if ranked is None:
         levels, rank = _ranked(lam, np.array(U))
-        ranked = levels, dict(zip(U, rank))
+        ranked = levels, dict(zip(U, rank.tolist()))
     levels, rank = ranked
     buckets = [[] for _ in levels]      # bucket i: reached at levels[i]
     for e in E_ids:
@@ -283,14 +288,15 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
 def _subset_world(S, lam, G_mask):
     """The closed world of the subset pass over the subsets of G, a set of
     points of a set system: bit j of a local index stands for the j-th point
-    of G.  Returns ``(ids, levels, rank, absorbing)``: ``ids`` is
-    ``S.subset_ids(G)``, the element at each local index (-1 for a
-    non-member), ``levels`` are the sorted distinct numerators (over
-    ``lam.den``) of the members whose sets lie inside G, the collapsed top
-    among them, ``rank[s]`` is the index in ``levels`` of the member at s,
-    or ``len(levels)`` (never admitted) for a non-member, and ``absorbing``
+    of G.  Returns ``(at, levels, rank, absorbing)``: ``at`` is the mask of
+    the subset at each local index (``core._subset_masks``), rising,
+    ``levels`` are the sorted distinct numerators (over ``lam.den``) of the
+    members whose sets lie inside G, the collapsed top among them,
+    ``rank[s]`` is the index in ``levels`` of the member at s, or
+    ``len(levels)`` (never admitted) for a non-member, and ``absorbing``
     marks the unions whose product is the top: non-members and the top."""
-    ids = S.subset_ids(G_mask)
+    at = _subset_masks(G_mask)
+    ids = S.ids_of(at)
     members = ids >= 0
     levels, member_rank = np.unique(lam.num(ids[members]), return_inverse=True)
     rank = np.full(len(ids), len(levels))
@@ -298,7 +304,7 @@ def _subset_world(S, lam, G_mask):
     absorbing = ~members
     if S.top_id is not None:
         absorbing |= ids == S.top_id
-    return ids, levels, rank, absorbing
+    return at, levels, rank, absorbing
 
 
 def _element_world(S, T=None):
@@ -485,13 +491,86 @@ def _pair_unions(R, top=None):
     return covered
 
 
+# -- closure contexts --------------------------------------------------------
+
+class _Closures:
+    """The closure worlds of one host under one weight, each built on first
+    use: the weight's levels ranked over every element; the host's element
+    world, in a cell shared by the host's contexts, as it does not depend on
+    the weight; and the subset world over the host's whole ground, when its
+    subsets fit the density rule and number at most ``NP_BLOCK_ELEMS``.  It
+    holds read-only arrays, never the host or the weight, which its methods
+    take from the caller."""
+
+    __slots__ = ("_element", "_ranked", "_ground")
+
+    def __init__(self, element):
+        self._element = element         # [] until the world is built
+        self._ranked = self._ground = None
+
+    def element_world(self, S, T=None):
+        """``_element_world(S, T)``, built once for the host."""
+        if not self._element:
+            self._element.append(_read_only(_element_world(S, T)))
+        return self._element[0]
+
+    def ranked(self, lam, n):
+        """``_ranked`` of every element."""
+        if self._ranked is None:
+            self._ranked = _ranked(lam, np.arange(n))
+            self._ranked[1].flags.writeable = False
+        return self._ranked
+
+    def subset_world(self, S, lam, G):
+        """``_subset_world(S, lam, G)``.  With a world over the whole ground,
+        whose local index is the mask, G's world is its entries at the masks
+        of G's subsets, with the levels of every member: the ranks stay
+        global, since ``_first_levels`` skips the levels that admit
+        nothing."""
+        if self._ground is None:        # () once found not to fit
+            k = len(S.ground)
+            whole = (1 << k) - 1
+            self._ground = _read_only(_subset_world(S, lam, whole)) if (
+                1 << k <= NP_BLOCK_ELEMS and S.subsets_fit(whole)) else ()
+        if not self._ground:
+            return _subset_world(S, lam, G)
+        _, levels, rank, absorbing = self._ground
+        if G == len(rank) - 1:          # the whole ground itself
+            return self._ground
+        at = np.flatnonzero(np.arange(len(rank)) & ~G == 0)
+        return at, levels, rank[at], absorbing[at]
+
+
+def _read_only(arrays):
+    """``arrays`` (None passes through), each made read-only."""
+    for a in arrays or ():
+        a.flags.writeable = False
+    return arrays
+
+
+#: host -> ([its element world], weight -> its ``_Closures``), weak on the
+#: host and on the weight, so that a context dies with either of them
+_CONTEXTS = weakref.WeakKeyDictionary()
+
+
+def _closures(S, lam):
+    """The ``_Closures`` of host S under weight lam, cached or new."""
+    if (host := _CONTEXTS.get(S)) is None:
+        host = _CONTEXTS[S] = ([], weakref.WeakKeyDictionary())
+    element, contexts = host
+    if (ctx := contexts.get(lam)) is None:
+        ctx = contexts[lam] = _Closures(element)
+    return ctx
+
+
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     """Least level C from which the level-C closure of E reaches z; infinite
     when z lies outside the filter generated by E.
 
     The first level of z is a bottleneck cost, the largest weight used by a
     derivation of z, minimized over derivations.  One closure pass finds it
-    and stops as soon as z is reached; the module docstring says which.
+    and stops as soon as z is reached; the module docstring says which.  The
+    subset pass reads its world from the closure context of (S, lam).
     """
     if E == 0:
         return INFINITE
@@ -505,11 +584,10 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
             masks = S.masks_of([z, *E_ids])
             # a collapsed top read from a file may miss points of E and z
             G = J_mask | int(np.bitwise_or.reduce(masks))
-            ids, levels, rank, absorbing = _subset_world(S, lam, G)
-            point = {p: 1 << j for j, p in enumerate(bits(G))}
-            target, *local = [sum(map(point.get, bits(m)))
-                              for m in masks.tolist()]
-            seeds = np.zeros((1, len(ids)), dtype=bool)
+            at, levels, rank, absorbing = _closures(S, lam).subset_world(
+                S, lam, G)
+            target, *local = np.searchsorted(at, masks).tolist()
+            seeds = np.zeros((1, len(at)), dtype=bool)
             seeds.put(local, True)
             i = _subset_first_levels(seeds, rank, len(levels), absorbing,
                                      [target])
@@ -537,31 +615,32 @@ def _block_winners(S, lam, W_ids, sets, T=None):
     product table ``T`` when given); else one set on the pair-by-pair pass.
     The first two run their rows through ``_first_levels``.
     """
+    ctx = _closures(S, lam)
     W = np.array(W_ids)
-    G = int(np.bitwise_or.reduce(S.masks_of(W))) \
-        if S.kind == "set_system" else None
+    masks = S.masks_of(W) if S.kind == "set_system" else None
+    G = None if masks is None else int(np.bitwise_or.reduce(masks))
     if G is not None and popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
-        ids, nums, rank, absorbing = _subset_world(S, lam, G)
-        at = np.argsort(ids)                # each target's local index
-        cols = at[np.searchsorted(ids, W, sorter=at)]
+        index, nums, rank, absorbing = ctx.subset_world(S, lam, G)
+        levels = [Fraction(a, lam.den) for a in nums.tolist()]
+        cols = np.searchsorted(index, masks)    # each target's local index
         run = partial(_subset_first_levels, absorbing=absorbing)
-    elif (world := _element_world(S, T)) is not None:
-        ids, cols = range(S.n), W
-        nums, rank = np.unique(lam.num(np.arange(S.n)), return_inverse=True)
+    elif (world := ctx.element_world(S, T)) is not None:
+        index, cols = range(S.n), W
+        levels, rank = ctx.ranked(lam, S.n)
         run = partial(_element_first_levels, A=world[0], K=world[1])
     else:
         factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
-        ranked = _ranked(lam, np.arange(S.n))
+        levels, rank = ctx.ranked(lam, S.n)
+        ranked = levels, rank.tolist()
         for row in sets:
             E_ids = W[row[row >= 0]].tolist()
             first = _knuth_first_levels(S, lam, E_ids, W_ids, factors,
                                         S.product_ids(E_ids), ranked)
             yield E_ids, max(first[z] for z in W_ids if z in first), first
         return
-    levels = [Fraction(a, lam.den) for a in nums.tolist()]
-    for r0, r1 in row_blocks(len(sets), len(ids)):
+    for r0, r1 in row_blocks(len(sets), len(index)):
         block = sets[r0:r1]
-        seeds = np.zeros((len(block), len(ids)), dtype=bool)
+        seeds = np.zeros((len(block), len(index)), dtype=bool)
         j, p = np.nonzero(block >= 0)
         seeds[j, cols[block[j, p]]] = True
         first = run(seeds, rank=rank, nlevels=len(levels), cols=cols)
@@ -586,7 +665,8 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     (``_block_winners``), on the subset pass, the element pass (a host of at
     most ``FULL_VALIDATE_CAP`` elements that passes its guard) or the
     pair-by-pair pass; on the last they share one factor list per element,
-    cached for this call only.  Every pass gives the same profile.
+    cached for this call only.  Worlds and levels come from the closure
+    context of (S, lam).  Every pass gives the same profile.
     """
     L = Fraction(L)
     W_mask = level_set(S, lam, L)

@@ -1,6 +1,9 @@
+import copy
+import gc
 import random
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -219,15 +222,50 @@ def test_closure_engine_matches_oracles(spec, seed, data):
 
 
 def test_profile_leaves_host_and_weight_caches_alone():
-    S = generate_instance("pstar(4)")
-    lam = builtin_logweight(S, "cardinality")
-    S.factors_mask(3)
-    host, factors, weight = dict(vars(S)), dict(S._factors_cache), \
-        dict(vars(lam))
-    for budget in (500_000, 7):
-        propagation_profile(S, lam, 2, budget=budget, samples=20)
-    assert vars(S) == host and S._factors_cache == factors
-    assert vars(lam) == weight and lam._cache is None
+    # profiles, and v_value on the pair pass (4 points) and on the subset
+    # pass through a closure context (7 points)
+    for spec, L in (("pstar(4)", 2), ("pstar(7)", 1)):
+        S = generate_instance(spec)
+        lam = builtin_logweight(S, "cardinality")
+        S.factors_mask(3)
+        host, factors, weight = dict(vars(S)), dict(S._factors_cache), \
+            dict(vars(lam))
+        for budget in (500_000, 7):
+            propagation_profile(S, lam, L, budget=budget, samples=20)
+        singles, top = _singletons_and_top(S)
+        assert v_value(S, lam, singles, top) == \
+            PropagationValue.finite(S.member_mask(top).bit_count())
+        assert vars(S) == host and S._factors_cache == factors
+        assert vars(lam) == weight and lam._cache is None
+
+
+def _singletons_and_top(S):
+    """The id-mask of the singletons of a cube family, and its top."""
+    k = len(S.ground)
+    return mask_of(S.id_of_mask(1 << p) for p in range(k)), \
+        S.id_of_mask((1 << k) - 1)
+
+
+def test_closure_contexts_let_hosts_and_weights_go():
+    # a subset world over the whole ground (pstar(7)) and an element world
+    # (tree(2,3)), each under two weights, one of which goes first
+    refs = []
+    for S in (free_nonempty(7), kary_tree(2, 3)):
+        lams = [random_logweight(S, 1), random_logweight(S, 2)]
+        for lam in lams:
+            propagation_profile(S, lam, lam.max_value())
+            if S.kind == "set_system":
+                singles, top = _singletons_and_top(S)
+                v_value(S, lam, singles, top)
+        element, contexts = propagation._CONTEXTS[S]
+        assert len(contexts) == 2 and bool(element) == (S.kind == "table")
+        refs += [weakref.ref(x) for x in (S, *lams)]
+        del lams[0]
+        gc.collect()
+        assert len(contexts) == 1
+        del S, lam, lams, element, contexts
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 # -- profiles in blocks --------------------------------------------------------
@@ -274,14 +312,11 @@ def test_batched_profile_matches_the_per_set_pass(S, wname, seed, budget,
         except PrototypeMissingTop:
             assume(False)
     L = data.draw(st.sampled_from(sorted(set(lam.values()))), label="L")
-    run = partial(propagation_profile, S, lam, L, budget=budget, seed=seed,
-                  samples=25)
+    kw = dict(budget=budget, seed=seed, samples=25)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "NP_BLOCK_ELEMS", block_elems)
-        batched = run()
-        mp.setattr(propagation, "SUBSET_MAX_BITS", -1)   # every set alone
-        mp.setattr(propagation, "_element_world", lambda S, T=None: None)
-        per_set = run()
+        batched = propagation_profile(S, lam, L, **kw)
+        per_set = _pair_pass_profile(S, lam, L, **kw)    # every set alone
     assert _profile_fields(batched) == _profile_fields(per_set)
 
 
@@ -368,10 +403,28 @@ def _all_fields(prof):
     return _profile_fields(prof) + (prof.notes,)
 
 
+def _fresh(S):
+    """A new host object equal to S, which no cached closure context serves."""
+    return copy.copy(S)
+
+
 def _pair_pass_profile(S, lam, L, **kw):
-    with mock.patch.object(propagation, "_element_world",
-                           lambda S, T=None: None):
-        return propagation_profile(S, lam, L, **kw)
+    """The profile on the pair-by-pair pass alone, on a fresh copy of S: the
+    other passes are routed away and their entry points unset."""
+    with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
+            mock.patch.object(propagation, "_element_world",
+                              lambda S, T=None: None), \
+            mock.patch.object(propagation, "_subset_first_levels", None), \
+            mock.patch.object(propagation, "_element_first_levels", None):
+        return propagation_profile(_fresh(S), lam, L, **kw)
+
+
+def _element_pass_profile(S, lam, L, **kw):
+    """The profile on the element pass alone, on a fresh copy of S."""
+    with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
+            mock.patch.object(propagation, "_subset_first_levels", None), \
+            mock.patch.object(propagation, "_knuth_first_levels", None):
+        return propagation_profile(_fresh(S), lam, L, **kw)
 
 
 @pytest.mark.parametrize("host", ["non-associative table", "broken meet",
@@ -394,7 +447,8 @@ def test_element_guard_sends_profiles_to_the_pair_pass(host, monkeypatch):
         monkeypatch.setattr(propagation, "FULL_VALIDATE_CAP", S.n - 1)
     assert propagation._element_world(S) is None
     monkeypatch.setattr(propagation, "_element_first_levels", None)
-    assert [_all_fields(propagation_profile(S, lam, L)) for lam in lams
+    guarded = _fresh(S)     # whose element world is built under the cap
+    assert [_all_fields(propagation_profile(guarded, lam, L)) for lam in lams
             for L in lam.distinct_values()] == expect == \
         [_all_fields(_pair_pass_profile(S, lam, L)) for lam in lams
          for L in lam.distinct_values()]
@@ -439,15 +493,9 @@ def test_element_pass_matches_the_pair_pass(spec, wname, seed, budget, data):
         lam = builtin_logweight(S, wname)
     assert propagation._element_world(S) is not None
     L = data.draw(st.sampled_from(lam.distinct_values()), label="L")
-    run = partial(propagation_profile, S, lam, L, budget=budget, seed=seed,
-                  samples=25)
-    with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
-            mock.patch.object(propagation, "_knuth_first_levels", None):
-        element = run()
-    with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
-            mock.patch.object(propagation, "_element_world",
-                              lambda S, T=None: None):
-        pair = run()
+    kw = dict(budget=budget, seed=seed, samples=25)
+    element = _element_pass_profile(S, lam, L, **kw)
+    pair = _pair_pass_profile(S, lam, L, **kw)
     assert _all_fields(element) == _all_fields(pair)
 
 
@@ -474,8 +522,8 @@ _PASS_HOSTS.update({f"sch_embed({spec})": sch_embed(generate_instance(spec))
 def _world(S, lam, G):
     """``_subset_world`` of G with each element's local index, the collapsed
     top's among them, and the levels as fractions."""
-    ids, levels, rank, absorbing = propagation._subset_world(S, lam, G)
-    pos = {z: s for s, z in enumerate(ids.tolist()) if z >= 0}
+    at, levels, rank, absorbing = propagation._subset_world(S, lam, G)
+    pos = {z: s for s, z in enumerate(S.ids_of(at).tolist()) if z >= 0}
     return pos, [Fraction(a, lam.den) for a in levels.tolist()], rank, \
         absorbing
 
@@ -755,6 +803,115 @@ def test_subset_pass_refuses_a_wide_join_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- closure contexts reused -----------------------------------------------------
+
+_REUSE_SPECS = ("pstar(3)", "pstar(6)", "pstar(8)", "pstar(9)", "fin(6,3)",
+                "fin(7,3)", "fin(8,6)", "fin(9,7)")
+_REUSED = {}    # (host key, weight name) -> (host, weight), across examples
+
+
+def _reuse_host(key):
+    """A new host for ``key``: a generator spec, or the point count and the
+    sets of a family closed under unions."""
+    if isinstance(key, str):
+        return generate_instance(key)
+    k, sets = key
+    return Semilattice.from_sets(range(k), sorted(map(sorted, sets)),
+                                 close=True)
+
+
+def _reuse_weight(S, wname):
+    if wname.startswith("random:"):
+        return random_logweight(S, int(wname[7:]))
+    return builtin_logweight(S, wname)
+
+
+@st.composite
+def _reuse_key(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_REUSE_SPECS))
+    k = draw(st.integers(1, 8))
+    return k, draw(st.frozensets(st.frozensets(st.integers(0, k - 1)),
+                                 min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=_reuse_key(), wname=st.sampled_from(["cardinality", "prototype",
+                                                "random:0", "random:1"]),
+       data=st.data())
+def test_reused_contexts_match_the_pair_pass_and_fresh_hosts(key, wname,
+                                                             data):
+    # many queries on one (host, weight), shared with earlier examples; on a
+    # truncation the collapsed top is a seed, the target or the join
+    if (key, wname) not in _REUSED:
+        S = _reuse_host(key)
+        try:
+            _REUSED[key, wname] = S, _reuse_weight(S, wname)
+        except PrototypeMissingTop:
+            assume(False)
+    S, lam = _REUSED[key, wname]
+    for _ in range(data.draw(st.integers(1, 6), label="queries")):
+        E_ids = data.draw(st.sets(st.integers(0, S.n - 1), min_size=1,
+                                  max_size=4), label="E")
+        role = None if S.top_id is None else data.draw(
+            st.sampled_from([None, "seed", "target", "join"]), label="top")
+        if role == "seed":
+            E_ids.add(S.top_id)
+        elif role == "join":
+            E_ids |= {S.id_of_mask(1 << p) for p in range(len(S.ground))}
+        J = S.product_ids(E_ids)
+        z = S.top_id if role == "target" else data.draw(
+            st.sampled_from(sorted(S.iter_factors(J))) |
+            st.integers(0, S.n - 1), label="z")
+        E = mask_of(E_ids)
+        c = propagation._knuth_first_levels(S, lam, sorted(E_ids), [z],
+                                            S.iter_factors, J).get(z)
+        fresh = _reuse_host(key)
+        assert v_value(S, lam, E, z) == (
+            INFINITE if c is None else PropagationValue.finite(c)) == \
+            v_value(fresh, _reuse_weight(fresh, wname), E, z)
+
+
+def _spy_on_subset_worlds(monkeypatch):
+    """The point sets G of every ``_subset_world`` built from here on."""
+    seen, build = [], propagation._subset_world
+    monkeypatch.setattr(propagation, "_subset_world",
+                        lambda S, lam, G: seen.append(G) or build(S, lam, G))
+    return seen
+
+
+def test_v_value_reuses_one_whole_ground_world(monkeypatch):
+    S = free_nonempty(9)
+    lam = builtin_logweight(S, "cardinality")
+    seen = _spy_on_subset_worlds(monkeypatch)
+    for k in (6, 7, 8, 9):      # singletons to their join, a 1-row pass each
+        E = mask_of(S.id_of_mask(1 << p) for p in range(k))
+        assert v_value(S, lam, E, S.id_of_mask((1 << k) - 1)).c == k
+    assert seen == [(1 << 9) - 1]
+
+
+@pytest.mark.parametrize("host", ["fin(20,15) barrier", "pstar(15)"])
+def test_v_value_builds_no_world_past_the_block(host, monkeypatch):
+    # both grounds pass the density rule, but their 2**20 and 2**15 subsets
+    # are more than NP_BLOCK_ELEMS: each query builds the world of its own
+    # join, as the fin(20,15) barrier of ``adversary --nmax 4`` does
+    assert 1 << 15 > core.NP_BLOCK_ELEMS
+    seen = _spy_on_subset_worlds(monkeypatch)
+    if host == "pstar(15)":
+        S = free_nonempty(15)
+        lam = builtin_logweight(S, "cardinality")
+        for k in (10, 12):
+            E = mask_of(S.id_of_mask(1 << p) for p in range(k))
+            assert v_value(S, lam, E, S.id_of_mask((1 << k) - 1)).c == k
+        assert seen == [(1 << 10) - 1, (1 << 12) - 1]
+    else:
+        S = generate_instance("fin(20,15)")
+        chain = build_chain(S, 4)
+        assert all(verify_barrier(chain, S, n).passed for n in (2, 3, 4))
+        assert seen and max(map(int.bit_count, seen)) <= 10
+    assert S.subsets_fit((1 << len(S.ground)) - 1)
 
 
 def test_prototype_barrier_on_pstar16_is_fast():
