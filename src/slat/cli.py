@@ -182,7 +182,7 @@ def cmd_fbp(args):
     _emit(args, {"C": _frac_json(C), "set": list(bits(X)),
                  "step": list(bits(step)),
                  "closure": list(bits(closure)), "rounds": rounds,
-                 "stable": propagation.is_fbp_stable(S, lam, C, X)})
+                 "stable": step & ~X == 0})
     return 0
 
 
@@ -215,8 +215,6 @@ def cmd_breadth(args):
 
 
 def cmd_adversary(args):
-    if args.nmax < 1:
-        raise UsageError(f"--nmax {args.nmax} is below 1")
     S, _ = _host(args.instance, args.close)
     if S.kind != "set_system":
         raise UsageError(f"{args.instance}: adversary needs a set system")
@@ -400,6 +398,11 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # integer flags below their least value, before any work
+        for flag, least in (("nmax", 1), ("cap", 0), ("budget", 0)):
+            if getattr(args, flag, least) < least:
+                raise UsageError(f"--{flag} {getattr(args, flag)} is below "
+                                 f"{least}")
         return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,11 +53,15 @@ host passes its guard; else each set alone on the pair-by-pair pass.  The
 subset pass ranks a collapsed top like any member, so it serves as a seed
 and a target; the element pass treats it as any element.
 
-Levels are ranks of integer numerators (``np.unique``), so they stay exact.
-Levels and worlds are built once per host and weight, in a closure context
-(``_Closures``) cached weakly on both, and no answer depends on what the
-cache holds.  ``fbp`` and ``fbp_closure`` apply the definition one step at a
-time; the ``fbp`` command and the cross-checks use them.
+Levels are ranks of integer numerators (``np.unique``), kept as fractions,
+so they stay exact.  A world is kept in one weak memo (``_memo``) on the
+object it is built from: a host keeps its element world and, on a ground
+of at most 14 points that fits the density rule, the ids of every subset
+of the ground; a weight keeps its levels and the rank of every element.
+Nothing is kept per pair of host and weight, nothing is stored on either,
+and no answer depends on what the memo holds.  ``fbp`` and
+``fbp_closure`` apply the definition one step at a time; the ``fbp``
+command and the cross-checks use them.
 """
 
 from __future__ import annotations
@@ -230,10 +234,14 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
 # -- reachability cost -------------------------------------------------------
 
 def _ranked(lam, ids):
-    """The distinct weights of ``ids``, rising, and each id's rank in them,
-    an array."""
-    levels, rank = np.unique(lam.num(ids), return_inverse=True)
-    return [Fraction(a, lam.den) for a in levels.tolist()], rank
+    """The distinct weights of the members among ``ids`` (-1 for none),
+    rising, as fractions, and each id's rank in them, an array:
+    ``len(levels)``, never admitted, at a non-member."""
+    members = ids >= 0
+    nums, inv = np.unique(lam.num(ids[members]), return_inverse=True)
+    rank = np.full(len(ids), len(nums))
+    rank[members] = inv
+    return [Fraction(a, lam.den) for a in nums.tolist()], rank
 
 
 def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
@@ -283,28 +291,6 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
                 if z not in first:
                     buckets[max(rank[z], i)].append(z)
     return first
-
-
-def _subset_world(S, lam, G_mask):
-    """The closed world of the subset pass over the subsets of G, a set of
-    points of a set system: bit j of a local index stands for the j-th point
-    of G.  Returns ``(at, levels, rank, absorbing)``: ``at`` is the mask of
-    the subset at each local index (``core._subset_masks``), rising,
-    ``levels`` are the sorted distinct numerators (over ``lam.den``) of the
-    members whose sets lie inside G, the collapsed top among them,
-    ``rank[s]`` is the index in ``levels`` of the member at s, or
-    ``len(levels)`` (never admitted) for a non-member, and ``absorbing``
-    marks the unions whose product is the top: non-members and the top."""
-    at = _subset_masks(G_mask)
-    ids = S.ids_of(at)
-    members = ids >= 0
-    levels, member_rank = np.unique(lam.num(ids[members]), return_inverse=True)
-    rank = np.full(len(ids), len(levels))
-    rank[members] = member_rank
-    absorbing = ~members
-    if S.top_id is not None:
-        absorbing |= ids == S.top_id
-    return at, levels, rank, absorbing
 
 
 def _element_world(S, T=None):
@@ -491,76 +477,71 @@ def _pair_unions(R, top=None):
     return covered
 
 
-# -- closure contexts --------------------------------------------------------
+# -- closure worlds ----------------------------------------------------------
 
-class _Closures:
-    """The closure worlds of one host under one weight, each built on first
-    use: the weight's levels ranked over every element; the host's element
-    world, in a cell shared by the host's contexts, as it does not depend on
-    the weight; and the subset world over the host's whole ground, when its
-    subsets fit the density rule and number at most ``NP_BLOCK_ELEMS``.  It
-    holds read-only arrays, never the host or the weight, which its methods
-    take from the caller."""
-
-    __slots__ = ("_element", "_ranked", "_ground")
-
-    def __init__(self, element):
-        self._element = element         # [] until the world is built
-        self._ranked = self._ground = None
-
-    def element_world(self, S, T=None):
-        """``_element_world(S, T)``, built once for the host."""
-        if not self._element:
-            self._element.append(_read_only(_element_world(S, T)))
-        return self._element[0]
-
-    def ranked(self, lam, n):
-        """``_ranked`` of every element."""
-        if self._ranked is None:
-            self._ranked = _ranked(lam, np.arange(n))
-            self._ranked[1].flags.writeable = False
-        return self._ranked
-
-    def subset_world(self, S, lam, G):
-        """``_subset_world(S, lam, G)``.  With a world over the whole ground,
-        whose local index is the mask, G's world is its entries at the masks
-        of G's subsets, with the levels of every member: the ranks stay
-        global, since ``_first_levels`` skips the levels that admit
-        nothing."""
-        if self._ground is None:        # () once found not to fit
-            k = len(S.ground)
-            whole = (1 << k) - 1
-            self._ground = _read_only(_subset_world(S, lam, whole)) if (
-                1 << k <= NP_BLOCK_ELEMS and S.subsets_fit(whole)) else ()
-        if not self._ground:
-            return _subset_world(S, lam, G)
-        _, levels, rank, absorbing = self._ground
-        if G == len(rank) - 1:          # the whole ground itself
-            return self._ground
-        at = np.flatnonzero(np.arange(len(rank)) & ~G == 0)
-        return at, levels, rank[at], absorbing[at]
+#: host or weight -> {builder: the world it built from that object}, weak on
+#: the object, so that its worlds die with it
+_MEMO = weakref.WeakKeyDictionary()
 
 
-def _read_only(arrays):
-    """``arrays`` (None passes through), each made read-only."""
-    for a in arrays or ():
-        a.flags.writeable = False
-    return arrays
+def _memo(key, build, *args):
+    """``build(key, *args)``, built once for ``key``, a host or a weight: the
+    world must depend on ``key`` alone, and its callers only read it."""
+    if (worlds := _MEMO.get(key)) is None:
+        worlds = _MEMO[key] = {}
+    if build not in worlds:
+        worlds[build] = build(key, *args)
+    return worlds[build]
 
 
-#: host -> ([its element world], weight -> its ``_Closures``), weak on the
-#: host and on the weight, so that a context dies with either of them
-_CONTEXTS = weakref.WeakKeyDictionary()
+def _weight_ranks(lam):
+    """``_ranked`` of every element of the weight, with the never-admitted
+    rank, ``len(levels)``, at id -1."""
+    return _ranked(lam, np.append(np.arange(lam.n), -1))
 
 
-def _closures(S, lam):
-    """The ``_Closures`` of host S under weight lam, cached or new."""
-    if (host := _CONTEXTS.get(S)) is None:
-        host = _CONTEXTS[S] = ([], weakref.WeakKeyDictionary())
-    element, contexts = host
-    if (ctx := contexts.get(lam)) is None:
-        ctx = contexts[lam] = _Closures(element)
-    return ctx
+def _subset_ids(S, at):
+    """The ids of the subsets at the masks ``at`` (-1 for a non-member) and
+    the absorbing ones, whose product is the top: non-members and the top."""
+    ids = S.ids_of(at)
+    absorbing = ids < 0
+    if S.top_id is not None:
+        absorbing |= ids == S.top_id
+    return ids, absorbing
+
+
+def _ground_ids(S):
+    """``_subset_ids`` of every subset of the host's ground, indexed by mask,
+    when they number at most ``NP_BLOCK_ELEMS`` and fit the density rule;
+    else None."""
+    whole = (1 << len(S.ground)) - 1
+    if whole >= NP_BLOCK_ELEMS or not S.subsets_fit(whole):
+        return None
+    return _subset_ids(S, np.arange(whole + 1))
+
+
+def _subset_world(S, lam, G_mask):
+    """The closed world of the subset pass over the subsets of G, a set of
+    points of a set system: bit j of a local index stands for the j-th point
+    of G.  Returns ``(at, levels, rank, absorbing)``: ``at`` is the mask of
+    the subset at each local index, rising, ``levels`` are distinct weights,
+    rising, as fractions, ``rank[s]`` is the index in ``levels`` of the
+    member at s, or ``len(levels)`` (never admitted) for a non-member, and
+    ``absorbing`` is as ``_subset_ids`` makes it.  On a host that keeps the
+    world of its whole ground (``_ground_ids``), G's world is its entries at
+    the masks of G's subsets, ranked among the levels of every element
+    (``_weight_ranks``): ``_first_levels`` skips the levels that admit
+    nothing.  Otherwise G's world is built alone and ranked among the members
+    inside G, so that no weight is ranked over every element of a large
+    host."""
+    if (ground := _memo(S, _ground_ids)) is None:
+        at = _subset_masks(G_mask)
+        ids, absorbing = _subset_ids(S, at)
+        return at, *_ranked(lam, ids), absorbing
+    ids, absorbing = ground
+    at = np.flatnonzero(np.arange(len(ids)) & ~G_mask == 0)
+    levels, rank = _memo(lam, _weight_ranks)
+    return at, levels, rank[ids[at]], absorbing[at]
 
 
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
@@ -569,8 +550,7 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
 
     The first level of z is a bottleneck cost, the largest weight used by a
     derivation of z, minimized over derivations.  One closure pass finds it
-    and stops as soon as z is reached; the module docstring says which.  The
-    subset pass reads its world from the closure context of (S, lam).
+    and stops as soon as z is reached; the module docstring says which.
     """
     if E == 0:
         return INFINITE
@@ -584,15 +564,13 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
             masks = S.masks_of([z, *E_ids])
             # a collapsed top read from a file may miss points of E and z
             G = J_mask | int(np.bitwise_or.reduce(masks))
-            at, levels, rank, absorbing = _closures(S, lam).subset_world(
-                S, lam, G)
+            at, levels, rank, absorbing = _subset_world(S, lam, G)
             target, *local = np.searchsorted(at, masks).tolist()
             seeds = np.zeros((1, len(at)), dtype=bool)
             seeds.put(local, True)
             i = _subset_first_levels(seeds, rank, len(levels), absorbing,
                                      [target])
-            return PropagationValue.finite(
-                Fraction(int(levels[i[0, 0]]), lam.den))
+            return PropagationValue.finite(levels[i[0, 0]])
     c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
     if c is None:
         raise AssertionError("target inside the generated filter never reached")
@@ -615,22 +593,21 @@ def _block_winners(S, lam, W_ids, sets, T=None):
     product table ``T`` when given); else one set on the pair-by-pair pass.
     The first two run their rows through ``_first_levels``.
     """
-    ctx = _closures(S, lam)
     W = np.array(W_ids)
     masks = S.masks_of(W) if S.kind == "set_system" else None
     G = None if masks is None else int(np.bitwise_or.reduce(masks))
     if G is not None and popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
-        index, nums, rank, absorbing = ctx.subset_world(S, lam, G)
-        levels = [Fraction(a, lam.den) for a in nums.tolist()]
+        index, levels, rank, absorbing = _subset_world(S, lam, G)
         cols = np.searchsorted(index, masks)    # each target's local index
         run = partial(_subset_first_levels, absorbing=absorbing)
-    elif (world := ctx.element_world(S, T)) is not None:
+    elif (world := _memo(S, _element_world, T)) is not None:
         index, cols = range(S.n), W
-        levels, rank = ctx.ranked(lam, S.n)
+        levels, rank = _memo(lam, _weight_ranks)
+        rank = rank[:-1]
         run = partial(_element_first_levels, A=world[0], K=world[1])
     else:
         factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
-        levels, rank = ctx.ranked(lam, S.n)
+        levels, rank = _memo(lam, _weight_ranks)
         ranked = levels, rank.tolist()
         for row in sets:
             E_ids = W[row[row >= 0]].tolist()
@@ -665,8 +642,7 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     (``_block_winners``), on the subset pass, the element pass (a host of at
     most ``FULL_VALIDATE_CAP`` elements that passes its guard) or the
     pair-by-pair pass; on the last they share one factor list per element,
-    cached for this call only.  Worlds and levels come from the closure
-    context of (S, lam).  Every pass gives the same profile.
+    cached for this call only.  Every pass gives the same profile.
     """
     L = Fraction(L)
     W_mask = level_set(S, lam, L)

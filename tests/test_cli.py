@@ -471,11 +471,35 @@ def test_value_error_inside_an_algorithm_is_not_a_usage_error(monkeypatch):
     ["analyze", "pstar(3)", "--weight", "no-such-weight"],
     ["sweep", "--family", "prototype", "--range", "1:2", "--op", "profile",
      "--L", "x"],
+    ["analyze", "pstar(3)", "--cap", "-1"],
+    ["breadth", "tree(2,3)", "--cap", "-3"],
+    ["profile", "pstar(3)", "--weight", "prototype", "--L", "1", "--budget",
+     "-1"],
+    ["sweep", "--family", "prototype", "--range", "2:3", "--op", "breadth",
+     "--cap", "-1"],
+    ["sweep", "--family", "prototype", "--range", "2:3", "--op", "profile",
+     "--budget", "-1"],
 ], ids=["nmax-zero", "z-two-ids", "z-not-int", "scale-zero-den",
-        "unknown-weight", "sweep-rational"])
+        "unknown-weight", "sweep-rational", "analyze-cap-negative",
+        "breadth-cap-negative", "profile-budget-negative",
+        "sweep-cap-negative", "sweep-budget-negative"])
 def test_malformed_flag_value_is_usage_error(argv):
     rc, out, err = _main(argv)
     assert rc == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["breadth", "tree(2,3)", "--cap", "0"],
+    ["sweep", "--family", "prototype", "--range", "2:3", "--op", "breadth",
+     "--cap", "0"],
+    ["profile", "pstar(3)", "--weight", "prototype", "--L", "1", "--budget",
+     "0"],
+], ids=["breadth-cap", "sweep-cap", "profile-budget"])
+def test_zero_cap_and_budget_are_legal(argv):
+    rc, out, err = _main(argv)
+    assert rc == 0 and err == ""
+    if argv[0] == "profile":    # nodes is the budget + 1
+        assert json.loads(out)["nodes"] == 1
 
 
 def test_sweep_has_no_format_flag(capsys):

@@ -248,7 +248,9 @@ def _singletons_and_top(S):
 
 def test_closure_contexts_let_hosts_and_weights_go():
     # a subset world over the whole ground (pstar(7)) and an element world
-    # (tree(2,3)), each under two weights, one of which goes first
+    # (tree(2,3)), each under two weights, one of which goes first: the memo
+    # keeps one entry per host and per weight, none per pair, and each entry
+    # goes with its object
     refs = []
     for S in (free_nonempty(7), kary_tree(2, 3)):
         lams = [random_logweight(S, 1), random_logweight(S, 2)]
@@ -257,15 +259,20 @@ def test_closure_contexts_let_hosts_and_weights_go():
             if S.kind == "set_system":
                 singles, top = _singletons_and_top(S)
                 v_value(S, lam, singles, top)
-        element, contexts = propagation._CONTEXTS[S]
-        assert len(contexts) == 2 and bool(element) == (S.kind == "table")
+        world = propagation._ground_ids if S.kind == "set_system" else \
+            propagation._element_world
+        assert list(propagation._MEMO[S]) == [world]
+        assert propagation._MEMO[S][world] is not None
+        for lam in lams:
+            assert list(propagation._MEMO[lam]) == [propagation._weight_ranks]
         refs += [weakref.ref(x) for x in (S, *lams)]
         del lams[0]
         gc.collect()
-        assert len(contexts) == 1
-        del S, lam, lams, element, contexts
+        assert refs[-2]() is None
+        del S, lam, lams
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+    assert all(k() is not None for k in propagation._MEMO.keyrefs())
 
 
 # -- profiles in blocks --------------------------------------------------------
@@ -404,7 +411,7 @@ def _all_fields(prof):
 
 
 def _fresh(S):
-    """A new host object equal to S, which no cached closure context serves."""
+    """A new host object equal to S, whose worlds the memo does not hold."""
     return copy.copy(S)
 
 
@@ -521,11 +528,10 @@ _PASS_HOSTS.update({f"sch_embed({spec})": sch_embed(generate_instance(spec))
 
 def _world(S, lam, G):
     """``_subset_world`` of G with each element's local index, the collapsed
-    top's among them, and the levels as fractions."""
+    top's among them."""
     at, levels, rank, absorbing = propagation._subset_world(S, lam, G)
     pos = {z: s for s, z in enumerate(S.ids_of(at).tolist()) if z >= 0}
-    return pos, [Fraction(a, lam.den) for a in levels.tolist()], rank, \
-        absorbing
+    return pos, levels, rank, absorbing
 
 
 def _both_passes(S, lam, E_ids):
@@ -805,7 +811,7 @@ def test_subset_pass_refuses_a_wide_join_before_allocating():
     assert peak < 1 << 20
 
 
-# -- closure contexts reused -----------------------------------------------------
+# -- closure worlds reused --------------------------------------------------------
 
 _REUSE_SPECS = ("pstar(3)", "pstar(6)", "pstar(8)", "pstar(9)", "fin(6,3)",
                 "fin(7,3)", "fin(8,6)", "fin(9,7)")
@@ -882,14 +888,68 @@ def _spy_on_subset_worlds(monkeypatch):
     return seen
 
 
+def _spy_on_memo_builds(monkeypatch):
+    """(builder name, object) for every world the memo builds from here on."""
+    built = []
+    for name in ("_ground_ids", "_element_world", "_weight_ranks"):
+        build = getattr(propagation, name)
+        monkeypatch.setattr(propagation, name, lambda x, *a, name=name,
+                            build=build: built.append((name, x)) or
+                            build(x, *a))
+    return built
+
+
 def test_v_value_reuses_one_whole_ground_world(monkeypatch):
+    # four joins under two weights: one ground build for the host, one
+    # ranking per weight, and the pair pass's answers
+    built = _spy_on_memo_builds(monkeypatch)
     S = free_nonempty(9)
-    lam = builtin_logweight(S, "cardinality")
-    seen = _spy_on_subset_worlds(monkeypatch)
-    for k in (6, 7, 8, 9):      # singletons to their join, a 1-row pass each
-        E = mask_of(S.id_of_mask(1 << p) for p in range(k))
-        assert v_value(S, lam, E, S.id_of_mask((1 << k) - 1)).c == k
-    assert seen == [(1 << 9) - 1]
+    lams = [builtin_logweight(S, "cardinality"), random_logweight(S, 3)]
+    for lam in lams:
+        for k in (6, 7, 8, 9):  # singletons to their join, a 1-row pass each
+            E_ids = [S.id_of_mask(1 << p) for p in range(k)]
+            z = S.id_of_mask((1 << k) - 1)
+            assert v_value(S, lam, mask_of(E_ids), z).c == \
+                propagation._knuth_first_levels(S, lam, E_ids, [z],
+                                                S.iter_factors, z)[z]
+    assert built == [("_ground_ids", S), ("_weight_ranks", lams[0]),
+                     ("_weight_ranks", lams[1])]
+
+
+def test_no_ground_world_past_the_block():
+    # the 2**15 subsets of pstar(15) fit the density rule, but number more
+    # than NP_BLOCK_ELEMS; pstar(14)'s 2**14 do not
+    big, small = free_nonempty(15), free_nonempty(14)
+    assert big.subsets_fit((1 << 15) - 1)
+    assert propagation._ground_ids(big) is None
+    ids, absorbing = propagation._ground_ids(small)
+    assert len(ids) == core.NP_BLOCK_ELEMS and (ids >= 0).sum() == small.n
+    assert absorbing.tolist() == (ids < 0).tolist()
+
+
+@pytest.mark.parametrize("spec", ["pstar(7)", "tree(2,3)"])
+def test_a_host_copy_builds_its_own_worlds_and_reuses_the_weight(
+        spec, monkeypatch):
+    # a subset world over the whole ground, or an element world, for each
+    # host object; the weight is ranked once for both
+    built = _spy_on_memo_builds(monkeypatch)
+    S = generate_instance(spec)
+    lam = random_logweight(S, 5)
+    twin = copy.copy(S)
+    if S.kind == "set_system":
+        world = "_ground_ids"
+        queries = [(mask_of(S.id_of_mask(1 << p) for p in range(k)),
+                    S.id_of_mask((1 << k) - 1)) for k in (6, 7)]
+    else:
+        world = "_element_world"
+        queries = [(mask_of(E), z) for E in ([1, 2], [3, 4, 5])
+                   for z in range(S.n)]
+    answers = [(_all_fields(propagation_profile(host, lam, L)),
+                [v_value(host, lam, E, z) for E, z in queries])
+               for host in (S, twin)
+               for L in (lam.max_value() / 2, lam.max_value())]
+    assert answers[:2] == answers[2:]
+    assert built == [(world, S), ("_weight_ranks", lam), (world, twin)]
 
 
 @pytest.mark.parametrize("host", ["fin(20,15) barrier", "pstar(15)"])
