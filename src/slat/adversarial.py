@@ -20,9 +20,9 @@ import numpy as np
 
 from ._bitset import bits, mask_of, popcount, popcounts
 from .breadth import SizeLimit, find_incompressible, is_compressible
-from .core import Semilattice, ValidationReport, Violation
+from .core import Semilattice, ValidationReport, Violation, pairs_where
 from .propagation import PropagationValue, v_value
-from .weights import LogWeight, _superadditive_pairs
+from .weights import LogWeight
 
 
 class InsufficientBreadth(Exception):
@@ -216,9 +216,9 @@ def check_eta_subadditive(chain: AdversarialChain) -> ValidationReport:
     size = 1 << len(pts)
     if not (_nested(prefixes, size - 1) and _count_rule_holds(prefixes)):
         traces = np.arange(size)
-        eta = _eta_of_traces(traces, prefixes)
-        for i, j in _superadditive_pairs(
-                eta, lambda r0, r1: traces[r0:r1, None] | traces, upper=False):
+        w = _eta_of_traces(traces, prefixes)
+        for i, j in pairs_where(size, size, lambda r0, r1: w[
+                traces[r0:r1, None] | traces] > w[r0:r1, None] + w):
             rep.violations.append(Violation(
                 "NotSubadditive", ([pts[b] for b in bits(i)],
                                    [pts[b] for b in bits(j)])))

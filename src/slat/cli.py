@@ -323,10 +323,7 @@ def cmd_verify(args):
         entry["logweight_valid"] = w.to_json()
         good = v.ok and w.ok
         if S.n <= 64:
-            filters = metrics.enumerate_filters(S)
-            filt_ok = all(metrics.is_filter(S, F) for F in filters)
-            zero_ok = all(metrics.defect_set(S, lam, F).is_zero
-                          for F in filters)
+            filt_ok, zero_ok = metrics.principal_filters_hold(S)
             rt = core.Semilattice.from_json(S.to_json())
             roundtrip_ok = rt.to_json() == S.to_json()
             entry["filters_are_filters"] = filt_ok

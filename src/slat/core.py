@@ -39,6 +39,9 @@ FULL_VALIDATE_CAP = 251
 #: so that a block's few temporaries stay in cache and add little to the
 #: peak memory of a small host)
 NP_BLOCK_ELEMS = 1 << 14
+#: most 32-bit Mersenne Twister outputs per ``getrandbits`` call of a bulk
+#: draw, so that one chunk's words and their temporaries stay in cache
+_DRAW_CHUNK = 1 << 14
 #: most points of a set on the subset-lattice passes (closures in
 #: ``propagation``, exact breadth in ``breadth``), whose arrays have
 #: 2**points entries
@@ -152,13 +155,14 @@ class Semilattice:
         ground = list(ground)
         masks, labels = _canonical_members(len(ground), member_sets, labels)
         if close:
-            masks, labels = _union_closure(masks), None
+            masks, labels = sorted(_join_closure(masks, operator.or_),
+                                   key=_canonical_key(len(ground))), None
         S = cls("set_system", len(masks), ground=ground, masks=masks,
                 labels=labels)
-        arr, ids = S.member_masks_np(), np.arange(S.n)
+        arr = S.member_masks_np()
         missing = None if close else next(pairs_where(
-            S.n, S.n, lambda r0, r1: (S.ids_of(arr[r0:r1, None] | arr) < 0)
-            & (ids[r0:r1, None] < ids)), None)
+            S.n, S.n, lambda r0, r1: S.ids_of(arr[r0:r1, None] | arr[r0:]) < 0,
+            upper=True), None)
         if missing:
             a, b = (sorted(bits(masks[i])) for i in missing)
             raise NotClosedError(f"union of element sets {a} and {b} is not "
@@ -281,9 +285,10 @@ class Semilattice:
         Up to ``FULL_VALIDATE_CAP`` elements every triple x <= y <= z is
         checked on the dense table; beyond it associativity is checked on
         50 000 triples (x, y, z), drawn as three ``randrange(n)`` per triple
-        from ``random.Random(seed)``, and the report is marked
-        non-exhaustive.  Set systems are union-closed by construction: their
-        builders reject a family that is not, unless it has a collapsed top.
+        from ``random.Random(seed)`` and checked a row block at a time, and
+        the report is marked non-exhaustive.  Set systems are union-closed
+        by construction: their builders reject a family that is not, unless
+        it has a collapsed top.
         """
         rep = ValidationReport()
         n = self.n
@@ -300,8 +305,8 @@ class Semilattice:
         if self.kind == "table":  # set-system products are symmetric
             rep.violations += [
                 Violation("NotCommutative", pair) for pair in pairs_where(
-                    n, n, lambda r0, r1: (T[r0:r1] != T[:, r0:r1].T)
-                    & (ids[r0:r1, None] < ids))]
+                    n, n, lambda r0, r1: T[r0:r1, r0:] != T[r0:, r0:r1].T,
+                    upper=True)]
         if full:
             y_le_z = ids[:, None] <= ids
 
@@ -317,13 +322,17 @@ class Semilattice:
         else:
             rows = _randrange_bulk(random.Random(seed), n,
                                    3 * 50_000).reshape(-1, 3)
-            x, y, z = rows.T
-            if T is not None:
-                bad = T[T[x, y], z] != T[x, T[y, z]]
-            else:
-                P, M = self.join_ids, self.masks_of
-                mx, my, mz = M(rows.T)
-                bad = P(M(P(mx, my)), mz) != P(mx, M(P(my, mz)))
+            P, M = self.join_ids, self.masks_of
+
+            def sampled(r0, r1):    # triples r0..r1-1, a row block at a time
+                if T is not None:
+                    x, y, z = rows[r0:r1].T
+                    return T[T[x, y], z] != T[x, T[y, z]]
+                mx, my, mz = M(rows[r0:r1].T)
+                return P(M(P(mx, my)), mz) != P(mx, M(P(my, mz)))
+
+            bad = np.concatenate([sampled(r0, r1)
+                                  for r0, r1 in row_blocks(len(rows), 3)])
             rep.violations += [Violation("NotAssociative", tuple(t))
                                for t in rows[bad].tolist()]
             rep.checked_triples = len(bad)
@@ -351,14 +360,18 @@ class Semilattice:
         return self.masks_of(np.arange(self.n))
 
     def product_rows(self):
-        """``rows(r0, r1)``: the products of ids r0..r1-1 with every id, an
-        array of r1 - r0 rows: a slice of a table, or one ``join_ids`` of
-        the block's member masks against every member mask, read once here.
-        A whole-host scan calls it per ``row_blocks`` block."""
+        """``rows(r0, r1, c0=0)``: the products of ids r0..r1-1 with the ids
+        from c0 on, an array of r1 - r0 rows: a slice of a table, or one
+        ``join_ids`` of the block's member masks against those from c0 on,
+        read once here.  A whole-host scan calls it per ``row_blocks``
+        block, the triangle walk of ``upper_blocks`` with c0 = r0."""
         if self.kind == "table":
-            return lambda r0, r1: np.array(self.table[r0:r1], dtype=np.int32)
+            return lambda r0, r1, c0=0: np.array(
+                [row[c0:] for row in self.table[r0:r1]] if c0
+                else self.table[r0:r1], dtype=np.int32)
         masks = self.member_masks_np()
-        return lambda r0, r1: self.join_ids(masks[r0:r1, None], masks)
+        return lambda r0, r1, c0=0: self.join_ids(masks[r0:r1, None],
+                                                  masks[c0:])
 
     def product_table_np(self):
         """Dense n-by-n product table, ``product_rows`` stacked, as a new
@@ -476,33 +489,63 @@ def row_blocks(rows, cols):
         yield r0, min(r0 + block, rows)
 
 
-def pairs_where(rows, cols, bad):
+def pairs_where(rows, cols, bad, upper=False):
     """Yield the pairs ``(x, y)``, x < rows and y < cols, where ``bad(r0,
     r1)`` (a boolean array over rows r0..r1-1 and every column, one
-    ``row_blocks`` block) is true, as plain ints in row-major order."""
-    for r0, r1 in row_blocks(rows, cols):
-        xs, ys = np.nonzero(bad(r0, r1))
-        yield from zip((xs + r0).tolist(), ys.tolist())
+    ``row_blocks`` block) is true, as plain ints in row-major order.  With
+    ``upper`` (rows == cols) only the pairs x <= y, by ``upper_blocks``,
+    whose ``bad`` starts at column r0."""
+    blocks = upper_blocks(rows, bad) if upper else (
+        (r0, bad(r0, r1)) for r0, r1 in row_blocks(rows, cols))
+    for r0, b in blocks:
+        xs, ys = np.nonzero(b)
+        yield from zip((xs + r0).tolist(), (ys + upper * r0).tolist())
+
+
+def upper_blocks(n, bad):
+    """The one triangle walk of a symmetric whole-host scan: ``(r0, b)`` for
+    each ``row_blocks(n, n)`` block r0..r1-1, with ``b = bad(r0, r1)`` a
+    boolean array over its rows and the columns r0..n-1 only, whose lower
+    corner (column below row) is cleared here: b holds pairs x <= y."""
+    for r0, r1 in row_blocks(n, n):
+        b = bad(r0, r1)
+        b[:, :r1 - r0] &= _upper_corner(r1 - r0)
+        yield r0, b
+
+
+@lru_cache(maxsize=None)
+def _upper_corner(h):
+    """The h-by-h boolean array of column >= row, read-only; a block has at
+    most 128 rows at the default ``NP_BLOCK_ELEMS``, so the cache stays
+    small."""
+    corner = ~np.tri(h, k=-1, dtype=bool)
+    corner.flags.writeable = False
+    return corner
 
 
 def _randrange_bulk(rng, n, count):
     """``[rng.randrange(n) for _ in range(count)]`` as an int64 array, for
     0 < n < 2**32, drawn in bulk.  ``randrange(n)`` keeps the top
     ``n.bit_length()`` bits of one 32-bit Mersenne Twister output and draws
-    again while the value is >= n; ``getrandbits(32 * m)`` is m such outputs
-    in turn, little-endian, so filtering them the same way gives the same
-    values.  Spare outputs are drawn too, so ``rng`` ends up further on than
+    again while the value is >= n; ``getrandbits(32 * m)`` is the next m
+    such outputs in turn, little-endian, so filtering them the same way,
+    one chunk of at most ``_DRAW_CHUNK`` outputs after another, gives the
+    same values.  Whole chunks are drawn, the last sized for what is still
+    needed and some 64 outputs to spare, so ``rng`` ends up past the
+    ``count``-th accepted output by the rest of that chunk, not where
     ``count`` calls would leave it."""
     k = n.bit_length()
-    got = [np.empty(0, np.uint32)]
-    need = count
-    while need > 0:
-        m = (need << k) // n + 64  # the expected outputs, and some to spare
+    out = np.empty(count, np.int64)
+    got = 0
+    while got < count:
+        # the expected outputs, and some to spare
+        m = min(_DRAW_CHUNK, ((count - got) << k) // n + 64)
         words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
                               dtype="<u4") >> (32 - k)
-        got.append(words[words < n])
-        need -= len(got[-1])
-    return np.concatenate(got)[:count].astype(np.int64)
+        kept = words.compress(words < n)[:count - got]
+        out[got:got + len(kept)] = kept
+        got += len(kept)
+    return out
 
 
 def _listed_lookups(masks):
@@ -559,12 +602,18 @@ def _canonical_members(k, member_sets, labels):
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate element set")
     labels = _checked_labels(labels, len(masks))
-    order = sorted(range(len(masks)), key=lambda i: _canonical_key(masks[i]))
+    keys = list(map(_canonical_key(k), masks))
+    order = sorted(range(len(masks)), key=keys.__getitem__)
     return [masks[i] for i in order], labels and [labels[i] for i in order]
 
 
-def _canonical_key(mask):
-    return (popcount(mask), tuple(bits(mask)))
+def _canonical_key(width):
+    """The sort key of canonical order (point count, then the rising tuple
+    of points) on masks of at most ``width`` bits, as one int: the count
+    above ``width`` bits less the mask's bit reversal, since the mask
+    holding the lowest point where two of one count differ comes first."""
+    return lambda mask: ((mask.bit_count() << width)
+                         - int(f"{mask:0{width}b}"[::-1], 2))
 
 
 def _join_closure(gens, join):
@@ -578,10 +627,6 @@ def _join_closure(gens, join):
         if len(closed) > 2**22:
             raise SizeOverflowError("union closure blew past the size cap")
     return closed
-
-
-def _union_closure(masks):
-    return sorted(_join_closure(masks, operator.or_), key=_canonical_key)
 
 
 # -- rank storage for Boolean-cube families -----------------------------
@@ -821,7 +866,8 @@ def sch_embed(S: Semilattice) -> EmbeddingResult:
     Each element maps to the complement of its down-set; intersections of
     down-sets turn into unions of their complements, so the image is
     union-closed.  The down-set of x is column x of ``rows == ids[:, None]``
-    over S's ``product_rows``, which a second pass checks the map against.
+    over S's ``product_rows``, which a second pass, the triangle walk of
+    ``upper_blocks``, checks the map against.
     The complement convention is recorded in the result note.
     """
     n = S.n
@@ -829,14 +875,15 @@ def sch_embed(S: Semilattice) -> EmbeddingResult:
     below = np.empty((n, n), dtype=bool)
     for r0, r1 in row_blocks(n, n):
         below[r0:r1] = rows(r0, r1) == ids[r0:r1, None]
-    comp = [mask_of_indicator(c) for c in ~below.T]
+    above = ~below.T            # row x: the complement of x's down-set
+    comp = [mask_of_indicator(c) for c in above]
     ground = [S.element_label(t) for t in range(n)]
-    T = Semilattice.from_sets(ground, [list(bits(m)) for m in comp])
+    T = Semilattice.from_sets(ground, [np.flatnonzero(c).tolist()
+                                       for c in above])
     mapping = [T.id_of_mask(m) for m in comp]
     image = T.masks_of(np.array(mapping, dtype=np.int64))     # comp, as masks
-    if next(pairs_where(n, n, lambda r0, r1: (
-            image[r0:r1, None] | image != image[rows(r0, r1)])
-            & (ids[r0:r1, None] <= ids)), None):
+    if next(pairs_where(n, n, lambda r0, r1: image[r0:r1, None] | image[r0:]
+                        != image[rows(r0, r1, r0)], upper=True), None):
         raise AssertionError("embedding failed to be a homomorphism")
     return EmbeddingResult(
         T, mapping,

@@ -5,8 +5,9 @@ form exp(-m) for a rational m, captured by :class:`LogMagnitude`.  Complex
 valued functionals use double precision with a fixed reduction order.
 
 Each whole-host question is one row-block scan of ``product_rows``, no
-n-by-n table held: of the pairs breaking the filter identity, of the
-principal filters (the rows ``rows == ids[r0:r1, None]``), or of products.
+n-by-n table held: of the principal filters (the rows ``rows == ids[r0:r1,
+None]``), of products, or, by the triangle walk ``core.upper_blocks``, of
+the pairs x <= y breaking the filter identity, which is symmetric.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import total_ordering
 import numpy as np
 
 from ._bitset import bits, indicator, mask_of, mask_of_indicator
-from .core import Semilattice, pairs_where, row_blocks
+from .core import Semilattice, pairs_where, row_blocks, upper_blocks
 from .weights import LogWeight, level_set
 
 
@@ -81,16 +82,30 @@ ZERO = LogMagnitude.zero()
 # -- filters ----------------------------------------------------------------
 
 def _broken(S: Semilattice, X: int):
-    """``bad(r0, r1)`` for ``pairs_where``: the pairs x <= y at which
-    ``xy in X <=> x in X and y in X`` fails."""
-    inside, rows, ids = indicator(X, S.n), S.product_rows(), np.arange(S.n)
-    return lambda r0, r1: (inside[rows(r0, r1)] != (
-        inside[r0:r1, None] & inside)) & (ids[r0:r1, None] <= ids)
+    """``bad(r0, r1)`` for the triangle walk: over rows r0..r1-1 and the
+    columns from r0 on, the pairs at which ``xy in X <=> x in X and y in
+    X`` fails."""
+    inside, rows = indicator(X, S.n), S.product_rows()
+    return lambda r0, r1: inside[rows(r0, r1, r0)] != (
+        inside[r0:r1, None] & inside[r0:])
 
 
 def is_filter(S: Semilattice, F: int) -> bool:
     """True iff the id-mask F is nonempty and xy in F <=> x in F and y in F."""
-    return F != 0 and next(pairs_where(S.n, S.n, _broken(S, F)), None) is None
+    return F != 0 and next(pairs_where(S.n, S.n, _broken(S, F), upper=True),
+                           None) is None
+
+
+def principal_filters_hold(S: Semilattice):
+    """``(all is_filter, all defect_set(..).is_zero)`` over
+    ``enumerate_filters(S)`` in one pass over the dense table (small n
+    only), the up-sets stacked.  A zero defect is no broken pair x <= y; a
+    filter is also nonempty, which an up-set fails only off idempotence."""
+    T = S.product_table_np()
+    ups = T == np.arange(S.n)[:, None]         # row x: {z : xz = x}
+    broken = np.triu(ups[:, T] != (ups[:, :, None] & ups[:, None, :]))
+    clean = not broken.any()
+    return clean and bool(ups.any(axis=1).all()), clean
 
 
 def enumerate_filters(S: Semilattice):
@@ -115,10 +130,11 @@ def generate_filter(S: Semilattice, E: int) -> int:
 
 def defect_set(S: Semilattice, lam: LogWeight, X: int) -> LogMagnitude:
     """Weighted multiplicativity defect of the indicator of X (exact): the
-    least lambda(x) + lambda(y) over the broken pairs, a block at a time."""
-    w, bad = lam.num(np.arange(S.n)), _broken(S, X)
-    sums = ((w[r0:r1, None] + w)[bad(r0, r1)]
-            for r0, r1 in row_blocks(S.n, S.n))
+    least lambda(x) + lambda(y) over the broken pairs x <= y, a block of
+    the triangle walk at a time."""
+    w = lam.num(np.arange(S.n))
+    sums = ((w[r0:r0 + len(b), None] + w[r0:])[b]
+            for r0, b in upper_blocks(S.n, _broken(S, X)))
     best = min((int(s.min()) for s in sums if len(s)), default=None)
     return ZERO if best is None else LogMagnitude.exp(Fraction(best, lam.den))
 

@@ -82,10 +82,10 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
                        seed: int = 0, samples: int = 100_000):
     """Check nonnegativity and subadditivity.
 
-    Exhaustive over all pairs up to ``TABLE_HARD_CAP`` elements, one
-    row-block scan of the host's ``product_rows`` on the numerators over
-    one common denominator; beyond that, seeded random pairs with the
-    report marked non-exhaustive.
+    Exhaustive over all pairs x <= y up to ``TABLE_HARD_CAP`` elements,
+    one triangle walk (``upper_blocks``) of the host's ``product_rows`` on
+    the numerators over one common denominator; beyond that, seeded random
+    pairs with the report marked non-exhaustive.
     """
     rep = ValidationReport()
     n = S.n
@@ -96,9 +96,11 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
         w = num(np.arange(n))
         rep.violations += [Violation("Negative", (x,))
                            for x in np.flatnonzero(w < 0).tolist()]
+        rows = S.product_rows()
         rep.violations += [
-            Violation("NotSubadditive", pair) for pair in _superadditive_pairs(
-                w, S.product_rows(), upper=True)]
+            Violation("NotSubadditive", pair) for pair in pairs_where(
+                n, n, lambda r0, r1: w[rows(r0, r1, r0)] > w[r0:r1, None]
+                + w[r0:], upper=True)]
         return rep
     rep.exhaustive = False
     rep.notes.append("pair check sampled")
@@ -121,22 +123,6 @@ def _numerators(vals):
     num = [v.numerator * (den // v.denominator) for v in vals]
     wide = any(abs(a) >= 1 << 62 for a in num)
     return den, np.array(num, dtype=object if wide else np.int64)
-
-
-def _superadditive_pairs(num, products, upper):
-    """Pairs ``(x, y)`` with ``num[xy] > num[x] + num[y]``, in row-major order.
-
-    ``products(r0, r1)`` gives the ids of the products of ids r0..r1-1 with
-    every id, as ``Semilattice.product_rows`` does; with ``upper`` only
-    pairs with ``x <= y`` are kept.
-    """
-    ids = np.arange(len(num))
-
-    def bad(r0, r1):
-        out = num[products(r0, r1)] > num[r0:r1, None] + num
-        return out & (ids[r0:r1, None] <= ids) if upper else out
-
-    return pairs_where(len(num), len(num), bad)
 
 
 def _top_element(S: Semilattice):

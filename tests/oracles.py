@@ -357,6 +357,18 @@ def naive_closure_error(masks):
     return None
 
 
+def naive_sch_embed(S):
+    """``(comp, homomorphic)`` of ``sch_embed(S)`` by the pair loops: the
+    complement ``{t : tx != t}`` of each element's down-set as a mask, and
+    whether every pair x <= y has comp[xy] = comp[x] | comp[y]."""
+    n = S.n
+    comp = [mask_of(t for t in range(n) if S.product(t, x) != t)
+            for x in range(n)]
+    homomorphic = all(comp[S.product(x, y)] == comp[x] | comp[y]
+                      for x, y in combinations_with_replacement(range(n), 2))
+    return comp, homomorphic
+
+
 def naive_generated_filter(S, E):
     """The filter generated by E: the factors of the product of E (0 for
     the empty set)."""

@@ -283,7 +283,7 @@ def test_a_forged_class_table_is_flagged_and_rescanned():
         assert not _count_rule_holds(local)
     # a rule that fails sends the check to one pair scan, which finds the
     # weight itself subadditive; a rule that holds sends it to none
-    scans, pair_scan = [], adversarial._superadditive_pairs
+    scans, pair_scan = [], adversarial.pairs_where
 
     def scan(*args, **kw):
         scans.append(args)
@@ -291,11 +291,11 @@ def test_a_forged_class_table_is_flagged_and_rescanned():
 
     with mock.patch.object(adversarial, "_count_rule_holds",
                            return_value=False), \
-            mock.patch.object(adversarial, "_superadditive_pairs", scan):
+            mock.patch.object(adversarial, "pairs_where", scan):
         rep = check_eta_subadditive(c)
     assert len(scans) == 1 and rep.ok
     assert rep.checked_triples == 4 ** 6
-    with mock.patch.object(adversarial, "_superadditive_pairs", scan):
+    with mock.patch.object(adversarial, "pairs_where", scan):
         assert check_eta_subadditive(c).ok
     assert len(scans) == 1
 
@@ -303,7 +303,7 @@ def test_a_forged_class_table_is_flagged_and_rescanned():
 def test_a_depth_eight_chain_is_certified_by_the_count_rule():
     # 36 marker points: 4**36 trace pairs, none of them scanned
     c = _spread_chain(list(range(1, 9)), list(range(36)))
-    with mock.patch.object(adversarial, "_superadditive_pairs",
+    with mock.patch.object(adversarial, "pairs_where",
                            side_effect=AssertionError("pair scan")):
         rep = check_eta_subadditive(c)
     assert rep.ok and rep.exhaustive

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import broken_top_json, naive_sampled_validation, planted_table_json
-from slat import core
-from slat.cli import main
+from slat import core, metrics, weights
+from slat.cli import _verify_battery, main
 
 SLAT = [sys.executable, "-m", "slat.cli"]
 # the package source, so that a subprocess runs it without an install
@@ -576,6 +576,40 @@ def test_verify_reports_a_table_that_is_not_a_semilattice(tmp_path, kind):
     # every other command refuses it at the boundary
     rc, out, err = _main(["breadth", str(path)])
     assert rc == 2 and out == "" and _one_error_line(err) and kind in err
+
+
+def test_verify_never_imports_numpy_random():
+    """The sampled checks draw from ``random``: importing ``numpy.random``
+    would cost every process some milliseconds and megabytes."""
+    code = ("import sys, slat.cli\n"
+            "for ref in ('fin(10,5)', 'fin(13,6)', 'tree(2,4)'):\n"
+            "    slat.cli.main(['verify', ref])\n"
+            "sys.stderr.write(repr([m for m in sys.modules\n"
+            "                       if m.startswith('numpy.random')]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=SLAT_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "[]")
+    assert '"exhaustive": false' in proc.stdout       # fin(13,6) sampled
+
+
+@pytest.mark.parametrize("ref", [
+    *_verify_battery(), "pstar(6)", "tree(2,4)",
+    *(f"table:{kind}" for kind in sorted(_NOT_SEMILATTICES))])
+def test_the_batched_filter_suite_matches_the_per_filter_checks(ref):
+    if ref.startswith("table:"):
+        S = core.Semilattice.from_table(_NOT_SEMILATTICES[ref[6:]])
+    else:
+        S = core.generate_instance(ref)
+    lam = weights.builtin_logweight(S, "zero")
+    filters = metrics.enumerate_filters(S)
+    want = (all(metrics.is_filter(S, F) for F in filters),
+            all(metrics.defect_set(S, lam, F).is_zero for F in filters))
+    assert metrics.principal_filters_hold(S) == want
+    # a non-idempotent table has an empty up-set, which is no filter but
+    # has a zero defect; each field is False on some table
+    assert want == {"table:NotIdempotent": (False, True),
+                    "table:NotAssociative": (False, False)}.get(
+                        ref, (True, True))
 
 
 @pytest.mark.parametrize("obj", [

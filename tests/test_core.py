@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import time
 from functools import cache
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (broken_top_json, naive_sampled_validation,
-                     naive_semilattice_violations, naive_tree_table,
-                     planted_table_json)
+from oracles import (broken_top_json, naive_join_closure,
+                     naive_sampled_validation, naive_semilattice_violations,
+                     naive_tree_table, planted_table_json)
 from slat import core
 from slat._bitset import bits, mask_of, popcount, submasks
 from slat.core import (NotClosedError, Semilattice, chain, fin_truncation,
@@ -338,15 +339,57 @@ def test_sampled_validate_matches_the_triple_loop(name, seed):
                      if name.startswith("broken top") else set())
 
 
+class _CountedRandom(random.Random):
+    """A ``Random`` that counts its ``getrandbits`` calls."""
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+#: counts whose bulk draws cross several chunk seams: about 15 chunks at
+#: n = 639, and at n = 2**24 + 1, where half the outputs are kept, four
+SEAM_COUNTS = {639: 150_000, 2**24 + 1: 2 * core._DRAW_CHUNK + 1}
+
+
 @pytest.mark.parametrize("n", [1, 2, 252, 256, 257, 639, 4096, 2**20 + 1,
-                               2**24])
+                               2**24, 2**24 + 1])
 @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
 def test_bulk_draws_are_randrange_call_by_call(n, seed):
+    counts = (0, 1, 3000, SEAM_COUNTS.get(n, 0))
     rng = random.Random(seed)
-    want = [rng.randrange(n) for _ in range(3000)]
-    for count in (0, 1, 3000):
-        got = core._randrange_bulk(random.Random(seed), n, count)
+    want = [rng.randrange(n) for _ in range(max(counts))]
+    for count in counts:
+        rng = _CountedRandom(seed)
+        got = core._randrange_bulk(rng, n, count)
         assert got.dtype == np.int64 and got.tolist() == want[:count]
+        assert rng.calls > 2 or count != SEAM_COUNTS.get(n)
+
+
+def _old_canonical_key(mask):
+    """Canonical order by its definition: the point count, then the rising
+    tuple of points."""
+    return popcount(mask), tuple(bits(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 2**8),
+                          st.integers(0, 2**63 + 5), st.integers(0, 2**130)),
+                max_size=30, unique=True),
+       st.integers(0, 5))
+def test_canonical_key_sorts_as_the_point_tuples_do(masks, spare):
+    width = max(masks, default=0).bit_length()
+    want = sorted(masks, key=_old_canonical_key)
+    for w in (width, width + spare):
+        assert sorted(masks, key=core._canonical_key(w)) == want
+    sets = [list(bits(m)) for m in masks]
+    closed = Semilattice.from_sets(range(width), sets[:6], close=True)
+    assert closed.masks_of(np.arange(closed.n)).tolist() == sorted(
+        naive_join_closure(masks[:6], operator.or_), key=_old_canonical_key)
+    labels = [str(m) for m in masks]
+    assert core._canonical_members(width, sets, labels) == (
+        want, [str(m) for m in want])
 
 
 CUBES = ([f"powerset({k})" for k in range(9)]

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from oracles import (naive_check_equivalence_iii, naive_closure_error,
                      naive_defect_set, naive_dist_complex, naive_dist_set,
                      naive_is_filter, naive_join_closure, naive_pair_unions,
-                     naive_search_order)
+                     naive_sch_embed, naive_search_order,
+                     naive_semilattice_violations)
 from slat import core
-from slat._bitset import mask_of
+from slat._bitset import bits, mask_of
 from slat.core import (NotClosedError, Semilattice, SizeOverflowError,
                        _canonical_members, _join_closure, chain,
                        fin_truncation, free_nonempty, kary_tree, powerset,
@@ -164,6 +165,108 @@ def test_closure_check_names_the_first_pair_of_the_pair_loop(sets,
         except NotClosedError as exc:
             got = str(exc)
     assert got == want
+
+
+#: block sizes of the triangle walk's tests: at 5 a block is one row on
+#: all but the smallest hosts, ``5 * n`` makes blocks of five rows, each
+#: with a lower corner to clear, and at 1 << 18 the scan is one block
+WALK_BLOCKS = st.sampled_from(["5", "five rows", "1 << 18"])
+
+
+def _walk_block(how, n):
+    return {"5": 5, "five rows": 5 * n, "1 << 18": 1 << 18}[how]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scanned(), st.data(), WALK_BLOCKS)
+def test_the_triangle_walk_finds_the_broken_pairs_of_the_pair_loop(
+        host, data, how):
+    S, lam = host
+    X = _subset(data.draw, S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", _walk_block(how, S.n))
+        assert is_filter(S, X) == naive_is_filter(S, X)
+        assert defect_set(S, lam, X).m == naive_defect_set(S, lam, X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), max_size=4, unique=True),
+                max_size=16, unique_by=lambda s: frozenset(s)),
+       WALK_BLOCKS)
+def test_the_triangle_walk_names_the_first_missing_union(sets, how):
+    masks, _ = _canonical_members(7, sets, None)
+    want = naive_closure_error(masks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", _walk_block(how, len(sets)))
+        try:
+            Semilattice.from_sets(range(7), sets)
+            got = None
+        except NotClosedError as exc:
+            got = str(exc)
+    assert got == want
+
+
+@st.composite
+def tampered(draw, most):
+    """The min-table on 1 to ``most`` elements with up to twice as many
+    random cells overwritten."""
+    n = draw(st.integers(1, most))
+    table = [[min(x, y) for y in range(n)] for x in range(n)]
+    cell = st.tuples(*[st.integers(0, n - 1)] * 3)
+    for x, y, v in draw(st.lists(cell, max_size=2 * n), label="tamper"):
+        table[x][y] = v
+    return Semilattice.from_table(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tampered(16), WALK_BLOCKS)
+def test_the_triangle_walk_lists_the_noncommuting_pairs_in_order(S, how):
+    want = [w for kind, w in naive_semilattice_violations(S)[0]
+            if kind == "NotCommutative"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", _walk_block(how, S.n))
+        got = [v.witness for v in S.validate().violations
+               if v.kind == "NotCommutative"]
+    assert got == want
+
+
+def _embed_outcome(S):
+    """The member masks of ``sch_embed(S)``'s images, or the error it
+    raises as ``(type, message)``."""
+    try:
+        res = sch_embed(S)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return [res.semilattice.member_mask(f) for f in res.mapping]
+
+
+def _naive_embed_outcome(S):
+    """``_embed_outcome`` by the pair loops: a repeated image is a duplicate
+    member set, then a family that is not union-closed fails, then a map
+    that is not a homomorphism."""
+    comp, homomorphic = naive_sch_embed(S)
+    if len(set(comp)) < len(comp):
+        return "ValueError", "duplicate element set"
+    missing = naive_closure_error(sorted(
+        comp, key=lambda m: (m.bit_count(), tuple(bits(m)))))
+    if missing:
+        return "NotClosedError", missing
+    if not homomorphic:
+        return "AssertionError", "embedding failed to be a homomorphism"
+    return comp
+
+
+EMBEDDED = [chain(9), chain(70), kary_tree(2, 3), kary_tree(3, 2),
+            free_nonempty(4), _file(fin_truncation(5, 2))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(EMBEDDED), tampered(12)), WALK_BLOCKS)
+def test_the_triangle_walk_checks_the_embedding_as_the_pair_loop(S, how):
+    want = _naive_embed_outcome(S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "NP_BLOCK_ELEMS", _walk_block(how, S.n))
+        assert _embed_outcome(S) == want
 
 
 @settings(max_examples=100, deadline=None)
