@@ -11,47 +11,36 @@ Three passes find these first levels for every target at once:
   G by the subsets of G.  Each round is a subset-sum and a Moebius
   transform over those subsets (F. Yates, 1937; Bjoerklund, Husfeldt,
   Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
-  STOC 2007), repeated to a fixed point at each weight level, for a batch
-  of closures at once, one a row.  Past ``SUBSET_MAX_BITS`` points
-  ``core._subset_masks`` raises ``BudgetExceeded``.  The pairs of a
-  reached set R whose union covers s number (-1)**|s| times the superset
-  Moebius transform of f**2 at the complement of s, f the subset sums of
-  R: counts of at most 4**k, int32 for k <= 15 points and int64 above, and
-  no down-closure.  Whether an exact union is the collapsed top is one dot
-  product in the same dtype.  A single column of at most
-  ``KRONECKER_MAX_BITS`` points runs each transform, a Kronecker power of
-  a 2 x 2 block, as two int64 matrix products over halves of the points,
-  exact since no partial sum exceeds 8**k;
+  STOC 2007), repeated to a fixed point at each weight level
+  (``_pair_unions``);
 - the element pass runs the same identity on the host's own order (G.-C.
   Rota, "On the foundations of combinatorial theory I: theory of Moebius
-  functions", 1964), on a host of at most ``FULL_VALIDATE_CAP`` elements.
-  With A[t, x] = [tx = t], x a factor of t, f = A @ R counts the members
-  of R that are factors of each t, and f**2 the pairs whose product is a
-  factor of t, since t(xy) = t exactly when tx = t and ty = t.  inv(A)
-  turns those counts into pairs per exact product, and A.T marks every
-  factor of such a product: a round is ``K @ (A @ R)**2 != 0``, K = A.T @
-  inv(A), two float64 matrix products.  A guard (``_element_world``)
-  checks the meet identity on every triple, an exact integer inverse, and
-  n**2 times the largest row sum of |K| below 2**53, so that float64 holds
-  every partial sum of a round exactly;
+  functions", 1964).  With A[t, x] = [tx = t], x a factor of t, f = A @ R
+  counts the members of R that are factors of each t, and f**2 the pairs
+  whose product is a factor of t, since t(xy) = t exactly when tx = t and
+  ty = t.  inv(A) turns those counts into pairs per exact product, and A.T
+  marks every factor of such a product: a round is ``K @ (A @ R)**2 !=
+  0``, K = A.T @ inv(A), exact in float64 on a host that passes the guard
+  of ``_element_world``;
 - the pair-by-pair pass works in the manner of Knuth's generalization of
   Dijkstra's algorithm (D. E. Knuth, "A generalization of Dijkstra's
   algorithm", IPL 6(1), 1977).
 
 The subset and element passes share one level loop (``_first_levels``):
 it starts at the targets' least level, skips levels that admit nothing and
-stops on the round that reaches the last target.  Routing uses the one
-density rule, ``Semilattice.subsets_fit``: the 2^|G| subsets of G must not
-outnumber four times the host's elements.  ``v_value`` runs one closure,
-from generators whose product is J: a one-row subset pass over the subsets
-of J when J has at least ``SUBSET_MIN_BITS`` points and fits the rule, else
-the pair-by-pair pass.  ``propagation_profile`` routes once per profile,
-and runs its generating sets in blocks, each block the rows of one pass:
-the subset pass over the points G of its level set when they fit the rule
-and number at most ``SUBSET_MAX_BITS``; else the element pass when the
-host passes its guard; else each set alone on the pair-by-pair pass.  The
-subset pass ranks a collapsed top like any member, so it serves as a seed
-and a target; the element pass treats it as any element.
+stops on the round that reaches the last target.  One rule, ``_route``,
+picks the pass from the rows run together and the density rule
+``Semilattice.subsets_fit`` (a point set has at most 4n subsets).  One
+closure, one row (``v_value``), takes the subset pass when the points of
+its join fit the rule and number at least ``SUBSET_MIN_BITS``, and raises
+``BudgetExceeded`` past ``SUBSET_MAX_BITS``; else, and always on a table,
+the pair-by-pair pass.  A profile's generating sets, rows of blocks
+however many there are, take the subset pass when the points of the level
+set fit the rule and number at most ``SUBSET_MAX_BITS``; else the element
+pass, on a host of at most ``FULL_VALIDATE_CAP`` elements that passes its
+guard; else the pair-by-pair pass, each set alone.  A collapsed top is a
+member like any other on the subset pass, and an element on the element
+pass.
 
 Levels are ranks of integer numerators (``np.unique``), kept as fractions,
 so they stay exact.  A world is kept in one weak memo (``_memo``) on the
@@ -87,8 +76,7 @@ from .weights import LogWeight, level_set
 #: generators, the target one point short of the join, cardinality,
 #: prototype and a random weight (2 vCPUs), the one-row subset pass takes
 #: 43-72 us at 4 points against 38-44 for the pair pass, 45-97 against
-#: 95-102 at 5 and 54-108 against 294-307 at 6; 5 would reroute ``cli``'s
-#: 5-point ``vmap`` jobs, not yet measured end to end
+#: 95-102 at 5 and 54-108 against 294-307 at 6
 SUBSET_MIN_BITS = 6
 
 #: one column of at most this many points takes ``_pair_unions``'s two-half
@@ -170,17 +158,9 @@ def fbp(S: Semilattice, lam: LogWeight, C, X: int) -> int:
     members of X.  Always contains X restricted to the level set."""
     W = level_set(S, lam, C)
     inside = list(bits(X & W))
-    out = 0
-    seen_products = set()
-    for i, x in enumerate(inside):
-        for y in inside[i:]:
-            p = S.product(x, y)
-            if p in seen_products:
-                continue
-            seen_products.add(p)
-            for z in S.iter_factors(p):
-                out |= 1 << z
-    return out & W
+    products = {S.product(x, y) for i, x in enumerate(inside)
+                for y in inside[i:]}
+    return mask_of(z for p in products for z in S.iter_factors(p)) & W
 
 
 def fbp_closure(S: Semilattice, lam: LogWeight, C, E: int):
@@ -252,8 +232,8 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
     order of rising first level, and each settled element is paired with
     every element settled before it and with itself.  Returns ``{id: level}``
     for each element settled before every target inside U is.  U is ranked
-    here unless the caller passes ``ranked``: the levels of every element and
-    a list of each id's rank in them.
+    here unless the caller passes ``ranked``, the levels of every element
+    (``range(m)`` for ranks) and a list of each id's rank in them.
     """
     U = list(factors(J))
     if len(U) > 200_000:
@@ -293,22 +273,22 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
     return first
 
 
-def _element_world(S, T=None):
+def _element_world(S):
     """The closed world of the element pass on a host of at most
-    ``FULL_VALIDATE_CAP`` elements, from its product table (``T`` when
-    given): ``(A, K)`` in float64, A[t, x] = [tx = t] (x a factor of t)
-    and K = A.T @ inv(A), or None unless the guard holds.  The guard asks
-    for (a) the meet identity A[t, xy] = A[t, x] and A[t, y], checked on
-    every triple, a column of A at a time as a bitset over t; (b) an exact
-    integer inverse of A, by substitution in uint64 (wrapping) and kept
-    only when its entries are below 2**53 / n and A @ inv(A) = I holds in
-    float64, exact at that bound; and (c) n**2 times the largest row sum
-    of |K| below 2**53, so that every partial sum of a round's float64
-    products is an exact integer."""
+    ``FULL_VALIDATE_CAP`` elements, from its product table: ``(A, K)`` in
+    float64, A[t, x] = [tx = t] (x a factor of t) and K = A.T @ inv(A), or
+    None unless the guard holds.  The guard asks for (a) the meet identity
+    A[t, xy] = A[t, x] and A[t, y], checked on every triple, a column of A
+    at a time as a bitset over t; (b) an exact integer inverse of A, by
+    substitution in uint64 (wrapping) and kept only when its entries are
+    below 2**53 / n and A @ inv(A) = I holds in float64, exact at that
+    bound; and (c) n**2 times the largest row sum of |K| below 2**53, so
+    that every partial sum of a round's float64 products is an exact
+    integer."""
     n = S.n
     if n > FULL_VALIDATE_CAP:
         return None
-    T = S.product_table_np() if T is None else T
+    T = S.product_table_np()
     A = T == np.arange(n)[:, None]
     cols = np.packbits(A, axis=0).T         # column x of A, packed over t
     for r0, r1 in row_blocks(n, n * cols.shape[1]):
@@ -484,13 +464,13 @@ def _pair_unions(R, top=None):
 _MEMO = weakref.WeakKeyDictionary()
 
 
-def _memo(key, build, *args):
-    """``build(key, *args)``, built once for ``key``, a host or a weight: the
-    world must depend on ``key`` alone, and its callers only read it."""
+def _memo(key, build):
+    """``build(key)``, built once for ``key``, a host or a weight: the world
+    must depend on ``key`` alone, and its callers only read it."""
     if (worlds := _MEMO.get(key)) is None:
         worlds = _MEMO[key] = {}
     if build not in worlds:
-        worlds[build] = build(key, *args)
+        worlds[build] = build(key)
     return worlds[build]
 
 
@@ -544,13 +524,46 @@ def _subset_world(S, lam, G_mask):
     return at, levels, rank[ids[at]], absorbing[at]
 
 
+def _route(S, lam, ids, J=None):
+    """The pass of closures whose seeds and targets are among ``ids``, by the
+    route rule of the module docstring: one closure of join J, or, when J is
+    None, a profile's generating sets, rows of blocks.  Returns None for the
+    pair-by-pair pass, else ``(size, cols, levels, run, args)``: the world's
+    size, each id's column in it, its levels, and the pass, whose
+    ``run(seeds, *args, targets)`` gives ``_first_levels`` of the rows of
+    ``seeds`` (boolean, rows x size) at the columns ``targets``.  One
+    closure's gate reads J's scalar mask alone; its world also spans the
+    points of every id, which a collapsed top J read from a file may
+    miss."""
+    if S.kind == "set_system":
+        if J is None:                   # a profile's rows
+            masks = S.masks_of(ids)
+            G = int(np.bitwise_or.reduce(masks))
+            fits = popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G)
+        else:                           # one closure, gated on its join
+            G = S.member_mask(J)
+            fits = popcount(G) >= SUBSET_MIN_BITS and S.subsets_fit(G)
+            if fits:
+                masks = S.masks_of(ids)
+                G |= int(np.bitwise_or.reduce(masks))
+        if fits:
+            at, levels, rank, absorbing = _subset_world(S, lam, G)
+            return len(at), np.searchsorted(at, masks), levels, \
+                _subset_first_levels, (rank, len(levels), absorbing)
+    if J is None and (world := _memo(S, _element_world)) is not None:
+        levels, rank = _memo(lam, _weight_ranks)     # rank[-1]: id -1
+        return S.n, np.asarray(ids), levels, _element_first_levels, \
+            (*world, rank[:-1], len(levels))
+    return None
+
+
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     """Least level C from which the level-C closure of E reaches z; infinite
     when z lies outside the filter generated by E.
 
     The first level of z is a bottleneck cost, the largest weight used by a
-    derivation of z, minimized over derivations.  One closure pass finds it
-    and stops as soon as z is reached; the module docstring says which.
+    derivation of z, minimized over derivations.  One closure, one row on
+    the pass ``_route`` picks, finds it and stops as soon as z is reached.
     """
     if E == 0:
         return INFINITE
@@ -558,19 +571,13 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     J = S.product_ids(E_ids)
     if not S.leq(J, z):
         return INFINITE
-    if S.kind == "set_system":
-        J_mask = S.member_mask(J)
-        if popcount(J_mask) >= SUBSET_MIN_BITS and S.subsets_fit(J_mask):
-            masks = S.masks_of([z, *E_ids])
-            # a collapsed top read from a file may miss points of E and z
-            G = J_mask | int(np.bitwise_or.reduce(masks))
-            at, levels, rank, absorbing = _subset_world(S, lam, G)
-            target, *local = np.searchsorted(at, masks).tolist()
-            seeds = np.zeros((1, len(at)), dtype=bool)
-            seeds.put(local, True)
-            i = _subset_first_levels(seeds, rank, len(levels), absorbing,
-                                     [target])
-            return PropagationValue.finite(levels[i[0, 0]])
+    if (world := _route(S, lam, [z, *E_ids], J)) is not None:
+        size, cols, levels, run, args = world
+        target, *local = cols.tolist()
+        seeds = np.zeros((1, size), dtype=bool)
+        seeds.put(local, True)
+        first = run(seeds, *args, [target])
+        return PropagationValue.finite(levels[first[0, 0]])
     c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
     if c is None:
         raise AssertionError("target inside the generated filter never reached")
@@ -579,52 +586,31 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
 
 # -- per-level profile -------------------------------------------------------
 
-def _block_winners(S, lam, W_ids, sets, T=None):
-    """Run the closures of the generating sets ``sets`` a block at a time,
-    in order, and yield ``(E_ids, top, first)`` for each block: the first
-    set of the block whose largest first level of a target in ``W_ids`` is
-    the block's largest, that level, and the ``{id: level}`` map of its
-    closure.  A set is a row of positions in ``W_ids``, padded with -1
-    (``breadth._incompressible``), and a block's seeds are filled from its
-    rows at once.  Blocks are routed once, three ways: ``block_rows(2**|G|)``
-    sets on the subset pass when the points G of ``W_ids`` fit the density
-    rule and number at most ``SUBSET_MAX_BITS``; else ``block_rows(n)`` sets
-    on the element pass when ``_element_world`` admits the host (from the
-    product table ``T`` when given); else one set on the pair-by-pair pass.
-    The first two run their rows through ``_first_levels``.
-    """
-    W = np.array(W_ids)
-    masks = S.masks_of(W) if S.kind == "set_system" else None
-    G = None if masks is None else int(np.bitwise_or.reduce(masks))
-    if G is not None and popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
-        index, levels, rank, absorbing = _subset_world(S, lam, G)
-        cols = np.searchsorted(index, masks)    # each target's local index
-        run = partial(_subset_first_levels, absorbing=absorbing)
-    elif (world := _memo(S, _element_world, T)) is not None:
-        index, cols = range(S.n), W
-        levels, rank = _memo(lam, _weight_ranks)
-        rank = rank[:-1]
-        run = partial(_element_first_levels, A=world[0], K=world[1])
-    else:
-        factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
-        levels, rank = _memo(lam, _weight_ranks)
-        ranked = levels, rank.tolist()
-        for row in sets:
-            E_ids = W[row[row >= 0]].tolist()
-            first = _knuth_first_levels(S, lam, E_ids, W_ids, factors,
-                                        S.product_ids(E_ids), ranked)
-            yield E_ids, max(first[z] for z in W_ids if z in first), first
+def _first_level_blocks(S, lam, W_ids, sets):
+    """Run the closures of the generating sets ``sets``, rows of positions
+    in ``W_ids`` padded with -1 (``breadth._incompressible``), a block at a
+    time, in order, on the pass ``_route`` picks for a profile.  Yield
+    ``(block, first, levels)`` for each block: its rows, and each row's
+    first-level index into ``levels`` of every target in ``W_ids`` (-1 for
+    one never reached).  The pair-by-pair pass runs each set alone, on one
+    factor list per element, cached for this call only."""
+    if (world := _route(S, lam, W_ids)) is not None:
+        size, cols, levels, run, args = world
+        for r0, r1 in row_blocks(len(sets), size):
+            block = sets[r0:r1]
+            seeds = np.zeros((len(block), size), dtype=bool)
+            j, p = np.nonzero(block >= 0)
+            seeds[j, cols[block[j, p]]] = True
+            yield block, run(seeds, *args, cols), levels
         return
-    for r0, r1 in row_blocks(len(sets), len(index)):
-        block = sets[r0:r1]
-        seeds = np.zeros((len(block), len(index)), dtype=bool)
-        j, p = np.nonzero(block >= 0)
-        seeds[j, cols[block[j, p]]] = True
-        first = run(seeds, rank=rank, nlevels=len(levels), cols=cols)
-        tops = first.max(axis=1)
-        r = tops.argmax()
-        yield W[block[r][block[r] >= 0]].tolist(), levels[tops[r]], {
-            z: levels[i] for z, i in zip(W_ids, first[r]) if i >= 0}
+    factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
+    levels, rank = _memo(lam, _weight_ranks)
+    ranked = range(len(levels)), rank.tolist()      # first levels as indices
+    for row in sets:
+        E_ids = [W_ids[i] for i in row if i >= 0]
+        first = _knuth_first_levels(S, lam, E_ids, W_ids, factors,
+                                    S.product_ids(E_ids), ranked)
+        yield row[None], np.array([[first.get(z, -1) for z in W_ids]]), levels
 
 
 def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000,
@@ -639,10 +625,10 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     fits the budget; otherwise a seeded sampled lower bound over the sets
     within it and the samples (or BudgetExceeded in strict mode).  The
     closures run a block of generating sets at a time, in enumeration order
-    (``_block_winners``), on the subset pass, the element pass (a host of at
-    most ``FULL_VALIDATE_CAP`` elements that passes its guard) or the
-    pair-by-pair pass; on the last they share one factor list per element,
-    cached for this call only.  Every pass gives the same profile.
+    (``_first_level_blocks``), on the pass ``_route`` picks for a profile,
+    and every block is reduced the same way, from its matrix of first
+    levels: its largest first level and the first row that holds it.  Every
+    pass gives the same profile.
     """
     L = Fraction(L)
     W_mask = level_set(S, lam, L)
@@ -672,15 +658,18 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
                 E_ids.remove(x)
             row[:len(E_ids)] = np.searchsorted(W_ids, E_ids)
         sets = drawn
-    for E_ids, top, first in _block_winners(S, lam, W_ids, sets, T):
-        v = PropagationValue.finite(top)
+    for block, first, levels in _first_level_blocks(S, lam, W_ids, sets):
+        tops = first.max(axis=1)
+        r = tops.argmax()
+        v = PropagationValue.finite(levels[tops[r]])
         if v > prof.value:          # the first set with the larger value
-            targets = [z for z in W_ids if z in first]
             prof.value = v
-            prof.witness_E = mask_of(E_ids)
-            # Ties go to the first target in the iteration order of
-            # set(targets); profile output depends on this choice.
-            prof.witness_z = next(z for z in set(targets) if first[z] == top)
+            prof.witness_E = mask_of(W_ids[i] for i in block[r] if i >= 0)
+            # Ties go to the first target in the iteration order of the set
+            # of a list (not a dict); profile output depends on this choice.
+            level = {z: i for z, i in zip(W_ids, first[r].tolist()) if i >= 0}
+            prof.witness_z = next(z for z in set(list(level))
+                                  if level[z] == tops[r])
     return prof
 
 

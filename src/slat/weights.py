@@ -60,9 +60,6 @@ class LogWeight:
         return np.array([a / self.den
                          for a in self.num(np.arange(self.n)).tolist()])
 
-    def max_value(self) -> Fraction:
-        return Fraction(int(self.num(np.arange(self.n)).max()), self.den)
-
     def distinct_values(self):
         return [Fraction(a, self.den)
                 for a in sorted(set(self.num(np.arange(self.n)).tolist()))]
@@ -85,7 +82,8 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
     Exhaustive over all pairs x <= y up to ``TABLE_HARD_CAP`` elements,
     one triangle walk (``upper_blocks``) of the host's ``product_rows`` on
     the numerators over one common denominator; beyond that, seeded random
-    pairs with the report marked non-exhaustive.
+    pairs, checked a row block at a time, with the report marked
+    non-exhaustive.
     """
     rep = ValidationReport()
     n = S.n
@@ -109,10 +107,12 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
     rep.violations += [Violation("Negative", (x,))
                        for x in xs[num(xs) < 0].tolist()]
     pairs = _randrange_bulk(random.Random(seed), n, 2 * samples).reshape(-1, 2)
-    x, y = pairs.T
-    bad = num(S.join_ids(S.masks_of(x), S.masks_of(y))) > num(x) + num(y)
-    rep.violations += [Violation("NotSubadditive", tuple(pair))
-                       for pair in pairs[bad].tolist()]
+    for r0, r1 in row_blocks(len(pairs), 2):
+        block = pairs[r0:r1]
+        x, y = block.T
+        bad = num(S.join_ids(S.masks_of(x), S.masks_of(y))) > num(x) + num(y)
+        rep.violations += [Violation("NotSubadditive", tuple(pair))
+                           for pair in block[bad].tolist()]
     return rep
 
 

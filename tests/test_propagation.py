@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import random
@@ -20,7 +21,7 @@ from test_acceptance import _dense_v_oracle
 from test_weights import without_member
 from slat import core, propagation
 from slat._bitset import bits, mask_of
-from slat.adversarial import build_chain, verify_barrier
+from slat.adversarial import build_chain, eta_weight, verify_barrier
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        generate_instance, kary_tree, powerset, sch_embed)
 from slat.metrics import generate_filter
@@ -255,7 +256,7 @@ def test_closure_contexts_let_hosts_and_weights_go():
     for S in (free_nonempty(7), kary_tree(2, 3)):
         lams = [random_logweight(S, 1), random_logweight(S, 2)]
         for lam in lams:
-            propagation_profile(S, lam, lam.max_value())
+            propagation_profile(S, lam, lam.distinct_values()[-1])
             if S.kind == "set_system":
                 singles, top = _singletons_and_top(S)
                 v_value(S, lam, singles, top)
@@ -420,7 +421,7 @@ def _pair_pass_profile(S, lam, L, **kw):
     other passes are routed away and their entry points unset."""
     with mock.patch.object(propagation, "SUBSET_MAX_BITS", -1), \
             mock.patch.object(propagation, "_element_world",
-                              lambda S, T=None: None), \
+                              lambda S: None), \
             mock.patch.object(propagation, "_subset_first_levels", None), \
             mock.patch.object(propagation, "_element_first_levels", None):
         return propagation_profile(_fresh(S), lam, L, **kw)
@@ -944,10 +945,10 @@ def test_a_host_copy_builds_its_own_worlds_and_reuses_the_weight(
         world = "_element_world"
         queries = [(mask_of(E), z) for E in ([1, 2], [3, 4, 5])
                    for z in range(S.n)]
+    high = lam.distinct_values()[-1]
     answers = [(_all_fields(propagation_profile(host, lam, L)),
                 [v_value(host, lam, E, z) for E, z in queries])
-               for host in (S, twin)
-               for L in (lam.max_value() / 2, lam.max_value())]
+               for host in (S, twin) for L in (high / 2, high)]
     assert answers[:2] == answers[2:]
     assert built == [(world, S), ("_weight_ranks", lam), (world, twin)]
 
@@ -972,6 +973,107 @@ def test_v_value_builds_no_world_past_the_block(host, monkeypatch):
         assert all(verify_barrier(chain, S, n).passed for n in (2, 3, 4))
         assert seen and max(map(int.bit_count, seen)) <= 10
     assert S.subsets_fit((1 << len(S.ground)) - 1)
+
+
+def test_a_one_row_pair_pass_ranks_only_its_own_universe(monkeypatch):
+    # fin(24,8) has 1.27 M elements.  Its chain stops at level 4, whose join
+    # collapses; the level-2 barrier joins 3 points and takes the pair pass,
+    # the level-3 barrier joins 6 and takes the subset pass over its own
+    # join: the memo only learns that a 24-point ground keeps no world, and
+    # eta is never ranked over every element.
+    S = generate_instance("fin(24,8)")
+    chain = build_chain(S, 4)
+    assert chain.depth == 3 and chain.notes
+    eta = eta_weight(chain, S)
+    built = _spy_on_memo_builds(monkeypatch)
+    with mock.patch.object(propagation, "_knuth_first_levels",
+                           wraps=propagation._knuth_first_levels) as knuth:
+        assert verify_barrier(chain, S, 2, eta).passed
+        assert knuth.call_count == 1
+        assert verify_barrier(chain, S, 3, eta).passed
+        assert knuth.call_count == 1
+    assert ("_weight_ranks", eta) not in built
+    assert built == [("_ground_ids", S)]
+
+
+#: the entry point of each closure pass
+_PASS_ENTRIES = {"subset": "_subset_first_levels",
+                 "element": "_element_first_levels",
+                 "pair": "_knuth_first_levels"}
+
+
+def _passes_taken(call):
+    """``call()`` and the names of the passes it ran."""
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(
+            propagation, entry, wraps=getattr(propagation, entry)))
+            for name, entry in _PASS_ENTRIES.items()}
+        answer = call()
+    return answer, [name for name, spy in spies.items() if spy.called]
+
+
+@pytest.mark.parametrize("spec, wname, query, taken", [
+    pytest.param("pstar(7)", "cardinality", "v 5", "pair",
+                 id="one row below 6 points"),
+    pytest.param("pstar(7)", "cardinality", "v 6", "subset",
+                 id="one row at 6 points"),
+    pytest.param("tree(2,4)", "random:1", "v table", "pair",
+                 id="one row on a table"),
+    pytest.param("pstar(4)", "cardinality", "profile 2", "subset",
+                 id="several fitting rows"),
+    pytest.param("tree(2,3)", "random:1", "profile top", "element",
+                 id="several rows on a table"),
+    pytest.param("pstar(4)", "prototype", "profile 0", "subset",
+                 id="one-element profile below 6 points"),
+    pytest.param("pstar(6)", "prototype", "profile 0", "subset",
+                 id="one-element profile at 6 points"),
+    pytest.param("tree(2,3)", "distinct", "profile 0", "element",
+                 id="one-element profile on a table"),
+])
+def test_route_table(spec, wname, query, taken):
+    # the one route rule, through the entry points: the pass each closure
+    # takes, and the pair pass's answer
+    S = generate_instance(spec)
+    lam = LogWeight.from_values(range(S.n)) if wname == "distinct" else \
+        _reuse_weight(S, wname)
+    kind, arg = query.split()
+    if kind == "profile":
+        L = lam.distinct_values()[-1] if arg == "top" else Fraction(arg)
+        call = partial(propagation_profile, S, lam, L)
+    elif arg == "table":
+        E_ids = [3, 9]
+        J = S.product_ids(E_ids)
+        z = next(z for z in S.iter_factors(J) if z not in E_ids)
+    else:                       # singletons to one point short of their union
+        E_ids = [S.id_of_mask(1 << p) for p in range(int(arg))]
+        J, z = (S.id_of_mask((1 << int(arg)) - d) for d in (1, 2))
+    if kind == "v":
+        assert S.product_ids(E_ids) == J
+        call = partial(v_value, S, lam, mask_of(E_ids), z)
+    answer, passes = _passes_taken(call)
+    assert passes == [taken]
+    if kind == "v":
+        assert answer == PropagationValue.finite(
+            propagation._knuth_first_levels(S, lam, E_ids, [z],
+                                            S.iter_factors, J)[z])
+    else:
+        assert (level_set(S, lam, L).bit_count() == 1) == (arg == "0")
+        assert _all_fields(answer) == \
+            _all_fields(_pair_pass_profile(S, lam, L))
+
+
+def test_a_profile_cut_to_one_row_keeps_the_profile_rule():
+    # fin(24,8) at cardinality level 1: the level set spans all 24 points,
+    # so a profile takes the pair pass however few sets it keeps.  Cut by
+    # the budget to one sampled set of 7 singletons, whose join alone would
+    # pass the one-closure gate, it answers there and builds no subset world
+    S = generate_instance("fin(24,8)")
+    lam = builtin_logweight(S, "cardinality")
+    prof, passes = _passes_taken(
+        partial(propagation_profile, S, lam, 1, budget=0, samples=1))
+    assert passes == ["pair"]
+    assert prof.witness_E.bit_count() == 7 and not prof.exhaustive
+    assert prof.value == PropagationValue.finite(1)
 
 
 def test_prototype_barrier_on_pstar16_is_fast():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +35,7 @@ def test_cardinality_weight_values():
 def test_scaled_weight():
     S = free_nonempty(3)
     lam = builtin_logweight(S, "scaled", {"q": Fraction(1, 2)})
-    assert lam.max_value() == Fraction(3, 2)
+    assert lam.distinct_values()[-1] == Fraction(3, 2)
     assert validate_logweight(S, lam).ok
 
 
@@ -179,7 +182,7 @@ def test_json_builtin_kinds():
         assert lam.name == kind
     lam = logweight_from_json(S, {"kind": "scaled",
                                   "q": {"num": 1, "den": 3}})
-    assert lam.max_value() == 1
+    assert lam.distinct_values()[-1] == 1
 
 
 def test_validate_rejects_non_subadditive():
@@ -310,6 +313,45 @@ def test_cardinality_on_a_rank_storage_host_is_lazy():
     ids = [0, 1, 300, S.n - 2, S.top_id]
     assert lam.num(np.array(ids)).tolist() == \
         [popcount(S.member_mask(x)) for x in ids[:-1]] + [9]  # the cap c + 1
+
+
+# sha256 of the JSON of two sampled reports on fin(13,6), as the check that
+# joined all 100 000 drawn pairs in one pass made them: the cardinality
+# weight, and a weight of seeded halves 0..3 with seed 4 (12 478 witnesses)
+SAMPLED_FIN_13_6 = ("e3cf1cd1e23d31ec6aa3f6535c367526"
+                    "ddd4d67095de40e1baf414c1750ecdaa")
+SAMPLED_FIN_13_6_BROKEN = ("d6f47ccd6c404098459a542d42d03fa5"
+                           "54f3fd7c60aacc3759f4d9d54e858793")
+
+
+def _report_sha(rep):
+    return hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest()
+
+
+def test_sampled_pair_check_runs_a_row_block_at_a_time():
+    # 4097 elements, one past the exhaustive pair check: the 100 000 drawn
+    # pairs are joined 8192 at a time, so the peak stays near the draws'
+    # own 1.5 MiB (5.4 MiB in one pass)
+    S = fin_truncation(13, 6)
+    lam = builtin_logweight(S, "cardinality")
+    tracemalloc.start()
+    try:
+        rep = validate_logweight(S, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+    assert rep.ok and not rep.exhaustive
+    assert _report_sha(rep) == SAMPLED_FIN_13_6
+    rng = random.Random(13)
+    broken = LogWeight.from_values([Fraction(rng.randrange(7), 2)
+                                    for _ in range(S.n)])
+    rep = validate_logweight(S, broken, seed=4)
+    assert len(rep.violations) == 12478
+    assert _report_sha(rep) == SAMPLED_FIN_13_6_BROKEN
+    # no drawn pair, no block: an empty sampled report
+    rep = validate_logweight(S, broken, samples=0)
+    assert rep.violations == [] and not rep.exhaustive
 
 
 def test_scaled_weight_with_wide_numerators():
