@@ -414,6 +414,10 @@ def main(argv=None) -> int:
     except propagation.BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except core.NotClosedError as exc:     # past a sampled validate
+        print(f"error: {args.instance}: not a semilattice: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

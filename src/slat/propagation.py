@@ -28,19 +28,17 @@ Three passes find these first levels for every target at once:
 
 The subset and element passes share one level loop (``_first_levels``):
 it starts at the targets' least level, skips levels that admit nothing and
-stops on the round that reaches the last target.  One rule, ``_route``,
-picks the pass from the rows run together and the density rule
-``Semilattice.subsets_fit`` (a point set has at most 4n subsets).  One
-closure, one row (``v_value``), takes the subset pass when the points of
-its join fit the rule and number at least ``SUBSET_MIN_BITS``, and raises
-``BudgetExceeded`` past ``SUBSET_MAX_BITS``; else, and always on a table,
-the pair-by-pair pass.  A profile's generating sets, rows of blocks
-however many there are, take the subset pass when the points of the level
-set fit the rule and number at most ``SUBSET_MAX_BITS``; else the element
-pass, on a host of at most ``FULL_VALIDATE_CAP`` elements that passes its
-guard; else the pair-by-pair pass, each set alone.  A collapsed top is a
-member like any other on the subset pass, and an element on the element
-pass.
+stops on the round that reaches the last target.  One closure (``v_value``)
+on a set system whose join fits the density rule ``Semilattice.subsets_fit``
+(a point set has at most 4n subsets) takes the subset pass as one Python
+int (``_row_first_level``), and raises ``BudgetExceeded`` past
+``SUBSET_MAX_BITS`` points; any other, a table's always, the pair-by-pair
+pass.  A profile's generating sets, rows of blocks however many, take the
+pass ``_route`` picks: the subset pass when the points of the level set fit
+the rule and number at most ``SUBSET_MAX_BITS``; else the element pass, on
+a host of at most ``FULL_VALIDATE_CAP`` elements that passes its guard;
+else the pair-by-pair pass, each set alone.  A collapsed top is a member on
+the subset pass, an element on the element pass.
 
 Levels are ranks of integer numerators (``np.unique``), kept as fractions,
 so they stay exact.  A world is kept in one weak memo (``_memo``) on the
@@ -63,21 +61,14 @@ from functools import cache, lru_cache, partial, total_ordering
 
 import numpy as np
 
-from ._bitset import bits, mask_of, popcount
+from ._bitset import bits, indicator, mask_of, mask_of_indicator, popcount
 from .breadth import _incompressible, breadth, is_compressible
 from .core import (FULL_VALIDATE_CAP, NP_BLOCK_ELEMS, SUBSET_MAX_BITS,
-                   BudgetExceeded, Semilattice, _subset_masks, _subset_sweep,
-                   row_blocks)
+                   BudgetExceeded, NotClosedError, Semilattice, _subset_masks,
+                   _subset_sweep, row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
-
-#: joins with fewer points take the pair pass: on ``pstar(8)``, singleton
-#: generators, the target one point short of the join, cardinality,
-#: prototype and a random weight (2 vCPUs), the one-row subset pass takes
-#: 43-72 us at 4 points against 38-44 for the pair pass, 45-97 against
-#: 95-102 at 5 and 54-108 against 294-307 at 6
-SUBSET_MIN_BITS = 6
 
 #: one column of at most this many points takes ``_pair_unions``'s two-half
 #: matrix form (int64 matmul, no BLAS): one column at 5% density took 13 /
@@ -226,15 +217,13 @@ def _ranked(lam, ids):
 
 def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
     """The pair-by-pair pass: first levels of the closure from E, the
-    product of which is J.
-
-    The closed world is U, the ``factors`` of J.  Elements are settled in
-    order of rising first level, and each settled element is paired with
-    every element settled before it and with itself.  Returns ``{id: level}``
-    for each element settled before every target inside U is.  U is ranked
-    here unless the caller passes ``ranked``, the levels of every element
-    (``range(m)`` for ranks) and a list of each id's rank in them.
-    """
+    product of which is J, over U, the ``factors`` of J.  Elements are
+    settled in order of rising first level, and each settled element is
+    paired with every element settled before it and with itself.  Returns
+    ``{id: level}`` for each element settled before every target inside U
+    is; an element outside U met there raises ``NotClosedError``.  U is
+    ranked here unless the caller passes ``ranked``, the levels of every
+    element (``range(m)`` for ranks) and a list of each id's rank in them."""
     U = list(factors(J))
     if len(U) > 200_000:
         raise BudgetExceeded(f"closure universe has {len(U)} elements")
@@ -243,33 +232,38 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
         ranked = levels, dict(zip(U, rank.tolist()))
     levels, rank = ranked
     buckets = [[] for _ in levels]      # bucket i: reached at levels[i]
-    for e in E_ids:
-        buckets[rank[e]].append(e)
     pending = set(targets).intersection(U)
     first = {}
     settled = []
     formed = set()
-    i = 0
-    while pending and i < len(levels):
-        if not buckets[i]:
-            i += 1
-            continue
-        a = buckets[i].pop()
-        if a in first:
-            continue
-        first[a] = levels[i]
-        pending.discard(a)
-        settled.append(a)
-        for b in settled:
-            p = S.product(a, b)
-            # a product formed again later is formed at a level no lower,
-            # so only its first formation can lower a bucket
-            if p in formed:
+    i, p = 0, None
+    try:
+        for e in E_ids:
+            buckets[rank[e]].append(e)
+        while pending and i < len(levels):
+            if not buckets[i]:
+                i += 1
                 continue
-            formed.add(p)
-            for z in factors(p):
-                if z not in first:
-                    buckets[max(rank[z], i)].append(z)
+            a = buckets[i].pop()
+            if a in first:
+                continue
+            first[a] = levels[i]
+            pending.discard(a)
+            settled.append(a)
+            for b in settled:
+                p = S.product(a, b)
+                # a product formed again later is formed at a level no
+                # lower, so only its first formation can lower a bucket
+                if p in formed:
+                    continue
+                formed.add(p)
+                for z in factors(p):
+                    if z not in first:
+                        buckets[max(rank[z], i)].append(z)
+    except KeyError as exc:
+        of = "a generator" if p is None else f"a factor of {a} * {b} = {p}"
+        raise NotClosedError(f"{exc.args[0]}, {of}, is not a factor of the "
+                             f"join {J}") from None
     return first
 
 
@@ -316,20 +310,15 @@ def _element_world(S):
 
 
 def _subset_first_levels(seeds, rank, nlevels, absorbing, cols):
-    """The subset-lattice pass: one closure per row of ``seeds``, a boolean
-    array over the subsets of a set G (local indices, as ``_subset_world``
-    makes them, with ``rank``, its ``nlevels`` levels and ``absorbing``).
-
-    Until a closure forms the collapsed top, every product it forms is a
-    member whose set lies inside G, so the closures of all rows run
-    together, each a column of one array.  A round maps each row's reached
-    set R to the members inside the union of two members of R
-    (``_pair_unions``); once such a union is absorbing, the product is the
-    top, which every element divides, and R becomes every member.  A row
-    that forms the top at level i reaches it at the larger of i and the
-    top's own rank.  Returns ``_first_levels``; a target outside a join that
-    is not the top is never reached.
-    """
+    """The subset pass: one closure per row of ``seeds``, a boolean array over
+    the subsets of a set G (local indices, ``rank``, ``nlevels`` levels and
+    ``absorbing`` as ``_subset_world`` makes them).  Until a closure forms
+    the collapsed top, each product it forms is a member inside G.  A round
+    maps each row's reached set R to the members under a union of two
+    members of R (``_pair_unions``); once such a union is absorbing the
+    product is the top, which every element divides, and R becomes every
+    member.  Returns ``_first_levels``; a target outside a join that is not
+    the top is never reached."""
     cols = np.asarray(cols, dtype=np.int64)
     rows, local = np.nonzero(seeds)         # each row's union of seeds
     joins = np.zeros(len(seeds), dtype=np.int64)
@@ -361,24 +350,20 @@ def _element_first_levels(seeds, A, K, rank, nlevels, cols):
 
 
 def _first_levels(seeds, rank, nlevels, cols, left, step):
-    """The one level loop of the closure worlds: one closure per row of
-    ``seeds``, a boolean array over a world's indices, whose ``rank`` gives
-    each index's level (``nlevels`` for one never admitted), with ``left``
-    (row, target) pairs reachable among the targets at indices ``cols``.
+    """The level loop of the array passes: one closure per row of ``seeds``,
+    a boolean array over a world's indices with levels ``rank`` (``nlevels``
+    for one never admitted), and ``left`` (row, target) pairs reachable
+    among the targets at indices ``cols``.
 
-    The closures of all rows run together, each a column of one array.  At
-    level i one round, ``step``, maps each column's reached set R to a
-    superset of it, and its members of rank at most i are the next R.  A
-    round only adds members, so rounds repeat until the count of reached
-    members stops growing.  No target is reached below its own rank and the
-    closure only grows with the level, so the pass starts at the least rank
-    of a target.  The last round's output carries over, and the next level
-    visited is the least rank among it and the seeds not yet admitted: the
-    levels between admit nothing new.  Targets are read before each round,
-    so the pass stops without a confirming round once every row has reached
-    its targets.  Returns, for each row and each target in ``cols``, the
-    index of the first level at which the row's closure reaches the target,
-    or -1 for a target it never reaches.
+    The rows run together, each a column of one array.  At level i a round,
+    ``step``, maps each column's reached set R to a superset, whose members
+    of rank at most i are the next R, until their count stops growing.  No
+    target is reached below its own rank, so the pass starts at the least
+    rank of a target; the last round's output carries over, and the next
+    level is the least rank among it and the seeds not yet admitted.
+    Targets are read before each round, so the pass stops without a
+    confirming round.  Returns each row's first-level index of each target
+    in ``cols``, or -1 for one never reached.
     """
     seeds = np.ascontiguousarray(seeds.T)
     first = np.full((len(cols), seeds.shape[1]), -1)
@@ -424,21 +409,16 @@ def _pair_unions(R, top=None):
     """Indicator, column by column over the 2**k subsets (the first axis) of
     a k-point set, of the subsets under some x | y, x and y in the column's
     set R.  With f the subset sums of R, f(T)**2 counts the pairs whose
-    union lies inside T, and by inclusion-exclusion the pairs whose union
-    covers s number (-1)**|s| times the superset Moebius transform of f**2
-    at the complement of s, the same index read from the other end: 2k
-    passes in place, no down-closure.  No count exceeds 4**k, so int32
-    holds them for k <= 15 and int64 above; the passes may wrap, but the
-    final values fit and come out exact.  ``top``, when given, is
-    ``_topped_form`` of an indicator of subsets, and a column with an exact
-    union in it becomes every subset: such pairs number ``top @ f**2``, one
-    dot product in the same dtype, exact however it wraps since the count
-    is at most 4**k.
-
-    A single column F of at most ``KRONECKER_MAX_BITS`` points, reshaped to
-    (2**hi, 2**lo) with hi = k // 2, instead takes f = ``Z_hi.T @ F @ Z_lo``
-    and ``M_hi @ f**2 @ M_lo.T`` in int64 (``_kronecker_halves``), exact
-    since no partial sum exceeds 8**k."""
+    union lies inside T; by inclusion-exclusion the pairs whose union covers
+    s number (-1)**|s| times the superset Moebius transform of f**2 at the
+    complement of s, the same index read from the other end.  Counts are at
+    most 4**k, so int32 holds them for k <= 15 and int64 above, exact however
+    the passes wrap.  ``top``, when given, is ``_topped_form`` of an
+    indicator of subsets: a column with an exact union in it (``top @
+    f**2`` > 0) becomes every subset.  One column of at most
+    ``KRONECKER_MAX_BITS`` points, reshaped to (2**hi, 2**lo), hi = k // 2,
+    takes f = ``Z_hi.T @ F @ Z_lo`` and ``M_hi @ f**2 @ M_lo.T`` in int64
+    (``_kronecker_halves``), exact since no partial sum exceeds 8**k."""
     k = len(R).bit_length() - 1
     if R.shape[1] == 1 and k <= KRONECKER_MAX_BITS:
         (Zh, Mh), (Zl, Ml) = map(_kronecker_halves, (k // 2, k - k // 2))
@@ -503,17 +483,15 @@ def _ground_ids(S):
 def _subset_world(S, lam, G_mask):
     """The closed world of the subset pass over the subsets of G, a set of
     points of a set system: bit j of a local index stands for the j-th point
-    of G.  Returns ``(at, levels, rank, absorbing)``: ``at`` is the mask of
-    the subset at each local index, rising, ``levels`` are distinct weights,
-    rising, as fractions, ``rank[s]`` is the index in ``levels`` of the
-    member at s, or ``len(levels)`` (never admitted) for a non-member, and
-    ``absorbing`` is as ``_subset_ids`` makes it.  On a host that keeps the
-    world of its whole ground (``_ground_ids``), G's world is its entries at
-    the masks of G's subsets, ranked among the levels of every element
-    (``_weight_ranks``): ``_first_levels`` skips the levels that admit
-    nothing.  Otherwise G's world is built alone and ranked among the members
-    inside G, so that no weight is ranked over every element of a large
-    host."""
+    of G.  Returns ``(at, levels, rank, absorbing)``: the mask of the subset
+    at each local index, rising; distinct weights, rising, as fractions; the
+    index in ``levels`` of the member at each s, or ``len(levels)`` (never
+    admitted) for a non-member; and ``_subset_ids``'s absorbing flags.  On a
+    host that keeps the world of its whole ground (``_ground_ids``), G's
+    world is its entries at the masks of G's subsets, ranked among the
+    levels of every element (``_weight_ranks``).  Otherwise G's world is
+    built alone and ranked among the members inside G, so that no weight is
+    ranked over every element of a large host."""
     if (ground := _memo(S, _ground_ids)) is None:
         at = _subset_masks(G_mask)
         ids, absorbing = _subset_ids(S, at)
@@ -524,37 +502,88 @@ def _subset_world(S, lam, G_mask):
     return at, levels, rank[ids[at]], absorbing[at]
 
 
-def _route(S, lam, ids, J=None):
-    """The pass of closures whose seeds and targets are among ``ids``, by the
-    route rule of the module docstring: one closure of join J, or, when J is
-    None, a profile's generating sets, rows of blocks.  Returns None for the
-    pair-by-pair pass, else ``(size, cols, levels, run, args)``: the world's
-    size, each id's column in it, its levels, and the pass, whose
+def _route(S, lam, ids):
+    """The pass of a profile's sets, with seeds and targets among ``ids``:
+    None for the pair-by-pair pass, else ``(size, cols, levels, run, args)``,
+    the world's size, each id's column in it, its levels, and the pass:
     ``run(seeds, *args, targets)`` gives ``_first_levels`` of the rows of
-    ``seeds`` (boolean, rows x size) at the columns ``targets``.  One
-    closure's gate reads J's scalar mask alone; its world also spans the
-    points of every id, which a collapsed top J read from a file may
-    miss."""
+    ``seeds`` (boolean, rows x size) at the columns ``targets``."""
     if S.kind == "set_system":
-        if J is None:                   # a profile's rows
-            masks = S.masks_of(ids)
-            G = int(np.bitwise_or.reduce(masks))
-            fits = popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G)
-        else:                           # one closure, gated on its join
-            G = S.member_mask(J)
-            fits = popcount(G) >= SUBSET_MIN_BITS and S.subsets_fit(G)
-            if fits:
-                masks = S.masks_of(ids)
-                G |= int(np.bitwise_or.reduce(masks))
-        if fits:
+        masks = S.masks_of(ids)
+        G = int(np.bitwise_or.reduce(masks))
+        if popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
             at, levels, rank, absorbing = _subset_world(S, lam, G)
             return len(at), np.searchsorted(at, masks), levels, \
                 _subset_first_levels, (rank, len(levels), absorbing)
-    if J is None and (world := _memo(S, _element_world)) is not None:
+    if (world := _memo(S, _element_world)) is not None:
         levels, rank = _memo(lam, _weight_ranks)     # rank[-1]: id -1
         return S.n, np.asarray(ids), levels, _element_first_levels, \
             (*world, rank[:-1], len(levels))
     return None
+
+
+@cache
+def _point_ints(k):
+    """For each point j of k: the ints over the 2**k subsets of those with j
+    and those without it, and the shift 2**j that adds j."""
+    full, shifts = (1 << (1 << k)) - 1, [1 << j for j in range(k)]
+    held = [((1 << w) - 1 << w) * (full // ((1 << 2 * w) - 1)) for w in shifts]
+    return [(h, full ^ h, w) for h, w in zip(held, shifts)]
+
+
+def _row_round(R, size, points, budget, top, absorbing):
+    """One round of ``_row_first_level`` from the reached set R over ``size``
+    subsets: every subset under some a | b, a and b in R, or every subset
+    once such a union forms the top."""
+    down, strict, cover = R, 0, 0
+    for h, _, w in points:
+        down |= (down & h) >> w
+    for h, _, w in points:
+        strict |= (down & h) >> w
+    maximal = R & ~strict
+    if sum((maximal & h).bit_count() for h, _, _ in points) <= budget:
+        for a in bits(maximal):
+            X = down
+            for j in bits(a):
+                _, o, w = points[j]
+                X |= (X & o) << w
+            cover |= X
+        return (1 << size) - 1 if cover & top else cover
+    return mask_of_indicator(_pair_unions(indicator(R, size)[:, None], (
+        None if absorbing is None else _topped_form(absorbing))).ravel())
+
+
+def _row_first_level(rank, nlevels, seeds, target, absorbing=None):
+    """The integer row: the first level index at which the closure from the
+    local ``seeds`` reaches the local ``target`` in a ``_subset_world``
+    (``rank``, ``nlevels``; ``absorbing`` when the join is the top).  Bit s
+    of an int is local subset s, H_j holds the subsets with point j, and the
+    level loop is ``_first_levels``'s.  A round (``_row_round``) maps the
+    reached set R to the subsets under some a | b, a and b in R: with D =
+    down(R) and M = R & ~(the union of (D & H_j) >> 2**j), R's maximal
+    members, the union over a in M of {s : s less a in D}, |a| steps X |=
+    (X & ~H_j) << 2**j each, since s lies under a | b exactly when s less a
+    lies under b, and a maximal member above a only covers more.  On an
+    up-closed ``absorbing`` set a round that meets it forms the top; on any
+    other, or past max(64, 8k) steps, a round is ``_pair_unions`` of R."""
+    size = len(rank)
+    points = _point_ints(size.bit_length() - 1)
+    top = up = 0 if absorbing is None else mask_of_indicator(absorbing)
+    for _, o, w in points:
+        up |= (up & o) << w
+    budget = max(64, 8 * len(points)) if up == top else -1
+    held = seed = mask_of(seeds)
+    reached, i = 0, rank[target]
+    while i < nlevels:
+        allowed = mask_of_indicator(rank <= i)
+        while (nxt := held & allowed) != reached:
+            if nxt >> target & 1:
+                return i
+            reached = nxt
+            held = _row_round(nxt, size, points, budget, top, absorbing)
+        held |= seed
+        i = rank.min(where=indicator(held & ~allowed, size), initial=nlevels)
+    raise AssertionError("target inside the generated filter never reached")
 
 
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
@@ -562,8 +591,9 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     when z lies outside the filter generated by E.
 
     The first level of z is a bottleneck cost, the largest weight used by a
-    derivation of z, minimized over derivations.  One closure, one row on
-    the pass ``_route`` picks, finds it and stops as soon as z is reached.
+    derivation of z, minimized over derivations.  One closure takes the
+    integer row or the pair-by-pair pass, by the module docstring's rule,
+    and stops as soon as z is reached.
     """
     if E == 0:
         return INFINITE
@@ -571,13 +601,14 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     J = S.product_ids(E_ids)
     if not S.leq(J, z):
         return INFINITE
-    if (world := _route(S, lam, [z, *E_ids], J)) is not None:
-        size, cols, levels, run, args = world
-        target, *local = cols.tolist()
-        seeds = np.zeros((1, size), dtype=bool)
-        seeds.put(local, True)
-        first = run(seeds, *args, [target])
-        return PropagationValue.finite(levels[first[0, 0]])
+    if S.kind == "set_system" and S.subsets_fit(G := S.member_mask(J)):
+        masks = S.masks_of([z, *E_ids])
+        at, levels, rank, absorbing = _subset_world(
+            S, lam, G | int(np.bitwise_or.reduce(masks)))
+        target, *seeds = np.searchsorted(at, masks).tolist()
+        first = _row_first_level(rank, len(levels), seeds, target,
+                                 absorbing if J == S.top_id else None)
+        return PropagationValue.finite(levels[first])
     c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
     if c is None:
         raise AssertionError("target inside the generated filter never reached")

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -612,6 +613,27 @@ def test_the_batched_filter_suite_matches_the_per_filter_checks(ref):
                         ref, (True, True))
 
 
+@pytest.mark.parametrize("cell, E, message", [
+    (5, "10,30", "20, a factor of 19 * 30 = 19, is not a factor of the join "
+                 "10"),
+    (15, "10,20", "10, a generator, is not a factor of the join 15")],
+    ids=["a product's factor", "a generator"])
+def test_a_closure_that_leaves_its_join_is_not_a_semilattice(tmp_path, cell,
+                                                             E, message):
+    # a 300-element min-table with one bad symmetric cell passes the sampled
+    # validate; the pair pass then meets an element outside the factors of
+    # the join
+    table = [[min(x, y) for y in range(300)] for x in range(300)]
+    table[10][20] = table[20][10] = cell
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"kind": "table", "product": table}))
+    rc, out, _ = _main(["verify", str(path)])
+    assert rc == 0 and json.loads(out)["ok"]
+    rc, out, err = _main(["vmap", str(path), "--E", E, "--z", "17"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: not a semilattice: {message}\n"
+
+
 @pytest.mark.parametrize("obj", [
     planted_table_json(),
     broken_top_json(12, [c for m in (1, 2, 3)
@@ -852,3 +874,56 @@ def test_analyze_counts_one_filter_per_element(tmp_path, host):
     rc, out, _ = _main(["analyze", ref])
     assert rc == 0
     assert json.loads(out)["filter_count"] == len(enumerate_filters(S)) == S.n
+
+
+# (exit code, sha256 of stdout) of every command in README's CLI block, the
+# sweep's without its seconds column: any change to their output shows here
+README_PINS = {
+    "analyze 'fin(5,2)'": (0, "7ab6c664fe1bee5b0202bbbf918844cc"
+                              "ba923c4387779d05d1f9c92aca01bfb4"),
+    "breadth 'tree(2,3)'": (0, "f17d315645b91b8538d0994493b7148c"
+                               "1d42009b02891671b4c7180e8d09acb6"),
+    "defect 'pstar(3)' --weight cardinality --set 0,1": (
+        0, "fb16596611d5e52b684f7b73da4f331697cacd1ac093aa9465c772fe5687bed8"),
+    "dist 'pstar(3)' --weight cardinality --set 0": (
+        0, "413c509b5fa0eb26fb3d459680021a8d6e9c520493e5a6c5ba9ef63d1e00bda0"),
+    "fbp 'pstar(3)' --weight cardinality --C 2 --set 0,1": (
+        0, "71f644a29867504cd35942141fc1e14717d5f0a3c2e31c50c9690d8650586662"),
+    "vmap 'pstar(4)' --weight prototype --E 0,1,2,3 --z 14": (
+        0, "88e0cfb69529bff3501f6b6421ab35b2112488383e038e99ff3f568e4965f5f2"),
+    "profile 'pstar(3)' --weight prototype --L 1": (
+        0, "e22e06bf89549a766ece3e0526bc8e00d51bc86ce46c0487fb9d7a4d08c1150d"),
+    "adversary 'fin(24,8)' --nmax 4": (
+        0, "c7d0a3efbb8864c776fb5958df6ce75b464bb47d0eded5d613742b553273204d"),
+    "adversary 'fin(24,21)' --nmax 6": (
+        0, "2a485960f4d517c79144aef7007e5b8821a5cd763e91941f637051ef1dc6bea5"),
+    "sweep --family prototype --range 2:8 --op vmap": (
+        0, "4e377f111949ae49d67abe40a0f90353c3d63ff947853e79c52b4c37f397819b"),
+    "verify --seed 7": (
+        0, "a86f7913071ab4748bcaf63550f048b883411945f3a410654977b9fd4cfa57f6"),
+}
+
+
+def _readme_commands():
+    """The argument lists of the ``slat`` lines in README's CLI block."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    block = text[text.index("```sh", text.index("## CLI")) + 5:]
+    lines = block[:block.index("```")].splitlines()
+    return [shlex.split(line.split("#")[0])[1:] for line in lines
+            if line.startswith("slat ")]
+
+
+def test_readme_commands_are_pinned():
+    got = {}
+    for argv in _readme_commands():
+        rc, out, _ = _main(argv)
+        if argv[0] == "sweep":          # drop the seconds column
+            rows = list(csv.reader(io.StringIO(out)))
+            col = rows[0].index("seconds")
+            buf = io.StringIO()
+            csv.writer(buf).writerows(r[:col] + r[col + 1:] for r in rows)
+            out = buf.getvalue()
+        got[shlex.join(argv)] = (rc, hashlib.sha256(out.encode()).hexdigest())
+    assert got == README_PINS

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -25,11 +26,11 @@ from slat.adversarial import build_chain, eta_weight, verify_barrier
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        generate_instance, kary_tree, powerset, sch_embed)
 from slat.metrics import generate_filter
-from slat.propagation import (INFINITE, SUBSET_MIN_BITS, BudgetExceeded,
-                              PropagationValue, check_equivalence_iii, fbp,
-                              fbp_closure, finite_breadth_bound_check,
-                              is_fbp_stable, propagation_profile,
-                              stability_threshold, v_value)
+from slat.propagation import (INFINITE, BudgetExceeded, PropagationValue,
+                              check_equivalence_iii, fbp, fbp_closure,
+                              finite_breadth_bound_check, is_fbp_stable,
+                              propagation_profile, stability_threshold,
+                              v_value)
 from slat.weights import (LogWeight, PrototypeMissingTop, builtin_logweight,
                           level_set, random_logweight)
 
@@ -581,21 +582,19 @@ def test_subset_pass_matches_naive_v_on_a_cube(seed):
 
 
 @pytest.mark.parametrize("spec", ["pstar(7)", "fin(9,7)"])
-@pytest.mark.parametrize("points", [SUBSET_MIN_BITS - 1, SUBSET_MIN_BITS,
-                                    SUBSET_MIN_BITS + 1])
+@pytest.mark.parametrize("points", [5, 6, 7])
 @pytest.mark.parametrize("wname", ["prototype", "cardinality", "random:4"])
-def test_joins_around_the_crossover(spec, points, wname, monkeypatch):
+def test_joins_around_the_crossover(spec, points, wname):
+    # singletons to one point short of their join: a fitting join of any
+    # size takes the integer row, with the answer of the pair pass, of the
+    # array subset pass and of the dense oracle
     S = generate_instance(spec)
     lam = random_logweight(S, 4) if wname == "random:4" else \
         builtin_logweight(S, wname)
     E_ids = [S.id_of_mask(1 << i) for i in range(points)]
     z = S.id_of_mask((1 << points) - 2)
-    routed = []
-    subset_pass = propagation._subset_first_levels
-    monkeypatch.setattr(propagation, "_subset_first_levels",
-                        lambda *a: routed.append(1) or subset_pass(*a))
-    v = v_value(S, lam, mask_of(E_ids), z)
-    assert bool(routed) == (points >= SUBSET_MIN_BITS)
+    v, passes = _passes_taken(partial(v_value, S, lam, mask_of(E_ids), z))
+    assert passes == ["row"]
     knuth, subset = _both_passes(S, lam, E_ids)
     assert knuth == subset
     assert v == PropagationValue.finite(knuth[z])
@@ -611,7 +610,7 @@ _REACH_HOSTS = {k: free_nonempty(k) for k in (8, 9)}
        seed=st.integers(0, 10_000), data=st.data())
 def test_wide_joins_without_a_top_match_the_pair_pass(k, wname, seed, data):
     # generators whose union has 6-8 points, and a target one point short of
-    # it: one-row subset passes over up to 256 subsets, no collapsed top
+    # it: integer rows over up to 256 subsets, no collapsed top
     S = _REACH_HOSTS[k]
     lam = random_logweight(S, seed) if wname == "random" else \
         builtin_logweight(S, wname)
@@ -627,10 +626,10 @@ def test_wide_joins_without_a_top_match_the_pair_pass(k, wname, seed, data):
     E_ids = sorted(S.id_of_mask(m) for m in masks - {0})
     z = S.id_of_mask(union & ~(1 << data.draw(st.sampled_from(pts),
                                               label="dropped point")))
-    with mock.patch.object(propagation, "_subset_first_levels",
-                           wraps=propagation._subset_first_levels) as subset:
+    with mock.patch.object(propagation, "_row_first_level",
+                           wraps=propagation._row_first_level) as row:
         v = v_value(S, lam, mask_of(E_ids), z)
-    assert subset.call_count == 1
+    assert row.call_count == 1
     knuth = propagation._knuth_first_levels(S, lam, E_ids, [z], S.iter_factors,
                                             S.product_ids(E_ids))
     assert v == PropagationValue.finite(knuth[z])
@@ -645,10 +644,10 @@ def test_subset_pass_stops_on_the_round_that_reaches_the_target(wname):
     lam = builtin_logweight(S, wname)
     E = mask_of(S.id_of_mask(1 << p) for p in range(7))
     z = S.id_of_mask(0b1111110)
-    with mock.patch.object(propagation, "_pair_unions",
-                           wraps=propagation._pair_unions) as rounds:
+    with mock.patch.object(propagation, "_row_round",
+                           wraps=propagation._row_round) as rounds:
         assert v_value(S, lam, E, z) == PropagationValue.finite(6)
-    assert rounds.call_count <= 3
+    assert rounds.call_count == 3
 
 
 def test_sparse_families_stay_on_the_pair_pass(monkeypatch):
@@ -778,7 +777,7 @@ _COLLAPSED_HOSTS = {spec: _PROFILE_HOSTS[spec] for spec in (
        seed=st.integers(0, 10_000), data=st.data())
 def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
                                                           data):
-    # every join, the top among them, takes the one-row subset pass
+    # every join, the top among them, takes the integer row
     S = _COLLAPSED_HOSTS[spec]
     try:
         lam = random_logweight(S, seed) if wname == "random" else \
@@ -791,10 +790,120 @@ def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
     z = data.draw(st.integers(0, S.n - 1), label="z")
     knuth = propagation._knuth_first_levels(S, lam, E_ids, [z],
                                             S.iter_factors, S.top_id)
-    with mock.patch.object(propagation, "SUBSET_MIN_BITS", 0), \
-            mock.patch.object(propagation, "_knuth_first_levels", None):
+    with mock.patch.object(propagation, "_knuth_first_levels", None):
         assert v_value(S, lam, mask_of(E_ids), z) == \
             PropagationValue.finite(knuth[z])
+
+
+# a collapsed top over a sparse family: {1} is no member, yet lies under the
+# member {0, 1}, so the absorbing subsets of the ground (the non-members and
+# the top) are not up-closed
+_SPARSE_TOP = Semilattice.from_json({
+    "kind": "set_system", "ground": [str(p) for p in range(4)],
+    "elements": [[], [0], [0, 1], [2], [3], [0, 1, 2, 3]], "collapsed_top": 5})
+_ROW_SPECS = ("pstar(4)", "powerset(4)", "pstar(8)", "fin(24,8)", "fin(6,3)",
+              "fin(4,2) less {0,1}", "short top", "sparse top")
+_ROW_HOSTS = {"fin(6,3)": _PROFILE_HOSTS["fin(6,3)"],
+              "fin(4,2) less {0,1}": _PROFILE_HOSTS["fin(4,2) less {0,1}"],
+              "short top": _SHORT_TOP, "sparse top": _SPARSE_TOP}
+
+
+def _row_host(spec):
+    """The host of ``spec``, a generator spec built on first use."""
+    if spec not in _ROW_HOSTS:
+        _ROW_HOSTS[spec] = generate_instance(spec)
+    return _ROW_HOSTS[spec]
+
+
+def _spy_on_row_rounds(monkeypatch):
+    """The count of integer-row rounds of each form from here on: an
+    expansion over maximal members, a fallback to ``_pair_unions`` past the
+    budget, or a fallback on an absorbing set that is not up-closed."""
+    forms, fell_back = Counter(), []
+    row_round, pair_unions = propagation._row_round, propagation._pair_unions
+
+    def unions(*args):
+        fell_back.append(True)
+        return pair_unions(*args)
+
+    def spy(R, size, points, budget, top, absorbing):
+        fell_back.clear()
+        held = row_round(R, size, points, budget, top, absorbing)
+        forms["top not up-closed" if budget < 0 else
+              "fallback" if fell_back else "expansion"] += 1
+        return held
+
+    monkeypatch.setattr(propagation, "_pair_unions", unions)
+    monkeypatch.setattr(propagation, "_row_round", spy)
+    return forms
+
+
+def _check_row(S, lam, E_ids, z):
+    """``v_value`` against the pair pass, and against ``naive_v`` on a small
+    host."""
+    J = S.product_ids(E_ids)
+    c = propagation._knuth_first_levels(S, lam, E_ids, [z], S.iter_factors,
+                                        J).get(z) if S.leq(J, z) else None
+    assert v_value(S, lam, mask_of(E_ids), z) == \
+        (INFINITE if c is None else PropagationValue.finite(c))
+    if S.n <= 24:
+        assert naive_v(S, lam, mask_of(E_ids), z) == c
+
+
+def test_integer_row_matches_the_pair_pass_and_naive_v(monkeypatch):
+    # listed cubes, the rank-storage fin(24,8) at 3- and 6-point joins, and
+    # collapsed tops, one of whose absorbing sets is not up-closed; seeds of
+    # every rank, joins on the top, targets one point short of the join, in
+    # and out of the filter; then one query that each round form must serve
+    forms = _spy_on_row_rounds(monkeypatch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from(_ROW_SPECS),
+           wname=st.sampled_from(["random", "cardinality", "prototype"]),
+           seed=st.integers(0, 10_000), data=st.data())
+    def check(spec, wname, seed, data):
+        S = _row_host(spec)
+        if spec == "fin(24,8)":     # a random weight takes seconds here
+            assume(wname != "random")
+        try:
+            lam = random_logweight(S, seed) if wname == "random" else \
+                builtin_logweight(S, wname)
+        except PrototypeMissingTop:
+            assume(False)
+        k = len(S.ground)
+        sizes = {"fin(24,8)": [3, 6], "pstar(8)": [6, 7, 8]}.get(
+            spec, range(1, k + 1))
+        points = data.draw(st.permutations(range(k)), label="points")[
+            :data.draw(st.sampled_from(sizes), label="join")]
+        parts = data.draw(st.lists(st.sets(st.sampled_from(points),
+                                           min_size=1), max_size=3),
+                          label="generators")
+        masks = {mask_of(p) for p in parts} | {1 << p for p in points}
+        E_ids = sorted({S.id_of_mask(m) for m in masks} - {None})
+        assume(E_ids)
+        if S.top_id is not None and spec != "fin(24,8)" and \
+                data.draw(st.booleans(), label="top seed"):
+            E_ids = sorted({*E_ids, S.top_id})
+        J = S.product_ids(E_ids)
+        join = S.member_mask(J)
+        short = {S.id_of_mask(join & ~(1 << p)) for p in bits(join)} - {None}
+        z = data.draw(st.sampled_from(sorted(short or {J})) |
+                      st.sampled_from(sorted(S.iter_factors(J))) |
+                      st.integers(0, S.n - 1), label="z")
+        _check_row(S, lam, E_ids, z)
+
+    check()
+    cube, small = _row_host("pstar(8)"), _row_host("pstar(4)")
+    for S, z in ((small, 0b111), (cube, 0x7f)):     # cube: 280 steps at 4
+        _check_row(S, builtin_logweight(S, "cardinality"),
+                   [S.id_of_mask(1 << p) for p in range(len(S.ground))],
+                   S.id_of_mask(z))
+    # {0, 1} lies over the non-member {1} at level 1; its union with {3}, the
+    # top, forms at level 2 and brings in {2}
+    assert [_SPARSE_TOP.member_mask(x) for x in (4, 3, 2)] == [0b11, 8, 4]
+    _check_row(_SPARSE_TOP, LogWeight.from_values([0, 1, 1, 2, 1, 2]), [3, 4],
+               2)
+    assert set(forms) == {"expansion", "fallback", "top not up-closed"}
 
 
 def test_subset_pass_refuses_a_wide_join_before_allocating():
@@ -977,27 +1086,33 @@ def test_v_value_builds_no_world_past_the_block(host, monkeypatch):
 
 def test_a_one_row_pair_pass_ranks_only_its_own_universe(monkeypatch):
     # fin(24,8) has 1.27 M elements.  Its chain stops at level 4, whose join
-    # collapses; the level-2 barrier joins 3 points and takes the pair pass,
-    # the level-3 barrier joins 6 and takes the subset pass over its own
-    # join: the memo only learns that a 24-point ground keeps no world, and
-    # eta is never ranked over every element.
+    # collapses; the level-2 and level-3 barriers join 3 and 6 points and
+    # take the integer row over their own joins: the memo only learns that
+    # a 24-point ground keeps no world, and eta is never ranked over every
+    # element.  A closure on a table takes the pair pass, which ranks the
+    # factors of its join alone, not the weight.
     S = generate_instance("fin(24,8)")
     chain = build_chain(S, 4)
     assert chain.depth == 3 and chain.notes
     eta = eta_weight(chain, S)
     built = _spy_on_memo_builds(monkeypatch)
-    with mock.patch.object(propagation, "_knuth_first_levels",
-                           wraps=propagation._knuth_first_levels) as knuth:
-        assert verify_barrier(chain, S, 2, eta).passed
-        assert knuth.call_count == 1
-        assert verify_barrier(chain, S, 3, eta).passed
-        assert knuth.call_count == 1
+    for n in (2, 3):
+        report, passes = _passes_taken(partial(verify_barrier, chain, S, n,
+                                               eta))
+        assert report.passed and passes == ["row"]
     assert ("_weight_ranks", eta) not in built
+    assert built == [("_ground_ids", S)]
+    T = kary_tree(2, 4)
+    lam = random_logweight(T, 2)
+    z = T.product(3, 9)
+    assert _passes_taken(partial(v_value, T, lam, mask_of([3, 9]), z))[1] \
+        == ["pair"]
     assert built == [("_ground_ids", S)]
 
 
 #: the entry point of each closure pass
-_PASS_ENTRIES = {"subset": "_subset_first_levels",
+_PASS_ENTRIES = {"row": "_row_first_level",
+                 "subset": "_subset_first_levels",
                  "element": "_element_first_levels",
                  "pair": "_knuth_first_levels"}
 
@@ -1013,9 +1128,9 @@ def _passes_taken(call):
 
 
 @pytest.mark.parametrize("spec, wname, query, taken", [
-    pytest.param("pstar(7)", "cardinality", "v 5", "pair",
+    pytest.param("pstar(7)", "cardinality", "v 5", "row",
                  id="one row below 6 points"),
-    pytest.param("pstar(7)", "cardinality", "v 6", "subset",
+    pytest.param("pstar(7)", "cardinality", "v 6", "row",
                  id="one row at 6 points"),
     pytest.param("tree(2,4)", "random:1", "v table", "pair",
                  id="one row on a table"),
