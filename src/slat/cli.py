@@ -19,8 +19,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from . import adversarial, core, metrics, propagation, weights
-from ._bitset import bits, mask_of, popcount
+from ._bitset import bits, mask_of, popcounts
 from .breadth import breadth as run_breadth
 
 
@@ -273,12 +275,15 @@ def _sweep_row(args, p, L):
         S, lam = _sweep_instance(args.family, p)
         if args.op == "vmap":
             # reachability of the full join from the singleton generators
-            singles = [x for x in range(S.n)
-                       if S.kind == "set_system"
-                       and popcount(S.member_mask(x)) == 1]
+            masks = S.member_masks_np() if S.kind == "set_system" \
+                else np.zeros(0, dtype=np.int64)
+            singles = np.flatnonzero(popcounts(masks) == 1).tolist()
             if not singles:
                 raise UsageError("vmap sweep needs a set system with singletons")
-            top = S.product_ids(list(range(S.n)))
+            # the join of every element: the id of the union of every mask,
+            # the collapsed top when that union is no member
+            top = int(S.join_ids(np.bitwise_or.reduce(masks, keepdims=True),
+                                 0)[0])
             v = propagation.v_value(S, lam, mask_of(singles), top)
             value = "inf" if v.is_infinite else str(v.c)
             approx = "" if v.is_infinite else float(v.c)

@@ -696,6 +696,12 @@ def _trunc_unrank(k, lo, c, top_id, x):
     return mask
 
 
+def _scalar_len(k):
+    """Arrays shorter than this over k points rank one at a time: k numpy
+    passes cost about 5k us, a scalar call 2 us (timeit, k = 6..62, 2 vCPUs)."""
+    return 2 * k + 8
+
+
 def _trunc_rank_np(k, lo, c, top_id, masks):
     """``_trunc_rank`` over an array, -1 for None.  The lexicographic rank of
     an m-subset is comb(k, m) - 1 less the sum, over its points p, of
@@ -704,6 +710,10 @@ def _trunc_rank_np(k, lo, c, top_id, masks):
     if k >= 63:     # masks reach 2**63: one at a time
         ids = np.frompyfunc(partial(_trunc_rank, k, lo, c, top_id), 1, 1)(masks)
         return np.where(np.equal(ids, None), -1, ids).astype(np.int64)
+    if masks.size < _scalar_len(k):
+        ids = (_trunc_rank(k, lo, c, top_id, m) for m in masks.ravel().tolist())
+        return np.array([-1 if x is None else x for x in ids],
+                        dtype=np.int64).reshape(masks.shape)
     binom = np.array(_binomials(k, k + 2))
     last = np.array(_trunc_offsets(k, lo, c)[1:]) - 1   # per size m
     m, below = np.zeros((2, *masks.shape), dtype=np.int64)
@@ -724,6 +734,9 @@ def _trunc_unrank_np(k, lo, c, top_id, ids):
     ids = np.asarray(ids, dtype=np.int64)
     if k >= 63:     # Python ints, one at a time
         return np.frompyfunc(partial(_trunc_unrank, k, lo, c, top_id), 1, 1)(ids)
+    if ids.size < _scalar_len(k):
+        return np.array([_trunc_unrank(k, lo, c, top_id, x) for x in
+                         ids.ravel().tolist()], dtype=np.int64).reshape(ids.shape)
     binom = np.array(_binomials(k, k + 2))     # its last column is 0
     offs = np.array(_trunc_offsets(k, lo, c))
     level = np.searchsorted(offs, ids, side="right") - 1

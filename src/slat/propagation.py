@@ -44,9 +44,12 @@ Levels are ranks of integer numerators (``np.unique``), kept as fractions,
 so they stay exact.  A world is kept in one weak memo (``_memo``) on the
 object it is built from: a host keeps its element world and, on a ground
 of at most 14 points that fits the density rule, the ids of every subset
-of the ground; a weight keeps its levels and the rank of every element.
-Nothing is kept per pair of host and weight, nothing is stored on either,
-and no answer depends on what the memo holds.  ``fbp`` and
+of the ground; a weight keeps its levels, the rank of every element and the
+curve of its last exhaustive profile, which refers to its host weakly and
+answers a later profile on that host at a level set inside its own
+(``propagation_profile``).  Nothing else is kept per pair of host and
+weight, nothing is stored on either, and no answer depends on what the memo
+holds.  ``fbp`` and
 ``fbp_closure`` apply the definition one step at a time; the ``fbp``
 command and the cross-checks use them.
 """
@@ -447,8 +450,7 @@ _MEMO = weakref.WeakKeyDictionary()
 def _memo(key, build):
     """``build(key)``, built once for ``key``, a host or a weight: the world
     must depend on ``key`` alone, and its callers only read it."""
-    if (worlds := _MEMO.get(key)) is None:
-        worlds = _MEMO[key] = {}
+    worlds = _MEMO.setdefault(key, {})
     if build not in worlds:
         worlds[build] = build(key)
     return worlds[build]
@@ -644,6 +646,24 @@ def _first_level_blocks(S, lam, W_ids, sets):
         yield row[None], np.array([[first.get(z, -1) for z in W_ids]]), levels
 
 
+def _reduce(prof, W_ids, sets, first, levels):
+    """Fold the generating sets ``sets``, rows of positions in ``W_ids``, and
+    their first-level indices ``first`` into ``levels`` at each target of
+    ``W_ids`` into ``prof``: the largest first level and the first row that
+    holds it, kept when larger than the value so far."""
+    tops = first.max(axis=1)
+    r = tops.argmax()
+    v = PropagationValue.finite(levels[tops[r]])
+    if v > prof.value:          # the first set with the larger value
+        prof.value = v
+        prof.witness_E = mask_of(W_ids[i] for i in sets[r] if i >= 0)
+        # Ties go to the first target in the iteration order of the set
+        # of a list (not a dict); profile output depends on this choice.
+        level = {z: i for z, i in zip(W_ids, first[r].tolist()) if i >= 0}
+        prof.witness_z = next(z for z in set(list(level))
+                              if level[z] == tops[r])
+
+
 def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000,
                         strict: bool = False, seed: int = 0,
                         samples: int = 2000) -> PropagationProfile:
@@ -657,9 +677,16 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     within it and the samples (or BudgetExceeded in strict mode).  The
     closures run a block of generating sets at a time, in enumeration order
     (``_first_level_blocks``), on the pass ``_route`` picks for a profile,
-    and every block is reduced the same way, from its matrix of first
-    levels: its largest first level and the first row that holds it.  Every
-    pass gives the same profile.
+    and every block is reduced the same way (``_reduce``).  Every pass gives
+    the same profile.
+
+    A first level does not depend on L, and the incompressible sets inside
+    a level set are those of a larger one inside it, in the same order.  So
+    an exhaustive walk keeps its curve in the weight's memo: the level set,
+    its sets, their first levels (at most ``NP_BLOCK_ELEMS << 6``) and a
+    weak reference to the host.  A later profile on that host inside the
+    kept level set whose count fits its budget reduces the kept rows inside
+    its level set at its own targets.
     """
     L = Fraction(L)
     W_mask = level_set(S, lam, L)
@@ -668,6 +695,20 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     if not W_ids:
         prof.notes.append("empty level set")
         return prof
+    memo = _MEMO.setdefault(lam, {})
+    if (kept := memo.get(propagation_profile)) and kept[0]() is S \
+            and len(W_ids) <= len(kept[1]):
+        _, ids, sets, first, levels = kept
+        cols = np.searchsorted(ids, W_ids)
+        where = np.full(len(ids) + 1, -2)   # -1, the padding, stays
+        where[cols], where[-1] = range(len(W_ids)), -1
+        sets = where[sets]
+        inside = (sets > -2).all(axis=1)
+        sets, n = sets[inside], len(W_ids)
+        prof.nodes = n + len(sets) * (n - 1) - int(sets.max(axis=1).sum())
+        if prof.nodes <= budget:
+            _reduce(prof, W_ids, sets, first[inside][:, cols], levels)
+            return prof
     T = S.product_table_np() if S.kind == "table" else None
     sets, prof.nodes = _incompressible(S, W_ids, budget=budget, T=T)
     if prof.nodes > budget:
@@ -689,18 +730,15 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
                 E_ids.remove(x)
             row[:len(E_ids)] = np.searchsorted(W_ids, E_ids)
         sets = drawn
+    keep = prof.exhaustive and len(sets) * len(W_ids) <= NP_BLOCK_ELEMS << 6
+    firsts = []
     for block, first, levels in _first_level_blocks(S, lam, W_ids, sets):
-        tops = first.max(axis=1)
-        r = tops.argmax()
-        v = PropagationValue.finite(levels[tops[r]])
-        if v > prof.value:          # the first set with the larger value
-            prof.value = v
-            prof.witness_E = mask_of(W_ids[i] for i in block[r] if i >= 0)
-            # Ties go to the first target in the iteration order of the set
-            # of a list (not a dict); profile output depends on this choice.
-            level = {z: i for z, i in zip(W_ids, first[r].tolist()) if i >= 0}
-            prof.witness_z = next(z for z in set(list(level))
-                                  if level[z] == tops[r])
+        _reduce(prof, W_ids, block, first, levels)
+        if keep:
+            firsts.append(first.astype(np.min_scalar_type(-len(levels))))
+    if keep:
+        memo[propagation_profile] = (weakref.ref(S), np.array(W_ids), sets,
+                                     np.concatenate(firsts), levels)
     return prof
 
 

@@ -55,19 +55,24 @@ def _probe_masks(rng, k, count):
 @settings(max_examples=150, deadline=None)
 @given(shape=_shapes(), seed=st.integers(0, 2**32))
 def test_rank_arrays_match_the_scalar_rank_and_unrank(shape, seed):
+    # arrays shorter than core._scalar_len(k) go one at a time, the others
+    # as k array passes: one of each
     k, lo, c, top = shape
     S = _rank_host(k, lo, c, top)
     rng = random.Random(seed)
-    ids = [rng.randrange(S.n) for _ in range(40)] + [0, S.n - 1]
-    masks = S.masks_of(np.array(ids))
-    assert masks.dtype == np.int64
-    assert masks.tolist() == [core._trunc_unrank(k, lo, c, S.top_id, x)
-                              for x in ids]
-    assert S.ids_of(masks).tolist() == ids
-    probes = _probe_masks(rng, k, 60)
-    want = [core._trunc_rank(k, lo, c, S.top_id, m) for m in probes]
-    assert S.ids_of(np.array(probes)).tolist() == \
-        [-1 if x is None else x for x in want]
+    rule = core._scalar_len(k)
+    for count in (rng.randrange(rule - 2), rule - 2 + rng.randrange(40)):
+        ids = [rng.randrange(S.n) for _ in range(count)] + [0, S.n - 1]
+        masks = S.masks_of(np.array(ids))
+        assert masks.dtype == np.int64
+        assert masks.tolist() == [core._trunc_unrank(k, lo, c, S.top_id, x)
+                                  for x in ids]
+        assert S.ids_of(masks).tolist() == ids
+        probes = _probe_masks(rng, k, count)
+        want = [core._trunc_rank(k, lo, c, S.top_id, m) for m in probes]
+        got = S.ids_of(np.array(probes))
+        assert got.dtype == np.int64
+        assert got.tolist() == [-1 if x is None else x for x in want]
 
 
 @pytest.mark.parametrize("k, lo, c, top", [(9, 0, 9, False), (10, 1, 10, False),

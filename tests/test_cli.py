@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from oracles import broken_top_json, naive_sampled_validation, planted_table_json
 from slat import core, metrics, weights
-from slat.cli import _verify_battery, main
+from slat._bitset import mask_of
+from slat.cli import SWEEP_COLUMNS, _sweep_instance, _verify_battery, main
+from slat.propagation import v_value
 
 SLAT = [sys.executable, "-m", "slat.cli"]
 # the package source, so that a subprocess runs it without an install
@@ -809,6 +811,26 @@ def test_sweep_breadth_rows():
     assert _csv_rows(out)[1:] == [
         ["pstar", str(k), str(2**k - 1), "breadth", str(k), "", "", "",
          "True", ""] for k in range(2, 6)]
+
+
+@pytest.mark.parametrize("family, span", [("prototype", "2:12"),
+                                          ("fin({},2)", "4:7")])
+def test_sweep_vmap_rows_match_the_per_element_definition(family, span):
+    # the singletons found one member mask at a time, and the join as the
+    # product of every element: on fin(k,2) the collapsed top
+    rc, out, _ = _main(["sweep", "--family", family, "--range", span,
+                        "--op", "vmap"])
+    lo, hi = map(int, span.split(":"))
+    want = [SWEEP_COLUMNS[:9] + SWEEP_COLUMNS[10:]]
+    for p in range(lo, hi + 1):
+        S, lam = _sweep_instance(family, p)
+        singles = [x for x in range(S.n) if S.member_mask(x).bit_count() == 1]
+        top = S.product_ids(range(S.n))
+        assert family == "prototype" or top == S.top_id is not None
+        v = v_value(S, lam, mask_of(singles), top)
+        want.append([family, str(p), str(S.n), "vmap", str(v.c),
+                     str(float(v.c)), "", "", "True", ""])
+    assert rc == 0 and _csv_rows(out) == want
 
 
 def test_sweep_profile_rows_of_a_template_family():

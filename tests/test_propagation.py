@@ -251,8 +251,9 @@ def _singletons_and_top(S):
 def test_closure_contexts_let_hosts_and_weights_go():
     # a subset world over the whole ground (pstar(7)) and an element world
     # (tree(2,3)), each under two weights, one of which goes first: the memo
-    # keeps one entry per host and per weight, none per pair, and each entry
-    # goes with its object
+    # keeps one entry per host and per weight, none per pair (a weight's
+    # kept curve refers to its host weakly), and each entry goes with its
+    # object
     refs = []
     for S in (free_nonempty(7), kary_tree(2, 3)):
         lams = [random_logweight(S, 1), random_logweight(S, 2)]
@@ -266,7 +267,10 @@ def test_closure_contexts_let_hosts_and_weights_go():
         assert list(propagation._MEMO[S]) == [world]
         assert propagation._MEMO[S][world] is not None
         for lam in lams:
-            assert list(propagation._MEMO[lam]) == [propagation._weight_ranks]
+            kept = dict(propagation._MEMO[lam])
+            curve = kept.pop(propagation.propagation_profile, None)
+            assert list(kept) == [propagation._weight_ranks]
+            assert curve is None or curve[0]() is S
         refs += [weakref.ref(x) for x in (S, *lams)]
         del lams[0]
         gc.collect()
@@ -516,6 +520,115 @@ def test_profile_of_tree_2_6_at_a_random_weight_is_fast():
     assert time.perf_counter() - t < 0.8
     assert (prof.value, prof.witness_E, prof.witness_z, prof.nodes) == \
         (PropagationValue.finite(Fraction(7, 3)), 1, 26, 116831)
+
+
+# -- kept curves --------------------------------------------------------------
+
+_CURVE_TABLES = [generate_instance(spec) for spec in ("tree(2,3)", "tree(3,2)",
+                                                      "chain(6)")]
+
+
+def _profile_outcome(S, lam, L, **kw):
+    try:
+        prof = propagation_profile(S, lam, L, **kw)
+    except BudgetExceeded:
+        return "budget"
+    return (prof.L, *_all_fields(prof))
+
+
+def _fresh_outcome(S, lam, L, **kw):
+    """``_profile_outcome`` on copies of S and of the weight: a host copy
+    alone would replace the weight's kept curve with its own."""
+    return _profile_outcome(copy.copy(S), copy.copy(lam), L, **kw)
+
+
+def _count_walks(monkeypatch):
+    """The number of incompressible-set walks from here on, in a list."""
+    walks, walk = [0], propagation._incompressible
+    monkeypatch.setattr(propagation, "_incompressible", lambda *a, **kw: (
+        walks.__setitem__(0, walks[0] + 1), walk(*a, **kw))[1])
+    return walks
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.one_of(_profile_host(), st.sampled_from(_CURVE_TABLES)),
+       wname=st.sampled_from(["random", "cardinality", "prototype"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_profiles_read_from_a_kept_curve_match_the_fresh_path(S, wname, seed,
+                                                             data):
+    # 2-5 levels in any order, each under its own budget, which may cut
+    # the walk, with strict on or off
+    if wname == "random":
+        lam = random_logweight(S, seed)
+    else:
+        try:
+            lam = builtin_logweight(S, wname)
+        except (PrototypeMissingTop, TypeError):
+            assume(False)
+    levels = data.draw(st.lists(st.sampled_from(sorted(set(lam.values()))),
+                                min_size=2, max_size=5), label="levels")
+    for L in levels:
+        kw = dict(budget=data.draw(st.sampled_from([3, 30, 300, 3000]),
+                                   label="budget"),
+                  strict=data.draw(st.booleans(), label="strict"),
+                  seed=seed, samples=20)
+        assert _profile_outcome(S, lam, L, **kw) == \
+            _fresh_outcome(S, lam, L, **kw)
+
+
+def test_one_weight_on_two_hosts_of_one_size(monkeypatch):
+    # tree(2,3) and pstar(4) both have 15 elements: a curve kept on one host
+    # is never read on the other, and each profile replaces it
+    A, B = generate_instance("tree(2,3)"), generate_instance("pstar(4)")
+    lam = random_logweight(A, 3)
+    high, low = max(lam.values()), min(lam.values())
+    walks = _count_walks(monkeypatch)
+    for S, L in ((A, high), (B, low), (A, low), (B, high), (B, low)):
+        assert _profile_outcome(S, lam, L) == _fresh_outcome(S, lam, L)
+        assert propagation._MEMO[lam][propagation_profile][0]() is S
+    assert walks[0] == 2 * 5 - 1        # only the last profile reads a curve
+
+
+def test_an_equal_level_set_at_another_level(monkeypatch):
+    # cardinality on pstar(4): L = 5/2 and L = 2 have one level set
+    S = free_nonempty(4)
+    lam = builtin_logweight(S, "cardinality")
+    assert level_set(S, lam, Fraction(5, 2)) == level_set(S, lam, 2)
+    walks = _count_walks(monkeypatch)
+    propagation_profile(S, lam, Fraction(5, 2))
+    got = _profile_outcome(S, lam, 2)
+    assert walks[0] == 1 and got[0] == 2
+    assert got == _fresh_outcome(S, lam, 2)
+
+
+def test_a_lower_level_takes_its_own_tie_order(monkeypatch):
+    # at L = 1/2 the witness reaches 4 and 8 at the top level, and the set
+    # of that level's three targets iterates 8 first; the kept level's 15
+    # targets put 4 first
+    S = free_nonempty(4)
+    lam = random_logweight(S, 14)
+    low = Fraction(1, 2)
+    walks = _count_walks(monkeypatch)
+    propagation_profile(S, lam, max(lam.values()))
+    prof = propagation_profile(S, lam, low)
+    assert walks[0] == 1
+    W = list(bits(level_set(S, lam, low)))
+    tied = [z for z in W if v_value(S, lam, prof.witness_E, z) == prof.value]
+    assert tied == [4, 8] and list(set(tied)) == [8, 4]
+    assert list(set(range(15))).index(4) < list(set(range(15))).index(8)
+    assert prof.witness_z == 8
+    assert _all_fields(prof) == _fresh_outcome(S, lam, low)[1:]
+
+
+def test_a_kept_curve_lets_its_host_and_weight_go():
+    S = kary_tree(2, 3)
+    lam = random_logweight(S, 1)
+    propagation_profile(S, lam, max(lam.values()))
+    assert propagation._MEMO[lam][propagation_profile][0]() is S
+    refs = [weakref.ref(S), weakref.ref(lam)]
+    del S, lam
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 # -- the two closure passes --------------------------------------------------
