@@ -1,14 +1,15 @@
 """Finite semilattice representations, validation, order, embeddings and generators.
 
-A semilattice is stored either as an explicit product table or as a
-union-closed set system over a finite universe.  Elements are dense integer
-ids; subsets of elements are plain integer bitmasks over those ids.  Set
-systems list their member masks, except that a Boolean-cube family above
-``IMPLICIT_THRESHOLD`` members uses rank storage: ids and member masks are
-computed from each other in the combinatorial number system.  Only this
-module knows the storage: the constructor binds each host's two lookups (id
-to member mask, member mask to id or None) once, in a scalar and an array
-form, and the methods use them.
+A semilattice is stored either as an explicit product table, one read-only
+n-by-n int32 array, or as a union-closed set system over a finite universe.
+Elements are dense integer ids; subsets of elements are plain integer
+bitmasks over those ids.  Set systems list their member masks, except that
+a Boolean-cube family above ``IMPLICIT_THRESHOLD`` members uses rank
+storage: ids and member masks are computed from each other in the
+combinatorial number system.  Only this module knows the storage: the
+constructor builds a table's array, or binds a set system's two lookups (id
+to member mask, member mask to id or None) in a scalar and an array form,
+once, and the methods use them.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ class Semilattice:
                  labels=None, trunc=None, top_id=None):
         self.kind = kind  # "table" | "set_system"
         self.n = n
+        if table is not None:       # rows of ids, as lists or a new array
+            table = np.asarray(table, dtype=np.int32).reshape(n, n)
+            table.flags.writeable = False
         self.table = table
         self.ground = ground          # universe labels, set_system only
         self._masks = masks           # member masks in canonical order
@@ -140,8 +144,7 @@ class Semilattice:
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"table entry {v!r} is not an element "
                                      f"id in 0..{n - 1}")
-        return cls("table", n, table=[list(row) for row in table],
-                   labels=_checked_labels(labels, n))
+        return cls("table", n, table=table, labels=_checked_labels(labels, n))
 
     @classmethod
     def from_sets(cls, ground, member_sets, labels=None, close=False):
@@ -209,7 +212,7 @@ class Semilattice:
 
     def product(self, x: int, y: int) -> int:
         if self.kind == "table":
-            return self.table[x][y]
+            return self.table.item(x, y)
         mask = self._mask
         z = self._id(mask(x) | mask(y))
         if z is None:
@@ -253,16 +256,15 @@ class Semilattice:
                         out.append(z)
                 yield from sorted(out)
                 return
-        for z in range(self.n):
-            if self.leq(p, z):
-                yield z
+        row = self.product_rows()(p, p + 1)[0]    # z >= p when p.z == p
+        yield from np.flatnonzero(row == p).tolist()
 
     def join_seam(self):
         """``(key, join, resolve)``: ``join(key(x))`` maps a product's key to
         that of its product with x; two keys name one element when ``resolve``
         (None: the identity) maps them to one value, a non-member to the top."""
         if self.kind == "table":
-            return (lambda x: x), (lambda a: self.table[a].__getitem__), None
+            return (lambda x: x), (lambda a: partial(self.table.item, a)), None
         ident, top = self._id, self.top_id
         resolve = None if top is None else (
             lambda m: top if (x := ident(m)) is None else x)
@@ -366,16 +368,17 @@ class Semilattice:
         read once here.  A whole-host scan calls it per ``row_blocks``
         block, the triangle walk of ``upper_blocks`` with c0 = r0."""
         if self.kind == "table":
-            return lambda r0, r1, c0=0: np.array(
-                [row[c0:] for row in self.table[r0:r1]] if c0
-                else self.table[r0:r1], dtype=np.int32)
+            return lambda r0, r1, c0=0: self.table[r0:r1, c0:]
         masks = self.member_masks_np()
         return lambda r0, r1, c0=0: self.join_ids(masks[r0:r1, None],
                                                   masks[c0:])
 
     def product_table_np(self):
-        """Dense n-by-n product table, ``product_rows`` stacked, as a new
-        numpy array (small n only); callers hold it for one scan."""
+        """Dense n-by-n int32 product table: a table host's own read-only
+        array, or a set system's ``product_rows`` stacked into a new array on
+        each call (small n only)."""
+        if self.kind == "table":
+            return self.table
         n = _table_size(self.n)
         rows, t = self.product_rows(), np.empty((n, n), dtype=np.int32)
         for r0, r1 in row_blocks(n, n):
@@ -387,7 +390,7 @@ class Semilattice:
     def to_json(self):
         if self.kind == "table":
             obj = {"kind": "table", "n": self.n,
-                   "product": [list(r) for r in self.table]}
+                   "product": self.table.tolist()}
         else:
             obj = {
                 "kind": "set_system",
@@ -707,10 +710,7 @@ def _trunc_rank_np(k, lo, c, top_id, masks):
     an m-subset is comb(k, m) - 1 less the sum, over its points p, of
     comb(k - 1 - p, its points from p up): one pass per point, downward."""
     masks = np.asarray(masks)
-    if k >= 63:     # masks reach 2**63: one at a time
-        ids = np.frompyfunc(partial(_trunc_rank, k, lo, c, top_id), 1, 1)(masks)
-        return np.where(np.equal(ids, None), -1, ids).astype(np.int64)
-    if masks.size < _scalar_len(k):
+    if k >= 63 or masks.size < _scalar_len(k):     # past 62 points, Python ints
         ids = (_trunc_rank(k, lo, c, top_id, m) for m in masks.ravel().tolist())
         return np.array([-1 if x is None else x for x in ids],
                         dtype=np.int64).reshape(masks.shape)
@@ -732,13 +732,14 @@ def _trunc_unrank_np(k, lo, c, top_id, ids):
     """``_trunc_unrank`` over an array: one pass per point q, taken when the
     rest rank r is below the count of the subsets whose next point is q."""
     ids = np.asarray(ids, dtype=np.int64)
-    if k >= 63:     # Python ints, one at a time
-        return np.frompyfunc(partial(_trunc_unrank, k, lo, c, top_id), 1, 1)(ids)
-    if ids.size < _scalar_len(k):
+    if k >= 63 or ids.size < _scalar_len(k):    # past 62 points, Python ints
         return np.array([_trunc_unrank(k, lo, c, top_id, x) for x in
-                         ids.ravel().tolist()], dtype=np.int64).reshape(ids.shape)
+                         ids.ravel().tolist()], dtype=object if k >= 63
+                        else np.int64).reshape(ids.shape)
     binom = np.array(_binomials(k, k + 2))     # its last column is 0
     offs = np.array(_trunc_offsets(k, lo, c))
+    if ids.max() >= offs[-1] + (top_id is not None):  # as the scalar form
+        raise IndexError(f"element id {ids.max()} is out of range")
     level = np.searchsorted(offs, ids, side="right") - 1
     r = ids - offs[level]
     left = level + lo               # points still to place
@@ -760,9 +761,8 @@ def chain(m: int) -> Semilattice:
     """Totally ordered semilattice on m elements with product = min."""
     if m < 1:
         raise ValueError("chain needs at least one element")
-    _table_size(m)
-    table = [[*range(x), *[x] * (m - x)] for x in range(m)]
-    return Semilattice("table", m, table=table)
+    ids = np.arange(_table_size(m), dtype=np.int32)
+    return Semilattice("table", m, table=np.minimum.outer(ids, ids))
 
 
 def _cube(k, lo, c, top=False):
@@ -826,14 +826,14 @@ def kary_tree(k: int, depth: int) -> Semilattice:
         n = _table_size(n + width)
     # ids run level by level, so the children of v are k*v + 1 .. k*v + k;
     # x's row is its parent's with x's subtree, a range per level, set to x
-    table = [[0] * n]
+    table = np.zeros((n, n), dtype=np.int32)
     for x in range(1, n):
-        row = table[(x - 1) // k][:]
+        row = table[x]
+        row[:] = table[(x - 1) // k]
         lo = hi = x
         while lo < n:
-            row[lo:hi + 1] = [x] * (hi + 1 - lo)
+            row[lo:hi + 1] = x
             lo, hi = k * lo + 1, k * hi + k
-        table.append(row)
     return Semilattice("table", n, table=table)
 
 

@@ -709,8 +709,7 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
         if prof.nodes <= budget:
             _reduce(prof, W_ids, sets, first[inside][:, cols], levels)
             return prof
-    T = S.product_table_np() if S.kind == "table" else None
-    sets, prof.nodes = _incompressible(S, W_ids, budget=budget, T=T)
+    sets, prof.nodes = _incompressible(S, W_ids, budget=budget)
     if prof.nodes > budget:
         if strict:
             raise BudgetExceeded("profile enumeration exceeded the budget")

@@ -105,6 +105,24 @@ _LISTED = {
 }
 
 
+@pytest.mark.parametrize("count", [3, 100])
+def test_rank_storage_refuses_ids_past_the_host(count):
+    # 3 ids go one at a time, 100 as array passes: both refuse id n, as
+    # the scalar member_mask and listed storage do
+    S = fin_truncation(24, 8)
+    assert (count < core._scalar_len(24)) == (count == 3)
+    for bad in (S.n, S.n + 5):
+        with pytest.raises(IndexError):
+            S.member_mask(bad)
+        with pytest.raises(IndexError):
+            S.masks_of(np.array([0] * (count - 1) + [bad]))
+    listed = fin_truncation(6, 2)
+    with pytest.raises(IndexError):
+        listed.masks_of(np.array([listed.n] * count))
+    assert S.masks_of(np.array([S.top_id] * count)).tolist() == \
+        [(1 << 24) - 1] * count
+
+
 @pytest.mark.parametrize("name", list(_LISTED))
 def test_listed_arrays_match_the_scalar_lookups(name):
     S = _LISTED[name]

@@ -77,13 +77,83 @@ def test_kary_tree_validates_and_has_meets():
 def test_generated_tables_match_their_definitions():
     for m in range(1, 41):
         S = chain(m)
-        assert S.table == [[min(x, y) for y in range(m)] for x in range(m)]
+        assert S.table.tolist() == [[min(x, y) for y in range(m)]
+                                    for x in range(m)]
     for k in (1, 2, 3):
         for depth in range(4):
             S = kary_tree(k, depth)
-            assert S.table == naive_tree_table(k, depth)
-            # no row is shared with another, as from_table's copies were not
-            assert len({id(row) for row in S.table}) == S.n
+            assert S.table.tolist() == naive_tree_table(k, depth)
+
+
+TABLE_HOSTS = {"chain(6)": chain(6), "tree(2,3)": kary_tree(2, 3),
+               "file": Semilattice.from_table([[0, 0, 0], [0, 1, 0],
+                                               [0, 0, 2]], labels=list("abc"))}
+
+
+@pytest.mark.parametrize("name", list(TABLE_HOSTS))
+def test_a_table_host_holds_one_read_only_int32_array(name):
+    S = TABLE_HOSTS[name]
+    T = S.table
+    assert T.dtype == np.int32 and T.shape == (S.n, S.n)
+    with pytest.raises(ValueError):
+        T[0, 0] = 1
+    assert S.product_table_np() is T
+    rows = S.product_rows()
+    for block in (rows(0, S.n), rows(1, 2, 1)):
+        assert np.shares_memory(block, T)
+    # the array is the one product representation: no rows or view beside it
+    assert not [attr for attr, v in vars(S).items()
+                if isinstance(v, (list, tuple)) and v
+                and isinstance(v[0], (list, tuple, np.ndarray))]
+    assert [attr for attr, v in vars(S).items()
+            if isinstance(v, (np.ndarray, memoryview))] == ["table"]
+    back = Semilattice.from_json(json.loads(json.dumps(S.to_json())))
+    assert back.to_json() == S.to_json()
+    assert back.table.tolist() == T.tolist()
+
+
+def test_an_empty_table_is_zero_by_zero():
+    S = Semilattice.from_table([])
+    assert S.n == 0 and S.table.shape == (0, 0)
+    assert S.product_table_np().shape == (0, 0)
+    assert S.to_json()["product"] == []
+
+
+def _collapsed_family():
+    """A collapsed-top family of no cube shape whose 5-point member fails
+    the density rule: unions escaping the family name the top."""
+    return Semilattice.from_json({
+        "kind": "set_system", "ground": list("abcdefgh"),
+        "elements": [[0], [1], [0, 1], [2, 3, 4, 5, 6], list(range(8))],
+        "collapsed_top": 4})
+
+
+@pytest.mark.parametrize("S", [chain(9), kary_tree(2, 4),
+                               sch_embed(chain(12)).semilattice,
+                               _collapsed_family()],
+                         ids=["chain9", "tree2_4", "embed12", "collapsed"])
+def test_iter_factors_is_the_leq_definition(S):
+    assert S.top_id is None or S.truncation_bound() is None
+    # every table element, and some set-system member, takes the row read
+    assert S.kind == "table" or any(
+        p != S.top_id and not S.subsets_fit(S.member_mask(p))
+        for p in range(S.n))
+    for p in range(S.n):
+        got = list(S.iter_factors(p))
+        assert got == [z for z in range(S.n) if S.leq(p, z)]
+        assert all(type(z) is int for z in got)
+
+
+def test_iter_factors_names_a_missing_union_as_the_leq_walk_did():
+    # member 1's four points fail the density rule (16 subsets > 4n = 8)
+    S = Semilattice("set_system", 2, ground=list("abcde"),
+                    masks=[0b00001, 0b11110])
+    assert not S.subsets_fit(S.member_mask(1))
+    with pytest.raises(NotClosedError) as walked:
+        [z for z in range(S.n) if S.leq(1, z)]
+    with pytest.raises(NotClosedError) as read:
+        list(S.iter_factors(1))
+    assert str(read.value) == str(walked.value)
 
 
 def test_from_sets_rejects_non_closed():
