@@ -99,7 +99,9 @@ class Semilattice:
     ``from_table`` / ``from_sets`` / ``from_json`` instead of calling the
     constructor.  On a set system, ``masks_of(ids)`` and ``ids_of(masks)``
     are ``member_mask`` and ``id_of_mask`` over an int64 array (of objects
-    where masks reach 2**63), with -1 for None.
+    where masks reach 2**63), with -1 for None.  Element ids must lie in
+    0..n-1; only rank storage checks them (IndexError), while listed masks
+    and tables index as a list or an array does.
     """
 
     def __init__(self, kind, n, *, table=None, ground=None, masks=None,
@@ -256,7 +258,8 @@ class Semilattice:
                         out.append(z)
                 yield from sorted(out)
                 return
-        row = self.product_rows()(p, p + 1)[0]    # z >= p when p.z == p
+        row = self.table[p] if self.kind == "table" else \
+            self.product_rows()(p, p + 1)[0]      # z >= p when p.z == p
         yield from np.flatnonzero(row == p).tolist()
 
     def join_seam(self):
@@ -290,7 +293,10 @@ class Semilattice:
         from ``random.Random(seed)`` and checked a row block at a time, and
         the report is marked non-exhaustive.  Set systems are union-closed
         by construction: their builders reject a family that is not, unless
-        it has a collapsed top.
+        it has a collapsed top.  A collapsed top that passes these checks
+        must absorb: each member x whose union with it is another member p
+        is a ``NotAbsorbing`` violation (x, top, p).  A top whose set is the
+        whole ground absorbs and is not scanned.
         """
         rep = ValidationReport()
         n = self.n
@@ -339,6 +345,13 @@ class Semilattice:
                                for t in rows[bad].tolist()]
             rep.checked_triples = len(bad)
             rep.notes.append("associativity sampled")
+        top = self.top_id
+        if not rep.violations and top is not None and \
+                self.member_mask(top) != (1 << len(self.ground)) - 1:
+            p = self.ids_of(self.member_masks_np() | self.member_mask(top))
+            bad = np.flatnonzero((p >= 0) & (p != top))
+            rep.violations += [Violation("NotAbsorbing", (x, top, q))
+                               for x, q in zip(bad.tolist(), p[bad].tolist())]
         return rep
 
     def join_ids(self, a, b):
@@ -457,7 +470,7 @@ def _subset_masks(G):
     before it allocates them."""
     k = popcount(G)
     if k > SUBSET_MAX_BITS:
-        raise BudgetExceeded(f"closure join has {k} points; the subset "
+        raise BudgetExceeded(f"closure spans {k} points; the subset "
                              f"closure takes at most {SUBSET_MAX_BITS}")
     subs = np.zeros(1 << k, dtype=object if G >> 63 else np.int64)
     for j, p in enumerate(bits(G)):
@@ -677,9 +690,11 @@ def _trunc_rank(k, lo, c, top_id, mask):
 
 
 def _trunc_unrank(k, lo, c, top_id, x):
+    offs = _trunc_offsets(k, lo, c)
+    if not 0 <= x < offs[-1] + (top_id is not None):
+        raise IndexError(f"element id {x} is out of range")
     if x == top_id:
         return (1 << k) - 1
-    offs = _trunc_offsets(k, lo, c)
     binom = _binomials(k, c)
     m = lo
     while offs[m - lo + 1] <= x:
@@ -738,8 +753,9 @@ def _trunc_unrank_np(k, lo, c, top_id, ids):
                         else np.int64).reshape(ids.shape)
     binom = np.array(_binomials(k, k + 2))     # its last column is 0
     offs = np.array(_trunc_offsets(k, lo, c))
-    if ids.max() >= offs[-1] + (top_id is not None):  # as the scalar form
-        raise IndexError(f"element id {ids.max()} is out of range")
+    out = (ids < 0) | (ids >= offs[-1] + (top_id is not None))
+    if out.any():                               # as the scalar form
+        raise IndexError(f"element id {ids[out][0]} is out of range")
     level = np.searchsorted(offs, ids, side="right") - 1
     r = ids - offs[level]
     left = level + lo               # points still to place

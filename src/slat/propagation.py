@@ -28,17 +28,18 @@ Three passes find these first levels for every target at once:
 
 The subset and element passes share one level loop (``_first_levels``):
 it starts at the targets' least level, skips levels that admit nothing and
-stops on the round that reaches the last target.  One closure (``v_value``)
-on a set system whose join fits the density rule ``Semilattice.subsets_fit``
-(a point set has at most 4n subsets) takes the subset pass as one Python
-int (``_row_first_level``), and raises ``BudgetExceeded`` past
-``SUBSET_MAX_BITS`` points; any other, a table's always, the pair-by-pair
-pass.  A profile's generating sets, rows of blocks however many, take the
-pass ``_route`` picks: the subset pass when the points of the level set fit
-the rule and number at most ``SUBSET_MAX_BITS``; else the element pass, on
-a host of at most ``FULL_VALIDATE_CAP`` elements that passes its guard;
-else the pair-by-pair pass, each set alone.  A collapsed top is a member on
-the subset pass, an element on the element pass.
+stops on the round that reaches the last target.  A closure takes the
+subset pass when the points of its generators and target fit the density
+rule ``Semilattice.subsets_fit`` (a point set has at most 4n subsets), over
+the subsets of exactly those points.  One closure (``v_value``) then runs
+as one Python int (``_row_first_level``), and raises ``BudgetExceeded``
+past ``SUBSET_MAX_BITS`` points; any other, a table's always, takes the
+pair-by-pair pass.  A profile's generating sets, rows of blocks however
+many, take the subset pass when the points of the level set fit the rule
+and number at most ``SUBSET_MAX_BITS``; else the element pass, on a host of
+at most ``FULL_VALIDATE_CAP`` elements that passes its guard; else the
+pair-by-pair pass, each set alone (``_first_level_blocks``).  A collapsed
+top is a member on the subset pass, an element on the element pass.
 
 Levels are ranks of integer numerators (``np.unique``), kept as fractions,
 so they stay exact.  A world is kept in one weak memo (``_memo``) on the
@@ -504,26 +505,6 @@ def _subset_world(S, lam, G_mask):
     return at, levels, rank[ids[at]], absorbing[at]
 
 
-def _route(S, lam, ids):
-    """The pass of a profile's sets, with seeds and targets among ``ids``:
-    None for the pair-by-pair pass, else ``(size, cols, levels, run, args)``,
-    the world's size, each id's column in it, its levels, and the pass:
-    ``run(seeds, *args, targets)`` gives ``_first_levels`` of the rows of
-    ``seeds`` (boolean, rows x size) at the columns ``targets``."""
-    if S.kind == "set_system":
-        masks = S.masks_of(ids)
-        G = int(np.bitwise_or.reduce(masks))
-        if popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
-            at, levels, rank, absorbing = _subset_world(S, lam, G)
-            return len(at), np.searchsorted(at, masks), levels, \
-                _subset_first_levels, (rank, len(levels), absorbing)
-    if (world := _memo(S, _element_world)) is not None:
-        levels, rank = _memo(lam, _weight_ranks)     # rank[-1]: id -1
-        return S.n, np.asarray(ids), levels, _element_first_levels, \
-            (*world, rank[:-1], len(levels))
-    return None
-
-
 @cache
 def _point_ints(k):
     """For each point j of k: the ints over the 2**k subsets of those with j
@@ -593,9 +574,13 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     when z lies outside the filter generated by E.
 
     The first level of z is a bottleneck cost, the largest weight used by a
-    derivation of z, minimized over derivations.  One closure takes the
-    integer row or the pair-by-pair pass, by the module docstring's rule,
-    and stops as soon as z is reached.
+    derivation of z, minimized over derivations.  On a set system whose
+    points G of E and z have at most 4n subsets (``Semilattice.subsets_fit``)
+    the closure takes the integer row over the subsets of G, and past
+    ``SUBSET_MAX_BITS`` such points raises ``BudgetExceeded`` before it
+    allocates; otherwise the pair-by-pair pass.  Both stop as soon as z is
+    reached.  Until the closure forms the collapsed top, each product is a
+    member inside G; once it does, every admitted element is reached.
     """
     if E == 0:
         return INFINITE
@@ -603,10 +588,9 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     J = S.product_ids(E_ids)
     if not S.leq(J, z):
         return INFINITE
-    if S.kind == "set_system" and S.subsets_fit(G := S.member_mask(J)):
-        masks = S.masks_of([z, *E_ids])
-        at, levels, rank, absorbing = _subset_world(
-            S, lam, G | int(np.bitwise_or.reduce(masks)))
+    if S.kind == "set_system" and S.subsets_fit(G := int(
+            np.bitwise_or.reduce(masks := S.masks_of([z, *E_ids])))):
+        at, levels, rank, absorbing = _subset_world(S, lam, G)
         target, *seeds = np.searchsorted(at, masks).tolist()
         first = _row_first_level(rank, len(levels), seeds, target,
                                  absorbing if J == S.top_id else None)
@@ -622,19 +606,35 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
 def _first_level_blocks(S, lam, W_ids, sets):
     """Run the closures of the generating sets ``sets``, rows of positions
     in ``W_ids`` padded with -1 (``breadth._incompressible``), a block at a
-    time, in order, on the pass ``_route`` picks for a profile.  Yield
-    ``(block, first, levels)`` for each block: its rows, and each row's
-    first-level index into ``levels`` of every target in ``W_ids`` (-1 for
-    one never reached).  The pair-by-pair pass runs each set alone, on one
-    factor list per element, cached for this call only."""
-    if (world := _route(S, lam, W_ids)) is not None:
-        size, cols, levels, run, args = world
+    time, in order.  Yield ``(block, first, levels)`` for each block: its
+    rows, and each row's first-level index into ``levels`` of every target
+    in ``W_ids`` (-1 for one never reached).  The rows of a block run
+    together on the subset pass when the points of ``W_ids`` number at most
+    ``SUBSET_MAX_BITS`` and fit the density rule, else on the element pass
+    when the host has an ``_element_world``; otherwise the pair-by-pair
+    pass runs each set alone, on one factor list per element, cached for
+    this call only."""
+    run = None
+    if S.kind == "set_system":
+        masks = S.masks_of(W_ids)
+        G = int(np.bitwise_or.reduce(masks))
+        if popcount(G) <= SUBSET_MAX_BITS and S.subsets_fit(G):
+            at, levels, rank, absorbing = _subset_world(S, lam, G)
+            size, cols = len(at), np.searchsorted(at, masks)
+            run = partial(_subset_first_levels, rank=rank, cols=cols,
+                          nlevels=len(levels), absorbing=absorbing)
+    if run is None and (world := _memo(S, _element_world)) is not None:
+        levels, rank = _memo(lam, _weight_ranks)     # rank[-1]: id -1
+        size, cols = S.n, np.asarray(W_ids)
+        run = partial(_element_first_levels, A=world[0], K=world[1],
+                      rank=rank[:-1], nlevels=len(levels), cols=cols)
+    if run is not None:
         for r0, r1 in row_blocks(len(sets), size):
             block = sets[r0:r1]
             seeds = np.zeros((len(block), size), dtype=bool)
             j, p = np.nonzero(block >= 0)
             seeds[j, cols[block[j, p]]] = True
-            yield block, run(seeds, *args, cols), levels
+            yield block, run(seeds), levels
         return
     factors = lru_cache(maxsize=None)(lambda p: tuple(S.iter_factors(p)))
     levels, rank = _memo(lam, _weight_ranks)
@@ -676,8 +676,8 @@ def propagation_profile(S: Semilattice, lam: LogWeight, L, budget: int = 500_000
     fits the budget; otherwise a seeded sampled lower bound over the sets
     within it and the samples (or BudgetExceeded in strict mode).  The
     closures run a block of generating sets at a time, in enumeration order
-    (``_first_level_blocks``), on the pass ``_route`` picks for a profile,
-    and every block is reduced the same way (``_reduce``).  Every pass gives
+    (``_first_level_blocks``), on the pass that function states, and every
+    block is reduced the same way (``_reduce``).  Every pass gives
     the same profile.
 
     A first level does not depend on L, and the incompressible sets inside

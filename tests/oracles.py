@@ -231,6 +231,19 @@ def broken_top_json(k, elements):
             "collapsed_top": 1}
 
 
+def one_point_top_json(k):
+    """A set system on ``k`` points: the empty set, {0} as the collapsed top
+    (id 1), and the k - 1 sets {1..k-1} less one point (ids 2..k).  Two of
+    those join to {1..k-1}, no member, so their product is the top, whose
+    one point lies outside both: a semilattice whose collapsed joins span
+    fewer points than the join's own mask adds to them."""
+    rest = range(1, k)
+    return {"kind": "set_system", "ground": [f"g{i}" for i in range(k)],
+            "elements": [[], [0]] + [[p for p in rest if p != q]
+                                     for q in rest],
+            "collapsed_top": 1}
+
+
 def naive_random_logweight(S, seed):
     """Values of ``random_logweight(S, seed)`` by the plain repair loop: the
     same seeded draws, then lambda(xy) lowered to lambda(x) + lambda(y) one

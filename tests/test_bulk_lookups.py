@@ -108,14 +108,17 @@ _LISTED = {
 @pytest.mark.parametrize("count", [3, 100])
 def test_rank_storage_refuses_ids_past_the_host(count):
     # 3 ids go one at a time, 100 as array passes: both refuse id n, as
-    # the scalar member_mask and listed storage do
+    # the scalar member_mask and listed storage do, and a negative id, which
+    # is neither the empty set nor the whole ground
     S = fin_truncation(24, 8)
     assert (count < core._scalar_len(24)) == (count == 3)
-    for bad in (S.n, S.n + 5):
-        with pytest.raises(IndexError):
+    for bad in (S.n, S.n + 5, -1, -S.n):
+        with pytest.raises(IndexError, match=f"element id {bad} "):
             S.member_mask(bad)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=f"element id {bad} "):
             S.masks_of(np.array([0] * (count - 1) + [bad]))
+        with pytest.raises(IndexError, match=f"element id {bad} "):
+            S.masks_of(np.array([bad] * count))
     listed = fin_truncation(6, 2)
     with pytest.raises(IndexError):
         listed.masks_of(np.array([listed.n] * count))

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import broken_top_json, naive_sampled_validation, planted_table_json
+from oracles import (broken_top_json, naive_sampled_validation,
+                     one_point_top_json, planted_table_json)
 from slat import core, metrics, weights
 from slat._bitset import mask_of
 from slat.cli import SWEEP_COLUMNS, _sweep_instance, _verify_battery, main
@@ -482,13 +483,36 @@ def test_value_error_inside_an_algorithm_is_not_a_usage_error(monkeypatch):
      "--cap", "-1"],
     ["sweep", "--family", "prototype", "--range", "2:3", "--op", "profile",
      "--budget", "-1"],
+    ["defect", "pstar(3)", "--set", "0,9"],
+    ["vmap", "pstar(3)", "--E", "0,1", "--z", "7"],
+    ["analyze", "pstar(3)", "--weight", "scaled:-1/2"],
+    ["sweep", "--family", "tree({},2)", "--range", "1:2", "--op", "vmap"],
 ], ids=["nmax-zero", "z-two-ids", "z-not-int", "scale-zero-den",
         "unknown-weight", "sweep-rational", "analyze-cap-negative",
         "breadth-cap-negative", "profile-budget-negative",
-        "sweep-cap-negative", "sweep-budget-negative"])
+        "sweep-cap-negative", "sweep-budget-negative", "set-id-past-n",
+        "z-past-n", "scale-negative", "sweep-vmap-on-a-table"])
 def test_malformed_flag_value_is_usage_error(argv):
     rc, out, err = _main(argv)
     assert rc == 2 and out == "" and _one_error_line(err)
+
+
+def test_an_instance_file_holding_a_list_is_usage_error(tmp_path):
+    path = _instance_file(tmp_path, [[0], [1]])
+    rc, out, err = _main(["analyze", path])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: instance must be a JSON object\n"
+
+
+def test_a_strict_sweep_notes_each_profile_past_its_budget():
+    rc, out, err = _main(["sweep", "--family", "pstar", "--range", "3:4",
+                          "--op", "profile", "--L", "2", "--budget", "0",
+                          "--strict"])
+    assert (rc, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["param"] for r in rows] == ["3", "4"]
+    assert {r["note"] for r in rows} == \
+        {"budget: profile enumeration exceeded the budget"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -859,14 +883,49 @@ def test_profile_of_an_empty_level_set():
 
 def test_vmap_over_a_collapsed_union_is_out_of_budget():
     # two disjoint 8-sets of fin(24,8): their union collapses to the top,
-    # whose factors are all 1271627 elements
+    # whose factors are all 1271627 elements.  To the top, the points of E
+    # and z are the whole ground, past the density rule, and the pair pass
+    # runs out of budget; to the empty set they are the 16 points of E,
+    # whose subsets the integer row answers from
     from slat.core import fin_truncation
     S = fin_truncation(24, 8)
     E = f"{S.id_of_mask(0xFF)},{S.id_of_mask(0xFF00)}"
     rc, out, err = _main(["vmap", "fin(24,8)", "--weight", "cardinality",
-                          "--E", E, "--z", "0"])
+                          "--E", E, "--z", str(S.top_id)])
+    assert S.top_id == 1271626
     assert rc == 3 and out == ""
     assert err == "budget exhausted: closure universe has 1271627 elements\n"
+    rc, out, err = _main(["vmap", "fin(24,8)", "--weight", "cardinality",
+                          "--E", E, "--z", "0"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"]["c"] == {"num": 8, "den": 1}
+
+
+@pytest.mark.parametrize("k", [21, 24])
+def test_vmap_over_a_one_point_top_takes_the_pair_pass(tmp_path, k,
+                                                      monkeypatch):
+    # two sets of k - 2 points join to a non-member, which collapses onto
+    # the top {0}: the k - 1 points of E and z are past the density rule,
+    # so the pair pass answers and no subset world is built
+    from slat import propagation
+    from slat.core import Semilattice
+    obj = one_point_top_json(k)
+    S = Semilattice.from_json(obj)
+    assert S.product(2, 3) == S.top_id == 1
+    expect = propagation._knuth_first_levels(
+        S, weights.builtin_logweight(S, "cardinality"), [2, 3], [4],
+        S.iter_factors, S.top_id)[4]
+    assert expect == k - 2
+
+    def refused(G):
+        raise AssertionError(f"a subset world over {G:#x}")
+
+    monkeypatch.setattr(core, "_subset_masks", refused)
+    monkeypatch.setattr(propagation, "_subset_masks", refused)
+    rc, out, err = _main(["vmap", _instance_file(tmp_path, obj), "--weight",
+                          "cardinality", "--E", "2,3", "--z", "4"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"]["c"] == {"num": k - 2, "den": 1}
 
 
 def _instance_file(tmp_path, obj):
@@ -896,6 +955,51 @@ def test_analyze_counts_one_filter_per_element(tmp_path, host):
     rc, out, _ = _main(["analyze", ref])
     assert rc == 0
     assert json.loads(out)["filter_count"] == len(enumerate_filters(S)) == S.n
+
+
+def test_a_collapsed_top_that_does_not_absorb_is_refused(tmp_path):
+    # the top {2} is union-closed with the rest, yet its union with {0} is
+    # the member {0, 2}: every element would be a factor of the top, so fbp
+    # from {2} would step to every element, where the definition reaches {}
+    # and {2}; validate reports it, so verify and every command see it
+    obj = {"kind": "set_system", "ground": ["a", "b", "c"],
+           "elements": [[], [0], [2], [0, 2]], "collapsed_top": 2}
+    rep = core.Semilattice.from_json(obj).validate()
+    assert [(v.kind, v.witness) for v in rep.violations] == [
+        ("NotAbsorbing", (1, 2, 3)), ("NotAbsorbing", (3, 2, 3))]
+    path = _instance_file(tmp_path, obj)
+    rc, out, err = _main(["fbp", path, "--C", "0", "--set", "2", "--weight",
+                          "zero"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: not a semilattice: NotAbsorbing at " \
+        "[1, 2, 3]\n"
+    rc, out, _ = _main(["verify", path])
+    suite, = json.loads(out)["suites"]
+    assert rc == 1 and not suite["ok"]
+    assert suite["instance_valid"]["violations"][0] == {
+        "kind": "NotAbsorbing", "witness": [1, 2, 3]}
+
+
+def _collapsed_top_fixtures():
+    """The JSON of every valid collapsed-top host the tests build."""
+    from test_breadth import _NOT_A_TRUNCATION
+    from test_core import _collapsed_family
+    from test_propagation import _PROFILE_HOSTS, _SHORT_TOP, _SPARSE_TOP
+    from test_weights import FLAT_70
+    hosts = [*(_PROFILE_HOSTS[s] for s in ("fin(6,3)", "fin(7,3)",
+                                           "fin(4,2) less {0,1}")),
+             _SHORT_TOP, _SPARSE_TOP, _collapsed_family()]
+    return [S.to_json() for S in hosts] + [
+        FLAT_70, _NOT_A_TRUNCATION, _FUZZ_HOSTS[0], one_point_top_json(6),
+        {"kind": "set_system", "ground": ["a", "b"],
+         "elements": [[0, 1], [0], [1]], "collapsed_top": 2}]
+
+
+def test_every_collapsed_top_fixture_loads(tmp_path):
+    for obj in _collapsed_top_fixtures():
+        assert obj["collapsed_top"] is not None
+        rc, out, err = _main(["analyze", _instance_file(tmp_path, obj)])
+        assert (rc, err) == (0, "")
 
 
 # (exit code, sha256 of stdout) of every command in README's CLI block, the

@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (naive_closure, naive_fbp_step, naive_pair_unions,
-                     naive_profile, naive_stable, naive_v, planted_table_json)
+                     naive_profile, naive_stable, naive_v, one_point_top_json,
+                     planted_table_json)
 from test_acceptance import _dense_v_oracle
 from test_weights import without_member
 from slat import core, propagation
@@ -880,32 +881,6 @@ _SHORT_TOP = Semilattice.from_json({
     "elements": [[]] + [list(c) for m in (1, 2) for c in combinations(range(6),
                                                                       m)]
     + [[6], list(range(6))], "collapsed_top": 23})
-_COLLAPSED_HOSTS = {spec: _PROFILE_HOSTS[spec] for spec in (
-    "fin(6,3)", "fin(7,3)", "fin(4,2) less {0,1}")} | {"short top": _SHORT_TOP}
-
-
-@settings(max_examples=80, deadline=None)
-@given(spec=st.sampled_from(sorted(_COLLAPSED_HOSTS)),
-       wname=st.sampled_from(["random", "cardinality", "prototype"]),
-       seed=st.integers(0, 10_000), data=st.data())
-def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
-                                                          data):
-    # every join, the top among them, takes the integer row
-    S = _COLLAPSED_HOSTS[spec]
-    try:
-        lam = random_logweight(S, seed) if wname == "random" else \
-            builtin_logweight(S, wname)
-    except PrototypeMissingTop:
-        assume(False)
-    E_ids = sorted(data.draw(st.sets(st.integers(0, S.n - 1), min_size=1,
-                                     max_size=4), label="E"))
-    assume(S.product_ids(E_ids) == S.top_id)
-    z = data.draw(st.integers(0, S.n - 1), label="z")
-    knuth = propagation._knuth_first_levels(S, lam, E_ids, [z],
-                                            S.iter_factors, S.top_id)
-    with mock.patch.object(propagation, "_knuth_first_levels", None):
-        assert v_value(S, lam, mask_of(E_ids), z) == \
-            PropagationValue.finite(knuth[z])
 
 
 # a collapsed top over a sparse family: {1} is no member, yet lies under the
@@ -922,10 +897,56 @@ _ROW_HOSTS = {"fin(6,3)": _PROFILE_HOSTS["fin(6,3)"],
 
 
 def _row_host(spec):
-    """The host of ``spec``, a generator spec built on first use."""
+    """The host of ``spec``, a generator spec or ``one-point top k``, built
+    on first use."""
     if spec not in _ROW_HOSTS:
-        _ROW_HOSTS[spec] = generate_instance(spec)
+        _ROW_HOSTS[spec] = Semilattice.from_json(one_point_top_json(
+            int(spec.split()[-1]))) if spec.startswith("one-point top") \
+            else generate_instance(spec)
     return _ROW_HOSTS[spec]
+
+
+#: hosts whose joins may collapse: truncations, a family that is not one,
+#: and one-point tops on 6 to 10 points, whose top lies outside the sets it
+#: is the join of
+_COLLAPSED_SPECS = ("fin(6,3)", "fin(7,3)", "fin(4,2) less {0,1}",
+                    "short top", "sparse top",
+                    *(f"one-point top {k}" for k in range(6, 11)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=st.sampled_from(sorted(_COLLAPSED_SPECS)),
+       wname=st.sampled_from(["random", "cardinality", "prototype"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
+                                                          data):
+    # a join that collapses to the top takes the integer row exactly when
+    # the points of E and z fit the density rule, over the subsets of those
+    # points alone, and answers as the pair pass does
+    S = _row_host(spec)
+    try:
+        lam = random_logweight(S, seed) if wname == "random" else \
+            builtin_logweight(S, wname)
+    except PrototypeMissingTop:
+        assume(False)
+    E_ids = sorted(data.draw(st.sets(st.integers(0, S.n - 1), min_size=1,
+                                     max_size=4), label="E"))
+    assume(S.product_ids(E_ids) == S.top_id)
+    z = data.draw(st.integers(0, S.n - 1), label="z")
+    knuth = propagation._knuth_first_levels(S, lam, E_ids, [z],
+                                            S.iter_factors, S.top_id)
+    G = int(np.bitwise_or.reduce(S.masks_of([z, *E_ids])))
+    seen = []
+    build = propagation._subset_world
+    with mock.patch.object(propagation, "_subset_world",
+                           lambda S, lam, G: seen.append(G) or
+                           build(S, lam, G)):
+        answer, passes = _passes_taken(partial(v_value, S, lam,
+                                               mask_of(E_ids), z))
+    assert answer == PropagationValue.finite(knuth[z])
+    fits = S.subsets_fit(G)
+    assert passes == (["row"] if fits else ["pair"])
+    assert seen == ([G] if fits else [])
 
 
 def _spy_on_row_rounds(monkeypatch):
