@@ -12,7 +12,10 @@ Three passes find these first levels for every target at once:
   transform over those subsets (F. Yates, 1937; Bjoerklund, Husfeldt,
   Kaski and Koivisto, "Fourier meets Moebius: fast subset convolution",
   STOC 2007), repeated to a fixed point at each weight level
-  (``_pair_unions``);
+  (``_pair_unions``).  Up to ``KRONECKER_MAX_BITS`` (12) points each
+  transform is two float64 matrix products, one over each half of the
+  subset index, exact since no partial sum exceeds 8**k (16**k in the
+  topped dot product), below 2**53; past 12 points, k integer sweeps;
 - the element pass runs the same identity on the host's own order (G.-C.
   Rota, "On the foundations of combinatorial theory I: theory of Moebius
   functions", 1964).  With A[t, x] = [tx = t], x a factor of t, f = A @ R
@@ -74,11 +77,11 @@ from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
 
-#: one column of at most this many points takes ``_pair_unions``'s two-half
-#: matrix form (int64 matmul, no BLAS): one column at 5% density took 13 /
-#: 30 / 64 us at k = 8 / 9 / 10 in that form, - / 41 / 58 us in k-pass
-#: sweeps (timeit, 2 vCPUs)
-KRONECKER_MAX_BITS = 9
+#: a block of at most this many points takes ``_pair_unions``'s float64
+#: two-half matrix form, any number of columns; past it, k-pass sweeps.  One
+#: column at 5% density took 50 / 247 us at k = 12 / 13 in that form, 95 /
+#: 160 us in sweeps (timeit, 2 vCPUs)
+KRONECKER_MAX_BITS = 12
 
 
 @total_ordering
@@ -225,8 +228,9 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
     settled in order of rising first level, and each settled element is
     paired with every element settled before it and with itself.  Returns
     ``{id: level}`` for each element settled before every target inside U
-    is; an element outside U met there raises ``NotClosedError``.  U is
-    ranked here unless the caller passes ``ranked``, the levels of every
+    is; an element outside U met there raises ``NotClosedError``.  On a
+    table, the products of a newly settled element are one read of its row.
+    U is ranked here unless the caller passes ``ranked``, the levels of every
     element (``range(m)`` for ranks) and a list of each id's rank in them."""
     U = list(factors(J))
     if len(U) > 200_000:
@@ -236,6 +240,7 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
         ranked = levels, dict(zip(U, rank.tolist()))
     levels, rank = ranked
     buckets = [[] for _ in levels]      # bucket i: reached at levels[i]
+    table = S.product_table_np() if S.kind == "table" else None
     pending = set(targets).intersection(U)
     first = {}
     settled = []
@@ -254,8 +259,9 @@ def _knuth_first_levels(S, lam, E_ids, targets, factors, J, ranked=None):
             first[a] = levels[i]
             pending.discard(a)
             settled.append(a)
-            for b in settled:
-                p = S.product(a, b)
+            row = (S.product(a, b) for b in settled) if table is None else \
+                table[a][settled].tolist()
+            for b, p in zip(settled, row):
                 # a product formed again later is formed at a level no
                 # lower, so only its first formation can lower a bucket
                 if p in formed:
@@ -392,19 +398,21 @@ def _first_levels(seeds, rank, nlevels, cols, left, step):
 
 
 def _topped_form(top):
-    """The superset Moebius transform of the indicator ``top``: its dot
-    product with the f**2 of ``_pair_unions`` counts the pairs with an
-    exact union marked in ``top``."""
-    return _subset_sweep(top.astype(np.int64), np.subtract, into=0)
+    """The superset Moebius transform of the indicator ``top``, in float64:
+    its dot product with the f**2 of ``_pair_unions`` counts the pairs with
+    an exact union marked in ``top``."""
+    return _subset_sweep(top.astype(float), np.subtract, into=0)
 
 
 @cache
 def _kronecker_halves(w):
-    """Read-only subset-sum and superset Moebius matrices of w points, the
-    Kronecker powers of [[1, 1], [0, 1]] and [[1, -1], [0, 1]]."""
-    Z = M = np.ones((1, 1), dtype=np.int64)
+    """Read-only float64 matrices of w points: the subset-sum matrix
+    transposed, the Kronecker power of [[1, 0], [1, 1]], and the superset
+    Moebius matrix with its rows read from the other end (row s is row ~s),
+    that of [[0, 1], [1, -1]]."""
+    Z = M = np.ones((1, 1))
     for _ in range(w):
-        Z, M = np.kron(Z, [[1, 1], [0, 1]]), np.kron(M, [[1, -1], [0, 1]])
+        Z, M = np.kron(Z, [[1, 0], [1, 1]]), np.kron(M, [[0, 1], [1, -1]])
     Z.flags.writeable = M.flags.writeable = False
     return Z, M
 
@@ -415,22 +423,36 @@ def _pair_unions(R, top=None):
     set R.  With f the subset sums of R, f(T)**2 counts the pairs whose
     union lies inside T; by inclusion-exclusion the pairs whose union covers
     s number (-1)**|s| times the superset Moebius transform of f**2 at the
-    complement of s, the same index read from the other end.  Counts are at
-    most 4**k, so int32 holds them for k <= 15 and int64 above, exact however
-    the passes wrap.  ``top``, when given, is ``_topped_form`` of an
-    indicator of subsets: a column with an exact union in it (``top @
-    f**2`` > 0) becomes every subset.  One column of at most
-    ``KRONECKER_MAX_BITS`` points, reshaped to (2**hi, 2**lo), hi = k // 2,
-    takes f = ``Z_hi.T @ F @ Z_lo`` and ``M_hi @ f**2 @ M_lo.T`` in int64
-    (``_kronecker_halves``), exact since no partial sum exceeds 8**k."""
+    complement of s, the same index read from the other end.  ``top``, when
+    given, is ``_topped_form`` of an indicator of subsets: a column with an
+    exact union in it (``top @ f**2 > 0``) becomes every subset.
+
+    Up to ``KRONECKER_MAX_BITS`` points, every column at once, each
+    transform is two float64 matrix products over the halves of the subset
+    index, viewed as (2**hi, 2**lo, columns), hi = k // 2: one by the high
+    half's matrix of ``_kronecker_halves`` and one, batched, by the low
+    half's.  Every partial sum is an integer of at most 8**k, and of the
+    topped dot product at most 16**k, both below 2**53 at k <= 12, so
+    float64 holds them exactly.  Past that bound, ``_swept_pair_unions``."""
     k = len(R).bit_length() - 1
-    if R.shape[1] == 1 and k <= KRONECKER_MAX_BITS:
-        (Zh, Mh), (Zl, Ml) = map(_kronecker_halves, (k // 2, k - k // 2))
-        f = Zh.T @ R.reshape(len(Zh), len(Zl)) @ Zl
-        np.square(f, out=f)
-        if top is not None and (top.reshape(f.shape) * f).sum() > 0:
-            return np.ones_like(R)
-        return (Mh @ f @ Ml.T != 0).ravel()[::-1, None]
+    if k > KRONECKER_MAX_BITS:
+        return _swept_pair_unions(R, top)
+    (Zh, Mh), (Zl, Ml) = map(_kronecker_halves, (k // 2, k - k // 2))
+    shape = len(Zh), len(Zl), -1
+    f = Zl @ (Zh @ R.reshape(len(Zh), -1)).reshape(shape)
+    np.square(f, out=f)
+    f = f.reshape(R.shape)
+    covered = Ml @ (Mh @ f.reshape(len(Zh), -1)).reshape(shape) != 0
+    covered = covered.reshape(R.shape)
+    if top is not None:
+        covered |= top @ f > 0
+    return covered
+
+
+def _swept_pair_unions(R, top=None):
+    """``_pair_unions`` in k passes of integer sweeps (``_subset_sweep``),
+    one point a pass.  Counts are at most 4**k, so int32 holds them for k
+    <= 15 and int64 above, exact however the passes wrap."""
     dtype = np.int32 if len(R) <= 1 << 15 else np.int64
     f = _subset_sweep(R.astype(dtype), np.add)
     np.square(f, out=f)
@@ -508,10 +530,12 @@ def _subset_world(S, lam, G_mask):
 @cache
 def _point_ints(k):
     """For each point j of k: the ints over the 2**k subsets of those with j
-    and those without it, and the shift 2**j that adds j."""
-    full, shifts = (1 << (1 << k)) - 1, [1 << j for j in range(k)]
-    held = [((1 << w) - 1 << w) * (full // ((1 << 2 * w) - 1)) for w in shifts]
-    return [(h, full ^ h, w) for h, w in zip(held, shifts)]
+    and those without it, and the shift 2**j that adds j.  Each int is read
+    from its bytes, bit s for subset s."""
+    full, subsets = (1 << (1 << k)) - 1, np.arange(1 << k, dtype=np.uint32)
+    held = [int.from_bytes(np.packbits(subsets >> j & 1, bitorder="little"),
+                           "little") for j in range(k)]
+    return [(h, full ^ h, 1 << j) for j, h in enumerate(held)]
 
 
 def _row_round(R, size, points, budget, top, absorbing):
@@ -814,8 +838,6 @@ def finite_breadth_bound_check(S: Semilattice, lam: LogWeight,
     br = breadth(S).breadth
     prof = propagation_profile(S, lam, L)
     bound = Fraction(br) * L
-    if prof.value.is_infinite:
-        return BreadthBoundReport(L, br, prof, bound, None, False)
     ratio = None if bound == 0 else prof.value.c / bound
-    passed = prof.value.c <= bound or (bound == 0 and prof.value.c == 0)
-    return BreadthBoundReport(L, br, prof, bound, ratio, passed)
+    return BreadthBoundReport(L, br, prof, bound, ratio,
+                              prof.value.c <= bound)

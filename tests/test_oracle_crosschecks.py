@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (naive_check_equivalence_iii, naive_closure_error,
@@ -26,7 +26,8 @@ from slat.core import (NotClosedError, Semilattice, SizeOverflowError,
                        sch_embed)
 from slat.metrics import (defect_set, dist_complex, dist_set,
                           enumerate_filters, is_filter)
-from slat.propagation import _pair_unions, _topped_form, check_equivalence_iii
+from slat.propagation import (_pair_unions, _swept_pair_unions, _topped_form,
+                              check_equivalence_iii)
 from slat.weights import LogWeight, builtin_logweight, random_logweight
 from test_cli import _main
 from test_weights import FLAT_70, without_member
@@ -371,48 +372,59 @@ def test_pair_unions_of_a_block_at_16_points_with_a_top():
     assert len(got[3]) == 1 << k and got[0] == set()
 
 
-def _one_column_against_the_sweep(R, top):
-    """``_pair_unions`` of the one column R against the same column doubled,
-    which keeps the k-pass sweep; ``top`` is None or an indicator."""
+def _against_the_sweep(R, top):
+    """``_pair_unions`` of the columns R against the k-pass integer sweep
+    (``_swept_pair_unions``), which it leaves up to ``KRONECKER_MAX_BITS``
+    points; ``top`` is None or an indicator."""
     form = None if top is None else _topped_form(top)
-    one = _pair_unions(R, form)
-    assert one.shape == R.shape and one.dtype == bool
-    assert np.array_equal(one, _pair_unions(np.repeat(R, 2, axis=1),
-                                            form)[:, :1])
-    return one
+    got = _pair_unions(R, form)
+    assert got.shape == R.shape and got.dtype == bool
+    assert np.array_equal(got, _swept_pair_unions(R, form))
+    return got
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 12), st.sampled_from(["random", "empty", "full"]),
+@given(st.integers(0, 13), st.integers(1, 3),
+       st.sampled_from(["random", "empty", "full"]),
        st.sampled_from([0.005, 0.02, 0.05, 0.2, 0.5]),
        st.sampled_from(["none", "random", "hit"]),
        st.integers(0, 2**32 - 1))
-def test_one_column_matches_the_sweep(k, fill, density, marks, seed):
+# the full cube at the bound: 4**12 pairs, the largest counts the float form
+# holds, with and without a top
+@example(12, 1, "full", 0.5, "none", 0)
+@example(12, 2, "full", 0.5, "random", 0)
+def test_matrix_form_matches_the_sweep(k, width, fill, density, marks, seed):
     rng = np.random.default_rng(seed)
-    R = np.full((1 << k, 1), fill == "full") if fill != "random" else \
-        rng.random((1 << k, 1)) < density
+    R = np.full((1 << k, width), fill == "full") if fill != "random" else \
+        rng.random((1 << k, width)) < density
     top = None if marks == "none" else rng.random(1 << k) < 0.02
-    members = np.flatnonzero(R)
-    if marks == "hit" and len(members):     # a union of two of its members
+    members = np.flatnonzero(R[:, 0])
+    if marks == "hit" and len(members):     # a union in column 0
         top[rng.choice(members) | rng.choice(members)] = True
-    one = _one_column_against_the_sweep(R, top)
+    got = _against_the_sweep(R, top)
     if not len(members):
-        assert not one.any()
+        assert not got[:, 0].any()
     elif fill == "full" or marks == "hit":
-        assert one.all()
+        assert got[:, 0].all()
+    if R.sum(axis=0).max() <= 400:          # the set loop is quadratic
+        columns = [np.flatnonzero(c).tolist() for c in R.T]
+        marked = () if top is None else np.flatnonzero(top).tolist()
+        assert [set(np.flatnonzero(c).tolist()) for c in got.T] == \
+            naive_pair_unions(columns, marked, k)
 
 
-@pytest.mark.parametrize("k", [8, 9, 15, 16, 17])   # the gate; int32/int64
+# the matrix form up to its bound, 12; past it int32 counts, int64 past 15
+@pytest.mark.parametrize("k", [8, 9, 12, 13, 15, 16, 17])
 def test_one_column_at_the_gate_and_the_count_dtype_switch(k):
     full = np.ones((1 << k, 1), dtype=bool)
     pair = np.zeros((1 << k, 1), dtype=bool)
     pair[[1, 2]] = True                     # two points, with union 0b11
     top = np.zeros(1 << k, dtype=bool)
-    assert _one_column_against_the_sweep(full, None).all()
-    assert _one_column_against_the_sweep(full, top).all()
-    assert np.flatnonzero(_one_column_against_the_sweep(pair, top)).tolist() \
+    assert _against_the_sweep(full, None).all()
+    assert _against_the_sweep(full, top).all()
+    assert np.flatnonzero(_against_the_sweep(pair, top)).tolist() \
         == [0, 1, 2, 3]
     top[(1 << k) - 1] = True
-    assert _one_column_against_the_sweep(full, top).all()
+    assert _against_the_sweep(full, top).all()
     top[3] = True
-    assert _one_column_against_the_sweep(pair, top).all()
+    assert _against_the_sweep(pair, top).all()
