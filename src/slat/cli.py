@@ -285,8 +285,6 @@ def _sweep_row(args, p, L):
             top = int(S.join_ids(np.bitwise_or.reduce(masks, keepdims=True),
                                  0)[0])
             v = propagation.v_value(S, lam, mask_of(singles), top)
-            value = "inf" if v.is_infinite else str(v.c)
-            approx = "" if v.is_infinite else float(v.c)
             exhaustive = True
         elif args.op == "breadth":
             rep = run_breadth(S, cap=args.cap)
@@ -295,12 +293,11 @@ def _sweep_row(args, p, L):
             prof = propagation.propagation_profile(
                 S, lam, L, budget=args.budget, strict=args.strict,
                 seed=args.seed)
-            v = prof.value
-            value = "inf" if v.is_infinite else str(v.c)
-            approx = "" if v.is_infinite else float(v.c)
-            bound = str(L * L)
-            within = (not v.is_infinite) and v.c <= L * L
-            exhaustive = prof.exhaustive
+            v, exhaustive = prof.value, prof.exhaustive
+            bound, within = str(L * L), v.c <= L * L
+        if args.op != "breadth":
+            value, approx = ("inf", "") if v.is_infinite else (
+                str(v.c), float(v.c))
         n_elements = S.n
     except propagation.BudgetExceeded as exc:
         note, n_elements = f"budget: {exc}", ""
@@ -327,8 +324,11 @@ def cmd_verify(args):
         w = weights.validate_logweight(S, lam, seed=args.seed)
         entry["logweight_valid"] = w.to_json()
         good = v.ok and w.ok
-        if S.n <= 64:
-            filt_ok, zero_ok = metrics.principal_filters_hold(S)
+        if S.n <= 64:    # every principal up-set {z : xz = x} at once
+            T = S.product_table_np()
+            zero_ok = core.meet_identity_holds(T)
+            # a filter is also nonempty, which fails only off idempotence
+            filt_ok = bool(zero_ok and (T.T == np.arange(S.n)).any(0).all())
             rt = core.Semilattice.from_json(S.to_json())
             roundtrip_ok = rt.to_json() == S.to_json()
             entry["filters_are_filters"] = filt_ok

@@ -287,16 +287,18 @@ class Semilattice:
         """Check commutativity, associativity and idempotence.  Violations
         are data, not exceptions.
 
-        Up to ``FULL_VALIDATE_CAP`` elements every triple x <= y <= z is
-        checked on the dense table; beyond it associativity is checked on
-        50 000 triples (x, y, z), drawn as three ``randrange(n)`` per triple
-        from ``random.Random(seed)`` and checked a row block at a time, and
-        the report is marked non-exhaustive.  Set systems are union-closed
-        by construction: their builders reject a family that is not, unless
-        it has a collapsed top.  A collapsed top that passes these checks
-        must absorb: each member x whose union with it is another member p
-        is a ``NotAbsorbing`` violation (x, top, p).  A top whose set is the
-        whole ground absorbs and is not scanned.
+        Up to ``FULL_VALIDATE_CAP`` elements a commutative, idempotent dense
+        table is associative when it passes ``meet_identity_holds``; else each
+        triple x <= y <= z with (xy)z != x(yz) or (xz)y != x(zy) is a witness.
+        Beyond it associativity is checked on 50 000 triples (x, y, z), drawn
+        as three ``randrange(n)`` per triple from ``random.Random(seed)`` and
+        checked a row block at a time, and the report is marked
+        non-exhaustive.  Set systems are union-closed by construction: their
+        builders reject a family that is not, unless it has a collapsed top.
+        A collapsed top that passes these checks must absorb: each member x
+        whose union with it is another member p is a ``NotAbsorbing``
+        violation (x, top, p).  A top whose set is the whole ground absorbs
+        and is not scanned.
         """
         rep = ValidationReport()
         n = self.n
@@ -316,16 +318,17 @@ class Semilattice:
                     n, n, lambda r0, r1: T[r0:r1, r0:] != T[r0:, r0:r1].T,
                     upper=True)]
         if full:
-            y_le_z = ids[:, None] <= ids
-
             def nonassociative(r0, r1):  # row x, column y*n + z
                 x = ids[r0:r1, None, None]
-                bad = (T[T[r0:r1]] != T[x, T]) & (x <= ids[:, None]) & y_le_z
+                bad = T[T[r0:r1]] != T[x, T]
+                bad |= bad.swapaxes(1, 2)
+                bad &= (x <= ids[:, None]) & (ids[:, None] <= ids)
                 return bad.reshape(r1 - r0, n * n)
 
-            rep.violations += [
-                Violation("NotAssociative", (x, *divmod(yz, n)))
-                for x, yz in pairs_where(n, n * n, nonassociative)]
+            if rep.violations or not meet_identity_holds(T):
+                rep.violations += [
+                    Violation("NotAssociative", (x, *divmod(yz, n)))
+                    for x, yz in pairs_where(n, n * n, nonassociative)]
             rep.checked_triples = math.comb(n + 2, 3)
         else:
             rows = _randrange_bulk(random.Random(seed), n,
@@ -491,16 +494,11 @@ def _table_size(n):
     return n
 
 
-def block_rows(cols):
-    """Rows in a block of ``cols`` columns: about ``NP_BLOCK_ELEMS`` entries,
-    to keep temporaries small."""
-    return max(1, NP_BLOCK_ELEMS // max(cols, 1))
-
-
 def row_blocks(rows, cols):
     """The one row-block loop of a whole-host scan: ``(r0, r1)`` for each
-    block of ``block_rows(cols)`` rows r0..r1-1 out of ``rows``."""
-    block = block_rows(cols)
+    block r0..r1-1 of ``rows``, about ``NP_BLOCK_ELEMS`` entries over
+    ``cols`` columns."""
+    block = max(1, NP_BLOCK_ELEMS // max(cols, 1))
     for r0 in range(0, rows, block):
         yield r0, min(r0 + block, rows)
 
@@ -527,6 +525,22 @@ def upper_blocks(n, bad):
         b = bad(r0, r1)
         b[:, :r1 - r0] &= _upper_corner(r1 - r0)
         yield r0, b
+
+
+def meet_identity_holds(T):
+    """The one exhaustive semilattice check: whether the dense table ``T``
+    has t(xy) = t exactly when tx = t and ty = t, for every t and x <= y
+    (``upper_blocks``; column x of [tx = t] is packed over t into 64-bit
+    words).  That is the filter identity of every up-set {z : xz = x}.  On
+    a commutative, idempotent table it makes tx = t a partial order with xy
+    the meet, so it holds exactly when the table is associative."""
+    n = len(T)
+    cols = np.zeros((n, -(-n // 64)), np.uint64)    # column x of [tx = t]
+    cols.view(np.uint8)[:, :-(-n // 8)] = np.packbits(
+        T == np.arange(n)[:, None], axis=0).T        # packed over t
+    w = cols.T.copy()   # a plane per word: a pair's words reduce on axis 0
+    return not any(b.any() for _, b in upper_blocks(n, lambda r0, r1: (
+        w[:, T[r0:r1, r0:]] != w[:, r0:r1, None] & w[:, None, r0:]).any(0)))
 
 
 @lru_cache(maxsize=None)

@@ -96,18 +96,6 @@ def is_filter(S: Semilattice, F: int) -> bool:
                            None) is None
 
 
-def principal_filters_hold(S: Semilattice):
-    """``(all is_filter, all defect_set(..).is_zero)`` over
-    ``enumerate_filters(S)`` in one pass over the dense table (small n
-    only), the up-sets stacked.  A zero defect is no broken pair x <= y; a
-    filter is also nonempty, which an up-set fails only off idempotence."""
-    T = S.product_table_np()
-    ups = T == np.arange(S.n)[:, None]         # row x: {z : xz = x}
-    broken = np.triu(ups[:, T] != (ups[:, :, None] & ups[:, None, :]))
-    clean = not broken.any()
-    return clean and bool(ups.any(axis=1).all()), clean
-
-
 def enumerate_filters(S: Semilattice):
     """All filters of a finite semilattice: the n principal up-sets, in
     generator order, each once (the last candidate is the empty set)."""

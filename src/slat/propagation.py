@@ -72,7 +72,7 @@ from ._bitset import bits, indicator, mask_of, mask_of_indicator, popcount
 from .breadth import _incompressible, breadth, is_compressible
 from .core import (FULL_VALIDATE_CAP, NP_BLOCK_ELEMS, SUBSET_MAX_BITS,
                    BudgetExceeded, NotClosedError, Semilattice, _subset_masks,
-                   _subset_sweep, row_blocks)
+                   _subset_sweep, meet_identity_holds, row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -281,9 +281,9 @@ def _element_world(S):
     """The closed world of the element pass on a host of at most
     ``FULL_VALIDATE_CAP`` elements, from its product table: ``(A, K)`` in
     float64, A[t, x] = [tx = t] (x a factor of t) and K = A.T @ inv(A), or
-    None unless the guard holds.  The guard asks for (a) the meet identity
-    A[t, xy] = A[t, x] and A[t, y], checked on every triple, a column of A
-    at a time as a bitset over t; (b) an exact integer inverse of A, by
+    None unless the guard holds.  The guard asks for (a) a commutative table
+    with the meet identity A[t, xy] = A[t, x] and A[t, y]
+    (``core.meet_identity_holds``); (b) an exact integer inverse of A, by
     substitution in uint64 (wrapping) and kept only when its entries are
     below 2**53 / n and A @ inv(A) = I holds in float64, exact at that
     bound; and (c) n**2 times the largest row sum of |K| below 2**53, so
@@ -293,11 +293,9 @@ def _element_world(S):
     if n > FULL_VALIDATE_CAP:
         return None
     T = S.product_table_np()
+    if not (np.array_equal(T, T.T) and meet_identity_holds(T)):
+        return None
     A = T == np.arange(n)[:, None]
-    cols = np.packbits(A, axis=0).T         # column x of A, packed over t
-    for r0, r1 in row_blocks(n, n * cols.shape[1]):
-        if (cols[T[r0:r1]] != cols[r0:r1, None] & cols).any():
-            return None
     # in the order of rising down-set size, a semilattice's A is upper
     # unitriangular, and elements with down-sets of one size are pairwise
     # incomparable: substitute a run of one size at a time

@@ -175,14 +175,17 @@ def naive_semilattice_violations(S):
     """``(kind, witness)`` of every axiom failure of ``product`` in the order
     ``Semilattice.validate`` reports them (idempotence by id, commutativity
     for x < y, associativity for x <= y <= z, each in lexicographic order),
-    and the number of triples checked."""
+    and the number of triples checked.  A sorted triple breaks associativity
+    when either bracketing with x first fails: (xy)z != x(yz) or (xz)y !=
+    x(zy); on a commutative product that is every way to bracket it."""
     p = S.product
     out = [("NotIdempotent", (x,)) for x in range(S.n) if p(x, x) != x]
     out += [("NotCommutative", (x, y)) for x, y in combinations(range(S.n), 2)
             if p(x, y) != p(y, x)]
     triples = list(combinations_with_replacement(range(S.n), 3))
     out += [("NotAssociative", (x, y, z)) for x, y, z in triples
-            if p(p(x, y), z) != p(x, p(y, z))]
+            if p(p(x, y), z) != p(x, p(y, z))
+            or p(p(x, z), y) != p(x, p(z, y))]
     return out, len(triples)
 
 

@@ -588,14 +588,19 @@ _NOT_SEMILATTICES = {
     "NotCommutative": [[0, 0], [1, 1]],          # x * y = x
     "NotIdempotent": [[1, 1], [1, 1]],           # constant
     "NotAssociative": [[0, 2, 1], [2, 1, 0], [1, 0, 2]],
+    # commutative and idempotent, with (0 * 2) * 1 = 1 but 0 * (2 * 1) = 3:
+    # of the sorted triple 0 <= 1 <= 2 only the (xz)y bracketing fails
+    "NotAssociative:xzy": [[0, 3, 2, 3], [3, 1, 1, 3], [2, 1, 2, 3],
+                           [3, 3, 3, 3]],
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_NOT_SEMILATTICES))
-def test_verify_reports_a_table_that_is_not_a_semilattice(tmp_path, kind):
+@pytest.mark.parametrize("name", sorted(_NOT_SEMILATTICES))
+def test_verify_reports_a_table_that_is_not_a_semilattice(tmp_path, name):
+    kind = name.split(":")[0]
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"kind": "table",
-                                "product": _NOT_SEMILATTICES[kind]}))
+                                "product": _NOT_SEMILATTICES[name]}))
     rc, out, _ = _main(["verify", str(path)])
     rep = json.loads(out)["suites"][0]["instance_valid"]
     assert rc == 1 and not rep["ok"]
@@ -603,6 +608,20 @@ def test_verify_reports_a_table_that_is_not_a_semilattice(tmp_path, kind):
     # every other command refuses it at the boundary
     rc, out, err = _main(["breadth", str(path)])
     assert rc == 2 and out == "" and _one_error_line(err) and kind in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["defect", "--set", "0"], ["dist", "--set", "0"],
+    ["fbp", "--C", "0", "--set", "0"], ["vmap", "--E", "0", "--z", "1"],
+    ["profile", "--L", "1"], ["breadth"], ["adversary", "--nmax", "2"]],
+    ids=lambda argv: argv[0])
+def test_a_table_failing_only_the_xz_y_bracketing_is_refused(tmp_path, argv):
+    # the boundary names validate's first witness, its only one
+    path = _instance_file(tmp_path, {
+        "kind": "table", "product": _NOT_SEMILATTICES["NotAssociative:xzy"]})
+    rc, out, err = _main([argv[0], path, *argv[1:]])
+    assert (rc, out) == (2, "") and _one_error_line(err)
+    assert "not a semilattice: NotAssociative at [0, 1, 2]" in err
 
 
 def test_verify_never_imports_numpy_random():
@@ -622,20 +641,27 @@ def test_verify_never_imports_numpy_random():
 @pytest.mark.parametrize("ref", [
     *_verify_battery(), "pstar(6)", "tree(2,4)",
     *(f"table:{kind}" for kind in sorted(_NOT_SEMILATTICES))])
-def test_the_batched_filter_suite_matches_the_per_filter_checks(ref):
+def test_the_batched_filter_suite_matches_the_per_filter_checks(ref,
+                                                                  tmp_path):
+    """``verify``'s two filter fields, read off one meet-identity scan, are
+    the per-filter checks over ``enumerate_filters``."""
     if ref.startswith("table:"):
         S = core.Semilattice.from_table(_NOT_SEMILATTICES[ref[6:]])
+        source = _instance_file(tmp_path, S.to_json())
     else:
-        S = core.generate_instance(ref)
+        S, source = core.generate_instance(ref), ref
     lam = weights.builtin_logweight(S, "zero")
     filters = metrics.enumerate_filters(S)
     want = (all(metrics.is_filter(S, F) for F in filters),
             all(metrics.defect_set(S, lam, F).is_zero for F in filters))
-    assert metrics.principal_filters_hold(S) == want
+    suite = json.loads(_main(["verify", source])[1])["suites"][0]
+    assert (suite["filters_are_filters"],
+            suite["filters_have_zero_defect"]) == want
     # a non-idempotent table has an empty up-set, which is no filter but
     # has a zero defect; each field is False on some table
     assert want == {"table:NotIdempotent": (False, True),
-                    "table:NotAssociative": (False, False)}.get(
+                    "table:NotAssociative": (False, False),
+                    "table:NotAssociative:xzy": (False, False)}.get(
                         ref, (True, True))
 
 
@@ -1030,15 +1056,27 @@ README_PINS = {
 }
 
 
-def _readme_commands():
-    """The argument lists of the ``slat`` lines in README's CLI block."""
+def _readme_block(section, fence):
+    """The first ``fence`` code block under README's ``section`` heading."""
     with open(os.path.join(os.path.dirname(SRC), "README.md"),
               encoding="utf-8") as fh:
         text = fh.read()
-    block = text[text.index("```sh", text.index("## CLI")) + 5:]
-    lines = block[:block.index("```")].splitlines()
-    return [shlex.split(line.split("#")[0])[1:] for line in lines
+    block = text[text.index(fence, text.index(section)) + len(fence):]
+    return block[:block.index("```")]
+
+
+def _readme_commands():
+    """The argument lists of the ``slat`` lines in README's CLI block."""
+    return [shlex.split(line.split("#")[0])[1:]
+            for line in _readme_block("## CLI", "```sh").splitlines()
             if line.startswith("slat ")]
+
+
+def test_readme_library_block_prints_what_it_says():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(_readme_block("## Library", "```python"), {})
+    assert out.getvalue() == "PropagationValue(2)\nPropagationValue(2) True\n"
 
 
 def test_readme_commands_are_pinned():

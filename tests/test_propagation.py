@@ -473,6 +473,17 @@ def test_element_guard_sends_profiles_to_the_pair_pass(host, monkeypatch):
          for L in lam.distinct_values()]
 
 
+@pytest.mark.parametrize("table", [[[0, 0], [1, 1]],
+                                   [[0, 0, 0], [0, 1, 1], [0, 0, 2]]],
+                         ids=["x*y=x", "lower corner off"])
+def test_the_element_guard_asks_for_a_commutative_table(table):
+    # both pass the meet identity on the pairs x <= y (x * y = x on every
+    # pair too), which is the meet order only on a commutative table
+    S = Semilattice.from_table(table)
+    assert core.meet_identity_holds(S.product_table_np())
+    assert propagation._element_world(S) is None
+
+
 def test_element_world_of_a_chain():
     # on chain(m), x is a factor of t when t <= x, and a round covers z when
     # the min of some pair is at most z: every pair, less those above z
