@@ -245,6 +245,8 @@ def cmd_sweep(args):
     """One CSV row per family member; see docs/formats.md for columns."""
     with _parsing(f"bad sweep range {args.range!r}"):
         lo, hi = map(int, args.range.split(":"))
+        if lo > hi:
+            raise ValueError("LO is above HI")
     L = _fraction(args.L) if args.op == "profile" else None
     rows = [_sweep_row(args, p, L) for p in range(lo, hi + 1)]
     writer = csv.writer(sys.stdout)  # nothing is written before the last row

@@ -14,8 +14,8 @@ Three passes find these first levels for every target at once:
   STOC 2007), repeated to a fixed point at each weight level
   (``_pair_unions``).  Up to ``KRONECKER_MAX_BITS`` (12) points each
   transform is two float64 matrix products, one over each half of the
-  subset index, exact since no partial sum exceeds 8**k (16**k in the
-  topped dot product), below 2**53; past 12 points, k integer sweeps;
+  subset index, exact since no partial sum exceeds 8**k, below 2**53;
+  past 12 points, k integer sweeps;
 - the element pass runs the same identity on the host's own order (G.-C.
   Rota, "On the foundations of combinatorial theory I: theory of Moebius
   functions", 1964).  With A[t, x] = [tx = t], x a factor of t, f = A @ R
@@ -42,7 +42,8 @@ many, take the subset pass when the points of the level set fit the rule
 and number at most ``SUBSET_MAX_BITS``; else the element pass, on a host of
 at most ``FULL_VALIDATE_CAP`` elements that passes its guard; else the
 pair-by-pair pass, each set alone (``_first_level_blocks``).  A collapsed
-top is a member on the subset pass, an element on the element pass.
+top is an element on the element pass and a member on the subset pass, where
+a closure forms it once it covers an absorbing subset (``_subset_ids``).
 
 Levels are ranks of integer numerators (``np.unique``), kept as fractions,
 so they stay exact.  A world is kept in one weak memo (``_memo``) on the
@@ -323,17 +324,17 @@ def _subset_first_levels(seeds, rank, nlevels, absorbing, cols):
     ``absorbing`` as ``_subset_world`` makes them).  Until a closure forms
     the collapsed top, each product it forms is a member inside G.  A round
     maps each row's reached set R to the members under a union of two
-    members of R (``_pair_unions``); once such a union is absorbing the
-    product is the top, which every element divides, and R becomes every
-    member.  Returns ``_first_levels``; a target outside a join that is not
-    the top is never reached."""
+    members of R (``_pair_unions``); once such a union is absorbing
+    (``_subset_ids``) the product is the top, which every element divides,
+    and R becomes every member.  Returns ``_first_levels``; a target
+    outside a join that is not the top is never reached."""
     cols = np.asarray(cols, dtype=np.int64)
     rows, local = np.nonzero(seeds)         # each row's union of seeds
     joins = np.zeros(len(seeds), dtype=np.int64)
     np.bitwise_or.at(joins, rows, local)
     topped = absorbing[joins][:, None]      # rows whose product is the top
     left = np.count_nonzero((cols & ~joins[:, None] == 0) | topped)
-    top = _topped_form(absorbing) if topped.any() else None
+    top = absorbing if topped.any() else None
     return _first_levels(seeds, rank, nlevels, cols, left,
                          partial(_pair_unions, top=top))
 
@@ -395,13 +396,6 @@ def _first_levels(seeds, rank, nlevels, cols, left, step):
     return first.T
 
 
-def _topped_form(top):
-    """The superset Moebius transform of the indicator ``top``, in float64:
-    its dot product with the f**2 of ``_pair_unions`` counts the pairs with
-    an exact union marked in ``top``."""
-    return _subset_sweep(top.astype(float), np.subtract, into=0)
-
-
 @cache
 def _kronecker_halves(w):
     """Read-only float64 matrices of w points: the subset-sum matrix
@@ -422,43 +416,39 @@ def _pair_unions(R, top=None):
     union lies inside T; by inclusion-exclusion the pairs whose union covers
     s number (-1)**|s| times the superset Moebius transform of f**2 at the
     complement of s, the same index read from the other end.  ``top``, when
-    given, is ``_topped_form`` of an indicator of subsets: a column with an
-    exact union in it (``top @ f**2 > 0``) becomes every subset.
+    given, indicates an up-set of subsets (``_subset_ids``'s absorbing
+    ones): a column that covers one becomes every subset.
 
     Up to ``KRONECKER_MAX_BITS`` points, every column at once, each
     transform is two float64 matrix products over the halves of the subset
     index, viewed as (2**hi, 2**lo, columns), hi = k // 2: one by the high
     half's matrix of ``_kronecker_halves`` and one, batched, by the low
-    half's.  Every partial sum is an integer of at most 8**k, and of the
-    topped dot product at most 16**k, both below 2**53 at k <= 12, so
-    float64 holds them exactly.  Past that bound, ``_swept_pair_unions``."""
+    half's.  Every partial sum is an integer of at most 8**k, below 2**53
+    at k <= 17, so float64 holds them exactly; the form gives way at the
+    speed crossover, past which ``_swept_pair_unions``."""
     k = len(R).bit_length() - 1
     if k > KRONECKER_MAX_BITS:
-        return _swept_pair_unions(R, top)
-    (Zh, Mh), (Zl, Ml) = map(_kronecker_halves, (k // 2, k - k // 2))
-    shape = len(Zh), len(Zl), -1
-    f = Zl @ (Zh @ R.reshape(len(Zh), -1)).reshape(shape)
-    np.square(f, out=f)
-    f = f.reshape(R.shape)
-    covered = Ml @ (Mh @ f.reshape(len(Zh), -1)).reshape(shape) != 0
-    covered = covered.reshape(R.shape)
+        covered = _swept_pair_unions(R)
+    else:
+        (Zh, Mh), (Zl, Ml) = map(_kronecker_halves, (k // 2, k - k // 2))
+        shape = len(Zh), len(Zl), -1
+        f = Zl @ (Zh @ R.reshape(len(Zh), -1)).reshape(shape)
+        np.square(f, out=f)
+        covered = Ml @ (Mh @ f.reshape(len(Zh), -1)).reshape(shape) != 0
+        covered = covered.reshape(R.shape)
     if top is not None:
-        covered |= top @ f > 0
+        covered |= top @ covered
     return covered
 
 
-def _swept_pair_unions(R, top=None):
-    """``_pair_unions`` in k passes of integer sweeps (``_subset_sweep``),
-    one point a pass.  Counts are at most 4**k, so int32 holds them for k
-    <= 15 and int64 above, exact however the passes wrap."""
+def _swept_pair_unions(R):
+    """``_pair_unions`` without a top, in k integer sweeps (``_subset_sweep``),
+    one point each.  Counts are at most 4**k: int32 holds them for k <= 15
+    and int64 above, exact however the passes wrap."""
     dtype = np.int32 if len(R) <= 1 << 15 else np.int64
     f = _subset_sweep(R.astype(dtype), np.add)
     np.square(f, out=f)
-    topped = None if top is None else top.astype(dtype) @ f > 0
-    covered = (_subset_sweep(f, np.subtract, into=0) != 0)[::-1]
-    if topped is not None:
-        covered |= topped
-    return covered
+    return (_subset_sweep(f, np.subtract, into=0) != 0)[::-1]
 
 
 # -- closure worlds ----------------------------------------------------------
@@ -484,13 +474,20 @@ def _weight_ranks(lam):
 
 
 def _subset_ids(S, at):
-    """The ids of the subsets at the masks ``at`` (-1 for a non-member) and
-    the absorbing ones, whose product is the top: non-members and the top."""
+    """The ids of the subsets at the masks ``at``, every subset of a point
+    set (-1 for a non-member), and the absorbing ones, an up-set: under no
+    member but the collapsed top, so none on a host without a top.  On a
+    set system that passes ``validate``, members a and b have the top as
+    product exactly when their union u is absorbing: were u no member yet
+    under a member m other than the top, (ab)m would be the top but a(bm) =
+    m; were the top's set under such an m, m times the top would be m, so
+    the top would not absorb.  As an up-set, it holds a subset a closure
+    covers exactly when it holds one of its exact unions: the top forms."""
     ids = S.ids_of(at)
-    absorbing = ids < 0
-    if S.top_id is not None:
-        absorbing |= ids == S.top_id
-    return ids, absorbing
+    if S.top_id is None:
+        return ids, np.zeros(len(ids), dtype=bool)
+    others = (ids >= 0) & (ids != S.top_id)
+    return ids, ~_subset_sweep(others, np.bitwise_or, into=0)
 
 
 def _ground_ids(S):
@@ -536,17 +533,18 @@ def _point_ints(k):
     return [(h, full ^ h, 1 << j) for j, h in enumerate(held)]
 
 
-def _row_round(R, size, points, budget, top, absorbing):
+def _row_round(R, size, points, top, absorbing):
     """One round of ``_row_first_level`` from the reached set R over ``size``
     subsets: every subset under some a | b, a and b in R, or every subset
-    once such a union forms the top."""
+    once it covers an absorbing one (``top``, their mask)."""
     down, strict, cover = R, 0, 0
     for h, _, w in points:
         down |= (down & h) >> w
     for h, _, w in points:
         strict |= (down & h) >> w
     maximal = R & ~strict
-    if sum((maximal & h).bit_count() for h, _, _ in points) <= budget:
+    steps = sum((maximal & h).bit_count() for h, _, _ in points)
+    if steps <= max(64, 8 * len(points)):
         for a in bits(maximal):
             X = down
             for j in bits(a):
@@ -554,41 +552,37 @@ def _row_round(R, size, points, budget, top, absorbing):
                 X |= (X & o) << w
             cover |= X
         return (1 << size) - 1 if cover & top else cover
-    return mask_of_indicator(_pair_unions(indicator(R, size)[:, None], (
-        None if absorbing is None else _topped_form(absorbing))).ravel())
+    return mask_of_indicator(_pair_unions(indicator(R, size)[:, None],
+                                          absorbing).ravel())
 
 
-def _row_first_level(rank, nlevels, seeds, target, absorbing=None):
-    """The integer row: the first level index at which the closure from the
-    local ``seeds`` reaches the local ``target`` in a ``_subset_world``
-    (``rank``, ``nlevels``; ``absorbing`` when the join is the top).  Bit s
-    of an int is local subset s, H_j holds the subsets with point j, and the
-    level loop is ``_first_levels``'s.  A round (``_row_round``) maps the
-    reached set R to the subsets under some a | b, a and b in R: with D =
-    down(R) and M = R & ~(the union of (D & H_j) >> 2**j), R's maximal
-    members, the union over a in M of {s : s less a in D}, |a| steps X |=
-    (X & ~H_j) << 2**j each, since s lies under a | b exactly when s less a
-    lies under b, and a maximal member above a only covers more.  On an
-    up-closed ``absorbing`` set a round that meets it forms the top; on any
-    other, or past max(64, 8k) steps, a round is ``_pair_unions`` of R."""
-    size = len(rank)
+def _row_first_level(rank, levels, seeds, target, absorbing):
+    """The integer row: the first level at which the closure from the local
+    ``seeds`` reaches the local ``target`` in a ``_subset_world`` (``rank``,
+    ``levels``, ``absorbing``), or None when it never does, which no
+    semilattice meets.  Bit s of an int is local subset s, H_j holds the
+    subsets with point j, and the level loop is ``_first_levels``'s.  A
+    round (``_row_round``) maps the reached set R to the subsets under some
+    a | b, a and b in R: with D = down(R) and M = R & ~(the union of (D &
+    H_j) >> 2**j), R's maximal members, the union over a in M of {s : s less
+    a in D}, |a| steps X |= (X & ~H_j) << 2**j each, since s lies under a |
+    b exactly when s less a lies under b, and a maximal member above a only
+    covers more.  A round that covers an absorbing subset (``_subset_ids``)
+    forms the top; past max(64, 8k) steps a round is ``_pair_unions``."""
+    size, nlevels = len(rank), len(levels)
     points = _point_ints(size.bit_length() - 1)
-    top = up = 0 if absorbing is None else mask_of_indicator(absorbing)
-    for _, o, w in points:
-        up |= (up & o) << w
-    budget = max(64, 8 * len(points)) if up == top else -1
+    top = mask_of_indicator(absorbing)
     held = seed = mask_of(seeds)
     reached, i = 0, rank[target]
     while i < nlevels:
         allowed = mask_of_indicator(rank <= i)
         while (nxt := held & allowed) != reached:
             if nxt >> target & 1:
-                return i
+                return levels[i]
             reached = nxt
-            held = _row_round(nxt, size, points, budget, top, absorbing)
+            held = _row_round(nxt, size, points, top, absorbing)
         held |= seed
         i = rank.min(where=indicator(held & ~allowed, size), initial=nlevels)
-    raise AssertionError("target inside the generated filter never reached")
 
 
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
@@ -614,12 +608,11 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
             np.bitwise_or.reduce(masks := S.masks_of([z, *E_ids])))):
         at, levels, rank, absorbing = _subset_world(S, lam, G)
         target, *seeds = np.searchsorted(at, masks).tolist()
-        first = _row_first_level(rank, len(levels), seeds, target,
-                                 absorbing if J == S.top_id else None)
-        return PropagationValue.finite(levels[first])
-    c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
-    if c is None:
-        raise AssertionError("target inside the generated filter never reached")
+        c = _row_first_level(rank, levels, seeds, target, absorbing)
+    else:
+        c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
+    if c is None:       # past a sampled validate: no semilattice gets here
+        raise NotClosedError(f"{z}, a factor of the join {J}, is not reached")
     return PropagationValue.finite(c)
 
 

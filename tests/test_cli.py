@@ -572,6 +572,14 @@ def test_sweep_writes_nothing_when_a_row_is_a_usage_error():
     assert "pstar(0)" in err
 
 
+def test_a_reversed_sweep_range_is_usage_error(monkeypatch):
+    # refused before any row runs, not answered with a header alone
+    monkeypatch.setattr("slat.cli._sweep_row", None)
+    rc, out, err = _main(["sweep", "--family", "chain", "--range", "3:2"])
+    assert (rc, out) == (2, "")
+    assert err == "error: bad sweep range '3:2': LO is above HI\n"
+
+
 @pytest.mark.parametrize("obj", [
     {"kind": "table", "product": []},
     {"kind": "set_system", "ground": ["a"], "elements": []},
@@ -684,6 +692,25 @@ def test_a_closure_that_leaves_its_join_is_not_a_semilattice(tmp_path, cell,
     rc, out, err = _main(["vmap", str(path), "--E", E, "--z", "17"])
     assert (rc, out) == (2, "")
     assert err == f"error: {path}: not a semilattice: {message}\n"
+
+
+def test_a_collapsed_top_that_leaves_its_join_is_not_a_semilattice(tmp_path):
+    # fin(12,3) less {0,1}, plus {0,1,2,3}: the union {0,1} of {0} and {1}
+    # collapses to the top, yet lies under a member, so the product is not
+    # associative.  Its 300 members pass the sampled validate, and the
+    # integer row never forms the top from {0} and {1}
+    elements = core.generate_instance("fin(12,3)").to_json()["elements"]
+    elements = [e for e in elements[:-1] if e != [0, 1]] + \
+        [[0, 1, 2, 3], list(range(12))]
+    path = _instance_file(tmp_path, {
+        "kind": "set_system", "ground": [str(p) for p in range(12)],
+        "elements": elements, "collapsed_top": 299})
+    rc, out, _ = _main(["verify", path])
+    assert rc == 0 and json.loads(out)["ok"]
+    rc, out, err = _main(["vmap", path, "--E", "1,2", "--z", "78"])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}: not a semilattice: 78, a factor of the "
+                   "join 299, is not reached\n")
 
 
 @pytest.mark.parametrize("obj", [

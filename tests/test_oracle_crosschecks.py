@@ -7,6 +7,7 @@ import importlib
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from oracles import (naive_check_equivalence_iii, naive_closure_error,
                      naive_is_filter, naive_join_closure, naive_pair_unions,
                      naive_sch_embed, naive_search_order,
                      naive_semilattice_violations)
-from slat import core
+from slat import core, propagation
 from slat._bitset import bits, mask_of
 from slat.core import (NotClosedError, Semilattice, SizeOverflowError,
                        _canonical_members, _join_closure, chain,
@@ -26,8 +27,7 @@ from slat.core import (NotClosedError, Semilattice, SizeOverflowError,
                        sch_embed)
 from slat.metrics import (defect_set, dist_complex, dist_set,
                           enumerate_filters, is_filter)
-from slat.propagation import (_pair_unions, _swept_pair_unions, _topped_form,
-                              check_equivalence_iii)
+from slat.propagation import _pair_unions, check_equivalence_iii
 from slat.weights import LogWeight, builtin_logweight, random_logweight
 from test_cli import _main
 from test_weights import FLAT_70, without_member
@@ -328,18 +328,27 @@ def test_union_closure_of_singletons_is_the_free_semilattice(k):
     assert closed == set(range(1, 1 << k))
 
 
+def _up_closure(top):
+    """The up-closure of ``top``, an indicator over the subsets of k points:
+    ``_pair_unions`` asks for an up-set."""
+    return core._subset_sweep(top.copy(), np.bitwise_or)
+
+
 def _pair_unions_of(columns, top, k):
     """``_pair_unions`` of the columns (sets of masks over k points), each
-    column's answer as a set of masks; ``top`` is None or a set of masks."""
+    column's answer as a set of masks, and the up-closure it was given of
+    ``top``, None or a set of masks, as a set of masks."""
     R = np.zeros((1 << k, len(columns)), dtype=bool)
     for c, sets in enumerate(columns):
         R[list(sets), c] = True
     if top is not None:
         marked = np.zeros(1 << k, dtype=bool)
         marked[list(top)] = True
-        top = _topped_form(marked)
+        top = _up_closure(marked)
     U = _pair_unions(R, top)
-    return [set(np.flatnonzero(U[:, c]).tolist()) for c in range(len(columns))]
+    return ([set(np.flatnonzero(U[:, c]).tolist())
+             for c in range(len(columns))],
+            () if top is None else set(np.flatnonzero(top).tolist()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -354,32 +363,32 @@ def test_pair_unions_match_the_set_loop(k, data):
         x, y = data.draw(st.lists(st.sampled_from(sorted(columns[0])),
                                   min_size=2, max_size=2), label="pair")
         top.add(x | y)
-    assert _pair_unions_of(columns, top, k) == \
-        naive_pair_unions(columns, top or (), k)
+    got, up = _pair_unions_of(columns, top, k)
+    assert got == naive_pair_unions(columns, up, k)
 
 
 def test_pair_unions_of_a_block_at_16_points_with_a_top():
-    # int64 counts, and a top of about 300 subsets whose form has entries
-    # up to a few hundred
+    # int64 counts, and a top of about 300 subsets and their supersets
     k, rng = 16, random.Random(16)
     columns = [set(), {0}, {(1 << k) - 1}] + [
         {mask_of(rng.sample(range(k), rng.randrange(5))) for _ in range(10)}
         for _ in range(5)]
     x, y = sorted(columns[3])[:2]
     top = {x | y} | {mask_of(rng.sample(range(k), 12)) for _ in range(300)}
-    got = _pair_unions_of(columns, top, k)
-    assert got == naive_pair_unions(columns, top, k)
+    got, up = _pair_unions_of(columns, top, k)
+    assert got == naive_pair_unions(columns, up, k)
     assert len(got[3]) == 1 << k and got[0] == set()
 
 
 def _against_the_sweep(R, top):
     """``_pair_unions`` of the columns R against the k-pass integer sweep
     (``_swept_pair_unions``), which it leaves up to ``KRONECKER_MAX_BITS``
-    points; ``top`` is None or an indicator."""
-    form = None if top is None else _topped_form(top)
-    got = _pair_unions(R, form)
+    points; ``top`` is None or an indicator, whose up-closure both get."""
+    up = None if top is None else _up_closure(top)
+    got = _pair_unions(R, up)
     assert got.shape == R.shape and got.dtype == bool
-    assert np.array_equal(got, _swept_pair_unions(R, form))
+    with mock.patch.object(propagation, "KRONECKER_MAX_BITS", -1):
+        assert np.array_equal(got, _pair_unions(R, up))
     return got
 
 
@@ -408,7 +417,8 @@ def test_matrix_form_matches_the_sweep(k, width, fill, density, marks, seed):
         assert got[:, 0].all()
     if R.sum(axis=0).max() <= 400:          # the set loop is quadratic
         columns = [np.flatnonzero(c).tolist() for c in R.T]
-        marked = () if top is None else np.flatnonzero(top).tolist()
+        marked = () if top is None else \
+            np.flatnonzero(_up_closure(top)).tolist()
         assert [set(np.flatnonzero(c).tolist()) for c in got.T] == \
             naive_pair_unions(columns, marked, k)
 

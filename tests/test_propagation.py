@@ -398,8 +398,13 @@ def test_profile_of_pstar6_at_level_3_is_fast():
         (PropagationValue.finite(3), 0b111, 21, 86599)
 
 
-def test_profile_of_fin_6_3_at_level_3_is_fast():
+def test_profile_of_fin_6_3_at_level_3_is_fast(monkeypatch):
     # every generating set whose join collapses runs on the subset pass
+    def other_pass(*args):
+        raise AssertionError("a pass other than the subset pass ran")
+
+    for entry in ("_knuth_first_levels", "_element_first_levels"):
+        monkeypatch.setattr(propagation, entry, other_pass)
     S = _PROFILE_HOSTS["fin(6,3)"]
     lam = builtin_logweight(S, "cardinality")
     t = time.perf_counter()
@@ -811,12 +816,13 @@ def test_pair_unions_of_a_block_at_15_points():
     for c, sets in enumerate(columns):
         R[sets, c] = True
     t = columns[3][0] | columns[3][1]           # a union of column 3
-    top = np.zeros(1 << k, dtype=bool)
-    top[t] = True
+    top = np.arange(1 << k) & t == t            # the sets above it, an up-set
+    above = np.flatnonzero(top).tolist()
     U = propagation._pair_unions(R)
-    topped = propagation._pair_unions(R, propagation._topped_form(top))
+    topped = propagation._pair_unions(R, top)
     for c, (plain, full) in enumerate(zip(naive_pair_unions(columns, (), k),
-                                          naive_pair_unions(columns, {t}, k))):
+                                          naive_pair_unions(columns, above,
+                                                            k))):
         assert set(np.flatnonzero(U[:, c]).tolist()) == plain
         assert set(np.flatnonzero(topped[:, c]).tolist()) == full
     assert topped[:, 3].all() and not topped[:, 1].any()
@@ -903,8 +909,8 @@ _SHORT_TOP = Semilattice.from_json({
 
 
 # a collapsed top over a sparse family: {1} is no member, yet lies under the
-# member {0, 1}, so the absorbing subsets of the ground (the non-members and
-# the top) are not up-closed
+# member {0, 1}, so it is not absorbing, while the non-members under no
+# member, such as {0, 2}, are
 _SPARSE_TOP = Semilattice.from_json({
     "kind": "set_system", "ground": [str(p) for p in range(4)],
     "elements": [[], [0], [0, 1], [2], [3], [0, 1, 2, 3]], "collapsed_top": 5})
@@ -968,10 +974,56 @@ def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
     assert seen == ([G] if fits else [])
 
 
+def _truncated_top_json(k, drawn, c):
+    """The members of at most c points of the union closure of the ``drawn``
+    masks on k points, and the whole ground as the collapsed top, last in
+    canonical order."""
+    closed = {0}
+    for m in drawn:
+        closed |= {m | x for x in closed}
+    elements = [list(bits(m)) for m in sorted(closed) if m.bit_count() <= c]
+    return {"kind": "set_system", "ground": [str(p) for p in range(k)],
+            "elements": elements + [list(range(k))],
+            "collapsed_top": len(elements)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10_000))
+def test_absorbing_subsets_are_an_up_set_that_marks_the_collapsing_unions(
+        data, seed):
+    # on truncations of random union-closed families and on one-point tops,
+    # the absorbing subsets of the ground are up-closed and hold a union of
+    # two members exactly when their product is the top; closures that read
+    # them answer as the pair pass does
+    if data.draw(st.booleans(), label="one-point top"):
+        obj = one_point_top_json(data.draw(st.integers(3, 10), label="k"))
+    else:
+        k = data.draw(st.integers(3, 7), label="k")
+        obj = _truncated_top_json(
+            k, data.draw(st.lists(st.integers(1, (1 << k) - 1), max_size=12),
+                         label="drawn"),
+            data.draw(st.integers(1, k - 1), label="c"))
+    S = Semilattice.from_json(obj)
+    assert S.validate().ok
+    k = len(S.ground)
+    _, absorbing = propagation._subset_ids(S, np.arange(1 << k))
+    assert np.array_equal(core._subset_sweep(absorbing.copy(), np.bitwise_or),
+                          absorbing)
+    masks = S.member_masks_np()
+    assert np.array_equal(absorbing[masks[:, None] | masks],
+                          S.product_table_np() == S.top_id)
+    lam = random_logweight(S, seed)
+    for _ in range(5):
+        E_ids = data.draw(st.sets(st.integers(0, S.n - 1), min_size=1,
+                                  max_size=4), label="E")
+        _check_row(S, lam, sorted(E_ids),
+                   data.draw(st.integers(0, S.n - 1), label="z"))
+
+
 def _spy_on_row_rounds(monkeypatch):
     """The count of integer-row rounds of each form from here on: an
-    expansion over maximal members, a fallback to ``_pair_unions`` past the
-    budget, or a fallback on an absorbing set that is not up-closed."""
+    expansion over maximal members, or a fallback to ``_pair_unions`` past
+    the budget."""
     forms, fell_back = Counter(), []
     row_round, pair_unions = propagation._row_round, propagation._pair_unions
 
@@ -979,11 +1031,10 @@ def _spy_on_row_rounds(monkeypatch):
         fell_back.append(True)
         return pair_unions(*args)
 
-    def spy(R, size, points, budget, top, absorbing):
+    def spy(*args):
         fell_back.clear()
-        held = row_round(R, size, points, budget, top, absorbing)
-        forms["top not up-closed" if budget < 0 else
-              "fallback" if fell_back else "expansion"] += 1
+        held = row_round(*args)
+        forms["fallback" if fell_back else "expansion"] += 1
         return held
 
     monkeypatch.setattr(propagation, "_pair_unions", unions)
@@ -1005,7 +1056,7 @@ def _check_row(S, lam, E_ids, z):
 
 def test_integer_row_matches_the_pair_pass_and_naive_v(monkeypatch):
     # listed cubes, the rank-storage fin(24,8) at 3- and 6-point joins, and
-    # collapsed tops, one of whose absorbing sets is not up-closed; seeds of
+    # collapsed tops, one with a non-member under a member; seeds of
     # every rank, joins on the top, targets one point short of the join, in
     # and out of the filter; then one query that each round form must serve
     forms = _spy_on_row_rounds(monkeypatch)
@@ -1056,7 +1107,7 @@ def test_integer_row_matches_the_pair_pass_and_naive_v(monkeypatch):
     assert [_SPARSE_TOP.member_mask(x) for x in (4, 3, 2)] == [0b11, 8, 4]
     _check_row(_SPARSE_TOP, LogWeight.from_values([0, 1, 1, 2, 1, 2]), [3, 4],
                2)
-    assert set(forms) == {"expansion", "fallback", "top not up-closed"}
+    assert set(forms) == {"expansion", "fallback"}
 
 
 def test_subset_pass_refuses_a_wide_join_before_allocating():
@@ -1187,7 +1238,7 @@ def test_no_ground_world_past_the_block():
     assert propagation._ground_ids(big) is None
     ids, absorbing = propagation._ground_ids(small)
     assert len(ids) == core.NP_BLOCK_ELEMS and (ids >= 0).sum() == small.n
-    assert absorbing.tolist() == (ids < 0).tolist()
+    assert not absorbing.any()
 
 
 @pytest.mark.parametrize("spec", ["pstar(7)", "tree(2,3)"])
