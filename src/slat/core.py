@@ -290,20 +290,34 @@ class Semilattice:
         Up to ``FULL_VALIDATE_CAP`` elements a commutative, idempotent dense
         table is associative when it passes ``meet_identity_holds``; else each
         triple x <= y <= z with (xy)z != x(yz) or (xz)y != x(zy) is a witness.
-        Beyond it associativity is checked on 50 000 triples (x, y, z), drawn
-        as three ``randrange(n)`` per triple from ``random.Random(seed)`` and
-        checked a row block at a time, and the report is marked
-        non-exhaustive.  Set systems are union-closed by construction: their
-        builders reject a family that is not, unless it has a collapsed top.
-        A collapsed top that passes these checks must absorb: each member x
-        whose union with it is another member p is a ``NotAbsorbing``
-        violation (x, top, p).  A top whose set is the whole ground absorbs
-        and is not scanned.
+        Beyond it, a set system whose ground's subsets number at most
+        ``NP_BLOCK_ELEMS`` (14 points) is checked exactly by the union rule
+        (``_union_rule``): a union of members that is no member lies under no
+        member but the top.  With an absorbing top the product is
+        associative exactly when the rule holds.  Were a|b no member yet
+        under a member m other than the top, (ab)m would be the top but
+        a(bm) = m.  Conversely take a, b, c other than the top (which
+        absorbs): if a|b|c is a member other than the top, a|b and b|c lie
+        under it, so they are members and both bracketings give a|b|c;
+        otherwise both give the top.  A union of three or more members that
+        breaks the rule has a first partial union that is no member, a union
+        of two that breaks it, so the masks that are the union of the
+        members under them are the ones to test.  Other hosts beyond the cap
+        are checked on 50 000 triples (x, y, z), drawn as three
+        ``randrange(n)`` per triple from ``random.Random(seed)`` and checked
+        a row block at a time, and the report is marked non-exhaustive.  Set
+        systems are union-closed by construction: their builders reject a
+        family that is not, unless it has a collapsed top.  A collapsed top
+        that passes these checks must absorb: each member x whose union with
+        it is another member p is a ``NotAbsorbing`` violation (x, top, p).
+        A top whose set is the whole ground absorbs and is not scanned.
         """
         rep = ValidationReport()
         n = self.n
         full = n <= FULL_VALIDATE_CAP
-        rep.exhaustive = full
+        rule = not full and self.kind == "set_system" and \
+            1 << len(self.ground) <= NP_BLOCK_ELEMS
+        rep.exhaustive = full or rule
         ids, head = np.arange(n), np.arange(min(n, 100_000))
         T = self.product_table_np() if full or self.kind == "table" else None
         # a set system's product of x with itself is its mask's id
@@ -330,6 +344,10 @@ class Semilattice:
                     Violation("NotAssociative", (x, *divmod(yz, n)))
                     for x, yz in pairs_where(n, n * n, nonassociative)]
             rep.checked_triples = math.comb(n + 2, 3)
+        elif rule:
+            rep.violations += _union_rule(self)
+            rep.checked_triples = math.comb(n + 2, 3)
+            rep.notes.append("associativity by the union rule")
         else:
             rows = _randrange_bulk(random.Random(seed), n,
                                    3 * 50_000).reshape(-1, 3)
@@ -465,6 +483,44 @@ def _subset_sweep(f, op, into=1):
         half = f.reshape(-1, 2, f.size >> k << j)
         op(half[:, into], half[:, 1 - into], out=half[:, into])
     return f
+
+
+def _under_a_member(ids, top):
+    """Over the ids of every subset of a point set (-1 for a non-member),
+    indexed as ``Semilattice.subset_ids`` indexes them: whether each subset
+    lies under a member other than ``top`` (None: under any member), one
+    superset-OR ``_subset_sweep``."""
+    return _subset_sweep((ids >= 0) & (ids != top), np.bitwise_or, into=0)
+
+
+def _union_rule(S):
+    """``validate``'s exact associativity check of a set system on at most
+    14 points, in mask space: its violations, none or one.  A mask u != 0 is
+    bad when it is no member, lies under a member other than the top
+    (``_under_a_member``) and is the union of the members under it (a
+    subset-OR sweep of the member masks).  For the least bad u, the members
+    under it, OR-ed in id order, give members only until the step a|b = u;
+    with m the least member over u other than the top, (a, b, m) is a
+    ``NotAssociative`` witness unless the top lies under m, which the
+    ``NotAbsorbing`` scan then reports."""
+    masks = np.arange(1 << len(S.ground))
+    ids = S.ids_of(masks)
+    joins = _subset_sweep(np.where(ids >= 0, masks, 0), np.bitwise_or)
+    bad = _under_a_member(ids, S.top_id) & (ids < 0) & (joins == masks)
+    bad[0] = False
+    if not bad.any():
+        return []
+    u = int(bad.argmax())
+    under = masks[(masks & ~u == 0) & (ids >= 0)]
+    under = under[np.argsort(ids[under])]
+    walk = np.bitwise_or.accumulate(under)
+    i = int((walk == u).argmax())
+    a, b = ids[[walk[i - 1], under[i]]].tolist()
+    m = int(ids[(masks & u == u) & (ids >= 0) & (ids != S.top_id)].min())
+    p = S.product
+    if p(p(a, b), m) == p(a, p(b, m)):
+        return []
+    return [Violation("NotAssociative", (a, b, m))]
 
 
 def _subset_masks(G):

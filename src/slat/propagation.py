@@ -73,7 +73,8 @@ from ._bitset import bits, indicator, mask_of, mask_of_indicator, popcount
 from .breadth import _incompressible, breadth, is_compressible
 from .core import (FULL_VALIDATE_CAP, NP_BLOCK_ELEMS, SUBSET_MAX_BITS,
                    BudgetExceeded, NotClosedError, Semilattice, _subset_masks,
-                   _subset_sweep, meet_identity_holds, row_blocks)
+                   _subset_sweep, _under_a_member, meet_identity_holds,
+                   row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -476,18 +477,18 @@ def _weight_ranks(lam):
 def _subset_ids(S, at):
     """The ids of the subsets at the masks ``at``, every subset of a point
     set (-1 for a non-member), and the absorbing ones, an up-set: under no
-    member but the collapsed top, so none on a host without a top.  On a
-    set system that passes ``validate``, members a and b have the top as
-    product exactly when their union u is absorbing: were u no member yet
-    under a member m other than the top, (ab)m would be the top but a(bm) =
-    m; were the top's set under such an m, m times the top would be m, so
-    the top would not absorb.  As an up-set, it holds a subset a closure
-    covers exactly when it holds one of its exact unions: the top forms."""
+    member but the collapsed top (``_under_a_member``), so none on a host
+    without a top.  On a set system that passes ``validate``, members a and
+    b have the top as product exactly when their union u is absorbing: the
+    union rule that ``validate`` checks (exactly on at most 14 points) puts
+    a union that is no member under no member but the top, and were the
+    top's set under such a member m, m times the top would be m, so the top
+    would not absorb.  As an up-set, it holds a subset a closure covers
+    exactly when it holds one of its exact unions: the top forms."""
     ids = S.ids_of(at)
     if S.top_id is None:
         return ids, np.zeros(len(ids), dtype=bool)
-    others = (ids >= 0) & (ids != S.top_id)
-    return ids, ~_subset_sweep(others, np.bitwise_or, into=0)
+    return ids, ~_under_a_member(ids, S.top_id)
 
 
 def _ground_ids(S):

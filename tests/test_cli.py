@@ -397,15 +397,16 @@ def test_depth_five_adversary_report_is_unchanged():
         ADVERSARY_FIN_20_15_DEPTH_5
 
 
-# sha256 of the report as the per-triple sampling loop of validate printed it
-VERIFY_FIN_10_5_SEED_3 = ("dc012a339617844fc78219512f252ae1"
-                          "eb7eb537f8807b86d98a4e180772f662")
+# sha256 of the report as the bulk-drawn sampled validate printed it on a
+# set system on more than 14 points, where the union rule does not apply
+VERIFY_FIN_16_3_SEED_3 = ("3115f68d983d5ffc04310285e3197895"
+                          "6c4016f0091d2dcdb928f62759723dc9")
 
 
 def test_sampled_verify_report_is_unchanged():
-    rc, out, err = _main(["verify", "fin(10,5)", "--seed", "3"])
+    rc, out, err = _main(["verify", "fin(16,3)", "--seed", "3"])
     assert rc == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIN_10_5_SEED_3
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIN_16_3_SEED_3
 
 
 def test_parser_reuse_leaks_no_option_between_calls():
@@ -636,14 +637,15 @@ def test_verify_never_imports_numpy_random():
     """The sampled checks draw from ``random``: importing ``numpy.random``
     would cost every process some milliseconds and megabytes."""
     code = ("import sys, slat.cli\n"
-            "for ref in ('fin(10,5)', 'fin(13,6)', 'tree(2,4)'):\n"
+            "for ref in ('fin(10,5)', 'fin(13,6)', 'fin(16,3)', 'tree(2,4)'):\n"
             "    slat.cli.main(['verify', ref])\n"
             "sys.stderr.write(repr([m for m in sys.modules\n"
             "                       if m.startswith('numpy.random')]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=SLAT_ENV)
     assert (proc.returncode, proc.stderr) == (0, "[]")
-    assert '"exhaustive": false' in proc.stdout       # fin(13,6) sampled
+    # fin(16,3)'s associativity and fin(13,6)'s weight pair check sampled
+    assert proc.stdout.count('"exhaustive": false') == 2
 
 
 @pytest.mark.parametrize("ref", [
@@ -696,9 +698,10 @@ def test_a_closure_that_leaves_its_join_is_not_a_semilattice(tmp_path, cell,
 
 def test_a_collapsed_top_that_leaves_its_join_is_not_a_semilattice(tmp_path):
     # fin(12,3) less {0,1}, plus {0,1,2,3}: the union {0,1} of {0} and {1}
-    # collapses to the top, yet lies under a member, so the product is not
-    # associative.  Its 300 members pass the sampled validate, and the
-    # integer row never forms the top from {0} and {1}
+    # collapses to the top, yet lies under the member {0,1,2} (id 78), so
+    # the product is not associative.  The union rule finds it among the
+    # 300 members, and every command refuses the file whatever pass it
+    # would take: the integer row (z = 78) or the pair pass (z = the top)
     elements = core.generate_instance("fin(12,3)").to_json()["elements"]
     elements = [e for e in elements[:-1] if e != [0, 1]] + \
         [[0, 1, 2, 3], list(range(12))]
@@ -706,17 +709,21 @@ def test_a_collapsed_top_that_leaves_its_join_is_not_a_semilattice(tmp_path):
         "kind": "set_system", "ground": [str(p) for p in range(12)],
         "elements": elements, "collapsed_top": 299})
     rc, out, _ = _main(["verify", path])
-    assert rc == 0 and json.loads(out)["ok"]
-    rc, out, err = _main(["vmap", path, "--E", "1,2", "--z", "78"])
-    assert (rc, out) == (2, "")
-    assert err == (f"error: {path}: not a semilattice: 78, a factor of the "
-                   "join 299, is not reached\n")
+    rep = json.loads(out)["suites"][0]["instance_valid"]
+    assert rc == 1 and not rep["ok"] and rep["exhaustive"]
+    assert rep["violations"] == [{"kind": "NotAssociative",
+                                  "witness": [1, 2, 78]}]
+    for z in ("78", "299"):
+        rc, out, err = _main(["vmap", path, "--E", "1,2", "--z", z])
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {path}: not a semilattice: NotAssociative "
+                       "at [1, 2, 78]\n")
 
 
 @pytest.mark.parametrize("obj", [
     planted_table_json(),
-    broken_top_json(12, [c for m in (1, 2, 3)
-                         for c in combinations(range(12), m)]),
+    broken_top_json(70, [(i, i + d) for d in (0, 1, 5) for i in range(70 - d)]
+                    + [(i, i + 1, i + 2) for i in range(68)]),
 ], ids=["planted-table", "broken-top"])
 def test_boundary_names_the_first_sampled_violation(tmp_path, obj):
     path = tmp_path / "host.json"
@@ -728,6 +735,20 @@ def test_boundary_names_the_first_sampled_violation(tmp_path, obj):
     assert (rc, out) == (2, "")
     assert err == (f"error: {path}: not a semilattice: {first['kind']} at "
                    f"{first['witness']}\n")
+
+
+def test_boundary_names_the_union_rule_witness(tmp_path):
+    # on 12 points, past the cap, the union rule decides: no union of
+    # members escapes under a member, but the top {0} lies under {0,1}
+    obj = broken_top_json(12, [c for m in (1, 2, 3)
+                               for c in combinations(range(12), m)])
+    rep = core.Semilattice.from_json(obj).validate()
+    assert rep.exhaustive and rep.notes == ["associativity by the union rule"]
+    path = _instance_file(tmp_path, obj)
+    rc, out, err = _main(["breadth", path])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: not a semilattice: NotAbsorbing at " \
+        "[2, 1, 13]\n"
 
 
 # Small valid inputs that the fuzz test below mutates.  The first set system

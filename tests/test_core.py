@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 import random
 import time
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from oracles import (broken_top_json, naive_join_closure,
                      naive_sampled_validation, naive_semilattice_violations,
-                     naive_tree_table, planted_table_json)
+                     naive_tree_table, one_point_top_json,
+                     planted_table_json)
 from slat import core
 from slat._bitset import bits, mask_of, popcount, submasks
 from slat.core import (NotClosedError, Semilattice, chain, fin_truncation,
@@ -408,14 +410,12 @@ def _ranked(spec):
     return S
 
 
-#: hosts above FULL_VALIDATE_CAP, where validate samples associativity
+#: hosts above FULL_VALIDATE_CAP where validate samples associativity: a
+#: table, or a set system on more than 14 points
 SAMPLED_HOSTS = {
-    "fin(10,5)": lambda: generate_instance("fin(10,5)"),
-    "pstar(9)": lambda: generate_instance("pstar(9)"),
-    "fin(10,5) ranked": lambda: _ranked("fin(10,5)"),
+    "fin(16,3)": lambda: generate_instance("fin(16,3)"),
+    "fin(16,3) ranked": lambda: _ranked("fin(16,3)"),
     "planted table": lambda: Semilattice.from_json(planted_table_json()),
-    "broken top": lambda: Semilattice.from_json(broken_top_json(
-        12, [c for m in (1, 2, 3) for c in combinations(range(12), m)])),
     # more than 63 points: masks are Python ints in object arrays
     "broken top, 70 points": lambda: Semilattice.from_json(broken_top_json(
         70, [(i, i + d) for d in (0, 1, 5) for i in range(70 - d)]
@@ -441,6 +441,68 @@ def test_sampled_validate_matches_the_triple_loop(name, seed):
     assert kinds == ({"NotIdempotent", "NotCommutative", "NotAssociative"}
                      if name == "planted table" else {"NotAssociative"}
                      if name.startswith("broken top") else set())
+
+
+@st.composite
+def _rule_hosts(draw):
+    """A set system on at most 10 points with a collapsed top: a random
+    family on 2-7 points, optionally closed under unions, whose top is one
+    of its members or the whole ground; a ``one_point_top_json`` host; or a
+    small ``broken_top_json`` host."""
+    kind = draw(st.sampled_from(["family", "family", "one point", "broken"]))
+    if kind == "one point":
+        return Semilattice.from_json(one_point_top_json(draw(st.integers(3, 10))))
+    if kind == "broken":
+        k = draw(st.integers(2, 6))
+        sets = [c for m in (2, 3) for c in combinations(range(k), m)]
+        picked = draw(st.lists(st.sampled_from(sets), max_size=12,
+                               unique=True))
+        return Semilattice.from_json(broken_top_json(k, [(0,), *picked]))
+    k = draw(st.integers(2, 7))
+    masks = draw(st.sets(st.integers(0, (1 << k) - 1), min_size=1,
+                         max_size=12))
+    if draw(st.booleans()):     # few generators keep the closure small
+        masks = naive_join_closure(sorted(masks)[:5], operator.or_)
+    top = (1 << k) - 1 if draw(st.booleans()) else \
+        draw(st.sampled_from(sorted(masks)))
+    masks = sorted({*masks, top}, key=core._canonical_key(k))
+    return Semilattice.from_json({
+        "kind": "set_system", "ground": list(map(str, range(k))),
+        "elements": [list(bits(m)) for m in masks],
+        "collapsed_top": masks.index(top)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(S=_rule_hosts())
+def test_the_union_rule_matches_the_triple_loop(S):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "FULL_VALIDATE_CAP", 0)
+        rep = S.validate()
+    p, top = S.product, S.top_id
+    violations, _ = naive_semilattice_violations(S)
+    absorbs = all(p(x, top) == top for x in range(S.n))
+    assert rep.ok == (absorbs and not violations)
+    assert rep.exhaustive and rep.notes == ["associativity by the union rule"]
+    assert rep.checked_triples == math.comb(S.n + 2, 3)
+    assert len(rep.violations) <= 1 or \
+        {v.kind for v in rep.violations} == {"NotAbsorbing"}
+    for v in rep.violations:
+        if v.kind == "NotAssociative":
+            a, b, m = v.witness
+            assert p(p(a, b), m) != p(a, p(b, m))
+        else:
+            x, t, q = v.witness
+            assert (v.kind, t) == ("NotAbsorbing", top)
+            assert p(x, top) == q != top
+
+
+@pytest.mark.parametrize("spec", ["fin(10,5)", "pstar(9)", "fin(14,5)"])
+def test_the_union_rule_reads_either_storage(spec):
+    S = generate_instance(spec)
+    rep = S.validate()
+    assert S.n > core.FULL_VALIDATE_CAP and rep.ok and rep.exhaustive
+    assert rep.notes == ["associativity by the union rule"]
+    assert _ranked(spec).validate().to_json() == rep.to_json()
 
 
 class _CountedRandom(random.Random):
