@@ -35,8 +35,9 @@ stops on the round that reaches the last target.  A closure takes the
 subset pass when the points of its generators and target fit the density
 rule ``Semilattice.subsets_fit`` (a point set has at most 4n subsets), over
 the subsets of exactly those points.  One closure (``v_value``) then runs
-as one Python int (``_row_first_level``), and raises ``BudgetExceeded``
-past ``SUBSET_MAX_BITS`` points; any other, a table's always, takes the
+as one Python int (``_row_first_level``), in the index of the host's ground
+when the host keeps one, and raises ``BudgetExceeded`` past
+``SUBSET_MAX_BITS`` points; any other, a table's always, takes the
 pair-by-pair pass.  A profile's generating sets, rows of blocks however
 many, take the subset pass when the points of the level set fit the rule
 and number at most ``SUBSET_MAX_BITS``; else the element pass, on a host of
@@ -49,14 +50,16 @@ Levels are ranks of integer numerators (``np.unique``), kept as fractions,
 so they stay exact.  A world is kept in one weak memo (``_memo``) on the
 object it is built from: a host keeps its element world and, on a ground
 of at most 14 points that fits the density rule, the ids of every subset
-of the ground; a weight keeps its levels, the rank of every element and the
-curve of its last exhaustive profile, which refers to its host weakly and
-answers a later profile on that host at a level set inside its own
-(``propagation_profile``).  Nothing else is kept per pair of host and
-weight, nothing is stored on either, and no answer depends on what the memo
-holds.  ``fbp`` and
-``fbp_closure`` apply the definition one step at a time; the ``fbp``
-command and the cross-checks use them.
+of the ground and its absorbing ones; a weight keeps its levels and the
+rank of every element.  Per pair of host and weight, the weight keeps only
+what refers to its last host weakly: the curve of its last exhaustive
+profile, which answers a later profile on that host at a level set inside
+its own (``propagation_profile``), and the integer row's ranks on the
+host's kept ground with the admitted int of each level read
+(``_ground_row``).  Nothing is stored on either object, and no answer
+depends on what the memo holds.  ``fbp`` and ``fbp_closure`` apply the
+definition one step at a time; the ``fbp`` command and the cross-checks
+use them.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, partial, total_ordering
+from bisect import bisect_left
+from functools import cache, lru_cache, partial, reduce, total_ordering
+from operator import or_
 
 import numpy as np
 
@@ -493,12 +498,30 @@ def _subset_ids(S, at):
 
 def _ground_ids(S):
     """``_subset_ids`` of every subset of the host's ground, indexed by mask,
-    when they number at most ``NP_BLOCK_ELEMS`` and fit the density rule;
-    else None."""
+    and the absorbing ones as one int, bit s for mask s, when they number at
+    most ``NP_BLOCK_ELEMS`` and fit the density rule; else None."""
     whole = (1 << len(S.ground)) - 1
     if whole >= NP_BLOCK_ELEMS or not S.subsets_fit(whole):
         return None
-    return _subset_ids(S, np.arange(whole + 1))
+    ids, absorbing = _subset_ids(S, np.arange(whole + 1))
+    return ids, absorbing, mask_of_indicator(absorbing)
+
+
+def _ground_row(S, lam, ids):
+    """``(levels, rank, admitted)`` of the integer row in the index of the
+    host's ground, whose subset ids are ``ids`` (``_ground_ids``): the
+    weight's levels (``_weight_ranks``), their ranks read at ``ids``, and
+    ``_admitted`` on those ranks, each level's int built on first read and
+    then kept, 2**k / 8 bytes a level on k points, at most 2 KiB at 14.
+    Kept in the weight's memo with a weak reference to the host, for the
+    last host it was asked for."""
+    memo = _MEMO.setdefault(lam, {})
+    if (kept := memo.get(v_value)) is None or kept[0]() is not S:
+        levels, rank = _memo(lam, _weight_ranks)
+        rank = rank[ids]
+        kept = memo[v_value] = (weakref.ref(S), levels, rank,
+                                cache(partial(_admitted, rank)))
+    return kept[1:]
 
 
 def _subset_world(S, lam, G_mask):
@@ -510,17 +533,24 @@ def _subset_world(S, lam, G_mask):
     admitted) for a non-member; and ``_subset_ids``'s absorbing flags.  On a
     host that keeps the world of its whole ground (``_ground_ids``), G's
     world is its entries at the masks of G's subsets, ranked among the
-    levels of every element (``_weight_ranks``).  Otherwise G's world is
-    built alone and ranked among the members inside G, so that no weight is
-    ranked over every element of a large host."""
+    levels of every element (``_weight_ranks``): a profile's block reads it
+    there, while ``v_value`` runs in the ground's own index and never gets
+    here.  Otherwise G's world is built alone, per call, and ranked among
+    the members inside G, so that no weight is ranked over every element of
+    a large host."""
     if (ground := _memo(S, _ground_ids)) is None:
         at = _subset_masks(G_mask)
         ids, absorbing = _subset_ids(S, at)
         return at, *_ranked(lam, ids), absorbing
-    ids, absorbing = ground
+    ids, absorbing, _ = ground
     at = np.flatnonzero(np.arange(len(ids)) & ~G_mask == 0)
     levels, rank = _memo(lam, _weight_ranks)
     return at, levels, rank[ids[at]], absorbing[at]
+
+
+def _admitted(rank, i):
+    """The int of the subsets admitted at level i: bit s when rank[s] <= i."""
+    return mask_of_indicator(rank <= i)
 
 
 @cache
@@ -534,17 +564,22 @@ def _point_ints(k):
     return [(h, full ^ h, 1 << j) for j, h in enumerate(held)]
 
 
-def _row_round(R, size, points, top, absorbing):
-    """One round of ``_row_first_level`` from the reached set R over ``size``
-    subsets: every subset under some a | b, a and b in R, or every subset
-    once it covers an absorbing one (``top``, their mask)."""
+def _row_round(R, size, points, top, G):
+    """One round of ``_row_first_level`` from the reached set R, inside the
+    subsets of the point set G, over ``size`` subsets: every subset under
+    some a | b, a and b in R, or every subset once it covers an absorbing
+    one (``top``, their mask).  ``points`` maps each point of G to its
+    ``_point_ints``."""
+    full = (1 << size) - 1
+    if R & top:
+        return full
     down, strict, cover = R, 0, 0
-    for h, _, w in points:
+    for h, _, w in points.values():
         down |= (down & h) >> w
-    for h, _, w in points:
+    for h, _, w in points.values():
         strict |= (down & h) >> w
     maximal = R & ~strict
-    steps = sum((maximal & h).bit_count() for h, _, _ in points)
+    steps = sum((maximal & h).bit_count() for h, _, _ in points.values())
     if steps <= max(64, 8 * len(points)):
         for a in bits(maximal):
             X = down
@@ -552,38 +587,55 @@ def _row_round(R, size, points, top, absorbing):
                 _, o, w = points[j]
                 X |= (X & o) << w
             cover |= X
-        return (1 << size) - 1 if cover & top else cover
-    return mask_of_indicator(_pair_unions(indicator(R, size)[:, None],
-                                          absorbing).ravel())
+    else:                       # over the subsets of G alone
+        k = size.bit_length() - 1
+        inside = tuple(slice(None) if G >> j & 1 else 0
+                       for j in reversed(range(k)))
+        local = indicator(R, size).reshape((2,) * k)[inside]
+        covered = np.zeros((2,) * k, dtype=bool)
+        covered[inside] = _pair_unions(local.reshape(-1, 1)).reshape(
+            local.shape)
+        cover = mask_of_indicator(covered.ravel())
+    return full if cover & top else cover
 
 
-def _row_first_level(rank, levels, seeds, target, absorbing):
-    """The integer row: the first level at which the closure from the local
-    ``seeds`` reaches the local ``target`` in a ``_subset_world`` (``rank``,
-    ``levels``, ``absorbing``), or None when it never does, which no
-    semilattice meets.  Bit s of an int is local subset s, H_j holds the
-    subsets with point j, and the level loop is ``_first_levels``'s.  A
-    round (``_row_round``) maps the reached set R to the subsets under some
-    a | b, a and b in R: with D = down(R) and M = R & ~(the union of (D &
-    H_j) >> 2**j), R's maximal members, the union over a in M of {s : s less
-    a in D}, |a| steps X |= (X & ~H_j) << 2**j each, since s lies under a |
-    b exactly when s less a lies under b, and a maximal member above a only
-    covers more.  A round that covers an absorbing subset (``_subset_ids``)
-    forms the top; past max(64, 8k) steps a round is ``_pair_unions``."""
+def _row_first_level(rank, levels, seeds, target, G, top, admitted):
+    """The integer row: the first level at which the closure from the
+    ``seeds`` reaches the ``target``, or None when it never does, which no
+    semilattice meets.  Bit s of an int is subset s of k points: either a
+    local index of ``_subset_world`` over the k points of G, or a mask over
+    a host's kept ground (``_ground_row``); the seeds and the target are
+    subsets of G either way.  ``rank`` is each subset's index in
+    ``levels`` (``len(levels)`` for one never admitted), ``top`` the mask of
+    the absorbing subsets and ``admitted`` maps a level to its ``_admitted``
+    int.  H_j holds the subsets with point j, and the level loop is
+    ``_first_levels``'s, but the next level is the least whose admitted int
+    meets the held subsets not yet admitted, found by bisection, since the
+    ints grow with the level.  A round (``_row_round``) maps the reached set
+    R to the subsets under some a | b, a and b in R: with D = down(R) and M
+    = R & ~(the union of (D & H_j) >> 2**j), R's maximal members, the union
+    over a in M of {s : s less a in D}, |a| steps X |= (X & ~H_j) << 2**j
+    each, since s lies under a | b exactly when s less a lies under b, and
+    a maximal member above a only covers more.  Each loop runs over the
+    points of G alone.  A round that covers an absorbing subset
+    (``_subset_ids``) forms the top; past max(64, 8 |G|) steps a round is
+    ``_pair_unions`` over the subsets of G."""
     size, nlevels = len(rank), len(levels)
-    points = _point_ints(size.bit_length() - 1)
-    top = mask_of_indicator(absorbing)
+    every = _point_ints(size.bit_length() - 1)
+    points = {j: every[j] for j in bits(G)}
     held = seed = mask_of(seeds)
-    reached, i = 0, rank[target]
+    reached, i = 0, int(rank[target])
     while i < nlevels:
-        allowed = mask_of_indicator(rank <= i)
+        allowed = admitted(i)
         while (nxt := held & allowed) != reached:
             if nxt >> target & 1:
                 return levels[i]
             reached = nxt
-            held = _row_round(nxt, size, points, top, absorbing)
+            held = _row_round(nxt, size, points, top, G)
         held |= seed
-        i = rank.min(where=indicator(held & ~allowed, size), initial=nlevels)
+        late = held & ~allowed
+        i = bisect_left(range(nlevels), True, i + 1,
+                        key=lambda j: late & admitted(j) != 0)
 
 
 def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
@@ -593,11 +645,15 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     The first level of z is a bottleneck cost, the largest weight used by a
     derivation of z, minimized over derivations.  On a set system whose
     points G of E and z have at most 4n subsets (``Semilattice.subsets_fit``)
-    the closure takes the integer row over the subsets of G, and past
-    ``SUBSET_MAX_BITS`` such points raises ``BudgetExceeded`` before it
-    allocates; otherwise the pair-by-pair pass.  Both stop as soon as z is
-    reached.  Until the closure forms the collapsed top, each product is a
-    member inside G; once it does, every admitted element is reached.
+    the closure takes the integer row over the subsets of G: in the index
+    of the host's ground, a seed or the target at its own mask, when the
+    host keeps one (``_ground_ids``, at most 14 points), with the pair's
+    kept ranks and level ints (``_ground_row``); else in a world of G alone
+    (``_subset_world``), built per call, which past ``SUBSET_MAX_BITS``
+    points raises ``BudgetExceeded`` before it allocates.  Otherwise the
+    pair-by-pair pass.  Both stop as soon as z is reached.  Until the
+    closure forms the collapsed top, each product is a member inside G;
+    once it does, every admitted element is reached.
     """
     if E == 0:
         return INFINITE
@@ -605,11 +661,18 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
     J = S.product_ids(E_ids)
     if not S.leq(J, z):
         return INFINITE
-    if S.kind == "set_system" and S.subsets_fit(G := int(
-            np.bitwise_or.reduce(masks := S.masks_of([z, *E_ids])))):
-        at, levels, rank, absorbing = _subset_world(S, lam, G)
-        target, *seeds = np.searchsorted(at, masks).tolist()
-        c = _row_first_level(rank, levels, seeds, target, absorbing)
+    if S.kind == "set_system" and S.subsets_fit(G := reduce(or_, masks := (
+            S.masks_of([z, *E_ids]).tolist()))):
+        if (ground := _memo(S, _ground_ids)) is not None:
+            target, *seeds = masks
+            top = ground[2]
+            levels, rank, admitted = _ground_row(S, lam, ground[0])
+        else:
+            at, levels, rank, absorbing = _subset_world(S, lam, G)
+            target, *seeds = np.searchsorted(at, masks).tolist()
+            G, top = len(at) - 1, mask_of_indicator(absorbing)
+            admitted = cache(partial(_admitted, rank))
+        c = _row_first_level(rank, levels, seeds, target, G, top, admitted)
     else:
         c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
     if c is None:       # past a sampled validate: no semilattice gets here

@@ -257,9 +257,10 @@ def _singletons_and_top(S):
 def test_closure_contexts_let_hosts_and_weights_go():
     # a subset world over the whole ground (pstar(7)) and an element world
     # (tree(2,3)), each under two weights, one of which goes first: the memo
-    # keeps one entry per host and per weight, none per pair (a weight's
-    # kept curve refers to its host weakly), and each entry goes with its
-    # object
+    # keeps one entry per host and per weight, and per pair only what a
+    # weight keeps with a weak reference to its host (its kept curve, and
+    # the integer row's ranks and admitted ints on the ground), and each
+    # entry goes with its object
     refs = []
     for S in (free_nonempty(7), kary_tree(2, 3)):
         lams = [random_logweight(S, 1), random_logweight(S, 2)]
@@ -275,8 +276,11 @@ def test_closure_contexts_let_hosts_and_weights_go():
         for lam in lams:
             kept = dict(propagation._MEMO[lam])
             curve = kept.pop(propagation.propagation_profile, None)
+            row = kept.pop(propagation.v_value, None)
             assert list(kept) == [propagation._weight_ranks]
             assert curve is None or curve[0]() is S
+            assert (row is None) == (S.kind == "table")
+            assert row is None or row[0]() is S
         refs += [weakref.ref(x) for x in (S, *lams)]
         del lams[0]
         gc.collect()
@@ -947,7 +951,8 @@ def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
                                                           data):
     # a join that collapses to the top takes the integer row exactly when
     # the points of E and z fit the density rule, over the subsets of those
-    # points alone, and answers as the pair pass does
+    # points alone: in the index of a kept ground, else in a world of their
+    # own, and answers as the pair pass does
     S = _row_host(spec)
     try:
         lam = random_logweight(S, seed) if wname == "random" else \
@@ -961,17 +966,22 @@ def test_v_value_on_collapsed_joins_matches_the_pair_pass(spec, wname, seed,
     knuth = propagation._knuth_first_levels(S, lam, E_ids, [z],
                                             S.iter_factors, S.top_id)
     G = int(np.bitwise_or.reduce(S.masks_of([z, *E_ids])))
-    seen = []
-    build = propagation._subset_world
+    seen, spans = [], []
+    build, row = propagation._subset_world, propagation._row_first_level
     with mock.patch.object(propagation, "_subset_world",
                            lambda S, lam, G: seen.append(G) or
-                           build(S, lam, G)):
+                           build(S, lam, G)), \
+            mock.patch.object(propagation, "_row_first_level",
+                              lambda *a: spans.append(a[4]) or row(*a)):
         answer, passes = _passes_taken(partial(v_value, S, lam,
                                                mask_of(E_ids), z))
     assert answer == PropagationValue.finite(knuth[z])
     fits = S.subsets_fit(G)
+    ground = propagation._memo(S, propagation._ground_ids) is not None
     assert passes == (["row"] if fits else ["pair"])
-    assert seen == ([G] if fits else [])
+    assert seen == ([G] if fits and not ground else [])
+    assert spans == ([G if ground else (1 << G.bit_count()) - 1] if fits
+                     else [])
 
 
 def _truncated_top_json(k, drawn, c):
@@ -1018,6 +1028,70 @@ def test_absorbing_subsets_are_an_up_set_that_marks_the_collapsing_unions(
                                   max_size=4), label="E")
         _check_row(S, lam, sorted(E_ids),
                    data.draw(st.integers(0, S.n - 1), label="z"))
+
+
+@st.composite
+def _family_json(draw):
+    """A random union-closed family on 3-9 points, as JSON: the union
+    closure of the drawn masks, or its truncation with the whole ground as
+    the collapsed top."""
+    k = draw(st.integers(3, 9))
+    drawn = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=k,
+                          max_size=16))
+    if draw(st.booleans()):
+        return _truncated_top_json(k, drawn, draw(st.integers(k // 2, k - 1)))
+    closed = {0}
+    for m in drawn:
+        closed |= {m | x for x in closed}
+    return {"kind": "set_system", "ground": [str(p) for p in range(k)],
+            "elements": [list(bits(m)) for m in sorted(closed)]}
+
+
+def _no_ground(S):
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(obj=_family_json(),
+       wname=st.sampled_from(["random", "cardinality", "prototype"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_ground_route_matches_the_local_route_and_the_oracles(obj, wname,
+                                                              seed, data):
+    # families that keep their ground: v_value in the ground's own index
+    # answers as in a world of the points of E and z alone (no ground
+    # kept), as the pair pass and as naive_v.  One weight asked in turn on
+    # the host and on a copy with its points permuted, of the same n,
+    # answers as a fresh weight on each
+    S = Semilattice.from_json(obj)
+    assume(propagation._memo(S, propagation._ground_ids) is not None)
+    perm = data.draw(st.permutations(range(len(S.ground))), label="perm")
+    twin = Semilattice.from_json({**obj, "elements": [
+        [perm[p] for p in e] for e in obj["elements"]]})
+    try:
+        lam, *fresh = (random_logweight(S, seed) if wname == "random" else
+                       builtin_logweight(S, wname) for _ in range(3))
+    except PrototypeMissingTop:
+        assume(False)
+    for _ in range(3):
+        for host, own in zip((S, twin), fresh):
+            E_ids = sorted(data.draw(st.sets(st.integers(0, host.n - 1),
+                                             min_size=1, max_size=4),
+                                     label="E"))
+            J = host.product_ids(E_ids)
+            z = data.draw(st.sampled_from(sorted(host.iter_factors(J))) |
+                          st.integers(0, host.n - 1), label="z")
+            E = mask_of(E_ids)
+            got = v_value(host, lam, E, z)
+            assert got == v_value(host, own, E, z)
+            with mock.patch.object(propagation, "_ground_ids", _no_ground):
+                assert v_value(host, lam, E, z) == got
+            c = propagation._knuth_first_levels(
+                host, lam, E_ids, [z], host.iter_factors, J).get(z) \
+                if host.leq(J, z) else None
+            assert got == (INFINITE if c is None else
+                           PropagationValue.finite(c))
+            if host.n <= 64:
+                assert naive_v(host, lam, E, z) == c
 
 
 def _spy_on_row_rounds(monkeypatch):
@@ -1230,15 +1304,48 @@ def test_v_value_reuses_one_whole_ground_world(monkeypatch):
                      ("_weight_ranks", lams[1])]
 
 
+def test_v_value_keeps_one_row_entry_per_host_and_weight(monkeypatch):
+    # fifty queries on pstar(9) under one weight: the weight's ranks at the
+    # ground and its row entry are built once, the admitted int of each
+    # level read once, and no query builds a world of its own points;
+    # pstar(15) keeps no ground, so each of its queries still does
+    seen = _spy_on_subset_worlds(monkeypatch)
+    built = _spy_on_memo_builds(monkeypatch)
+    levels, admitted = Counter(), propagation._admitted
+    monkeypatch.setattr(propagation, "_admitted", lambda rank, i: levels.update(
+        [int(i)]) or admitted(rank, i))
+    S = free_nonempty(9)
+    lam = random_logweight(S, 7)
+    rng = random.Random(7)
+    entries = set()
+    for _ in range(50):
+        E_ids = rng.sample(range(S.n), rng.randrange(1, 5))
+        J = S.product_ids(E_ids)
+        z = rng.choice(list(S.iter_factors(J)))
+        assert v_value(S, lam, mask_of(E_ids), z).c == \
+            propagation._knuth_first_levels(S, lam, E_ids, [z],
+                                            S.iter_factors, J)[z]
+        entries.add(id(propagation._MEMO[lam][v_value]))
+    assert len(entries) == 1 and seen == []
+    assert built == [("_ground_ids", S), ("_weight_ranks", lam)]
+    assert levels and set(levels.values()) == {1}
+    big = free_nonempty(15)
+    lam = builtin_logweight(big, "cardinality")
+    for k in (3, 4):
+        E = mask_of(big.id_of_mask(1 << p) for p in range(k))
+        assert v_value(big, lam, E, big.id_of_mask((1 << k) - 1)).c == k
+    assert seen == [7, 15] and v_value not in propagation._MEMO.get(lam, {})
+
+
 def test_no_ground_world_past_the_block():
     # the 2**15 subsets of pstar(15) fit the density rule, but number more
     # than NP_BLOCK_ELEMS; pstar(14)'s 2**14 do not
     big, small = free_nonempty(15), free_nonempty(14)
     assert big.subsets_fit((1 << 15) - 1)
     assert propagation._ground_ids(big) is None
-    ids, absorbing = propagation._ground_ids(small)
+    ids, absorbing, top = propagation._ground_ids(small)
     assert len(ids) == core.NP_BLOCK_ELEMS and (ids >= 0).sum() == small.n
-    assert not absorbing.any()
+    assert not absorbing.any() and top == 0
 
 
 @pytest.mark.parametrize("spec", ["pstar(7)", "tree(2,3)"])
