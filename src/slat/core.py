@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -283,90 +282,84 @@ class Semilattice:
 
     # -- validation -----------------------------------------------------
 
-    def validate(self, seed: int = 0):
-        """Check commutativity, associativity and idempotence.  Violations
-        are data, not exceptions.
+    def validate(self):
+        """Check commutativity, associativity and idempotence, exactly.
+        Violations are data, not exceptions.
 
-        Up to ``FULL_VALIDATE_CAP`` elements a commutative, idempotent dense
-        table is associative when it passes ``meet_identity_holds``; else each
-        triple x <= y <= z with (xy)z != x(yz) or (xz)y != x(zy) is a witness.
-        Beyond it, a set system whose ground's subsets number at most
-        ``NP_BLOCK_ELEMS`` (14 points) is checked exactly by the union rule
-        (``_union_rule``): a union of members that is no member lies under no
-        member but the top.  With an absorbing top the product is
-        associative exactly when the rule holds.  Were a|b no member yet
-        under a member m other than the top, (ab)m would be the top but
-        a(bm) = m.  Conversely take a, b, c other than the top (which
-        absorbs): if a|b|c is a member other than the top, a|b and b|c lie
-        under it, so they are members and both bracketings give a|b|c;
-        otherwise both give the top.  A union of three or more members that
-        breaks the rule has a first partial union that is no member, a union
-        of two that breaks it, so the masks that are the union of the
-        members under them are the ones to test.  Other hosts beyond the cap
-        are checked on 50 000 triples (x, y, z), drawn as three
-        ``randrange(n)`` per triple from ``random.Random(seed)`` and checked
-        a row block at a time, and the report is marked non-exhaustive.  Set
-        systems are union-closed by construction: their builders reject a
-        family that is not, unless it has a collapsed top.  A collapsed top
-        that passes these checks must absorb: each member x whose union with
-        it is another member p is a ``NotAbsorbing`` violation (x, top, p).
-        A top whose set is the whole ground absorbs and is not scanned.
+        A set system with no collapsed top, or a cube family, is a
+        semilattice by construction and is not scanned.  Its builder
+        rejects a family that is not union-closed, unless it closes it, and
+        a union of two cube members is a member or the top, the whole
+        ground; distinct masks, or the rank bijection, make it idempotent.
+        A listed collapsed-top family past ``FULL_VALIDATE_CAP`` elements
+        whose ground has at most ``SUBSET_MAX_BITS`` points is checked by
+        the union rule (``_union_rule``): a union of members that is no
+        member lies under no member but the top.  With an absorbing top the
+        product is associative exactly when the rule holds.  Were a|b no
+        member yet under a member m other than the top, (ab)m would be the
+        top but a(bm) = m.  Conversely take a, b, c other than the top
+        (which absorbs): if a|b|c is a member other than the top, a|b and
+        b|c lie under it, so they are members and both bracketings give
+        a|b|c; otherwise both give the top.  A union of three or more
+        members that breaks the rule has a first partial union that is no
+        member, a union of two that breaks it, so the masks that are the
+        union of the members under them are the ones to test.  Any other
+        host is checked on its dense table (``product_table_np``, which
+        raises SizeOverflowError past ``TABLE_HARD_CAP``): idempotence on
+        every element and commutativity on every pair of a table (set-system
+        products are symmetric).  A commutative, idempotent table is
+        associative exactly when ``meet_identity_failure`` finds nothing.
+        Up to ``FULL_VALIDATE_CAP`` elements, when either fails, each triple
+        x <= y <= z with (xy)z != x(yz) or (xz)y != x(zy) is a witness: on
+        a commutative product, every triple that breaks associativity.
+        Beyond it the identity's first failure (t, x, y) gives one sorted
+        witness, the first of three triples: if tx = t, then (tx)y = ty !=
+        t(xy); else t(xy) = t, so (tx)y != t(xy), or x(xy) != xy = (xx)y,
+        or (t(xy))x = tx != t = t((xy)x).  Past the cap a table that fails
+        idempotence or commutativity is not checked for associativity, and
+        the report says so.  A collapsed top that passes these checks must
+        absorb: each member x whose union with it is another member p is a
+        ``NotAbsorbing`` violation (x, top, p).  A top whose set is the whole
+        ground absorbs and is not scanned.
         """
-        rep = ValidationReport()
-        n = self.n
+        rep = ValidationReport(checked_triples=math.comb(self.n + 2, 3))
+        n, top = self.n, self.top_id
+        if self.kind == "set_system" and (top is None or self._trunc):
+            return rep
         full = n <= FULL_VALIDATE_CAP
-        rule = not full and self.kind == "set_system" and \
-            1 << len(self.ground) <= NP_BLOCK_ELEMS
-        rep.exhaustive = full or rule
-        ids, head = np.arange(n), np.arange(min(n, 100_000))
-        T = self.product_table_np() if full or self.kind == "table" else None
-        # a set system's product of x with itself is its mask's id
-        same = self.ids_of(self.masks_of(head)) if T is None else T.diagonal()
-        rep.violations += [Violation("NotIdempotent", (x,))
-                           for x in np.flatnonzero(same != head).tolist()]
-        if n > 100_000:
-            rep.notes.append("idempotence checked on the first 100000 elements")
-        if self.kind == "table":  # set-system products are symmetric
-            rep.violations += [
-                Violation("NotCommutative", pair) for pair in pairs_where(
-                    n, n, lambda r0, r1: T[r0:r1, r0:] != T[r0:, r0:r1].T,
-                    upper=True)]
-        if full:
-            def nonassociative(r0, r1):  # row x, column y*n + z
-                x = ids[r0:r1, None, None]
-                bad = T[T[r0:r1]] != T[x, T]
-                bad |= bad.swapaxes(1, 2)
-                bad &= (x <= ids[:, None]) & (ids[:, None] <= ids)
-                return bad.reshape(r1 - r0, n * n)
+        if not full and self.kind == "set_system" and \
+                len(self.ground) <= SUBSET_MAX_BITS:
+            rep.violations += _union_rule(self)
+            rep.notes.append("associativity by the union rule")
+        else:
+            T, ids = self.product_table_np(), np.arange(n)
+            rep.violations += [Violation("NotIdempotent", (x,)) for x in
+                               np.flatnonzero(T.diagonal() != ids).tolist()]
+            if self.kind == "table":
+                rep.violations += [
+                    Violation("NotCommutative", pair) for pair in pairs_where(
+                        n, n, lambda r0, r1: T[r0:r1, r0:] != T[r0:, r0:r1].T,
+                        upper=True)]
+            fail = rep.violations or meet_identity_failure(T)
+            if fail and full:
+                def nonassociative(r0, r1):  # row x, column y*n + z
+                    x = ids[r0:r1, None, None]
+                    bad = T[T[r0:r1]] != T[x, T]
+                    bad |= bad.swapaxes(1, 2)
+                    bad &= (x <= ids[:, None]) & (ids[:, None] <= ids)
+                    return bad.reshape(r1 - r0, n * n)
 
-            if rep.violations or not meet_identity_holds(T):
                 rep.violations += [
                     Violation("NotAssociative", (x, *divmod(yz, n)))
                     for x, yz in pairs_where(n, n * n, nonassociative)]
-            rep.checked_triples = math.comb(n + 2, 3)
-        elif rule:
-            rep.violations += _union_rule(self)
-            rep.checked_triples = math.comb(n + 2, 3)
-            rep.notes.append("associativity by the union rule")
-        else:
-            rows = _randrange_bulk(random.Random(seed), n,
-                                   3 * 50_000).reshape(-1, 3)
-            P, M = self.join_ids, self.masks_of
-
-            def sampled(r0, r1):    # triples r0..r1-1, a row block at a time
-                if T is not None:
-                    x, y, z = rows[r0:r1].T
-                    return T[T[x, y], z] != T[x, T[y, z]]
-                mx, my, mz = M(rows[r0:r1].T)
-                return P(M(P(mx, my)), mz) != P(mx, M(P(my, mz)))
-
-            bad = np.concatenate([sampled(r0, r1)
-                                  for r0, r1 in row_blocks(len(rows), 3)])
-            rep.violations += [Violation("NotAssociative", tuple(t))
-                               for t in rows[bad].tolist()]
-            rep.checked_triples = len(bad)
-            rep.notes.append("associativity sampled")
-        top = self.top_id
+            elif rep.violations:
+                rep.checked_triples, rep.exhaustive = 0, False
+                rep.notes.append("associativity not checked")
+            elif fail:
+                (t, x, y), p = fail, T.item
+                rep.violations.append(Violation("NotAssociative", tuple(sorted(
+                    next(w for w in ((t, x, y), (x, x, y), (t, p(x, y), x))
+                         if p(p(*w[:2]), w[2]) != p(w[0], p(*w[1:])))))))
         if not rep.violations and top is not None and \
                 self.member_mask(top) != (1 << len(self.ground)) - 1:
             p = self.ids_of(self.member_masks_np() | self.member_mask(top))
@@ -495,13 +488,13 @@ def _under_a_member(ids, top):
 
 def _union_rule(S):
     """``validate``'s exact associativity check of a set system on at most
-    14 points, in mask space: its violations, none or one.  A mask u != 0 is
-    bad when it is no member, lies under a member other than the top
-    (``_under_a_member``) and is the union of the members under it (a
-    subset-OR sweep of the member masks).  For the least bad u, the members
-    under it, OR-ed in id order, give members only until the step a|b = u;
-    with m the least member over u other than the top, (a, b, m) is a
-    ``NotAssociative`` witness unless the top lies under m, which the
+    ``SUBSET_MAX_BITS`` points, in mask space: its violations, none or one.
+    A mask u != 0 is bad when it is no member, lies under a member other
+    than the top (``_under_a_member``) and is the union of the members under
+    it (a subset-OR sweep of the member masks).  For the least bad u, the
+    members under it, OR-ed in id order, give members only until the step
+    a|b = u; with m the least member over u other than the top, (a, b, m) is
+    a ``NotAssociative`` witness unless the top lies under m, which the
     ``NotAbsorbing`` scan then reports."""
     masks = np.arange(1 << len(S.ground))
     ids = S.ids_of(masks)
@@ -583,20 +576,27 @@ def upper_blocks(n, bad):
         yield r0, b
 
 
-def meet_identity_holds(T):
-    """The one exhaustive semilattice check: whether the dense table ``T``
-    has t(xy) = t exactly when tx = t and ty = t, for every t and x <= y
-    (``upper_blocks``; column x of [tx = t] is packed over t into 64-bit
-    words).  That is the filter identity of every up-set {z : xz = x}.  On
-    a commutative, idempotent table it makes tx = t a partial order with xy
-    the meet, so it holds exactly when the table is associative."""
+def meet_identity_failure(T):
+    """The one exhaustive semilattice check: the first (t, x, y), for the
+    pairs x <= y in ``upper_blocks`` order and then t rising, where the
+    dense table ``T`` breaks t(xy) = t exactly when tx = t and ty = t, or
+    None (column x of [tx = t] is packed over t into 64-bit words).  That
+    is the filter identity of every up-set {z : xz = x}.  On a commutative,
+    idempotent table it makes tx = t a partial order with xy the meet, so
+    it finds nothing exactly when the table is associative."""
     n = len(T)
     cols = np.zeros((n, -(-n // 64)), np.uint64)    # column x of [tx = t]
     cols.view(np.uint8)[:, :-(-n // 8)] = np.packbits(
         T == np.arange(n)[:, None], axis=0).T        # packed over t
     w = cols.T.copy()   # a plane per word: a pair's words reduce on axis 0
-    return not any(b.any() for _, b in upper_blocks(n, lambda r0, r1: (
-        w[:, T[r0:r1, r0:]] != w[:, r0:r1, None] & w[:, None, r0:]).any(0)))
+    for r0, b in upper_blocks(n, lambda r0, r1: (
+            w[:, T[r0:r1, r0:]] != w[:, r0:r1, None]
+            & w[:, None, r0:]).any(0)):
+        if b.any():
+            x, y = (int(i) + r0 for i in np.argwhere(b)[0])
+            tx, ty, txy = (T[:, [x, y, T[x, y]]] == np.arange(n)[:, None]).T
+            return int(np.flatnonzero(txy != tx & ty)[0]), x, y
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -78,7 +78,7 @@ from ._bitset import bits, indicator, mask_of, mask_of_indicator, popcount
 from .breadth import _incompressible, breadth, is_compressible
 from .core import (FULL_VALIDATE_CAP, NP_BLOCK_ELEMS, SUBSET_MAX_BITS,
                    BudgetExceeded, NotClosedError, Semilattice, _subset_masks,
-                   _subset_sweep, _under_a_member, meet_identity_holds,
+                   _subset_sweep, _under_a_member, meet_identity_failure,
                    row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
@@ -290,7 +290,7 @@ def _element_world(S):
     float64, A[t, x] = [tx = t] (x a factor of t) and K = A.T @ inv(A), or
     None unless the guard holds.  The guard asks for (a) a commutative table
     with the meet identity A[t, xy] = A[t, x] and A[t, y]
-    (``core.meet_identity_holds``); (b) an exact integer inverse of A, by
+    (``core.meet_identity_failure``); (b) an exact integer inverse of A, by
     substitution in uint64 (wrapping) and kept only when its entries are
     below 2**53 / n and A @ inv(A) = I holds in float64, exact at that
     bound; and (c) n**2 times the largest row sum of |K| below 2**53, so
@@ -300,7 +300,7 @@ def _element_world(S):
     if n > FULL_VALIDATE_CAP:
         return None
     T = S.product_table_np()
-    if not (np.array_equal(T, T.T) and meet_identity_holds(T)):
+    if not (np.array_equal(T, T.T) and meet_identity_failure(T) is None):
         return None
     A = T == np.arange(n)[:, None]
     # in the order of rising down-set size, a semilattice's A is upper
@@ -485,7 +485,7 @@ def _subset_ids(S, at):
     member but the collapsed top (``_under_a_member``), so none on a host
     without a top.  On a set system that passes ``validate``, members a and
     b have the top as product exactly when their union u is absorbing: the
-    union rule that ``validate`` checks (exactly on at most 14 points) puts
+    union rule that holds on every semilattice with a collapsed top puts
     a union that is no member under no member but the top, and were the
     top's set under such a member m, m times the top would be m, so the top
     would not absorb.  As an up-set, it holds a subset a closure covers
@@ -675,7 +675,7 @@ def v_value(S: Semilattice, lam: LogWeight, E: int, z: int) -> PropagationValue:
         c = _row_first_level(rank, levels, seeds, target, G, top, admitted)
     else:
         c = _knuth_first_levels(S, lam, E_ids, [z], S.iter_factors, J).get(z)
-    if c is None:       # past a sampled validate: no semilattice gets here
+    if c is None:       # a host validate rejects: no semilattice gets here
         raise NotClosedError(f"{z}, a factor of the join {J}, is not reached")
     return PropagationValue.finite(c)
 

@@ -249,11 +249,18 @@ def _timed(fn):
     return best, out
 
 
-def test_validate_on_a_rank_host_is_fast():
+def test_validate_on_a_rank_host_reads_no_product(monkeypatch):
+    # a cube is a semilattice by construction: no table, no lookup
     S = fin_truncation(24, 8)
-    took, rep = _timed(S.validate)
-    assert rep.ok and rep.checked_triples == 50_000
-    assert took < 0.4
+    assert S._masks is None
+
+    def unread(*_):
+        raise AssertionError("validate read the host's products")
+
+    monkeypatch.setattr(Semilattice, "product_table_np", unread)
+    monkeypatch.setattr(S, "ids_of", unread)
+    rep = S.validate()
+    assert rep.ok and rep.exhaustive and not rep.notes
 
 
 def test_member_masks_of_a_rank_host_are_fast():

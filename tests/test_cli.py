@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (broken_top_json, naive_sampled_validation,
+from oracles import (broken_top_json, naive_breaks_associativity,
                      one_point_top_json, planted_table_json)
 from slat import core, metrics, weights
 from slat._bitset import mask_of
@@ -397,10 +397,10 @@ def test_depth_five_adversary_report_is_unchanged():
         ADVERSARY_FIN_20_15_DEPTH_5
 
 
-# sha256 of the report as the bulk-drawn sampled validate printed it on a
-# set system on more than 14 points, where the union rule does not apply
-VERIFY_FIN_16_3_SEED_3 = ("3115f68d983d5ffc04310285e3197895"
-                          "6c4016f0091d2dcdb928f62759723dc9")
+# sha256 of the report on a cube on more than 14 points, exhaustive by
+# construction; the seed reaches only the log-weight check
+VERIFY_FIN_16_3_SEED_3 = ("b979a0ec183f1ee1632d1ffdceb1e031"
+                          "2e2d0e7963dfe1f0f0ae866f54701ca3")
 
 
 def test_sampled_verify_report_is_unchanged():
@@ -634,8 +634,9 @@ def test_a_table_failing_only_the_xz_y_bracketing_is_refused(tmp_path, argv):
 
 
 def test_verify_never_imports_numpy_random():
-    """The sampled checks draw from ``random``: importing ``numpy.random``
-    would cost every process some milliseconds and megabytes."""
+    """The sampled weight check draws from ``random``: importing
+    ``numpy.random`` would cost every process some milliseconds and
+    megabytes."""
     code = ("import sys, slat.cli\n"
             "for ref in ('fin(10,5)', 'fin(13,6)', 'fin(16,3)', 'tree(2,4)'):\n"
             "    slat.cli.main(['verify', ref])\n"
@@ -644,8 +645,8 @@ def test_verify_never_imports_numpy_random():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=SLAT_ENV)
     assert (proc.returncode, proc.stderr) == (0, "[]")
-    # fin(16,3)'s associativity and fin(13,6)'s weight pair check sampled
-    assert proc.stdout.count('"exhaustive": false') == 2
+    # fin(13,6)'s weight pair check is sampled; every validate is exact
+    assert proc.stdout.count('"exhaustive": false') == 1
 
 
 @pytest.mark.parametrize("ref", [
@@ -675,25 +676,26 @@ def test_the_batched_filter_suite_matches_the_per_filter_checks(ref,
                         ref, (True, True))
 
 
-@pytest.mark.parametrize("cell, E, message", [
-    (5, "10,30", "20, a factor of 19 * 30 = 19, is not a factor of the join "
-                 "10"),
-    (15, "10,20", "10, a generator, is not a factor of the join 15")],
+@pytest.mark.parametrize("cell, E, witness", [
+    (5, "10,30", [6, 10, 20]), (15, "10,20", [10, 10, 20])],
     ids=["a product's factor", "a generator"])
 def test_a_closure_that_leaves_its_join_is_not_a_semilattice(tmp_path, cell,
-                                                             E, message):
-    # a 300-element min-table with one bad symmetric cell passes the sampled
-    # validate; the pair pass then meets an element outside the factors of
-    # the join
+                                                             E, witness):
+    # a 300-element min-table with one bad symmetric cell: past the cap the
+    # meet identity fails and validate names one witness, so every command
+    # refuses the file before the pair pass would meet an element outside
+    # the factors of the join
     table = [[min(x, y) for y in range(300)] for x in range(300)]
     table[10][20] = table[20][10] = cell
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps({"kind": "table", "product": table}))
-    rc, out, _ = _main(["verify", str(path)])
-    assert rc == 0 and json.loads(out)["ok"]
-    rc, out, err = _main(["vmap", str(path), "--E", E, "--z", "17"])
+    path = _instance_file(tmp_path, {"kind": "table", "product": table})
+    rc, out, _ = _main(["verify", path])
+    rep = json.loads(out)["suites"][0]["instance_valid"]
+    assert rc == 1 and rep["exhaustive"] and rep["violations"] == [
+        {"kind": "NotAssociative", "witness": witness}]
+    rc, out, err = _main(["vmap", path, "--E", E, "--z", "17"])
     assert (rc, out) == (2, "")
-    assert err == f"error: {path}: not a semilattice: {message}\n"
+    assert err == (f"error: {path}: not a semilattice: NotAssociative at "
+                   f"{witness}\n")
 
 
 def test_a_collapsed_top_that_leaves_its_join_is_not_a_semilattice(tmp_path):
@@ -726,15 +728,24 @@ def test_a_collapsed_top_that_leaves_its_join_is_not_a_semilattice(tmp_path):
                     + [(i, i + 1, i + 2) for i in range(68)]),
 ], ids=["planted-table", "broken-top"])
 def test_boundary_names_the_first_sampled_violation(tmp_path, obj):
+    # past the cap: the planted table's first idempotence failure, and the
+    # broken top's one associativity witness, checked against product
     path = tmp_path / "host.json"
     path.write_text(json.dumps(obj))
     S = core.Semilattice.from_json(obj)
     assert S.n > core.FULL_VALIDATE_CAP
-    first = naive_sampled_validation(S, 0)["violations"][0]
+    p = S.product
+    if S.kind == "table":
+        first = ("NotIdempotent",
+                 [next(x for x in range(S.n) if p(x, x) != x)])
+    else:
+        [v] = S.validate().violations
+        assert naive_breaks_associativity(p, v.witness)
+        first = (v.kind, list(v.witness))
     rc, out, err = _main(["breadth", str(path)])
     assert (rc, out) == (2, "")
-    assert err == (f"error: {path}: not a semilattice: {first['kind']} at "
-                   f"{first['witness']}\n")
+    assert err == f"error: {path}: not a semilattice: {first[0]} at " \
+        f"{first[1]}\n"
 
 
 def test_boundary_names_the_union_rule_witness(tmp_path):
@@ -749,6 +760,50 @@ def test_boundary_names_the_union_rule_witness(tmp_path):
     assert (rc, out) == (2, "")
     assert err == f"error: {path}: not a semilattice: NotAbsorbing at " \
         "[2, 1, 13]\n"
+
+
+@pytest.mark.parametrize("k", [16, 23])
+def test_a_broken_top_past_the_cap_is_decided_exactly(tmp_path, k):
+    # the singletons and triples of k points under the whole ground as the
+    # top: {0} | {1} is no member, so it collapses to the top, yet lies
+    # under {0,1,2}.  Up to SUBSET_MAX_BITS points the union rule decides,
+    # past them the dense scan; each names one witness
+    members = [list(c) for m in (1, 3) for c in combinations(range(k), m)]
+    obj = {"kind": "set_system", "ground": [str(p) for p in range(k)],
+           "elements": [*members, list(range(k))],
+           "collapsed_top": len(members)}
+    S = core.Semilattice.from_json(obj)
+    rep = S.validate()
+    assert S.n > core.FULL_VALIDATE_CAP and rep.exhaustive
+    assert rep.notes == (["associativity by the union rule"]
+                         if k <= core.SUBSET_MAX_BITS else [])
+    [v] = rep.violations
+    assert v.kind == "NotAssociative"
+    assert naive_breaks_associativity(S.product, sorted(v.witness))
+    path = _instance_file(tmp_path, obj)
+    rc, out, err = _main(["breadth", path])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}: not a semilattice: NotAssociative at "
+                   f"{list(v.witness)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["defect", "--set", "0"], ["dist", "--set", "0"],
+    ["fbp", "--C", "0", "--set", "0"], ["vmap", "--E", "0", "--z", "1"],
+    ["profile", "--L", "1"], ["breadth"], ["adversary", "--nmax", "2"],
+    ["verify"]], ids=lambda argv: argv[0])
+def test_a_host_validate_cannot_check_is_a_usage_error(tmp_path, argv):
+    # a collapsed top on 31 points, over no cube, with more members than a
+    # table holds: neither the union rule nor the dense scan can decide it
+    members = [list(c) for m in (1, 2, 3) for c in combinations(range(30), m)]
+    path = _instance_file(tmp_path, {
+        "kind": "set_system", "ground": [str(p) for p in range(31)],
+        "elements": [*members, list(range(31))],
+        "collapsed_top": len(members)})
+    rc, out, err = _main([argv[0], path, *argv[1:]])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}: a product table on {len(members) + 1} "
+                   f"elements is above the cap of {core.TABLE_HARD_CAP}\n")
 
 
 # Small valid inputs that the fuzz test below mutates.  The first set system

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (broken_top_json, naive_join_closure,
-                     naive_sampled_validation, naive_semilattice_violations,
+from oracles import (broken_top_json, naive_breaks_associativity,
+                     naive_join_closure, naive_semilattice_violations,
                      naive_tree_table, one_point_top_json,
                      planted_table_json)
 from slat import core
@@ -352,12 +352,12 @@ def test_validate_matches_the_triple_loop_on_tampered_tables(n, data,
 
 
 @st.composite
-def perturbed_meets(draw):
+def perturbed_meets(draw, nodes=6):
     """The meet table of a chain or of a random rooted tree (each node's
-    parent an earlier id, so a meet is the largest common ancestor) on 1..6
-    nodes, with one or two cells overwritten, each alone or with its
-    mirror."""
-    n, line = draw(st.integers(1, 6)), draw(st.booleans())
+    parent an earlier id, so a meet is the largest common ancestor) on 1 to
+    ``nodes`` nodes, with one or two cells overwritten, each alone or with
+    its mirror."""
+    n, line = draw(st.integers(1, nodes)), draw(st.booleans())
     below = [{0}]                       # each node's ancestors and itself
     for i in range(1, n):
         below.append(below[i - 1 if line else
@@ -371,18 +371,56 @@ def perturbed_meets(draw):
     return table
 
 
+def _axioms(table):
+    """Idempotence, commutativity and associativity of ``table`` by brute
+    force over every ordering of every pair and triple."""
+    p, ids = (lambda x, y: table[x][y]), range(len(table))
+    return (all(p(x, x) == x for x in ids),
+            all(p(x, y) == p(y, x) for x, y in product(ids, ids)),
+            all(p(p(x, y), z) == p(x, p(y, z))
+                for x, y, z in product(ids, ids, ids)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(perturbed_meets())
 @example([[0, 3, 2, 3], [3, 1, 1, 3], [2, 1, 2, 3], [3, 3, 3, 3]])
 def test_validate_is_ok_exactly_on_semilattices(table):
-    """The axioms by brute force over every ordering of every pair and
-    triple; the example fails only the (xz)y bracketing of 0 <= 1 <= 2."""
-    p, ids = (lambda x, y: table[x][y]), range(len(table))
-    axioms = (all(p(x, x) == x for x in ids)
-              and all(p(x, y) == p(y, x) for x, y in product(ids, ids))
-              and all(p(p(x, y), z) == p(x, p(y, z))
-                      for x, y, z in product(ids, ids, ids)))
-    assert Semilattice.from_table(table).validate().ok == axioms
+    """The example fails only the (xz)y bracketing of 0 <= 1 <= 2."""
+    assert Semilattice.from_table(table).validate().ok == all(_axioms(table))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_meets(nodes=9))
+@example([[0, 3, 2, 3], [3, 1, 1, 3], [2, 1, 2, 3], [3, 3, 3, 3]])
+@example([[0, 1, 2], [1, 1, 0], [2, 0, 2]])
+def test_validate_past_the_cap_gives_one_witness(table):
+    """Past ``FULL_VALIDATE_CAP`` a table is ok exactly when it is a
+    semilattice.  A commutative, idempotent one that is not gets one sorted
+    witness that breaks a bracketing; any other one gets the exhaustive
+    scan's idempotence and commutativity failures and the note.  On the
+    second example the identity fails at (0, 1, 2) and only the second
+    candidate, (x, x, y) = (1, 1, 2), breaks a bracketing."""
+    S = Semilattice.from_table(table)
+    want = S.validate().to_json()       # the exhaustive scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "FULL_VALIDATE_CAP", 0)
+        rep = S.validate()
+    idempotent, commutative, associative = _axioms(table)
+    assert rep.ok == (idempotent and commutative and associative)
+    if not (idempotent and commutative):
+        assert rep.to_json() == {
+            **want, "checked_triples": 0, "exhaustive": False,
+            "notes": ["associativity not checked"],
+            "violations": [v for v in want["violations"]
+                           if v["kind"] != "NotAssociative"]}
+    elif rep.ok:
+        assert rep.to_json() == want
+    else:
+        [v] = rep.violations
+        assert rep.exhaustive and not rep.notes
+        assert v.kind == "NotAssociative" and list(v.witness) == \
+            sorted(v.witness)
+        assert naive_breaks_associativity(S.product, v.witness)
 
 
 @pytest.mark.parametrize("S", [free_nonempty(4), fin_truncation(6, 2),
@@ -393,12 +431,29 @@ def test_validate_matches_the_triple_loop_on_generated_hosts(S):
 
 
 def test_validate_says_when_idempotence_is_checked_on_a_prefix():
-    note = "idempotence checked on the first 100000 elements"
+    # no host is checked on a prefix: a cube past 100 000 elements is a
+    # semilattice by construction, and its report is the exhaustive one
     big = core.generate_instance("fin(24,6)")
-    rep = big.validate()
-    assert big.n > 100_000 and not rep.exhaustive and not rep.violations
-    assert note in rep.notes
-    assert note not in core.generate_instance("fin(10,5)").validate().notes
+    assert big.n > 100_000
+    assert big.validate().to_json() == _by_construction(big)
+
+
+@pytest.mark.parametrize("S", [free_nonempty(4), powerset(3),
+                               fin_truncation(5, 2), fin_truncation(6, 2),
+                               sch_embed(chain(70)).semilattice],
+                         ids=["pstar4", "powerset3", "fin5_2", "fin6_2",
+                              "embed70"])
+def test_a_report_by_construction_is_the_dense_scans(S):
+    """A set system with no collapsed top, or a cube family, is not
+    scanned; its report is the one the dense scan gives on its table."""
+    dense = Semilattice.from_table(S.product_table_np().tolist())
+    assert S.validate().to_json() == dense.validate().to_json() == \
+        _by_construction(S)
+
+
+def _by_construction(S):
+    return {"ok": True, "violations": [], "exhaustive": True, "notes": [],
+            "checked_triples": math.comb(S.n + 2, 3)}
 
 
 def _ranked(spec):
@@ -410,9 +465,10 @@ def _ranked(spec):
     return S
 
 
-#: hosts above FULL_VALIDATE_CAP where validate samples associativity: a
-#: table, or a set system on more than 14 points
-SAMPLED_HOSTS = {
+#: hosts above FULL_VALIDATE_CAP off the union rule: a cube on more than
+#: 14 points, a table, and a collapsed top on more than SUBSET_MAX_BITS
+#: points
+PAST_THE_CAP_HOSTS = {
     "fin(16,3)": lambda: generate_instance("fin(16,3)"),
     "fin(16,3) ranked": lambda: _ranked("fin(16,3)"),
     "planted table": lambda: Semilattice.from_json(planted_table_json()),
@@ -424,23 +480,35 @@ SAMPLED_HOSTS = {
 
 
 @cache
-def _sampled_host(name):
-    S = SAMPLED_HOSTS[name]()
+def _past_the_cap(name):
+    S = PAST_THE_CAP_HOSTS[name]()
     assert S.n > core.FULL_VALIDATE_CAP
     return S
 
 
-@pytest.mark.parametrize("name", list(SAMPLED_HOSTS))
-@settings(max_examples=2, deadline=None)
-@given(seed=st.integers(0, 2**64))
-def test_sampled_validate_matches_the_triple_loop(name, seed):
-    S = _sampled_host(name)
-    want = naive_sampled_validation(S, seed)
-    assert S.validate(seed).to_json() == want
-    kinds = {v["kind"] for v in want["violations"]}
-    assert kinds == ({"NotIdempotent", "NotCommutative", "NotAssociative"}
-                     if name == "planted table" else {"NotAssociative"}
-                     if name.startswith("broken top") else set())
+@pytest.mark.parametrize("name", list(PAST_THE_CAP_HOSTS))
+def test_sampled_validate_matches_the_triple_loop(name):
+    """Past the cap: a cube is ok by construction in either storage; the
+    planted table lists every idempotence and commutativity failure and
+    checks no associativity; the broken top gets one witness."""
+    S = _past_the_cap(name)
+    rep, p = S.validate(), S.product
+    if name.startswith("fin"):
+        assert rep.to_json() == _by_construction(S)
+    elif name == "planted table":
+        ids = range(S.n)
+        assert [(v.kind, v.witness) for v in rep.violations] == \
+            [("NotIdempotent", (x,)) for x in ids if p(x, x) != x] + \
+            [("NotCommutative", (x, y)) for x, y in combinations(ids, 2)
+             if p(x, y) != p(y, x)]
+        assert rep.notes == ["associativity not checked"]
+        assert (rep.exhaustive, rep.checked_triples) == (False, 0)
+    else:
+        [v] = rep.violations
+        assert rep.exhaustive and not rep.notes
+        assert v.kind == "NotAssociative" and list(v.witness) == \
+            sorted(v.witness)
+        assert naive_breaks_associativity(p, v.witness)
 
 
 @st.composite
@@ -482,7 +550,9 @@ def test_the_union_rule_matches_the_triple_loop(S):
     violations, _ = naive_semilattice_violations(S)
     absorbs = all(p(x, top) == top for x in range(S.n))
     assert rep.ok == (absorbs and not violations)
-    assert rep.exhaustive and rep.notes == ["associativity by the union rule"]
+    # a cube family goes by construction, with no scan and no note
+    assert rep.exhaustive and rep.notes == (
+        [] if S._trunc else ["associativity by the union rule"])
     assert rep.checked_triples == math.comb(S.n + 2, 3)
     assert len(rep.violations) <= 1 or \
         {v.kind for v in rep.violations} == {"NotAbsorbing"}
@@ -498,10 +568,12 @@ def test_the_union_rule_matches_the_triple_loop(S):
 
 @pytest.mark.parametrize("spec", ["fin(10,5)", "pstar(9)", "fin(14,5)"])
 def test_the_union_rule_reads_either_storage(spec):
+    # cubes past the cap need no union rule: either storage is exhaustive
+    # by construction
     S = generate_instance(spec)
     rep = S.validate()
-    assert S.n > core.FULL_VALIDATE_CAP and rep.ok and rep.exhaustive
-    assert rep.notes == ["associativity by the union rule"]
+    assert S.n > core.FULL_VALIDATE_CAP
+    assert rep.to_json() == _by_construction(S)
     assert _ranked(spec).validate().to_json() == rep.to_json()
 
 

@@ -489,8 +489,26 @@ def test_the_element_guard_asks_for_a_commutative_table(table):
     # both pass the meet identity on the pairs x <= y (x * y = x on every
     # pair too), which is the meet order only on a commutative table
     S = Semilattice.from_table(table)
-    assert core.meet_identity_holds(S.product_table_np())
+    assert core.meet_identity_failure(S.product_table_np()) is None
     assert propagation._element_world(S) is None
+
+
+@pytest.mark.parametrize("cell, E, message", [
+    (5, [10, 30], "20, a factor of 19 * 30 = 19, is not a factor of the "
+     "join 10"),
+    (15, [10, 20], "10, a generator, is not a factor of the join 15")],
+    ids=["a product's factor", "a generator"])
+def test_a_closure_that_leaves_its_join_raises_not_closed(cell, E, message):
+    # validate refuses a 300-element min-table with one bad symmetric cell;
+    # a library caller who skips it meets the pair pass's own guard, at an
+    # element outside the factors of the join
+    table = [[min(x, y) for y in range(300)] for x in range(300)]
+    table[10][20] = table[20][10] = cell
+    S = Semilattice.from_table(table)
+    assert not S.validate().ok
+    with pytest.raises(core.NotClosedError) as exc:
+        v_value(S, builtin_logweight(S, "zero"), mask_of(E), 17)
+    assert str(exc.value) == message
 
 
 def test_element_world_of_a_chain():
