@@ -322,8 +322,8 @@ class Semilattice:
         ``NotAbsorbing`` violation (x, top, p).  A top whose set is the whole
         ground absorbs and is not scanned.
         """
-        rep = ValidationReport(checked_triples=math.comb(self.n + 2, 3))
         n, top = self.n, self.top_id
+        rep = ValidationReport(checked_triples=math.comb(n + 2, 3))
         if self.kind == "set_system" and (top is None or self._trunc):
             return rep
         full = n <= FULL_VALIDATE_CAP
