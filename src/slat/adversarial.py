@@ -180,10 +180,11 @@ def _eta_of_traces(traces, cumulative):
 
 
 def eta_weight(chain: AdversarialChain, S: Semilattice) -> LogWeight:
-    """The chain's derived log-weight, computed from the traces."""
+    """The chain's derived log-weight, a function of the member mask: of
+    its trace, computed from the traces."""
     d_final, cumulative = chain.d_final, list(chain.cumulative)
-    return LogWeight(S.n, 1, lambda ids: _eta_of_traces(
-        S.masks_of(ids) & d_final, cumulative), "eta")
+    return LogWeight.of_masks(S, 1, lambda masks: _eta_of_traces(
+        masks & d_final, cumulative), "eta")
 
 
 def check_eta_subadditive(chain: AdversarialChain) -> ValidationReport:

@@ -23,7 +23,8 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from ._bitset import bits, mask_of, mask_of_indicator, popcount, submasks
+from ._bitset import (bits, mask_of, mask_of_indicator, popcount, popcounts,
+                      submasks)
 
 #: most elements of a table host, and of a dense table from product_table_np;
 #: checked before any table is built
@@ -191,6 +192,14 @@ class Semilattice:
         """``ids_of`` of the subsets of the point set G, bit j of an index for
         the j-th point of G; past ``SUBSET_MAX_BITS`` points it raises."""
         return self.ids_of(_subset_masks(G))
+
+    def is_member(self, masks):
+        """``ids_of(masks) >= 0``; on a cube by point count: lo to c, or k."""
+        if self._trunc is None:
+            return self.ids_of(masks) >= 0
+        k, lo, c = self._trunc
+        m = popcounts(masks)
+        return (masks >> k == 0) & (m >= lo) & ((m <= c) | (m == k))
 
     def truncation_bound(self):
         """The cardinality bound c of a cube truncation whose larger unions
@@ -479,10 +488,10 @@ def _subset_sweep(f, op, into=1):
 
 
 def _under_a_member(ids, top):
-    """Over the ids of every subset of a point set (-1 for a non-member),
-    indexed as ``Semilattice.subset_ids`` indexes them: whether each subset
-    lies under a member other than ``top`` (None: under any member), one
-    superset-OR ``_subset_sweep``."""
+    """Over the ids, or other keys, of every subset of a point set (-1 for a
+    non-member), indexed as ``Semilattice.subset_ids`` indexes them: whether
+    each subset lies under a member other than the one keyed ``top`` (None:
+    under any member), one superset-OR ``_subset_sweep``."""
     return _subset_sweep((ids >= 0) & (ids != top), np.bitwise_or, into=0)
 
 

@@ -51,15 +51,16 @@ so they stay exact.  A world is kept in one weak memo (``_memo``) on the
 object it is built from: a host keeps its element world and, on a ground
 of at most 14 points that fits the density rule, the ids of every subset
 of the ground and its absorbing ones; a weight keeps its levels and the
-rank of every element.  Per pair of host and weight, the weight keeps only
-what refers to its last host weakly: the curve of its last exhaustive
-profile, which answers a later profile on that host at a level set inside
-its own (``propagation_profile``), and the integer row's ranks on the
-host's kept ground with the admitted int of each level read
-(``_ground_row``).  Nothing is stored on either object, and no answer
-depends on what the memo holds.  ``fbp`` and ``fbp_closure`` apply the
-definition one step at a time; the ``fbp`` command and the cross-checks
-use them.
+rank of every element.  Any other subset world is built per call, from
+masks alone under a weight of member masks (``LogWeight.num_masks``).  Per
+pair of host and weight, the weight keeps only what refers to its last
+host weakly: the curve of its last exhaustive profile, which answers a
+later profile on that host at a level set inside its own
+(``propagation_profile``), and the integer row's ranks on the host's kept
+ground with the admitted int of each level read (``_ground_row``).
+Nothing is stored on either object, and no answer depends on what the
+memo holds.  ``fbp`` and ``fbp_closure`` apply the definition one step at
+a time; the ``fbp`` command and the cross-checks use them.
 """
 
 from __future__ import annotations
@@ -218,12 +219,12 @@ def stability_threshold(S: Semilattice, lam: LogWeight, X: int):
 
 # -- reachability cost -------------------------------------------------------
 
-def _ranked(lam, ids):
-    """The distinct weights of the members among ``ids`` (-1 for none),
-    rising, as fractions, and each id's rank in them, an array:
-    ``len(levels)``, never admitted, at a non-member."""
+def _ranked(lam, ids, num=None):
+    """The distinct weights, read by ``num`` (``lam.num`` by default), of the
+    members among ``ids`` (-1 for none), rising, as fractions, and each id's
+    rank in them, an array: ``len(levels)``, never admitted, at non-members."""
     members = ids >= 0
-    nums, inv = np.unique(lam.num(ids[members]), return_inverse=True)
+    nums, inv = np.unique((num or lam.num)(ids[members]), return_inverse=True)
     rank = np.full(len(ids), len(nums))
     rank[members] = inv
     return [Fraction(a, lam.den) for a in nums.tolist()], rank
@@ -479,9 +480,10 @@ def _weight_ranks(lam):
     return _ranked(lam, np.append(np.arange(lam.n), -1))
 
 
-def _subset_ids(S, at):
+def _subset_ids(S, at, by_mask=False):
     """The ids of the subsets at the masks ``at``, every subset of a point
-    set (-1 for a non-member), and the absorbing ones, an up-set: under no
+    set (-1 for a non-member; with ``by_mask``, the members' own masks, by
+    ``Semilattice.is_member``), and the absorbing ones, an up-set: under no
     member but the collapsed top (``_under_a_member``), so none on a host
     without a top.  On a set system that passes ``validate``, members a and
     b have the top as product exactly when their union u is absorbing: the
@@ -490,10 +492,11 @@ def _subset_ids(S, at):
     top's set under such a member m, m times the top would be m, so the top
     would not absorb.  As an up-set, it holds a subset a closure covers
     exactly when it holds one of its exact unions: the top forms."""
-    ids = S.ids_of(at)
+    ids = np.where(S.is_member(at), at, -1) if by_mask else S.ids_of(at)
     if S.top_id is None:
         return ids, np.zeros(len(ids), dtype=bool)
-    return ids, ~_under_a_member(ids, S.top_id)
+    return ids, ~_under_a_member(ids, S.member_mask(S.top_id) if by_mask
+                                 else S.top_id)
 
 
 def _ground_ids(S):
@@ -536,12 +539,12 @@ def _subset_world(S, lam, G_mask):
     levels of every element (``_weight_ranks``): a profile's block reads it
     there, while ``v_value`` runs in the ground's own index and never gets
     here.  Otherwise G's world is built alone, per call, and ranked among
-    the members inside G, so that no weight is ranked over every element of
-    a large host."""
+    the members inside G, so that no weight is ranked over a large host; a
+    weight of member masks (``num_masks``) reads masks alone, with no id."""
     if (ground := _memo(S, _ground_ids)) is None:
         at = _subset_masks(G_mask)
-        ids, absorbing = _subset_ids(S, at)
-        return at, *_ranked(lam, ids), absorbing
+        ids, absorbing = _subset_ids(S, at, lam.num_masks is not None)
+        return at, *_ranked(lam, ids, lam.num_masks), absorbing
     ids, absorbing, _ = ground
     at = np.flatnonzero(np.arange(len(ids)) & ~G_mask == 0)
     levels, rank = _memo(lam, _weight_ranks)

@@ -2,7 +2,9 @@
 
 A log-weight assigns each element a nonnegative rational lambda(x) with
 lambda(xy) <= lambda(x) + lambda(y).  The multiplicative weight exp(lambda)
-is never stored; all threshold comparisons stay exact.
+is never stored; all threshold comparisons stay exact.  The builtin and
+random weights are subadditive by construction on the host they are built
+on, so ``validate_logweight`` scans only the others there.
 """
 
 from __future__ import annotations
@@ -35,18 +37,28 @@ class LogWeight:
     overflows), else an object array of Python ints.  Library code reads
     ``num`` once for the ids it needs and compares integers; ``lam[x]``, the
     exact value of one element, is for oracles, tests and interactive use.
+    ``num_masks`` is ``num`` over member masks, or None for a weight stored
+    per id; ``subadditive_on`` the host it is subadditive on by proof, or None.
     """
 
     #: no weight caches its values; the benchmark's tracer reads this field
     _cache = None
 
-    def __init__(self, n, den, num, name="explicit"):
+    def __init__(self, n, den, num, name="explicit", num_masks=None,
+                 subadditive_on=None):
         self.n, self.den, self.num, self.name = n, den, num, name
+        self.num_masks, self.subadditive_on = num_masks, subadditive_on
 
     @classmethod
     def from_values(cls, values, name="explicit"):
         den, num = _numerators([Fraction(v) for v in values])
         return cls(len(num), den, partial(np.take, num), name)
+
+    @classmethod
+    def of_masks(cls, S, den, num_masks, name, subadditive_on=None):
+        """``num(ids)`` is ``num_masks(S.masks_of(ids))``, on a set system."""
+        return cls(S.n, den, lambda ids: num_masks(S.masks_of(np.asarray(
+            ids, dtype=np.int64))), name, num_masks, subadditive_on)
 
     def __getitem__(self, x: int) -> Fraction:
         return self.values([x])[0]
@@ -79,9 +91,11 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
                        seed: int = 0, samples: int = 100_000):
     """Check nonnegativity and subadditivity.
 
-    Exhaustive over all pairs x <= y up to ``TABLE_HARD_CAP`` elements,
-    one triangle walk (``upper_blocks``) of the host's ``product_rows`` on
-    the numerators over one common denominator; beyond that, seeded random
+    A weight subadditive on S by construction (``subadditive_on``) gets
+    the exhaustive report with no scan, on every host.  Any other is
+    exhaustive over all pairs x <= y up to ``TABLE_HARD_CAP`` elements, one
+    triangle walk (``upper_blocks``) of the host's ``product_rows`` on the
+    numerators over one common denominator; beyond that, seeded random
     pairs, checked a row block at a time, with the report marked
     non-exhaustive.
     """
@@ -89,6 +103,8 @@ def validate_logweight(S: Semilattice, lam: LogWeight,
     n = S.n
     if lam.n != n:
         raise ValueError("log-weight length does not match the instance")
+    if lam.subadditive_on is S:
+        return rep
     num = lam.num
     if n <= TABLE_HARD_CAP:
         w = num(np.arange(n))
@@ -127,13 +143,13 @@ def _numerators(vals):
 
 def _top_element(S: Semilattice):
     """Id of the maximum element (union of all member sets), or None."""
-    if S.top_id is not None:
-        return S.top_id
-    return S.id_of_mask(int(np.bitwise_or.reduce(S.member_masks_np())))
+    return S.top_id if S.top_id is not None else S.id_of_mask(
+        int(np.bitwise_or.reduce(S.member_masks_np())))
 
 
 def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
-    """Named log-weights.
+    """Named log-weights, functions of the member mask (``num_masks``) and
+    subadditive on S by ``_counted``'s proof (``subadditive_on``).
 
     - ``zero``: constant 0 on any instance.
     - ``cardinality``: member-set size; on an instance with a collapsed top
@@ -143,8 +159,8 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
     """
     params = params or {}
     if name == "zero":
-        return LogWeight(S.n, 1, lambda ids: np.zeros(len(ids), np.int64),
-                         "zero")
+        zeros = partial(np.zeros_like, dtype=np.int64)
+        return LogWeight(S.n, 1, zeros, "zero", zeros, S)
     if S.kind != "set_system":
         raise KindMismatch(f"{name} weight needs a set-system instance")
     if name in ("cardinality", "scaled"):
@@ -156,30 +172,41 @@ def builtin_logweight(S: Semilattice, name: str, params=None) -> LogWeight:
             cap += 1
         elif top is not None:
             cap = _collapse_cap(S)
-        return LogWeight(S.n, q.denominator, _counted(S, q.numerator, top, cap),
-                         name)
-    if name == "prototype":
+        den, num_masks = q.denominator, _counted(S, q.numerator, top, cap)
+    elif name == "prototype":
         top = _top_element(S)
         if top is None:
             raise PrototypeMissingTop(
                 "prototype weight needs the full universe as an element")
-        return LogWeight(S.n, 1, _counted(S, 1, top, 0), "prototype")
-    raise ValueError(f"unknown builtin log-weight {name!r}")
+        den, num_masks = 1, _counted(S, 1, top, 0)
+    else:
+        raise ValueError(f"unknown builtin log-weight {name!r}")
+    # _counted's proof needs a collapsed top to absorb, as validate asks
+    top = S.top_id
+    absorbs = top is None or S.truncation_bound() is not None or bool(
+        (S.join_ids(S.member_masks_np(), S.member_mask(top)) == top).all())
+    return LogWeight.of_masks(S, den, num_masks, name, S if absorbs else None)
 
 
 def _counted(S: Semilattice, q: int, top, cap: int):
-    """``num`` of q times the point count of each member, with at most
-    ``cap`` points at the element ``top`` (None: at no element)."""
-    wide = q * len(S.ground) >= 1 << 62
+    """``num_masks`` of q >= 0 times the point count of each member, with at
+    most ``cap`` points at the element ``top`` (None: at no element).
 
-    def num(ids):
-        ids = np.asarray(ids, dtype=np.int64)
-        c = popcounts(S.masks_of(ids))
-        if top is not None:
-            np.minimum(c, cap, out=c, where=ids == top)
+    Subadditive on S when a collapsed top absorbs, a product with it being
+    itself.  Another product xy is the member x | y, of at most |x| + |y|
+    points, or the collapsed top, capped at |x | y| or below: c + 1 on a
+    truncation, whose larger unions collapse, else the least |x | y| over
+    pairs with product top (``_collapse_cap``), or 0 for the prototype."""
+    wide = q * len(S.ground) >= 1 << 62
+    at = None if top is None else S.member_mask(top)
+
+    def num_masks(masks):
+        c = popcounts(masks)
+        if at is not None:
+            np.minimum(c, cap, out=c, where=masks == at)
         return c.astype(object) * q if wide else c * q
 
-    return num
+    return num_masks
 
 
 def _collapse_cap(S: Semilattice) -> int:
@@ -205,8 +232,9 @@ def random_logweight(S: Semilattice, seed: int) -> LogWeight:
     Each repair round lowers every lambda(xy) to lambda(x) + lambda(y) at
     once, on integer numerators over 6, until nothing changes.  The maximum
     of two subadditive functions below the draws is another, so the greatest
-    one is unique and every order of repairs reaches it.  Needs a dense
-    product table: above ``TABLE_HARD_CAP`` elements it raises
+    one is unique and every order of repairs reaches it.  The fixpoint is
+    subadditive on every cell xy of S's table (``subadditive_on``).  Needs a
+    dense product table: above ``TABLE_HARD_CAP`` elements it raises
     ``SizeOverflowError``.
     """
     rng = random.Random(seed)
@@ -220,7 +248,8 @@ def random_logweight(S: Semilattice, seed: int) -> LogWeight:
         if np.array_equal(new, num):
             break
         num = new
-    return LogWeight(S.n, 6, partial(np.take, num.astype(np.int64)), "random")
+    return LogWeight(S.n, 6, partial(np.take, num.astype(np.int64)), "random",
+                     subadditive_on=S)
 
 
 def _fraction_from_json(v) -> Fraction:

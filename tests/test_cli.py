@@ -633,19 +633,27 @@ def test_a_table_failing_only_the_xz_y_bracketing_is_refused(tmp_path, argv):
     assert "not a semilattice: NotAssociative at [0, 1, 2]" in err
 
 
-def test_verify_never_imports_numpy_random():
+def test_verify_never_imports_numpy_random(tmp_path):
     """The sampled weight check draws from ``random``: importing
     ``numpy.random`` would cost every process some milliseconds and
     megabytes."""
+    # an explicit weight (the cardinality values) takes the pair check,
+    # which a builtin weight, subadditive by construction, skips
+    S = core.generate_instance("fin(13,6)")
+    path = tmp_path / "card.json"
+    path.write_text(json.dumps(weights.LogWeight.from_values(
+        weights.builtin_logweight(S, "cardinality").values()).to_json()))
     code = ("import sys, slat.cli\n"
             "for ref in ('fin(10,5)', 'fin(13,6)', 'fin(16,3)', 'tree(2,4)'):\n"
-            "    slat.cli.main(['verify', ref])\n"
+            "    slat.cli.main(['verify', ref] + (['--weight', sys.argv[1]]\n"
+            "                                     if ref == 'fin(13,6)' else []))\n"
             "sys.stderr.write(repr([m for m in sys.modules\n"
             "                       if m.startswith('numpy.random')]))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=SLAT_ENV)
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True, env=SLAT_ENV)
     assert (proc.returncode, proc.stderr) == (0, "[]")
-    # fin(13,6)'s weight pair check is sampled; every validate is exact
+    # fin(13,6)'s explicit weight pair check is sampled; every validate is
+    # exact
     assert proc.stdout.count('"exhaustive": false') == 1
 
 

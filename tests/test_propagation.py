@@ -23,7 +23,8 @@ from test_acceptance import _dense_v_oracle
 from test_weights import without_member
 from slat import core, propagation
 from slat._bitset import bits, mask_of
-from slat.adversarial import build_chain, eta_weight, verify_barrier
+from slat.adversarial import (AdversarialChain, build_chain, eta_weight,
+                              verify_barrier)
 from slat.core import (Semilattice, chain, fin_truncation, free_nonempty,
                        generate_instance, kary_tree, powerset, sch_embed)
 from slat.metrics import generate_filter
@@ -1234,6 +1235,63 @@ def _reuse_host(key):
                                  close=True)
 
 
+def _mask_world_weight(S, wname, data):
+    """A weight that is a function of the member mask: a builtin, or eta on
+    nested prefixes of a drawn order of the ground's points."""
+    if wname == "scaled":
+        q = data.draw(st.sampled_from([0, Fraction(1, 2), 3]), label="q")
+        return builtin_logweight(S, "scaled", {"q": q})
+    if wname != "eta":
+        return builtin_logweight(S, wname)
+    points = data.draw(st.permutations(range(len(S.ground))), label="points")
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(points) - 1),
+                                    max_size=3), label="cuts"))
+    cumulative = [mask_of(points[:i]) for i in (0, *cuts, len(points))]
+    marker_sets = [D & ~C for C, D in zip(cumulative, cumulative[1:])]
+    return eta_weight(AdversarialChain(len(marker_sets), marker_sets,
+                                       [[] for _ in marker_sets], cumulative),
+                      S)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank=st.booleans(), wname=st.sampled_from(
+    ["cardinality", "prototype", "scaled", "eta"]), data=st.data())
+def test_mask_worlds_match_id_worlds(rank, wname, data):
+    # with no ground kept, a weight of member masks builds G's world from
+    # masks: membership by the host, levels by num_masks, no id read.  The
+    # same values stored per id take the id route; both worlds are equal,
+    # on truncations in rank storage (membership by the count rule) and on
+    # listed collapsed-top families that are no cubes
+    if rank:
+        spec = data.draw(st.sampled_from(["pstar(5)", "powerset(4)",
+                                          "fin(6,3)", "fin(7,2)", "fin(8,5)"]),
+                         label="spec")
+        with mock.patch.object(core, "IMPLICIT_THRESHOLD", 0):
+            S = generate_instance(spec)
+        assert S._masks is None
+    else:
+        k = data.draw(st.integers(3, 8), label="k")
+        S = Semilattice.from_json(_truncated_top_json(
+            k, data.draw(st.lists(st.integers(1, (1 << k) - 1), max_size=12),
+                         label="drawn"),
+            data.draw(st.integers(1, k - 1), label="c")))
+        assume(S.truncation_bound() is None)
+    lam = _mask_world_weight(S, wname, data)
+    per_id = LogWeight(lam.n, lam.den, lam.num, lam.name)
+    G = mask_of(data.draw(st.sets(st.integers(0, len(S.ground) - 1),
+                                  min_size=1), label="G"))
+    with mock.patch.object(propagation, "_ground_ids", _no_ground):
+        with mock.patch.object(S, "masks_of", side_effect=AssertionError), \
+                mock.patch.object(S, "ids_of", wraps=S.ids_of) as ids_of:
+            at, levels, rank_, absorbing = propagation._subset_world(S, lam, G)
+        assert ids_of.called == (not rank)     # listed: ids_of >= 0
+        want = propagation._subset_world(S, per_id, G)
+    assert np.array_equal(at, want[0])
+    assert levels == want[1]
+    assert np.array_equal(rank_, want[2])
+    assert np.array_equal(absorbing, want[3])
+
+
 def _reuse_weight(S, wname):
     if wname.startswith("random:"):
         return random_logweight(S, int(wname[7:]))
@@ -1530,12 +1588,22 @@ def test_prototype_barrier_on_pstar16_is_fast():
     assert v == PropagationValue.finite(8)
 
 
-def test_level_five_barrier_on_fin_20_15_is_fast():
+def test_level_five_barrier_on_fin_20_15_ranks_no_subset_world(monkeypatch):
+    # fin(20,15) is in rank storage with no ground kept: G's world comes
+    # from masks (membership by the count rule, the eta weight of masks),
+    # so neither rank direction sees an array of G's 2**|G| subsets
+    sizes = []
+    for name in ("_trunc_rank_np", "_trunc_unrank_np"):
+        fn = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, fn=fn: sizes.append(
+            np.size(a[-1])) or fn(*a))
     S = generate_instance("fin(20,15)")
     chain = build_chain(S, 5)
-    t = time.perf_counter()
+    z = S.product_ids(chain.families[4])
+    G = S.member_mask(z).bit_count()
+    sizes.clear()
     res = verify_barrier(chain, S, 5)
-    assert time.perf_counter() - t < 1
+    assert sizes and max(sizes) < 1 << G, (max(sizes), G)
     assert res.passed and res.value == PropagationValue.finite(3)
 
 

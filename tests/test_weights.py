@@ -4,17 +4,18 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (naive_collapse_cap, naive_random_logweight,
                      naive_sampled_logweight_violations,
                      naive_subadditive_violations)
-from slat import core
-from slat._bitset import mask_of, popcount
+from slat import core, weights
+from slat._bitset import bits, mask_of, popcount
 from slat.core import (TABLE_HARD_CAP, Semilattice, SizeOverflowError, chain,
                        fin_truncation, free_nonempty, generate_instance,
                        kary_tree, powerset, sch_embed)
@@ -218,6 +219,99 @@ def test_weight_lookups_read_num_each_time():
     assert lam._cache is None
 
 
+def _closure(k, drawn):
+    closed = {0}
+    for m in drawn:
+        closed |= {m | x for x in closed}
+    return {"kind": "set_system", "ground": [str(p) for p in range(k)],
+            "elements": [list(bits(m)) for m in sorted(closed)]}
+
+
+@st.composite
+def _proof_host(draw):
+    """A union-closed family on at most 6 points: as it is, truncated with
+    the whole ground as the collapsed top, or with a drawn member as the
+    collapsed top (which need not absorb); a cube, listed or in rank
+    storage; or a table."""
+    kind = draw(st.sampled_from(["family", "truncated", "any top", "cube",
+                                 "rank cube", "table"]))
+    if kind in ("cube", "rank cube"):
+        spec = draw(st.sampled_from(["pstar(4)", "powerset(5)", "fin(6,2)",
+                                     "fin(5,3)"]))
+        with mock.patch.object(core, "IMPLICIT_THRESHOLD",
+                               0 if kind == "rank cube" else 300_000):
+            return generate_instance(spec)
+    if kind == "table":
+        return generate_instance(draw(st.sampled_from(
+            ["chain(6)", "tree(2,2)", "tree(3,2)"])))
+    k = draw(st.integers(1, 6))
+    obj = _closure(k, draw(st.lists(st.integers(1, (1 << k) - 1),
+                                    min_size=1, max_size=8)))
+    if kind == "truncated" and k > 1:
+        c = draw(st.integers(1, k - 1))
+        obj["elements"] = [e for e in obj["elements"] if len(e) <= c]
+        obj["collapsed_top"] = len(obj["elements"])
+        obj["elements"].append(list(range(k)))
+    elif kind == "any top":
+        obj["collapsed_top"] = draw(st.integers(0, len(obj["elements"]) - 1))
+    return Semilattice.from_json(obj)
+
+
+def _relabelled(S, perm):
+    """Another host of the same n: S with its points (a set system) or its
+    ids (a table) permuted by ``perm``."""
+    if S.kind == "table":
+        perm = np.array(perm)
+        T = np.empty_like(S.product_table_np())
+        T[np.ix_(perm, perm)] = perm[S.product_table_np()]
+        return Semilattice.from_table(T.tolist())
+    obj = S.to_json()
+    elements = [sorted(perm[p] for p in e) for e in obj["elements"]]
+    if "collapsed_top" in obj:
+        top = elements[obj["collapsed_top"]]
+        obj["collapsed_top"] = sorted(elements, key=lambda e: (len(e), e)
+                                      ).index(top)
+    return Semilattice.from_json({**obj, "elements": elements})
+
+
+@settings(max_examples=150, deadline=None)
+@given(S=_proof_host(), wname=st.sampled_from(
+    ["cardinality", "scaled", "prototype", "zero", "random"]),
+       q=st.sampled_from([0, Fraction(2, 3), 5, 2**70]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_proof_route_matches_the_scan(S, wname, q, seed, data):
+    # a builtin or random weight built on S is subadditive on S by
+    # construction: validate_logweight reports it exhaustive with no scan,
+    # the report the scan of the same values gives, and the naive loop finds
+    # nothing.  A collapsed top that does not absorb voids the proof of the
+    # counted weights, and their pairs are scanned.  On another host of the
+    # same n every weight is scanned
+    if S.kind == "table":
+        wname = data.draw(st.sampled_from(["zero", "random"]), label="table")
+    try:
+        lam = random_logweight(S, seed) if wname == "random" else \
+            builtin_logweight(S, wname, {"q": q})
+    except PrototypeMissingTop:
+        assume(False)
+    absorbs = S.top_id is None or all(
+        S.product(S.top_id, y) == S.top_id for y in range(S.n))
+    assert (lam.subadditive_on is S) == (absorbs or wname in ("zero",
+                                                              "random"))
+    scan = LogWeight.from_values(lam.values())
+    hosts = [S, _relabelled(S, data.draw(st.permutations(
+        range(S.n if S.kind == "table" else len(S.ground))), label="perm"))]
+    for host in hosts:
+        with mock.patch.object(weights, "pairs_where",
+                               wraps=weights.pairs_where) as pairs:
+            rep = validate_logweight(host, lam)
+        assert pairs.called == (lam.subadditive_on is not host)
+        assert [(v.kind, v.witness) for v in rep.violations] == \
+            naive_subadditive_violations(host, lam)
+        assert rep.to_json() == validate_logweight(host, scan).to_json()
+        if host is S and lam.subadditive_on is S:
+            assert rep.to_json() == core.ValidationReport().to_json()
+
+
 # table, explicit-mask and collapsed-top hosts
 PAIR_HOSTS = [kary_tree(2, 2), free_nonempty(4), fin_truncation(6, 2)]
 # Mersenne primes: a common denominator of 1/p values overflows int64
@@ -317,7 +411,7 @@ def test_cardinality_on_a_rank_storage_host_is_lazy():
 
 # sha256 of the JSON of two sampled reports on fin(13,6), as the check that
 # joined all 100 000 drawn pairs in one pass made them: the cardinality
-# weight, and a weight of seeded halves 0..3 with seed 4 (12 478 witnesses)
+# values, and a weight of seeded halves 0..3 with seed 4 (12 478 witnesses)
 SAMPLED_FIN_13_6 = ("e3cf1cd1e23d31ec6aa3f6535c367526"
                     "ddd4d67095de40e1baf414c1750ecdaa")
 SAMPLED_FIN_13_6_BROKEN = ("d6f47ccd6c404098459a542d42d03fa5"
@@ -331,9 +425,10 @@ def _report_sha(rep):
 def test_sampled_pair_check_runs_a_row_block_at_a_time():
     # 4097 elements, one past the exhaustive pair check: the 100 000 drawn
     # pairs are joined 8192 at a time, so the peak stays near the draws'
-    # own 1.5 MiB (5.4 MiB in one pass)
+    # own 1.5 MiB (5.4 MiB in one pass).  The cardinality values as an
+    # explicit weight, since the builtin one is subadditive by construction
     S = fin_truncation(13, 6)
-    lam = builtin_logweight(S, "cardinality")
+    lam = LogWeight.from_values(builtin_logweight(S, "cardinality").values())
     tracemalloc.start()
     try:
         rep = validate_logweight(S, lam)
