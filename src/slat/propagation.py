@@ -24,7 +24,8 @@ Three passes find these first levels for every target at once:
   ty = t.  inv(A) turns those counts into pairs per exact product, and A.T
   marks every factor of such a product: a round is ``K @ (A @ R)**2 !=
   0``, K = A.T @ inv(A), exact in float64 on a host that passes the guard
-  of ``_element_world``;
+  of ``_element_world``: ``Semilattice.validate``, then a float64 inverse
+  kept only when it is exact, then a bound on the sums;
 - the pair-by-pair pass works in the manner of Knuth's generalization of
   Dijkstra's algorithm (D. E. Knuth, "A generalization of Dijkstra's
   algorithm", IPL 6(1), 1977).
@@ -79,8 +80,7 @@ from ._bitset import bits, indicator, mask_of, mask_of_indicator, popcount
 from .breadth import _incompressible, breadth, is_compressible
 from .core import (FULL_VALIDATE_CAP, NP_BLOCK_ELEMS, SUBSET_MAX_BITS,
                    BudgetExceeded, NotClosedError, Semilattice, _subset_masks,
-                   _subset_sweep, _under_a_member, meet_identity_failure,
-                   row_blocks)
+                   _subset_sweep, _under_a_member, row_blocks)
 from .metrics import best_guess_check, generate_filter
 from .weights import LogWeight, level_set
 
@@ -289,34 +289,18 @@ def _element_world(S):
     """The closed world of the element pass on a host of at most
     ``FULL_VALIDATE_CAP`` elements, from its product table: ``(A, K)`` in
     float64, A[t, x] = [tx = t] (x a factor of t) and K = A.T @ inv(A), or
-    None unless the guard holds.  The guard asks for (a) a commutative table
-    with the meet identity A[t, xy] = A[t, x] and A[t, y]
-    (``core.meet_identity_failure``); (b) an exact integer inverse of A, by
-    substitution in uint64 (wrapping) and kept only when its entries are
-    below 2**53 / n and A @ inv(A) = I holds in float64, exact at that
-    bound; and (c) n**2 times the largest row sum of |K| below 2**53, so
-    that every partial sum of a round's float64 products is an exact
-    integer."""
+    None unless the guard holds.  The guard asks for (a) a host that
+    ``Semilattice.validate`` accepts, whose A is unitriangular in any order
+    that extends its own, so never singular; (b) inv(A) in float64, rounded,
+    kept only when its entries are below 2**53 / n and A @ inv(A) = I holds
+    exactly, which makes it the exact integer inverse; and (c) n**2 times
+    the largest row sum of |K| below 2**53, so that every partial sum of a
+    round's float64 products is an exact integer."""
     n = S.n
-    if n > FULL_VALIDATE_CAP:
+    if n > FULL_VALIDATE_CAP or not S.validate().ok:
         return None
-    T = S.product_table_np()
-    if not (np.array_equal(T, T.T) and meet_identity_failure(T) is None):
-        return None
-    A = T == np.arange(n)[:, None]
-    # in the order of rising down-set size, a semilattice's A is upper
-    # unitriangular, and elements with down-sets of one size are pairwise
-    # incomparable: substitute a run of one size at a time
-    size = A.sum(axis=0)
-    order = np.argsort(size, kind="stable")
-    B = A[np.ix_(order, order)].astype(np.uint64)
-    Y = np.eye(n, dtype=np.uint64)
-    starts = np.flatnonzero(np.diff(size[order])) + 1
-    for s, e in zip(starts, [*starts[1:], n]):
-        Y[:s, s:e] -= Y[:s, :s] @ B[:s, s:e]
-    X = np.empty((n, n))
-    X[np.ix_(order, order)] = Y.view(np.int64)
-    A = A.astype(float)
+    A = (S.product_table_np() == np.arange(n)[:, None]).astype(float)
+    X = np.rint(np.linalg.inv(A))
     if abs(X).max() * n >= 1 << 53 or not np.array_equal(A @ X, np.eye(n)):
         return None
     K = A.T @ X
@@ -559,12 +543,16 @@ def _admitted(rank, i):
 @cache
 def _point_ints(k):
     """For each point j of k: the ints over the 2**k subsets of those with j
-    and those without it, and the shift 2**j that adds j.  Each int is read
-    from its bytes, bit s for subset s."""
-    full, subsets = (1 << (1 << k)) - 1, np.arange(1 << k, dtype=np.uint32)
-    held = [int.from_bytes(np.packbits(subsets >> j & 1, bitorder="little"),
-                           "little") for j in range(k)]
-    return [(h, full ^ h, 1 << j) for j, h in enumerate(held)]
+    and those without it, and the shift 2**j that adds j.  Bit s of the
+    first is bit j of s: the high half of a period of 2**(j + 1) bits,
+    doubled up to 2**k bits."""
+    full, points = (1 << (1 << k)) - 1, []
+    for j in range(k):
+        h = (1 << (1 << j)) - 1 << (1 << j)
+        for p in range(j + 1, k):
+            h |= h << (1 << p)
+        points.append((h, full ^ h, 1 << j))
+    return points
 
 
 def _row_round(R, size, points, top, G):

@@ -512,3 +512,32 @@ def naive_iter_incompressible(S, order, counter, budget, floor=lambda: 0):
             if cur:
                 cur.pop()
     counter["nodes"] = nodes
+
+
+def packed_point_ints(k):
+    """The point ints of ``propagation._point_ints``, read from packed bytes:
+    for each point j of k, the int over the 2**k subsets (bit s for subset
+    s) of those with j, its complement, and the shift 2**j."""
+    full, subsets = (1 << (1 << k)) - 1, np.arange(1 << k, dtype=np.uint32)
+    held = [int.from_bytes(np.packbits(subsets >> j & 1, bitorder="little"),
+                           "little") for j in range(k)]
+    return [(h, full ^ h, 1 << j) for j, h in enumerate(held)]
+
+
+def naive_moebius(S):
+    """The Moebius function of the order x <= y when xy = x, as an n-by-n
+    int array from its recursion: mu(x, x) = 1, and mu(x, y) = -(the sum of
+    mu(x, z) over x <= z < y), 0 unless x <= y."""
+    p, n = S.product, S.n
+    leq = [[p(x, y) == x for y in range(n)] for x in range(n)]
+    below = [sum(leq[z][y] for z in range(n)) for y in range(n)]
+    order = sorted(range(n), key=below.__getitem__)     # a linear extension
+    mu = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in order:
+            if x == y:
+                mu[x, y] = 1
+            elif leq[x][y]:
+                mu[x, y] = -sum(int(mu[x, z]) for z in range(n)
+                                if leq[x][z] and leq[z][y] and z != y)
+    return mu

@@ -566,6 +566,49 @@ def test_the_union_rule_matches_the_triple_loop(S):
             assert p(x, top) == q != top
 
 
+@st.composite
+def _wide_rule_hosts(draw):
+    """A listed collapsed-top family of 252-800 members on 9-12 points: the
+    members of a truncation (every set of at most c points, the whole
+    ground as its top) less some random nonempty members, plus some random
+    extra ones, at least one member changed."""
+    k = draw(st.integers(9, 12))
+    sizes = [sum(math.comb(k, i) for i in range(c + 1))
+             for c in range(k - 1)]
+    c = draw(st.sampled_from([c for c, n in enumerate(sizes)
+                              if 260 <= n <= 790]))
+    top = (1 << k) - 1
+    masks = [m for m in range(top) if m.bit_count() <= c]
+    drop = draw(st.sets(st.sampled_from(masks[1:]), max_size=8))
+    extra = draw(st.sets(st.sampled_from([m for m in range(top)
+                                          if m.bit_count() > c]),
+                         min_size=0 if drop else 1, max_size=8))
+    masks = sorted({*masks, *extra, top} - drop, key=core._canonical_key(k))
+    return Semilattice.from_json({
+        "kind": "set_system", "ground": list(map(str, range(k))),
+        "elements": [list(bits(m)) for m in masks],
+        "collapsed_top": masks.index(top)})
+
+
+@settings(max_examples=25, deadline=None)
+@given(S=_wide_rule_hosts())
+def test_the_union_rule_matches_the_dense_table_on_random_families(S):
+    # past the cap a listed collapsed top takes the union rule; the dense
+    # route decides the same host by the meet identity and absorption
+    assert core.FULL_VALIDATE_CAP < S.n <= 800 and S._trunc is None
+    rep = S.validate()
+    assert rep.notes == ["associativity by the union rule"]
+    p, top = S.product, S.top_id
+    absorbs = (S.join_ids(S.member_masks_np(), S.member_mask(top))
+               == top).all()
+    dense = core.meet_identity_failure(S.product_table_np()) is None
+    assert rep.ok == (dense and absorbs)
+    if not dense:
+        (a, b, m), = [v.witness for v in rep.violations
+                      if v.kind == "NotAssociative"]
+        assert p(p(a, b), m) != p(a, p(b, m))
+
+
 @pytest.mark.parametrize("spec", ["fin(10,5)", "pstar(9)", "fin(14,5)"])
 def test_the_union_rule_reads_either_storage(spec):
     # cubes past the cap need no union rule: either storage is exhaustive
